@@ -21,7 +21,7 @@
                                       through the artifact store without
                                       running them; one summary line each
     liblang expand FILE               print a module's fully-expanded core forms
-    liblang analyze [--stage S] [--profile[=json]] FILE
+    liblang analyze [--profile[=json]] FILE
                                       run the 0CFA flow analysis and print the
                                       proved facts (docs/analysis.md)
     liblang eval [-l LANG] EXPR       evaluate one expression
@@ -85,8 +85,9 @@ let usage_text =
   \      --cache             compile through the artifact store in .liblang-cache/\n\
   \      --cache-dir DIR     same, rooted at DIR\n\
   \      -j N                compile the require graph on N worker domains\n\
-  \                          (needs --cache/--cache-dir for run; artifacts\n\
-  \                          are byte-identical to a -j1 build)\n\
+  \                          (-j1, the default, spawns none; needs\n\
+  \                          --cache/--cache-dir for run; artifacts are\n\
+  \                          byte-identical to a -j1 build)\n\
   \      --faults PLAN       inject deterministic faults at store/build/loader\n\
   \                          sites for chaos testing, e.g.\n\
   \                          'seed=7;store.write=torn@64~0.3;build.task=error~0.2'\n\
@@ -110,12 +111,11 @@ let usage_text =
   \                          for exercising the parallel build; prints the\n\
   \                          root file and its expected output\n\
   \  expand FILE             print a module's fully-expanded core forms\n\
-  \  analyze [--stage wide|compiled|lazy|delta] [--profile[=json]] FILE\n\
+  \  analyze [--profile[=json]] FILE\n\
   \                          expand FILE and run the 0CFA flow analysis over\n\
   \                          its core forms; prints a fact summary plus one\n\
   \                          line per proved fact (call-site callees, escape\n\
   \                          status, in-bounds accesses — docs/analysis.md);\n\
-  \                          --stage picks the solver stage (default delta),\n\
   \                          --profile adds analysis.* metrics and the\n\
   \                          phase.analyze timer\n\
   \  eval [-l LANG] [--engine interp|vm] EXPR\n\
@@ -357,7 +357,7 @@ let analyze_via_server conn paths =
     (fun path ->
       let code =
         print_response ~print_output:true
-          (Client.request conn (Sproto.Analyze { path = abs_path path; stage = None }))
+          (Client.request conn (Sproto.Analyze { path = abs_path path }))
       in
       if code <> 0 then exit code)
     paths
@@ -638,16 +638,9 @@ let cmd_expand path =
    fact report.  Diagnostics only — the analysis never rejects a program,
    so the exit code is 0 unless expansion itself failed. *)
 let cmd_analyze args =
-  let stage = ref None and profile = ref Profile_off and path = ref None in
+  let profile = ref Profile_off and path = ref None in
   let rec go = function
     | [] -> ()
-    | "--stage" :: s :: rest -> (
-        match Liblang_core.Core.Zcfa.stage_of_string s with
-        | Some st ->
-            stage := Some st;
-            go rest
-        | None -> usage ())
-    | "--stage" :: [] -> usage ()
     | "--profile" :: rest ->
         profile := Profile_text;
         go rest
@@ -678,7 +671,7 @@ let cmd_analyze args =
               | _ -> ());
           let observe = { Observe.metrics; trace = None } in
           let name = Filename.remove_extension (Filename.basename path) in
-          match Pipeline.analyze ~name ?stage:!stage ~observe source with
+          match Pipeline.analyze ~name ~observe source with
           | Ok lines -> List.iter print_endline lines
           | Error ds -> fail ds))
 

@@ -36,7 +36,6 @@ type t = {
   mutable vec_sites : int;
   mutable sweeps : int;
   mutable transfers : int;
-  mutable stage : string;
   mutable exhausted : bool;  (** fuel ran out: all fact tables are empty *)
 }
 
@@ -52,7 +51,6 @@ let create () =
     vec_sites = 0;
     sweeps = 0;
     transfers = 0;
-    stage = "?";
     exhausted = false;
   }
 
@@ -77,9 +75,9 @@ let render (t : t) : string list =
   in
   let summary =
     Printf.sprintf
-      "analysis[%s]: %d call sites (%d monomorphic), %d lambdas (%d escaping, %d unboxable), %d \
+      "analysis: %d call sites (%d monomorphic), %d lambdas (%d escaping, %d unboxable), %d \
        vector sites, %d in-bounds refs, %d in-bounds sets; %d sweeps, %d transfers%s"
-      t.stage t.call_sites (NodeTbl.length t.direct) t.lambdas t.escaping
+      t.call_sites (NodeTbl.length t.direct) t.lambdas t.escaping
       (NodeTbl.length t.unboxable) t.vec_sites
       (NodeTbl.length t.ref_inbounds)
       (NodeTbl.length t.set_inbounds)

@@ -9,22 +9,13 @@
     guarantee up with a hard stop that degrades to {e no facts} rather
     than wrong facts.
 
-    Following oaam, the solver is a staged progression — each stage is
-    individually selectable ([liblang analyze --stage=...]) and
-    benchmarkable:
-
-    - {b wide}: the widened-store baseline — one global store, but the
-      syntax is re-walked and bindings re-resolved on every sweep;
-    - {b compiled}: the transfer functions are pre-compiled once into a
-      closure-form node graph, then sweeps run over the graph;
-    - {b lazy}: compiled, plus lazy nondeterminism — a top form whose
-      read set did not change since its last evaluation is skipped;
-    - {b delta}: compiled, plus delta-store frontier propagation — a
-      worklist seeded from store deltas via dynamically recorded
-      dependencies, rather than whole-module sweeps.
-
-    All stages compute the same fixpoint over the same lattice; the staged
-    tests assert fact-for-fact agreement. *)
+    The transfer functions are compiled once into a closure-form node
+    graph.  {!analyze_module} solves it with a delta-store worklist: a top
+    form is re-evaluated only when a store entry, lambda or vector site it
+    read during its last evaluation changed (dependencies are recorded
+    dynamically).  {!analyze_module_by_sweeps} is the test oracle: naive
+    round-robin sweeps over the same graph until nothing changes.  Both
+    reach the same fixpoint, fact for fact (test/test_analysis.ml). *)
 
 module Stx = Liblang_stx.Stx
 module Binding = Liblang_stx.Binding
@@ -38,23 +29,6 @@ module IntSet = Set.Make (Int)
     [Liblang_typed.Optimize] skips the analysis and the flow-driven
     rewrites never fire. *)
 let enabled = ref true
-
-type stage = Wide | Compiled | Lazy | Delta
-
-let default_stage = ref Delta
-
-let stage_name = function
-  | Wide -> "wide"
-  | Compiled -> "compiled"
-  | Lazy -> "lazy"
-  | Delta -> "delta"
-
-let stage_of_string = function
-  | "wide" -> Some Wide
-  | "compiled" -> Some Compiled
-  | "lazy" -> Some Lazy
-  | "delta" -> Some Delta
-  | _ -> None
 
 (* Fuel: the lattice is finite so sweeps converge, but adversarial corpus
    inputs get a hard stop anyway.  Exhaustion yields an *empty* fact table
@@ -176,7 +150,7 @@ and lam = {
   l_rest : bool;
   l_arity : int;
   mutable l_name : string;
-  mutable l_body : node list;
+  l_body : node list;
   mutable l_escapes : bool;
   mutable l_ret : aval;
 }
@@ -195,28 +169,23 @@ type st = {
   assigned : (int, unit) Hashtbl.t;
   refs_total : (int, int) Hashtbl.t;
   refs_op : (int, int) Hashtbl.t;
-  lam_tbl : lam Facts.NodeTbl.t;  (** lambda stx -> record (stable across wide rebuilds) *)
   lams : (int, lam) Hashtbl.t;
-  site_tbl : vsite Facts.NodeTbl.t;
   sites : (int, vsite) Hashtbl.t;
   mutable next_lam : int;
   mutable next_site : int;
   mutable let_lams : (int * int) list;  (** (binding uid, lambda idx) of single-id let clauses *)
   mutable escape_all : bool;  (** an unparseable #%provide spec: everything escapes *)
-  mutable counted : bool;  (** ref counts recorded (first build only) *)
-  mutable changed : bool;
+  mutable changed : bool;  (** something grew since the flag was last cleared *)
   mutable sweeps : int;
   mutable transfers : int;
   mutable call_sites : int;
-  (* lazy / delta bookkeeping *)
-  mutable gen : int;
-  uid_gen : (int, int) Hashtbl.t;
-  mutable aux_gen : int;
-  mutable cur_form : int;  (** -1 outside delta-stage evaluation *)
+  (* worklist bookkeeping: which top forms read each store entry, lambda
+     and vector site *)
+  mutable cur_form : int;  (** -1 outside worklist evaluation *)
   uid_deps : (int, IntSet.t) Hashtbl.t;
   lam_deps : (int, IntSet.t) Hashtbl.t;
   site_deps : (int, IntSet.t) Hashtbl.t;
-  mutable dirty : IntSet.t;  (** delta worklist (form indices), drained in order *)
+  mutable dirty : IntSet.t;  (** worklist (form indices), drained in order *)
 }
 
 let init_state () =
@@ -226,22 +195,16 @@ let init_state () =
     assigned = Hashtbl.create 16;
     refs_total = Hashtbl.create 64;
     refs_op = Hashtbl.create 64;
-    lam_tbl = Facts.NodeTbl.create 32;
     lams = Hashtbl.create 32;
-    site_tbl = Facts.NodeTbl.create 16;
     sites = Hashtbl.create 16;
     next_lam = 0;
     next_site = 0;
     let_lams = [];
     escape_all = false;
-    counted = false;
     changed = false;
     sweeps = 0;
     transfers = 0;
     call_sites = 0;
-    gen = 0;
-    uid_gen = Hashtbl.create 64;
-    aux_gen = 0;
     cur_form = -1;
     uid_deps = Hashtbl.create 64;
     lam_deps = Hashtbl.create 32;
@@ -249,35 +212,17 @@ let init_state () =
     dirty = IntSet.empty;
   }
 
-let bump st = st.gen <- st.gen + 1
-
 let add_dep tbl key st =
   if st.cur_form >= 0 then
     let old = Option.value (Hashtbl.find_opt tbl key) ~default:IntSet.empty in
     if not (IntSet.mem st.cur_form old) then Hashtbl.replace tbl key (IntSet.add st.cur_form old)
 
-let wake st tbl key =
-  match Hashtbl.find_opt tbl key with
+(* [key] of [deps] grew: flag the change and re-enqueue its readers *)
+let touch st deps key =
+  st.changed <- true;
+  match Hashtbl.find_opt deps key with
   | Some forms -> st.dirty <- IntSet.union st.dirty forms
   | None -> ()
-
-let touch_uid st uid =
-  st.changed <- true;
-  bump st;
-  Hashtbl.replace st.uid_gen uid st.gen;
-  wake st st.uid_deps uid
-
-let touch_lam st ix =
-  st.changed <- true;
-  bump st;
-  st.aux_gen <- st.gen;
-  wake st st.lam_deps ix
-
-let touch_site st ix =
-  st.changed <- true;
-  bump st;
-  st.aux_gen <- st.gen;
-  wake st st.site_deps ix
 
 let store_get st uid =
   add_dep st.uid_deps uid st;
@@ -288,7 +233,7 @@ let store_join st uid v =
   let nv = join old v in
   if not (aval_equal nv old) then begin
     Hashtbl.replace st.store uid nv;
-    touch_uid st uid
+    touch st st.uid_deps uid
   end
 
 (* Escaping: the value reaches code the analysis cannot see.  Closures get
@@ -301,7 +246,7 @@ let rec escape_value st (v : aval) =
       let l = Hashtbl.find st.lams ix in
       if not l.l_escapes then begin
         l.l_escapes <- true;
-        touch_lam st ix;
+        touch st st.lam_deps ix;
         List.iter (fun p -> store_join st p av_top) l.l_params;
         escape_value st l.l_ret
       end)
@@ -313,7 +258,7 @@ let rec escape_value st (v : aval) =
         s.v_escaped <- true;
         let old = s.v_elem in
         s.v_elem <- join old av_top;
-        touch_site st ix;
+        touch st st.site_deps ix;
         escape_value st old
       end)
     v.vecs
@@ -323,7 +268,7 @@ let lam_ret_join st ix v =
   let nv = join l.l_ret v in
   if not (aval_equal nv l.l_ret) then begin
     l.l_ret <- nv;
-    touch_lam st ix;
+    touch st st.lam_deps ix;
     if l.l_escapes then escape_value st nv
   end
 
@@ -332,7 +277,7 @@ let elem_join st ix v =
   let nv = join s.v_elem v in
   if not (aval_equal nv s.v_elem) then begin
     s.v_elem <- nv;
-    touch_site st ix;
+    touch st st.site_deps ix;
     if s.v_escaped then escape_value st nv
   end
 
@@ -347,7 +292,7 @@ let len_merge st ix (cand : len_state) =
   in
   if merged <> s.v_len then begin
     s.v_len <- merged;
-    touch_site st ix
+    touch st st.site_deps ix
   end
 
 (* -- prims with transfer functions ----------------------------------------- *)
@@ -471,48 +416,36 @@ let classify st (id : Stx.t) : kind =
   | None -> KExt
 
 let note_ref st op_pos uid =
-  if not st.counted then begin
-    let inc tbl = Hashtbl.replace tbl uid (1 + Option.value (Hashtbl.find_opt tbl uid) ~default:0) in
-    inc st.refs_total;
-    if op_pos then inc st.refs_op
-  end
+  let inc tbl = Hashtbl.replace tbl uid (1 + Option.value (Hashtbl.find_opt tbl uid) ~default:0) in
+  inc st.refs_total;
+  if op_pos then inc st.refs_op
 
 let lam_record st (s : Stx.t) formals body_nodes =
-  match Facts.NodeTbl.find_opt st.lam_tbl s with
-  | Some l ->
-      l.l_body <- body_nodes;
-      l
-  | None ->
-      let params, rest = formals_of formals in
-      let l =
-        {
-          l_idx = st.next_lam;
-          l_stx = s;
-          l_params = params;
-          l_rest = rest;
-          l_arity = List.length params - (if rest then 1 else 0);
-          l_name = "lambda";
-          l_body = body_nodes;
-          l_escapes = false;
-          l_ret = av_bot;
-        }
-      in
-      st.next_lam <- st.next_lam + 1;
-      Facts.NodeTbl.replace st.lam_tbl s l;
-      Hashtbl.replace st.lams l.l_idx l;
-      l
+  let params, rest = formals_of formals in
+  let l =
+    {
+      l_idx = st.next_lam;
+      l_stx = s;
+      l_params = params;
+      l_rest = rest;
+      l_arity = List.length params - (if rest then 1 else 0);
+      l_name = "lambda";
+      l_body = body_nodes;
+      l_escapes = false;
+      l_ret = av_bot;
+    }
+  in
+  st.next_lam <- st.next_lam + 1;
+  Hashtbl.replace st.lams l.l_idx l;
+  l
 
-let site_record st (s : Stx.t) ~make =
-  match Facts.NodeTbl.find_opt st.site_tbl s with
-  | Some v -> v
-  | None ->
-      let v =
-        { v_idx = st.next_site; v_make = make; v_len = LUnknown; v_elem = av_bot; v_escaped = false }
-      in
-      st.next_site <- st.next_site + 1;
-      Facts.NodeTbl.replace st.site_tbl s v;
-      Hashtbl.replace st.sites v.v_idx v;
-      v
+let site_record st ~make =
+  let v =
+    { v_idx = st.next_site; v_make = make; v_len = LUnknown; v_elem = av_bot; v_escaped = false }
+  in
+  st.next_site <- st.next_site + 1;
+  Hashtbl.replace st.sites v.v_idx v;
+  v
 
 let rec build st ?(op_pos = false) (s : Stx.t) : node =
   let mk kind = { n_stx = s; n_kind = kind; n_op = op_pos } in
@@ -541,7 +474,7 @@ let rec build st ?(op_pos = false) (s : Stx.t) : node =
           let target =
             match classify st x with
             | KVar uid ->
-                if not st.counted then Hashtbl.replace st.assigned uid ();
+                Hashtbl.replace st.assigned uid ();
                 Some uid
             | _ -> None
           in
@@ -575,7 +508,7 @@ let rec build st ?(op_pos = false) (s : Stx.t) : node =
                             let l = Hashtbl.find st.lams ix in
                             if l.l_name = "lambda" then
                               l.l_name <- Option.value (Stx.sym (List.hd (Option.get (Stx.to_list ids)))) ~default:"lambda";
-                            if not st.counted then st.let_lams <- (uid, ix) :: st.let_lams
+                            st.let_lams <- (uid, ix) :: st.let_lams
                         | _ -> ());
                         Some (uids, rn)
                     | _ -> None)
@@ -628,11 +561,11 @@ let rec build st ?(op_pos = false) (s : Stx.t) : node =
           let rns = List.map (build st) rands in
           match opn.n_kind with
           | KPrim ("vector" | "make-vector") ->
-              let v = site_record st s ~make:(match opn.n_kind with KPrim "make-vector" -> true | _ -> false) in
+              let v = site_record st ~make:(match opn.n_kind with KPrim "make-vector" -> true | _ -> false) in
               mk (KAlloc (v.v_idx, rns))
           | KPrim _ -> mk (KApp (opn, rns))
           | _ ->
-              if not st.counted then st.call_sites <- st.call_sites + 1;
+              st.call_sites <- st.call_sites + 1;
               mk (KApp (opn, rns)))
       | Some _, _ -> mk KSkip
       | None, _ -> mk (KOpaque (List.map (build st) (hd :: args))))
@@ -818,31 +751,7 @@ and prim_transfer st name (args : node list) (vs : aval list) : aval =
          arguments; may return an integer we no longer track exactly *)
       { av_bot with ints = ITop; other = true }
 
-(* -- stage drivers --------------------------------------------------------- *)
-
-(* read set including lambda bodies (they are evaluated with the form) *)
-let full_readset st (form : node) : IntSet.t =
-  let acc = ref IntSet.empty in
-  let rec go n =
-    match n.n_kind with
-    | KConst _ | KPrim _ | KExt | KSkip | KProvide _ -> ()
-    | KVar uid -> acc := IntSet.add uid !acc
-    | KLam ix ->
-        let l = Hashtbl.find st.lams ix in
-        List.iter go l.l_body;
-        List.iter (fun p -> acc := IntSet.add p !acc) l.l_params
-    | KIf (a, b, c, _) -> go a; go b; go c
-    | KBegin ns | KOpaque ns -> List.iter go ns
-    | KSet (_, n) -> go n
-    | KApp (f, ns) -> go f; List.iter go ns
-    | KAlloc (_, ns) -> List.iter go ns
-    | KLet (cls, body) ->
-        List.iter (fun (_, rhs) -> go rhs) cls;
-        List.iter go body
-    | KDefine (_, n) -> go n
-  in
-  go form;
-  !acc
+(* -- solvers ----------------------------------------------------------------- *)
 
 let eval_form st n =
   ignore (eval st n);
@@ -853,56 +762,9 @@ let eval_form st n =
     List.iter (fun uid -> if Hashtbl.mem st.bound uid then escape_value st (store_get st uid)) uids
   end
 
-let run_wide st (forms : Stx.t list) =
-  let rec loop graph =
-    st.changed <- false;
-    List.iter (eval_form st) graph;
-    st.sweeps <- st.sweeps + 1;
-    if st.changed then
-      if st.sweeps >= max_sweeps then raise Out_of_fuel
-      else loop (List.map (build st) forms)  (* re-walk syntax: the wide baseline *)
-    else graph
-  in
-  let g0 = List.map (build st) forms in
-  st.counted <- true;
-  loop g0
-
-let run_sweeps st (graph : node list) =
-  let rec loop () =
-    st.changed <- false;
-    List.iter (eval_form st) graph;
-    st.sweeps <- st.sweeps + 1;
-    if st.changed then if st.sweeps >= max_sweeps then raise Out_of_fuel else loop ()
-  in
-  loop ()
-
-let run_lazy st (graph : node list) =
-  let forms = Array.of_list graph in
-  let readsets = Array.map (full_readset st) forms in
-  let last_eval = Array.make (Array.length forms) (-1) in
-  let last_aux = Array.make (Array.length forms) (-1) in
-  let uid_gen uid = Option.value (Hashtbl.find_opt st.uid_gen uid) ~default:0 in
-  let rec loop () =
-    st.changed <- false;
-    Array.iteri
-      (fun i n ->
-        let stale =
-          last_eval.(i) < 0 || last_aux.(i) <> st.aux_gen
-          || IntSet.exists (fun u -> uid_gen u > last_eval.(i)) readsets.(i)
-        in
-        if stale then begin
-          let g0 = st.gen in
-          eval_form st n;
-          last_eval.(i) <- g0;
-          last_aux.(i) <- st.aux_gen
-        end
-        else Metrics.count "analysis.lazy_skips")
-      forms;
-    st.sweeps <- st.sweeps + 1;
-    if st.changed then if st.sweeps >= max_sweeps then raise Out_of_fuel else loop ()
-  in
-  loop ()
-
+(* The production solver: a worklist of top-form indices, drained in
+   order.  Evaluating form i records what it reads (the [add_dep] hooks);
+   anything that grows re-enqueues exactly its readers ([touch]). *)
 let run_delta st (graph : node list) =
   let forms = Array.of_list graph in
   let n = Array.length forms in
@@ -916,11 +778,22 @@ let run_delta st (graph : node list) =
     if !pops > budget then raise Out_of_fuel;
     st.cur_form <- i;
     (* re-entrancy: changes made while evaluating form i re-enqueue their
-       dependents, including i itself, via the touch_* hooks *)
+       dependents, including i itself, via [touch] *)
     eval_form st forms.(i);
     st.cur_form <- -1;
     st.sweeps <- !pops
   done
+
+(* The oracle: evaluate every form, round-robin, until a whole sweep
+   changes nothing. *)
+let run_sweeps st (graph : node list) =
+  let rec loop () =
+    st.changed <- false;
+    List.iter (eval_form st) graph;
+    st.sweeps <- st.sweeps + 1;
+    if st.changed then if st.sweeps >= max_sweeps then raise Out_of_fuel else loop ()
+  in
+  loop ()
 
 (* -- fact extraction ------------------------------------------------------- *)
 
@@ -1043,28 +916,15 @@ let extract st (graph : node list) (facts : Facts.t) =
 
 (* -- entry point ----------------------------------------------------------- *)
 
-let analyze_module ?stage (forms : Stx.t list) : Facts.t =
-  let stage = Option.value stage ~default:!default_stage in
+let solve_with run (forms : Stx.t list) : Facts.t =
   Trace.span "analyze" @@ fun () ->
   Metrics.time "phase.analyze" @@ fun () ->
   let st = init_state () in
   let facts = Facts.create () in
-  facts.Facts.stage <- stage_name stage;
   List.iter (collect_binders st) forms;
+  let graph = List.map (build st) forms in
   (try
-     let graph =
-       match stage with
-       | Wide -> run_wide st forms
-       | Compiled | Lazy | Delta ->
-           let g = List.map (build st) forms in
-           st.counted <- true;
-           (match stage with
-           | Compiled -> run_sweeps st g
-           | Lazy -> run_lazy st g
-           | Delta -> run_delta st g
-           | Wide -> assert false);
-           g
-     in
+     run st graph;
      extract st graph facts
    with Out_of_fuel ->
      (* degrade to "nothing proved": wipe any partial tables *)
@@ -1093,3 +953,11 @@ let analyze_module ?stage (forms : Stx.t list) : Facts.t =
   Metrics.countn "analysis.sweeps" facts.Facts.sweeps;
   Metrics.countn "analysis.transfers" facts.Facts.transfers;
   facts
+
+(** Analyze one module's fully-expanded core forms. *)
+let analyze_module (forms : Stx.t list) : Facts.t = solve_with run_delta forms
+
+(** The test oracle: the same analysis solved by naive round-robin sweeps
+    instead of the worklist.  Its facts must equal {!analyze_module}'s;
+    only the [sweeps]/[transfers] counters differ. *)
+let analyze_module_by_sweeps (forms : Stx.t list) : Facts.t = solve_with run_sweeps forms

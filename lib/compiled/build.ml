@@ -13,17 +13,17 @@
       under the store's per-key advisory lock, exactly as the serial
       resolver would.
     + {e schedule}: modules are topologically scheduled by in-degree
-      countdown onto [jobs] domains; no task starts before all its
-      scanned requires are done, so workers find their dependencies'
-      artifacts warm and replay them ([module.cache_hits]) instead of
-      recompiling.
+      countdown onto a {!Parallel.Pool} of [jobs] domains; no task starts
+      before all its scanned requires are done, so workers find their
+      dependencies' artifacts warm and replay them ([module.cache_hits])
+      instead of recompiling.
     + {e contain}: each task runs under its own {!Reporter}; a failing
       task records its diagnostics and {e poisons} its dependents (they
       are skipped with a note rather than racing into the same failure).
-    + {e merge}: each worker accumulates into its own metrics collector
-      (plus per-domain resolver-cache counters, flushed before join) and
-      the driver folds them into the ambient collector on join — so
-      [--profile] over a parallel build reports pool-wide totals.
+    + {e merge}: each task accumulates into its own metrics collector
+      (plus its domain's resolver-cache counters) and the driver folds it
+      into the ambient collector as the task settles — so [--profile]
+      over a parallel build reports pool-wide totals.
 
     Determinism: artifacts serialize names and datums, never binding uids
     or scope ids, so a [-j N] build writes byte-identical artifacts to a
@@ -33,8 +33,6 @@
     the calling domain in topological order, which is exactly the serial
     resolver's behavior. *)
 
-module Modsys = Liblang_modules.Modsys
-module Binding = Liblang_stx.Binding
 module Reader = Liblang_reader.Reader
 module Datum = Liblang_reader.Datum
 module Diagnostic = Liblang_diagnostics.Diagnostic
@@ -133,7 +131,7 @@ type result = {
   lock_waits : int;  (** contended store/per-key lock acquisitions *)
   retries : int;  (** task attempts re-run after transient failures *)
   timeouts : int;  (** tasks killed by their wall-clock deadline *)
-  worker_deaths : int;  (** worker domains that died outside a task *)
+  worker_deaths : int;  (** worker domains that died *)
 }
 
 let failures (r : result) : (string * Diagnostic.t list) list =
@@ -260,175 +258,91 @@ let link_tasks (graph : node list) : task list =
     tasks;
   tasks
 
-(* Serial fallback: topological order on one domain, no locks, no spawns —
-   bit-for-bit the serial resolver's behavior.  A cycle in the scanned
-   graph leaves tasks with positive in-degree; they are force-run so the
-   resolver reports the cycle as a proper diagnostic. *)
-let run_serial ~diagnostic_of_exn ~deadline (tasks : task list) : unit =
-  let ready = Queue.create () in
-  List.iter (fun t -> if t.unmet = 0 then Queue.add t ready) tasks;
-  let rec drain () =
-    while not (Queue.is_empty ready) do
-      let t = Queue.pop ready in
-      match t.outcome with
-      | Some (Skipped _ as o) ->
-          (* poisoned while pending: propagate *)
-          List.iter (fun d -> Queue.add d ready) (finish t o)
-      | Some _ -> ()
-      | None ->
-          if not t.started then begin
-            t.started <- true;
-            let o = run_task ~diagnostic_of_exn ~deadline t in
-            List.iter (fun d -> Queue.add d ready) (finish t o)
-          end
-    done;
-    match List.find_opt (fun t -> (not t.started) && t.outcome = None) tasks with
-    | Some t ->
-        Queue.add t ready;
-        drain ()
-    | None -> ()
-  in
-  drain ()
+(* The scheduler: in-degree countdown over a {!Parallel.Pool} — [jobs]
+   worker domains, or none for [jobs = 1], where every task runs on the
+   calling domain in topological order (the serial resolver's behavior,
+   without a spawn or a lock).  A task is submitted once all its scanned
+   requires are built; a failure poisons its dependents on the spot.  When
+   the pool falls idle with tasks still pending, the scanned graph has a
+   cycle: one pending task is force-run so the resolver reports the cycle
+   as a diagnostic instead of the build stalling.
 
-(* Parallel scheduler: a work queue under a mutex/condition, in-degree
-   countdown, [jobs] worker domains.  Worker metrics collectors are merged
-   into [merge_into] (the spawning domain's ambient collector) on join.
+   Each task counts into its own metrics collector, merged into the
+   caller's ambient one ([merge_into]) as the task settles.
 
-   Supervision: a worker domain dying must never hang the join.  The three
-   death windows and why each is safe:
-   - at spawn (the [build.spawn] fault site, or a real startup failure):
-     the dead worker holds no task, so [remaining] still drains through
-     the surviving workers; waiters only block while [running > 0], and
-     whichever worker is running will broadcast when it finishes;
-   - mid-task: the defensive wrapper below accounts for the task (its
-     dependents are poisoned, [running]/[remaining] are restored, waiters
-     are broadcast) before letting the domain die;
-   - all workers dead: every [Domain.join] returns (with an exception),
-     and the supervisor marks whatever never ran as [Failed] so the
-     caller reports real errors instead of silence.
-   Returns the number of worker deaths observed at join. *)
-let run_parallel ~diagnostic_of_exn ~deadline ~(jobs : int) (tasks : task list) : int =
+   Supervision: a worker dying before its first task (the [build.spawn]
+   fault site) strands nothing — the surviving workers take the shared
+   queue.  A worker dying mid-task fails that task (poisoning its
+   dependents) and is replaced.  If every worker dies, whatever never ran
+   fails loudly instead of reading as skipped.  Returns the number of
+   worker deaths. *)
+let schedule ~diagnostic_of_exn ~deadline ~(jobs : int) (tasks : task list) : int =
   let mu = Mutex.create () in
-  let cond = Condition.create () in
-  let ready : task Queue.t = Queue.create () in
-  let remaining = ref (List.length tasks) in
-  let running = ref 0 in
-  List.iter (fun t -> if t.unmet = 0 then Queue.add t ready) tasks;
+  (* the scheduler lock is real only while the pool's workers can race *)
+  let locked f = if Parallel.active () then Mutex.protect mu f else f () in
   let merge_into = Metrics.current () in
-  let worker_results : Metrics.t option array = Array.make jobs None in
-  let worker (slot : int) () =
-    (* the [build.spawn] fault site: an injected error here kills the
-       domain before it ever takes a task — the supervision case the
-       chaos gate exercises hardest *)
-    Fault.check "build.spawn";
-    Parallel.tune_worker_gc ();
-    (* each worker collects into its own collector (merged on join); no
-       collector at all when the build itself is unobserved *)
-    let collector = Option.map (fun _ -> Metrics.create ()) merge_into in
-    Array.set worker_results slot collector;
-    Metrics.with_opt collector @@ fun () ->
-    Fun.protect
-      ~finally:(fun () ->
-        (* flush this domain's resolver-cache counters (plain per-domain
-           ints, zero at domain birth) into this worker's collector *)
-        match collector with
-        | None -> ()
-        | Some _ ->
-            Metrics.countn "expand.resolve_hits" (Binding.resolve_hits ());
-            Metrics.countn "expand.resolve_misses" (Binding.resolve_misses ()))
-    @@ fun () ->
-    let rec loop () =
-      Mutex.lock mu;
-      (* under [mu]: the next dispatchable task, waiting while others run.
-         If the queue is dry with nothing running but tasks remain, the
-         scanned graph has a cycle — force one pending task so the
-         resolver reports the cycle as a diagnostic instead of the pool
-         deadlocking. *)
-      let rec next () =
-        if !remaining = 0 then None
-        else
-          match Queue.take_opt ready with
-          | Some t -> Some t
-          | None ->
-              if !running = 0 then
-                List.find_opt (fun t -> (not t.started) && t.outcome = None) tasks
-              else begin
-                Condition.wait cond mu;
-                next ()
-              end
-      in
-      match next () with
-      | None ->
-          Mutex.unlock mu;
-          Condition.broadcast cond
-      | Some t -> (
-          match t.outcome with
-          | Some (Skipped _ as o) ->
-              (* poisoned while queued: propagate without running *)
-              let released = finish t o in
-              decr remaining;
-              List.iter (fun d -> Queue.add d ready) released;
-              Condition.broadcast cond;
-              Mutex.unlock mu;
-              loop ()
-          | Some _ ->
-              Mutex.unlock mu;
-              loop ()
-          | None when t.started ->
-              Mutex.unlock mu;
-              loop ()
-          | None ->
-              t.started <- true;
-              incr running;
-              Mutex.unlock mu;
-              let o =
-                match run_task ~diagnostic_of_exn ~deadline t with
-                | o -> o
-                | exception e ->
-                    (* a worker dying mid-task ([run_task] contains task
-                       failures, so this is the scheduler's own margin:
-                       stack overflow, OOM, an async exception): account
-                       for the task and wake the pool, then let the
-                       domain die — join observes the death *)
-                    Mutex.lock mu;
-                    decr running;
-                    let d =
-                      Diagnostic.error ~phase:Diagnostic.Internal
-                        (Printf.sprintf "worker domain died building %s: %s" t.node.key
-                           (Printexc.to_string e))
-                    in
-                    let released = finish t (Failed [ d ]) in
-                    decr remaining;
-                    List.iter (fun x -> Queue.add x ready) released;
-                    Condition.broadcast cond;
-                    Mutex.unlock mu;
-                    raise e
-              in
-              Mutex.lock mu;
-              decr running;
-              let released = finish t o in
-              decr remaining;
-              List.iter (fun d -> Queue.add d ready) released;
-              Condition.broadcast cond;
-              Mutex.unlock mu;
-              loop ())
-    in
-    loop ()
+  let deaths = ref 0 and death_msg = ref "" in
+  let pool = ref None in
+  let submit t =
+    t.started <- true;
+    Parallel.Pool.submit (Option.get !pool) t
   in
-  let deaths = ref 0 in
-  let death_msg = ref "" in
-  Parallel.with_active (fun () ->
-      let domains = Array.init jobs (fun slot -> Domain.spawn (worker slot)) in
-      Array.iter
-        (fun d ->
-          match Domain.join d with
-          | () -> ()
-          | exception e ->
-              incr deaths;
-              death_msg := Printexc.to_string e)
-        domains);
-  (* every domain is joined: no locks needed from here on.  If workers
-     died, whatever they stranded must fail loudly, not read as skipped. *)
+  (* under the lock: record [t]'s outcome, submit the dependents it
+     releases and propagate poison through the ones it skips *)
+  let rec settle t o =
+    List.iter
+      (fun d ->
+        match d.outcome with
+        | Some skipped -> settle d skipped
+        | None -> if not d.started then submit d)
+      (finish t o)
+  in
+  let run t =
+    if locked (fun () -> t.outcome = None) then begin
+      let c = Option.map (fun _ -> Metrics.create ()) merge_into in
+      let o =
+        Metrics.with_opt c @@ fun () ->
+        Liblang_expander.Expander.with_stx_counters @@ fun () ->
+        run_task ~diagnostic_of_exn ~deadline t
+      in
+      locked (fun () ->
+          (match (merge_into, c) with Some into, Some c -> Metrics.merge ~into c | _ -> ());
+          settle t o)
+    end
+  in
+  let on_death e held =
+    locked (fun () ->
+        incr deaths;
+        death_msg := Printexc.to_string e;
+        Option.iter
+          (fun t ->
+            settle t
+              (Failed
+                 [
+                   Diagnostic.error ~phase:Diagnostic.Internal
+                     (Printf.sprintf "worker domain died building %s: %s" t.node.key !death_msg);
+                 ]))
+          held)
+  in
+  let p =
+    Parallel.Pool.create
+      ~workers:(if jobs = 1 then 0 else jobs)
+      ~on_start:(fun () -> Fault.check "build.spawn")
+      ~on_death ~run ()
+  in
+  pool := Some p;
+  let rec drive () =
+    if Parallel.Pool.quiesce p then
+      match locked (fun () -> List.find_opt (fun t -> (not t.started) && t.outcome = None) tasks) with
+      | Some t ->
+          locked (fun () -> submit t);
+          drive ()
+      | None -> ()
+  in
+  Fun.protect ~finally:(fun () -> ignore (Parallel.Pool.stop p)) (fun () ->
+      locked (fun () -> List.iter (fun t -> if t.unmet = 0 then submit t) tasks);
+      drive ());
+  (* every domain is joined: no locks needed from here on *)
   if !deaths > 0 then
     List.iter
       (fun t ->
@@ -444,10 +358,6 @@ let run_parallel ~diagnostic_of_exn ~deadline ~(jobs : int) (tasks : task list) 
                      (Printf.sprintf "not built: a worker domain died (%s)" !death_msg);
                  ]))
       tasks;
-  (* merge-on-join: fold every worker's collector into the ambient one *)
-  (match merge_into with
-  | None -> ()
-  | Some into -> Array.iter (Option.iter (fun c -> Metrics.merge ~into c)) worker_results);
   !deaths
 
 (** Build [roots] (and everything they require) with [jobs] domains.
@@ -476,12 +386,7 @@ let build ?(diagnostic_of_exn = fun _ -> None) ?(task_timeout = 300.0) ~(jobs : 
   let retries0 = Atomic.get Parallel.retries and timeouts0 = Atomic.get Parallel.timeouts in
   let worker_deaths =
     Trace.span "build-compile" @@ fun () ->
-    Metrics.time "phase.build" @@ fun () ->
-    if jobs = 1 then begin
-      run_serial ~diagnostic_of_exn ~deadline tasks;
-      0
-    end
-    else run_parallel ~diagnostic_of_exn ~deadline ~jobs tasks
+    Metrics.time "phase.build" @@ fun () -> schedule ~diagnostic_of_exn ~deadline ~jobs tasks
   in
   let tasks_run = Atomic.get Parallel.tasks - tasks0 in
   let lock_waits = Atomic.get Parallel.lock_waits - waits0 in

@@ -122,7 +122,7 @@ let load (a : Artifact.t) : Modsys.t =
   let name = a.Artifact.mod_name and lang = a.Artifact.lang in
   Modsys.check_cycle lang;
   if not (Modsys.is_declared lang) then err "#lang %s: unknown language" lang;
-  Expander.reset_limits ();
+  Expander.with_fresh_limits @@ fun () ->
   Trace.span "load-module" ~detail:name @@ fun () ->
   Metrics.time "phase.load" @@ fun () ->
   Metrics.count "module.cache_hits";

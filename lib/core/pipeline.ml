@@ -72,54 +72,7 @@ let with_engine (engine : engine) (f : unit -> 'a) : 'a =
 
 let in_note (s : Stx.t) = [ Diagnostic.note ("in: " ^ Diagnostic.truncated (Stx.to_string s)) ]
 
-(* The hygiene engine (lib/stx) keeps plain monotonic int counters for its
-   hot paths — per-domain resolver cache hits/misses and lazy scope pushes
-   — so the expander's inner loop never hashes a metric name.  This wrapper
-   flushes the deltas accumulated during [f] into the ambient collector as
-   the ["expand.resolve_hits"]/["expand.resolve_misses"]/
-   ["stx.scope_pushes"] metrics (plus interning gauges); it is a no-op
-   without a collector.
-
-   The bracket is {e reentrant per domain}: pipeline entry points nest
-   (e.g. [run_file] over a module whose requires route back through
-   [compile_file]-style machinery, or the parallel driver running worker
-   tasks inside an outer profiled run), and if both the outer and the inner
-   bracket flushed, the inner delta window would land twice in the merged
-   [--profile].  Only the outermost bracket of each domain flushes.
-
-   The per-domain deltas (resolver hits/misses) flush on every domain; the
-   {e process-wide} gauges (scope pushes, interned symbols / scope sets)
-   flush only from the main domain — concurrent worker windows overlap the
-   main window, so per-worker deltas of a shared counter would double-
-   count. *)
-let stx_flush_depth_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
-
-let with_stx_counters (f : unit -> 'a) : 'a =
-  if not (Metrics.installed ()) then f ()
-  else begin
-    let depth = Domain.DLS.get stx_flush_depth_key in
-    if !depth > 0 then f () (* nested bracket: let the outermost flush *)
-    else begin
-      incr depth;
-      let h0 = Binding.resolve_hits ()
-      and m0 = Binding.resolve_misses ()
-      and p0 = !Stx.scope_pushes
-      and sy0 = Stx.Symbol.interned_count ()
-      and sc0 = Liblang_stx.Scope.Set.interned_count () in
-      Fun.protect
-        ~finally:(fun () ->
-          decr depth;
-          Metrics.countn "expand.resolve_hits" (Binding.resolve_hits () - h0);
-          Metrics.countn "expand.resolve_misses" (Binding.resolve_misses () - m0);
-          if Domain.is_main_domain () then begin
-            Metrics.countn "stx.scope_pushes" (!Stx.scope_pushes - p0);
-            Metrics.countn "stx.symbols_interned" (Stx.Symbol.interned_count () - sy0);
-            Metrics.countn "stx.scope_sets_interned"
-              (Liblang_stx.Scope.Set.interned_count () - sc0)
-          end)
-        f
-    end
-  end
+let with_stx_counters = Expander.with_stx_counters
 
 (** Translate a known pipeline exception to a located diagnostic;
     [None] for foreign exceptions (the caller wraps those as [Internal]). *)
@@ -362,11 +315,10 @@ let expand ?fuel ?name ?(observe = Observe.nothing) (source : string) :
 
 (** Expand a module to core forms and run the 0CFA flow analysis
     ({!Core.Zcfa}) over them, returning the rendered fact report — a
-    summary line plus one line per proved fact.  [?stage] selects the
-    solver stage ("wide" | "compiled" | "lazy" | "delta", default
-    delta); the analysis itself emits [analysis.*] metrics and a
-    [phase.analyze] timer into [?observe]. *)
-let analyze ?fuel ?name ?stage ?(observe = Observe.nothing) (source : string) :
+    summary line plus one line per proved fact.  The analysis itself
+    emits [analysis.*] metrics and a [phase.analyze] timer into
+    [?observe]. *)
+let analyze ?fuel ?name ?(observe = Observe.nothing) (source : string) :
     (string list, Diagnostic.t list) result =
   Core.init ();
   let name = match name with Some n -> n | None -> Core.fresh_module_name "program" in
@@ -378,7 +330,7 @@ let analyze ?fuel ?name ?stage ?(observe = Observe.nothing) (source : string) :
           | None -> ignore (read_module_body ~name source); assert false
           | Some _ ->
               let forms = Modsys.expand_source ~name source in
-              let facts = Core.Zcfa.analyze_module ?stage forms in
+              let facts = Core.Zcfa.analyze_module forms in
               Core.Facts.render facts))
 
 (** Evaluate one expression in [lang]'s environment; [?fuel] bounds its

@@ -23,7 +23,7 @@ type denotation =
 
 module ITbl = Hashtbl.Make (Int)
 
-(* Domain-local, seeded at [Domain.spawn] with a copy of the parent's table:
+(* Domain-local, seeded at domain spawn with a copy of the parent's table:
    workers see every denotation established before the spawn (builtins, core
    forms) and record their own privately; the main domain re-acquires worker
    output by replaying artifacts. *)

@@ -102,20 +102,21 @@ let expect_id msg s = if Stx.is_id s then s else err msg s
    - {e recursion depth}: structural expansion of pathologically nested
      input is cut off before it can overflow the host stack.
 
-   Both are restored at each module-compilation boundary (see Modsys) via
-   {!reset_limits}; the pipeline can also tighten them per run. *)
+   Both are per module: each module-compilation boundary (see Modsys) runs
+   under {!with_fresh_limits}, and each pipeline run starts from
+   {!reset_limits}. *)
 
 let default_fuel = 100_000
 let default_max_depth = 5_000
 
 (* The limits are per-domain: each parallel-build worker expands under its
    own fuel budget and depth counter, so one worker's consumption can
-   neither starve nor corrupt another's.  Workers inherit the defaults (the
-   driver resets limits at each module boundary anyway). *)
+   neither starve nor corrupt another's.  Workers inherit the defaults
+   (every module boundary starts from a full budget anyway). *)
 type limits = {
-  mutable budget : int;
+  budget : int;
   mutable fuel : int;
-  mutable max_depth : int;
+  max_depth : int;
   mutable depth : int;
 }
 
@@ -125,15 +126,28 @@ let limits_key : limits Domain.DLS.key =
 
 let[@inline] limits () = Domain.DLS.get limits_key
 
-(** Restore the fuel budget and depth counter (optionally adjusting the
-    configured limits).  Called at every module-compilation boundary so one
-    compilation's consumption never bleeds into the next. *)
-let reset_limits ?fuel:budget ?max_depth:md () =
+(** Restore the fuel budget and depth counter.  Called at the start of
+    each pipeline run. *)
+let reset_limits () =
   let l = limits () in
-  (match budget with Some n -> l.budget <- n | None -> ());
-  (match md with Some n -> l.max_depth <- n | None -> ());
   l.fuel <- l.budget;
   l.depth <- 0
+
+(** Run [f] (one module's compilation) under a full fuel budget and a zero
+    depth counter, then restore the enclosing compilation's fuel and depth.
+    A [require] compiles its module in the middle of the requiring
+    module's expansion; without the restore, the requiring module would
+    carry on with whatever budget the nested one left. *)
+let with_fresh_limits (f : unit -> 'a) : 'a =
+  let l = limits () in
+  let fuel = l.fuel and depth = l.depth in
+  l.fuel <- l.budget;
+  l.depth <- 0;
+  Fun.protect
+    ~finally:(fun () ->
+      l.fuel <- fuel;
+      l.depth <- depth)
+    f
 
 (* -- transformer application ------------------------------------------------- *)
 
@@ -222,6 +236,56 @@ let apply_transformer (t : Denote.transformer) (s : Stx.t) : Stx.t =
     if Trace.enabled_at 2 then
       Trace.event ~level:2 "macro-out" [ ("name", name); ("after", Stx.to_string output) ];
     output
+  end
+
+let stx_flush_depth_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
+
+(** The hygiene engine (lib/stx) keeps plain monotonic int counters for its
+    hot paths — per-domain resolver cache hits/misses and lazy scope pushes
+    — so the expander's inner loop never hashes a metric name.  This wrapper
+    flushes the deltas accumulated during [f] into the ambient collector as
+    the ["expand.resolve_hits"]/["expand.resolve_misses"]/
+    ["stx.scope_pushes"] metrics (plus interning gauges); it is a no-op
+    without a collector.
+
+    The bracket is {e reentrant per domain}: pipeline entry points nest
+    (e.g. [run_file] over a module whose requires route back through
+    [compile_file]-style machinery, or a [-j 1] build running its tasks on
+    the calling domain inside an outer profiled run), and if both the outer
+    and the inner bracket flushed, the inner delta window would land twice
+    in the merged [--profile].  Only the outermost bracket of each domain
+    flushes.
+
+    The per-domain deltas (resolver hits/misses) flush on every domain; the
+    {e process-wide} gauges (scope pushes, interned symbols / scope sets)
+    flush only from the main domain — concurrent worker windows overlap the
+    main window, so per-worker deltas of a shared counter would double-
+    count. *)
+let with_stx_counters (f : unit -> 'a) : 'a =
+  if not (Metrics.installed ()) then f ()
+  else begin
+    let depth = Domain.DLS.get stx_flush_depth_key in
+    if !depth > 0 then f () (* nested bracket: let the outermost flush *)
+    else begin
+      incr depth;
+      let h0 = Binding.resolve_hits ()
+      and m0 = Binding.resolve_misses ()
+      and p0 = !Stx.scope_pushes
+      and sy0 = Stx.Symbol.interned_count ()
+      and sc0 = Scope.Set.interned_count () in
+      Fun.protect
+        ~finally:(fun () ->
+          decr depth;
+          Metrics.countn "expand.resolve_hits" (Binding.resolve_hits () - h0);
+          Metrics.countn "expand.resolve_misses" (Binding.resolve_misses () - m0);
+          if Domain.is_main_domain () then begin
+            Metrics.countn "stx.scope_pushes" (!Stx.scope_pushes - p0);
+            Metrics.countn "stx.symbols_interned" (Stx.Symbol.interned_count () - sy0);
+            Metrics.countn "stx.scope_sets_interned"
+              (Scope.Set.interned_count () - sc0)
+          end)
+        f
+    end
   end
 
 (* -- expression expansion ------------------------------------------------------ *)

@@ -8,7 +8,7 @@ module Binding = Liblang_stx.Binding
 module Ast = Liblang_runtime.Ast
 module Value = Liblang_runtime.Value
 
-(* Domain-local, seeded at [Domain.spawn] with a shallow copy of the
+(* Domain-local, seeded at domain spawn with a shallow copy of the
    parent's table.  The copy shares the [Ast.global] records themselves —
    builtin primitives installed before the spawn resolve to the very same
    cells in every worker; cells a worker creates for its own module-level

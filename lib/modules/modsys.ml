@@ -90,7 +90,7 @@ type t = {
   builtin : bool;
 }
 
-(* The module registry is domain-local, seeded at [Domain.spawn] with a
+(* The module registry is domain-local, seeded at domain spawn with a
    copy of the parent's table in which every module {e record} is cloned
    (preserving alias sharing via physical identity): [visit] and
    [instantiate_at] mutate [visited_stores] / [instantiated] on registry
@@ -375,7 +375,7 @@ let expand_module_top (wrapped : Stx.t) : Stx.t list =
 let expand_in_language ~name ~lang (body : Datum.annot list) (k : Stx.t list -> 'a) : 'a =
   check_cycle lang;
   if not (is_declared lang) then err "#lang %s: unknown language" lang;
-  Expander.reset_limits ();
+  Expander.with_fresh_limits @@ fun () ->
   with_compiling name @@ fun () ->
   Ct_store.with_fresh_store (fun () ->
       let sc = Scope.fresh () in
@@ -405,7 +405,7 @@ let expand_source ~name (source : string) : Stx.t list =
 let compile_module ~name ~lang (body : Datum.annot list) : t =
   check_cycle lang;
   if not (is_declared lang) then err "#lang %s: unknown language" lang;
-  Expander.reset_limits ();
+  Expander.with_fresh_limits @@ fun () ->
   Trace.span "compile-module" ~detail:name @@ fun () ->
   Metrics.count "module.compiles";
   (* [module.compiles] counts full (expand + typecheck + compile) module
@@ -603,7 +603,7 @@ let add_builtin_exports (m : t) ~(ctx_id : string -> Stx.t)
     declaring conflicting module names never observe each other's
     bindings.  [fresh_session] clones this domain's current tables —
     builtins and anything preloaded included — with the same record-clone
-    discipline as the [Domain.spawn] split (mutable visit/instantiate
+    discipline as the domain-spawn split (mutable visit/instantiate
     marks stay per-session; immutable content is shared).
     [with_session] installs a session's tables for the extent of [f];
     mutations made inside persist in the session for its next request. *)

@@ -8,19 +8,21 @@
       everything else ([compile]/[run]/[expand]/[analyze]) as a job for
       the worker pool.  It never executes a request, so one slow cold
       compile cannot head-of-line-block the protocol.
-    - N {e worker domains} — per-worker job queues under one
-      mutex/condition, the same shape as the parallel build's pool
-      ({!Liblang_compiled.Build}).  Sessions are {e sticky}: each
-      connection is sharded onto a home worker at accept and every one
-      of its requests executes there.  Stickiness is load-bearing, not a
-      convenience — a session's live modules reference domain-private
-      state (namespace cells, denotation entries, binding-table growth
-      are all [Domain.DLS] with spawn-time snapshots), so a module
+    - N {e worker domains} — a {!Liblang_parallel.Parallel.Pool}, the
+      same pool the parallel build runs on.  Sessions are {e sticky}:
+      each connection is sharded onto a home slot at accept and every one
+      of its requests is submitted to that slot's worker.  Stickiness is
+      load-bearing, not a convenience — a session's live modules reference
+      domain-private state (namespace cells, denotation entries,
+      binding-table growth are all [Domain.DLS] with spawn-time
+      snapshots), so a module
       compiled on one domain cannot be instantiated on another.  The
       parallel build solves this by replaying artifacts on the main
       domain; the server solves it by never moving a session between
-      domains.  Requests of one session execute serially in arrival
-      order; sessions on different workers run concurrently.
+      domains.  A session keeps at most one job in the pool, submitting
+      the next when the previous finishes, so its requests execute
+      serially in arrival order and sessions sharing a slot take turns;
+      sessions on different workers run concurrently.
 
     Clients may pipeline: several requests in flight on one connection,
     correlated by the echoed [id].  Responses to session ops come back
@@ -40,9 +42,9 @@
     frame, a request that raises, or an injected [server.session] fault
     costs that client; an injected [server.accept] fault costs the
     incoming connection; a worker domain dying ([server.worker]) costs
-    exactly the request it held — supervision answers it with exit 2,
-    releases the session, spawns a replacement worker, and lets the
-    domain die.  The daemon answers the next request either way. *)
+    exactly the request it held — it is answered with exit 2 and the pool
+    replaces the worker from the dying domain, so the slot's sessions
+    stay warm.  The daemon answers the next request either way. *)
 
 module Core = Liblang_core.Core
 module Pipeline = Liblang_core.Pipeline
@@ -78,38 +80,28 @@ type config = {
 let default_workers () : int =
   max 1 (min 4 (Domain.recommended_domain_count () - 1))
 
-type job_state = Queued | Running | Done
+type job_state = Queued | Running
 
 type conn = {
   fd : Unix.file_descr;
   session : Session.t;
-  slot : int;  (** home worker index — every request of this session runs there *)
+  slot : int;  (** home pool slot — every request of this session runs there *)
   wmu : Mutex.t;  (** serializes frame writes (accept loop vs workers); guards [open_] *)
   mutable open_ : bool;  (** false once the fd is closed or EPIPE'd — no more writes *)
-  (* scheduling state, all guarded by the pool mutex: *)
-  mutable busy : bool;  (** a job of this session is eligible or running *)
-  mutable lead : job option;  (** the job in the ready queue or running *)
-  pending : job Queue.t;  (** arrival-order backlog behind [lead] *)
+  mutable outstanding : job list;
+      (** queued and running jobs, in arrival order (guarded by [t.mu]) *)
 }
 
 and job = {
+  srv : t;
   conn_ : conn;
   env : P.envelope;
   enqueued : float;
   cancelled : bool Atomic.t;  (** set by the accept loop's [cancel] op *)
-  mutable state : job_state;  (** guarded by the pool mutex *)
+  mutable state : job_state;  (** guarded by [t.mu] *)
 }
 
-type pool = {
-  mu : Mutex.t;
-  nonempty : Condition.t;  (** broadcast: each worker re-checks its own queue *)
-  ready : job Queue.t array;
-      (** per-worker queues of jobs eligible to run now (at most one per
-          session); index = the session's home [slot] *)
-  mutable stop : bool;  (** drain what is queued, then exit *)
-}
-
-type t = {
+and t = {
   cfg : config;
   listener : Unix.file_descr;
   store : Compiled.Store.t;
@@ -119,15 +111,15 @@ type t = {
           domains merge per-request collectors into it concurrently with
           the accept loop's own counts and [status] snapshots *)
   started : float;
-  pool : pool;
-  mutable domains : unit Domain.t list;  (** live worker domains (pool mutex) *)
+  pool : job Parallel.Pool.t;
+  mu : Mutex.t;  (** guards each connection's [outstanding] and each job's [state] *)
   mutable conns : conn list;  (** accept loop only *)
   mutable sessions_total : int;
   mutable stopping : bool;
 }
 
 (* Touch the daemon-lifetime collector.  The gate is a real mutex for the
-   daemon's whole life (the worker pool holds {!Parallel.enter} open), so
+   daemon's whole life (the worker pool holds it open), so
    worker merges, accept-loop counts and status snapshots serialize. *)
 let gated (srv : t) (f : unit -> 'a) : 'a = Parallel.with_gate srv.mmu f
 
@@ -201,11 +193,25 @@ let in_request_env (srv : t) (conn : conn) (f : unit -> 'a) : 'a =
 let handle (srv : t) (conn : conn) (c : Metrics.t) (env : P.envelope) : Json.t =
   let id = env.P.id and op = P.op_name env.P.req in
   let respond_result ok_fields = function
-    | Ok () -> P.response ~id ~op ~ok:true ~exit:0 ~fields:(ok_fields ()) ()
+    | Ok v -> P.response ~id ~op ~ok:true ~exit:0 ~fields:(ok_fields v) ()
     | Error ds ->
         Metrics.count "server.errors";
         let exit, fields = failure_fields ds in
         P.response ~id ~op ~ok:false ~exit ~fields ()
+  in
+  (* [expand] and [analyze]: run [f] over the file's source and answer
+     its lines as [output].  Relative requires resolve against the file's
+     own directory, as under [run]. *)
+  let respond_lines path f =
+    let observe = { Observe.metrics = Some c; trace = Trace.current () } in
+    let name = Filename.remove_extension (Filename.basename path) in
+    in_request_env srv conn (fun () ->
+        match Pipeline.slurp path with
+        | exception Sys_error m ->
+            Error [ Diagnostic.error ~phase:Diagnostic.Module ("cannot read file: " ^ m) ]
+        | source -> Compiled.with_source_dir path (fun () -> f ~name ~observe source))
+    |> respond_result (fun lines ->
+           [ ("output", Json.Str (String.concat "" (List.map (fun l -> l ^ "\n") lines))) ])
   in
   match env.P.req with
   | P.Compile { path; jobs } ->
@@ -253,77 +259,11 @@ let handle (srv : t) (conn : conn) (c : Metrics.t) (env : P.envelope) : Json.t =
              the client *)
           P.response ~id ~op ~ok:false ~exit ~fields:(output_field :: fields) ())
   | P.Expand { path } ->
-      let observe = { Observe.metrics = Some c; trace = Trace.current () } in
-      let r =
-        in_request_env srv conn (fun () ->
-            match Pipeline.slurp path with
-            | exception Sys_error m ->
-                Error
-                  [
-                    Diagnostic.error ~phase:Diagnostic.Module
-                      ("cannot read file: " ^ m);
-                  ]
-            | source ->
-                (* relative requires in the expanded module resolve
-                   against the file's own directory, as under run *)
-                Compiled.with_source_dir path (fun () ->
-                    Pipeline.expand ?fuel:srv.cfg.fuel
-                      ~name:(Filename.remove_extension (Filename.basename path))
-                      ~observe source))
-      in
-      (match r with
-      | Ok forms ->
-          P.response ~id ~op ~ok:true ~exit:0
-            ~fields:
-              [ ("output", Json.Str (String.concat "" (List.map (fun f -> f ^ "\n") forms))) ]
-            ()
-      | Error ds ->
-          Metrics.count "server.errors";
-          let exit, fields = failure_fields ds in
-          P.response ~id ~op ~ok:false ~exit ~fields ())
-  | P.Analyze { path; stage } -> (
-      let observe = { Observe.metrics = Some c; trace = Trace.current () } in
-      let stage =
-        match stage with
-        | None -> Ok None
-        | Some s -> (
-            match Liblang_core.Core.Zcfa.stage_of_string s with
-            | Some st -> Ok (Some st)
-            | None ->
-                Error
-                  [
-                    Diagnostic.error ~phase:Diagnostic.Module
-                      (Printf.sprintf "analyze: unknown stage %S (wide, compiled, lazy, delta)" s);
-                  ])
-      in
-      let r =
-        match stage with
-        | Error ds -> Error ds
-        | Ok stage ->
-            in_request_env srv conn (fun () ->
-                match Pipeline.slurp path with
-                | exception Sys_error m ->
-                    Error
-                      [
-                        Diagnostic.error ~phase:Diagnostic.Module
-                          ("cannot read file: " ^ m);
-                      ]
-                | source ->
-                    Compiled.with_source_dir path (fun () ->
-                        Pipeline.analyze ?fuel:srv.cfg.fuel ?stage
-                          ~name:(Filename.remove_extension (Filename.basename path))
-                          ~observe source))
-      in
-      match r with
-      | Ok lines ->
-          P.response ~id ~op ~ok:true ~exit:0
-            ~fields:
-              [ ("output", Json.Str (String.concat "" (List.map (fun l -> l ^ "\n") lines))) ]
-            ()
-      | Error ds ->
-          Metrics.count "server.errors";
-          let exit, fields = failure_fields ds in
-          P.response ~id ~op ~ok:false ~exit ~fields ())
+      respond_lines path (fun ~name ~observe source ->
+          Pipeline.expand ?fuel:srv.cfg.fuel ~name ~observe source)
+  | P.Analyze { path } ->
+      respond_lines path (fun ~name ~observe source ->
+          Pipeline.analyze ?fuel:srv.cfg.fuel ~name ~observe source)
   | P.Status | P.Cancel _ | P.Shutdown ->
       (* control ops are answered inline by the accept loop *)
       P.response ~id ~op ~ok:false ~exit:2
@@ -349,32 +289,29 @@ let send (conn : conn) (j : Json.t) : unit =
 
 (* -- the worker pool ----------------------------------------------------------- *)
 
-(* Release [job]'s session slot: promote the next pending request of the
-   same connection into the ready queue, or mark the session idle. *)
-let finish_job (srv : t) (job : job) : unit =
-  let pool = srv.pool and conn = job.conn_ in
-  Mutex.lock pool.mu;
-  if job.state <> Done then begin
-    job.state <- Done;
-    conn.lead <- None;
-    match Queue.take_opt conn.pending with
-    | Some next ->
-        conn.lead <- Some next;
-        Queue.push next pool.ready.(conn.slot);
-        Condition.broadcast pool.nonempty
-    | None -> conn.busy <- false
-  end;
-  Mutex.unlock pool.mu
+(* Retire [job], its session's lead, and hand the session's turn on the
+   home slot to its next outstanding job.  A session has at most one job
+   in the pool at a time, so sessions sharing a slot take turns instead
+   of queueing behind one pipelining client's whole backlog. *)
+let finish_job (job : job) : unit =
+  let conn = job.conn_ in
+  let next =
+    Mutex.protect job.srv.mu (fun () ->
+        conn.outstanding <- List.filter (fun j -> j != job) conn.outstanding;
+        match conn.outstanding with next :: _ -> Some next | [] -> None)
+  in
+  Option.iter (Parallel.Pool.submit job.srv.pool ~slot:conn.slot) next
 
-(* Execute one job on this worker domain and send its response.  All
-   request counters land in a private collector merged into the daemon's
-   under the gate — the merge is the only cross-domain touch. *)
-let run_job (srv : t) (job : job) : unit =
+(* Execute one job on its session's worker domain and send its response.
+   All request counters land in a private collector merged into the
+   daemon's under the gate — the merge is the only cross-domain touch. *)
+let run_job (job : job) : unit =
   (* the [server.worker] fault site: deliberately OUTSIDE the containment
      below — an injected error here kills the worker domain itself, the
      supervision case (docs/robustness.md) *)
   Fault.check "server.worker";
-  let conn = job.conn_ in
+  let srv = job.srv and conn = job.conn_ in
+  Mutex.protect srv.mu (fun () -> job.state <- Running);
   let env = job.env in
   let id = env.P.id and op = P.op_name env.P.req in
   let c = Metrics.create () in
@@ -427,61 +364,27 @@ let run_job (srv : t) (job : job) : unit =
   in
   (match reply with Some r -> send conn r | None -> ());
   gated srv (fun () -> Metrics.merge ~into:srv.metrics c);
-  finish_job srv job
+  finish_job job
 
-(* The worker domain for [slot]: take a job off its own queue, run it,
-   repeat until the pool stops and drains.  Supervision: anything escaping
-   [run_job]'s containment (an injected [server.worker] fault, stack
-   overflow, OOM) kills this domain — the held request is answered with
-   exit 2, its session's serialization slot released, and a replacement
-   domain spawned {e from the dying domain} before the exception
-   re-raises.  Spawning from the dying domain matters: the replacement's
-   DLS tables split from this one's, so the slot's sessions keep their
-   live modules (namespace cells, denotations) and stay warm across the
-   death. *)
-let rec worker_loop (srv : t) (slot : int) () : unit =
-  Parallel.tune_worker_gc ();
-  let pool = srv.pool in
-  let rec next () =
-    Mutex.lock pool.mu;
-    let rec take () =
-      match Queue.take_opt pool.ready.(slot) with
-      | Some j -> Some j
-      | None ->
-          if pool.stop then None
-          else begin
-            Condition.wait pool.nonempty pool.mu;
-            take ()
-          end
-    in
-    match take () with
-    | None -> Mutex.unlock pool.mu
-    | Some job ->
-        job.state <- Running;
-        Mutex.unlock pool.mu;
-        (match run_job srv job with
-        | () -> ()
-        | exception e -> worker_died srv job slot e);
-        next ()
-  in
-  next ()
-
-and worker_died (srv : t) (job : job) (slot : int) (e : exn) : unit =
-  send job.conn_
-    (P.response ~id:job.env.P.id ~op:(P.op_name job.env.P.req) ~ok:false ~exit:2
-       ~fields:
-         [ ("error", Json.Str ("worker domain died: " ^ Printexc.to_string e)) ]
-       ());
-  finish_job srv job;
-  daemon_count srv "server.worker_deaths";
-  daemon_count srv "server.errors";
-  Trace.event "server-worker-died"
-    [ ("slot", string_of_int slot); ("exn", Printexc.to_string e) ];
-  let replacement = Domain.spawn (worker_loop srv slot) in
-  Mutex.lock srv.pool.mu;
-  srv.domains <- replacement :: srv.domains;
-  Mutex.unlock srv.pool.mu;
-  raise e
+(* A worker domain died holding [job] (anything escaping [run_job]'s
+   containment: an injected [server.worker] fault, stack overflow, OOM).
+   Answer the request with exit 2 and retire it; the pool then replaces
+   the worker from the dying domain, so the slot's sessions keep their
+   live modules (namespace cells, denotations) and stay warm.  Workers
+   run no start-up code that could kill them before their first job. *)
+let worker_died (e : exn) : job option -> unit = function
+  | None -> ()
+  | Some job ->
+      let srv = job.srv in
+      send job.conn_
+        (P.response ~id:job.env.P.id ~op:(P.op_name job.env.P.req) ~ok:false ~exit:2
+           ~fields:[ ("error", Json.Str ("worker domain died: " ^ Printexc.to_string e)) ]
+           ());
+      finish_job job;
+      daemon_count srv "server.worker_deaths";
+      daemon_count srv "server.errors";
+      Trace.event "server-worker-died"
+        [ ("slot", string_of_int job.conn_.slot); ("exn", Printexc.to_string e) ]
 
 (* -- the accept loop ----------------------------------------------------------- *)
 
@@ -492,14 +395,15 @@ let close_conn (srv : t) (conn : conn) : unit =
   (try Unix.close conn.fd with Unix.Unix_error _ -> ());
   Mutex.unlock conn.wmu
 
-(* Enqueue a session op for the session's home worker, preserving
-   per-session arrival order: the session's lead job sits in the worker's
-   ready queue, later arrivals wait in the connection's pending queue
-   until [finish_job] promotes them.  Samples the total ready depth into
-   [server.queue_depth]. *)
+(* Append a session op to the session's backlog and, if the session has
+   no other outstanding job, submit it to the home slot at once;
+   otherwise [finish_job] submits it when its predecessor is done, which
+   preserves per-session arrival order.  Samples the pool's queue depth
+   into [server.queue_depth]. *)
 let enqueue (srv : t) (conn : conn) (env : P.envelope) : unit =
   let job =
     {
+      srv;
       conn_ = conn;
       env;
       enqueued = Unix.gettimeofday ();
@@ -508,17 +412,14 @@ let enqueue (srv : t) (conn : conn) (env : P.envelope) : unit =
     }
   in
   conn.session.Session.warm <- true;
-  let pool = srv.pool in
-  Mutex.lock pool.mu;
-  if conn.busy then Queue.push job conn.pending
-  else begin
-    conn.busy <- true;
-    conn.lead <- Some job;
-    Queue.push job pool.ready.(conn.slot);
-    Condition.broadcast pool.nonempty
-  end;
-  let depth = Array.fold_left (fun n q -> n + Queue.length q) 0 pool.ready in
-  Mutex.unlock pool.mu;
+  let lead =
+    Mutex.protect srv.mu (fun () ->
+        let lead = conn.outstanding = [] in
+        conn.outstanding <- conn.outstanding @ [ job ];
+        lead)
+  in
+  if lead then Parallel.Pool.submit srv.pool ~slot:conn.slot job;
+  let depth = Parallel.Pool.queued srv.pool in
   gated srv (fun () ->
       Metrics.with_collector srv.metrics (fun () ->
           Metrics.countn "server.queue_depth" depth))
@@ -531,23 +432,13 @@ let enqueue (srv : t) (conn : conn) (env : P.envelope) : unit =
 let cancel_response (srv : t) (conn : conn) (env : P.envelope) (target : Json.t) :
     Json.t =
   let id = env.P.id in
-  let pool = srv.pool in
-  Mutex.lock pool.mu;
-  let candidates =
-    (match conn.lead with Some j -> [ j ] | None -> [])
-    @ List.of_seq (Queue.to_seq conn.pending)
-  in
-  let hit =
-    List.find_opt (fun j -> j.state <> Done && j.env.P.id = target) candidates
-  in
   let state =
-    Option.map
-      (fun j ->
-        Atomic.set j.cancelled true;
-        j.state)
-      hit
+    Mutex.protect srv.mu (fun () ->
+        List.find_opt (fun j -> j.env.P.id = target) conn.outstanding
+        |> Option.map (fun j ->
+               Atomic.set j.cancelled true;
+               j.state))
   in
-  Mutex.unlock pool.mu;
   match state with
   | Some st ->
       daemon_count srv "server.cancelled";
@@ -576,16 +467,16 @@ let cancel_response (srv : t) (conn : conn) (env : P.envelope) (target : Json.t)
    every worker is busy — that responsiveness is what the pipelining test
    observes as an out-of-order response). *)
 let status_response (srv : t) (env : P.envelope) : Json.t =
-  let pool = srv.pool in
-  Mutex.lock pool.mu;
-  let depth = Array.fold_left (fun n q -> n + Queue.length q) 0 pool.ready
-  and workers = List.length srv.domains
-  and sess =
-    List.map
-      (fun c -> (c.session, c.busy, Queue.length c.pending))
-      srv.conns
+  let depth = Parallel.Pool.queued srv.pool and workers = Parallel.Pool.alive srv.pool in
+  let sess =
+    Mutex.protect srv.mu (fun () ->
+        List.map
+          (fun c ->
+            ( c.session,
+              c.outstanding <> [],
+              List.length (List.filter (fun j -> j.state = Queued) c.outstanding) ))
+          srv.conns)
   in
-  Mutex.unlock pool.mu;
   let now = Unix.gettimeofday () in
   gated srv @@ fun () ->
   let g = Metrics.get srv.metrics in
@@ -647,24 +538,17 @@ let evict (srv : t) (reason : string) (conn : conn) : unit =
   daemon_count srv "server.evictions"
 
 (* Evict idle sessions: TTL expiry first, then LRU down to the warm-registry
-   cap.  Runs on the accept loop between select rounds; the pool mutex
-   orders the [busy]/[pending] reads against finishing workers, and a
-   session with queued or running work is never touched.  New jobs only
+   cap.  Runs on the accept loop between select rounds; [srv.mu] orders
+   the [outstanding] reads against finishing workers, and a session with
+   queued or running work is never touched.  New jobs only
    arrive from this same thread, so a session observed idle stays idle for
    the extent of the sweep. *)
 let evict_sessions (srv : t) : unit =
   if srv.cfg.session_ttl <> None || srv.cfg.max_sessions <> None then begin
     let now = Unix.gettimeofday () in
     let idle_warm =
-      Mutex.lock srv.pool.mu;
-      let vs =
-        List.filter
-          (fun c ->
-            (not c.busy) && Queue.is_empty c.pending && c.session.Session.warm)
-          srv.conns
-      in
-      Mutex.unlock srv.pool.mu;
-      vs
+      Mutex.protect srv.mu (fun () ->
+          List.filter (fun c -> c.outstanding = [] && c.session.Session.warm) srv.conns)
     in
     (match srv.cfg.session_ttl with
     | None -> ()
@@ -752,7 +636,7 @@ let accept_one (srv : t) : unit =
       match Fault.check "server.accept" with
       | () ->
           (* shard the new session onto its home worker round-robin *)
-          let slot = srv.sessions_total mod Array.length srv.pool.ready in
+          let slot = srv.sessions_total mod max 1 srv.cfg.workers in
           srv.sessions_total <- srv.sessions_total + 1;
           let session = Session.create () in
           daemon_count srv "server.sessions";
@@ -768,9 +652,7 @@ let accept_one (srv : t) : unit =
               slot;
               wmu = Mutex.create ();
               open_ = true;
-              busy = false;
-              lead = None;
-              pending = Queue.create ();
+              outstanding = [];
             }
             :: srv.conns
       | exception Fault.Injected _ ->
@@ -828,27 +710,6 @@ let listen_socket (path : string) : Unix.file_descr =
   Unix.listen fd 64;
   fd
 
-(* Stop the pool and join every worker domain (including replacements
-   spawned by supervision mid-drain): queued jobs all execute and answer
-   before the daemon closes any connection. *)
-let drain_pool (srv : t) : unit =
-  Mutex.lock srv.pool.mu;
-  srv.pool.stop <- true;
-  Condition.broadcast srv.pool.nonempty;
-  Mutex.unlock srv.pool.mu;
-  let rec join_all () =
-    Mutex.lock srv.pool.mu;
-    let ds = srv.domains in
-    srv.domains <- [];
-    Mutex.unlock srv.pool.mu;
-    match ds with
-    | [] -> ()
-    | ds ->
-        List.iter (fun d -> match Domain.join d with () -> () | exception _ -> ()) ds;
-        join_all ()
-  in
-  join_all ()
-
 (** Run the daemon until a [shutdown] request (blocking).  [on_ready] is
     invoked once the socket is bound and listening — before the first
     [accept] — so a caller can print the listening line or release a
@@ -862,7 +723,9 @@ let serve ?(on_ready = fun (_ : t) -> ()) (cfg : config) : unit =
      EPIPE on the next write), never the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let listener = listen_socket cfg.socket_path in
-  let workers = max 1 cfg.workers in
+  (* the pool holds the gate open for the daemon's whole life: request
+     workers can race each other (and the accept loop) at any moment, so
+     the shared intern tables and store locks stay mutexed throughout *)
   let srv =
     {
       cfg;
@@ -872,26 +735,18 @@ let serve ?(on_ready = fun (_ : t) -> ()) (cfg : config) : unit =
       mmu = Mutex.create ();
       started = Unix.gettimeofday ();
       pool =
-        {
-          mu = Mutex.create ();
-          nonempty = Condition.create ();
-          ready = Array.init workers (fun _ -> Queue.create ());
-          stop = false;
-        };
-      domains = [];
+        Parallel.Pool.create ~workers:(max 1 cfg.workers) ~on_death:worker_died ~run:run_job ();
+      mu = Mutex.create ();
       conns = [];
       sessions_total = 0;
       stopping = false;
     }
   in
-  (* the gate stays open for the daemon's whole life: request workers can
-     race each other (and the accept loop) at any moment, so the shared
-     intern tables and store locks must stay mutexed throughout *)
-  Parallel.with_active @@ fun () ->
-  srv.domains <- List.init workers (fun slot -> Domain.spawn (worker_loop srv slot));
   Fun.protect
     ~finally:(fun () ->
-      drain_pool srv;
+      (* every queued request runs and answers before any connection
+         closes; a job stranded by a dead slot just sees its client's EOF *)
+      ignore (Parallel.Pool.stop srv.pool);
       (try Unix.close srv.listener with Unix.Unix_error _ -> ());
       List.iter (fun c -> close_conn srv c) srv.conns;
       try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ())

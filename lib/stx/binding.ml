@@ -22,7 +22,7 @@
       check is skipped entirely.
 
     Domain story: the table, the resolver cache and the hit/miss counters
-    are {e domain-local} ([Domain.DLS]), seeded at [Domain.spawn] with a
+    are {e domain-local} ([Domain.DLS]), seeded at domain spawn with a
     shallow copy of the parent's table.  This is deliberate — [resolve] is
     far too hot to put behind a shared mutex, and the separate-compilation
     model (paper §5) already makes worker domains pure artifact producers

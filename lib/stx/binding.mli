@@ -12,7 +12,7 @@
     — see docs/architecture.md, "hygiene internals".
 
     The table, cache and counters are domain-local, seeded at
-    [Domain.spawn] with a copy of the parent's table; binding uids remain
+    domain spawn with a copy of the parent's table; binding uids remain
     globally fresh across domains (see docs/architecture.md, "Parallelism
     & domain-safety"). *)
 

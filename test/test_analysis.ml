@@ -79,6 +79,90 @@ let chain_soundness =
       && run_vm typed = expected
       && run_vm_nocfa typed = expected)
 
+(* -- fixpoint parity: the worklist solver against the sweep oracle -------------
+
+   Both solvers run over the very same expanded forms, so their facts must
+   name the same syntax nodes by physical identity — and the same callee
+   at every direct site.  Only the work counters (sweeps, transfers) may
+   differ. *)
+
+let same_nodes (a : 'v Facts.NodeTbl.t) (b : 'v Facts.NodeTbl.t) =
+  Facts.NodeTbl.length a = Facts.NodeTbl.length b
+  && Facts.NodeTbl.fold (fun s _ ok -> ok && Facts.NodeTbl.mem b s) a true
+
+let same_facts (a : Facts.t) (b : Facts.t) =
+  same_nodes a.Facts.direct b.Facts.direct
+  && Facts.NodeTbl.fold
+       (fun s (c : Facts.callee) ok ->
+         ok
+         &&
+         let c' = Facts.NodeTbl.find b.Facts.direct s in
+         c.Facts.callee_stx == c'.Facts.callee_stx
+         && c.Facts.callee_name = c'.Facts.callee_name
+         && c.Facts.callee_arity = c'.Facts.callee_arity)
+       a.Facts.direct true
+  && same_nodes a.Facts.ref_inbounds b.Facts.ref_inbounds
+  && same_nodes a.Facts.set_inbounds b.Facts.set_inbounds
+  && same_nodes a.Facts.unboxable b.Facts.unboxable
+  && a.Facts.call_sites = b.Facts.call_sites
+  && a.Facts.lambdas = b.Facts.lambdas
+  && a.Facts.escaping = b.Facts.escaping
+  && a.Facts.vec_sites = b.Facts.vec_sites
+  && a.Facts.exhausted = b.Facts.exhausted
+
+let solvers_agree (forms : Stx.t list) =
+  same_facts (Zcfa.analyze_module forms) (Zcfa.analyze_module_by_sweeps forms)
+
+let chain_parity =
+  Q.Test.make ~name:"0cfa: worklist facts equal the sweep oracle's on chains" ~count:25
+    (Q.make gen_chain) (fun (k, cs) ->
+      let cs = List.filteri (fun i _ -> i < k) cs in
+      let defs =
+        String.concat "\n" (List.mapi (fun i c -> Printf.sprintf "(define (f%d x) (+ x %d))" i c) cs)
+      in
+      let call =
+        List.fold_left (fun acc i -> Printf.sprintf "(f%d %s)" i acc) "100" (List.init k Fun.id)
+      in
+      solvers_agree
+        (Modsys.expand_source ~name:(fresh "parity")
+           (Printf.sprintf "#lang racket\n%s\n(display %s)\n" defs call)))
+
+(* The fig7 vector kernels, both variants: the flow-driven rewrites are
+   built on exactly these facts. *)
+let kernel_parity name =
+  Alcotest.test_case ("parity: worklist = sweeps on " ^ name) `Quick (fun () ->
+      let b = Programs.find name in
+      List.iter
+        (fun (lang, body) ->
+          let forms = Modsys.expand_source ~name:(fresh name) ("#lang " ^ lang ^ "\n" ^ body) in
+          check_b (name ^ " " ^ lang) true (solvers_agree forms))
+        [ ("racket", b.Programs.untyped); ("typed/racket", b.Programs.typed) ])
+
+(* Every corpus program that expands (most exist to fail earlier), under
+   the pipeline's fuel so the divergent ones stop. *)
+let corpus_parity () =
+  let files =
+    Sys.readdir "corpus" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".scm")
+    |> List.sort compare
+  in
+  let expanded =
+    List.filter_map
+      (fun f ->
+        let path = Filename.concat "corpus" f in
+        let source = In_channel.with_open_bin path In_channel.input_all in
+        match
+          Pipeline.contain (fun () ->
+              Compiled.with_source_dir path (fun () ->
+                  Modsys.expand_source ~name:(fresh "corpus") source))
+        with
+        | Ok forms -> Some (f, forms)
+        | Error _ -> None)
+      files
+  in
+  check_b "some corpus programs expand" true (expanded <> []);
+  List.iter (fun (f, forms) -> check_b f true (solvers_agree forms)) expanded
+
 (* -- soundness: in-bounds proofs ----------------------------------------------
 
    A literal index against a vector of generated length: the analysis
@@ -182,6 +266,10 @@ let suite =
   [
     to_alcotest chain_soundness;
     to_alcotest inbounds_soundness;
+    to_alcotest chain_parity;
+    kernel_parity "spectralnorm";
+    kernel_parity "nbody";
+    Alcotest.test_case "parity: worklist = sweeps on the corpus" `Quick corpus_parity;
     Alcotest.test_case "0cfa: polymorphic merge point is not direct" `Quick
       polymorphic_not_direct;
     Alcotest.test_case "0cfa: escaping lambda is not unboxable" `Quick

@@ -430,19 +430,32 @@ let concurrent_store_stress () =
   Compiled.reset_session ();
   let store = Compiled.Store.create ~dir:cache () in
   (* share ONE store instance (the DLS slot splits by identity, exactly as
-     the build driver's workers do) and hold the parallelism gate open so
-     the per-key locks are live across the spawn..join window *)
-  Compiled.Store.with_store (Some store) (fun () ->
-      Parallel.with_active (fun () ->
-          let worker slot () =
-            Observe.with_ctx
-              { Observe.metrics = Some collectors.(slot); trace = None }
-              (fun () ->
-                ignore (Compiled.compile_file root);
-                ignore (Compiled.compile_file (List.nth solos slot)))
-          in
-          let domains = Array.init k (fun slot -> Domain.spawn (worker slot)) in
-          Array.iter Domain.join domains));
+     the build driver's workers do); the pool holds the parallelism gate
+     open, so the per-key locks are live while its domains race.  A racing
+     [compile_file] that raises kills its worker: the death is recorded so
+     the test fails rather than losing the job to a replacement. *)
+  let m = Mutex.create () and deaths = ref [] in
+  let stranded =
+    Compiled.Store.with_store (Some store) (fun () ->
+        let p =
+          Parallel.Pool.create ~workers:k
+            ~on_death:(fun e _ ->
+              Mutex.protect m (fun () -> deaths := Printexc.to_string e :: !deaths))
+            ~run:(fun slot ->
+              Observe.with_ctx
+                { Observe.metrics = Some collectors.(slot); trace = None }
+                (fun () ->
+                  ignore (Compiled.compile_file root);
+                  ignore (Compiled.compile_file (List.nth solos slot))))
+            ()
+        in
+        for slot = 0 to k - 1 do
+          Parallel.Pool.submit p ~slot slot
+        done;
+        Parallel.Pool.stop p)
+  in
+  check_s "no racing compile raised" "" (String.concat "; " !deaths);
+  check_i "no job stranded" 0 (List.length stranded);
   let total key =
     Array.fold_left (fun acc c -> acc + Metrics.get c key) 0 collectors
   in
@@ -473,20 +486,6 @@ let with_plan spec f =
   match Fault.parse spec with
   | Result.Error m -> Alcotest.failf "test plan %S did not parse: %s" spec m
   | Ok p -> Fault.with_plan p f
-
-exception Hung
-
-(** Wall-clock backstop for the supervision tests: their whole point is
-    that a damaged pool terminates, so a hang must fail the test rather
-    than freeze the suite. *)
-let with_test_alarm seconds f =
-  let previous = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Hung)) in
-  ignore (Unix.alarm seconds);
-  Fun.protect
-    ~finally:(fun () ->
-      ignore (Unix.alarm 0);
-      Sys.set_signal Sys.sigalrm previous)
-    f
 
 let plan_parse () =
   let ok spec =
@@ -697,6 +696,24 @@ let transient_retries_counted () =
   let r2 = build_into ~jobs:1 ~cache root in
   check_b "clean rebuild succeeds" true (Build.ok r2)
 
+(** Macro fuel and expansion depth are per module, however deep the
+    require nesting: a serial chain of 20 at the generator's default macro
+    depth compiles (each module fits the budget, the chain together does
+    not), and a compile nested inside another hands the outer one back
+    exactly the fuel and depth it had. *)
+let fuel_is_per_module () =
+  let dir = fresh_dir () in
+  let root, expected = Genproj.generate ~dir ~shape:Genproj.Chain ~n:20 () in
+  let l = Core.Expander.limits () in
+  l.Core.Expander.fuel <- 1234;
+  l.Core.Expander.depth <- 7;
+  let out, c = run_measured root in
+  check_s "serial chain of 20 prints the closed form" (string_of_int expected) out;
+  check_i "every module compiled" 20 (compiles c);
+  check_i "outer fuel restored" 1234 l.Core.Expander.fuel;
+  check_i "outer depth restored" 7 l.Core.Expander.depth;
+  Core.Expander.reset_limits ()
+
 (** Path canonicalization: the textual require scan, the resolver and the
     server's invalidation must agree on one key per file, however it is
     spelled — [./]-prefixed, [dir/../dir]-indirected, or reached through a
@@ -772,4 +789,5 @@ let suite =
     t "build: worker death does not hang join" worker_death_does_not_hang;
     t "build: per-task deadline times out" task_deadline_times_out;
     t "build: transient retries counted" transient_retries_counted;
+    t "expander: macro fuel is per module" fuel_is_per_module;
   ]

@@ -22,6 +22,7 @@ let () =
       ("extra", Test_extra.suite);
       ("properties", Test_props.suite);
       ("hygiene", Test_hygiene.suite);
+      ("pool", Test_pool.suite);
       (* last: these tests reset the module registry between runs to
          simulate fresh processes *)
       ("compiled", Test_compiled.suite);

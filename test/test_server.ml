@@ -327,6 +327,29 @@ let status_and_expand () =
       check_b "expand output mentions the require"
         true
         (contains (Client.output_of j) "left");
+      (* analyze answers exactly what the local pipeline prints *)
+      let local =
+        match
+          Core.Compiled.with_source_dir main (fun () ->
+              Liblang_core.Pipeline.analyze ~name:"main"
+                (In_channel.with_open_bin main In_channel.input_all))
+        with
+        | Ok lines -> String.concat "" (List.map (fun l -> l ^ "\n") lines)
+        | Error _ -> Alcotest.fail "local analyze failed"
+      in
+      let j = request c (P.Analyze { path = main }) in
+      check_b "analyze ok" true (Client.ok_of j);
+      check_s "analyze output = local analyze" local (Client.output_of j);
+      (* a client still sending the retired solver-stage field is served,
+         the field ignored *)
+      P.write_frame c.Client.fd
+        (Json.Obj
+           [ ("op", Json.Str "analyze"); ("path", Json.Str main); ("stage", Json.Str "wide") ]);
+      let j =
+        match Client.recv c with Ok j -> j | Error m -> Alcotest.failf "recv: %s" m
+      in
+      check_b "analyze with a stage field ok" true (Client.ok_of j);
+      check_s "stage field ignored" local (Client.output_of j);
       Client.close c)
 
 (* -- pipelining, cancellation, lifecycle ---------------------------------------- *)
@@ -388,6 +411,45 @@ let pipelined_out_of_order_responses () =
       check_b "first run answers first" true (Client.id_of (recv c) = Json.Str "r1");
       check_b "second run answers second" true (Client.id_of (recv c) = Json.Str "r2");
       Client.close c)
+
+(* Two sessions on one worker slot take turns: a session that pipelines
+   three slow requests does not queue a second session's request behind
+   its whole backlog.  Every request is held 300 ms at the server.exec
+   checkpoint, so when b1 answers (after a1 and b1 ran) a3 has not
+   started yet. *)
+let sessions_on_one_slot_take_turns () =
+  with_server ~workers:1 (fun socket dir ->
+      let main = project dir in
+      let a = connect socket and b = connect socket in
+      ignore (run_req a main);
+      ignore (run_req b main);
+      with_plan "seed=7;server.exec=delay@300" (fun () ->
+          List.iter
+            (fun id -> send_with_id a ~id:(Json.Str id) (P.Run { path = main; fuel = None }))
+            [ "a1"; "a2"; "a3" ];
+          (* let a1 start before b1 arrives *)
+          Unix.sleepf 0.1;
+          send_with_id b ~id:(Json.Str "b1") (P.Run { path = main; fuel = None });
+          let b1 = recv b in
+          check_b "b1 answered" true (Client.id_of b1 = Json.Str "b1" && Client.ok_of b1);
+          let s = request b P.Status in
+          let queued =
+            match Option.bind (Json.member "status" s) (Json.member "sessions_detail") with
+            | Some (Json.Arr ss) ->
+                List.fold_left
+                  (fun n st ->
+                    match Option.bind (Json.member "queued" st) Json.to_num with
+                    | Some f -> n + int_of_float f
+                    | None -> n)
+                  0 ss
+            | _ -> Alcotest.fail "status carries no sessions_detail"
+          in
+          check_b "the pipelining session still has work queued" true (queued >= 1);
+          List.iter
+            (fun id -> check_b (id ^ " answers in order") true (Client.id_of (recv a) = Json.Str id))
+            [ "a1"; "a2"; "a3" ]);
+      Client.close a;
+      Client.close b)
 
 let cancel_queued_request () =
   with_server (fun socket dir ->
@@ -517,6 +579,8 @@ let suite =
     Alcotest.test_case "status and expand" `Quick status_and_expand;
     Alcotest.test_case "pipelined responses arrive out of order" `Quick
       pipelined_out_of_order_responses;
+    Alcotest.test_case "sessions on one slot take turns" `Quick
+      sessions_on_one_slot_take_turns;
     Alcotest.test_case "cancel kills a queued request" `Quick cancel_queued_request;
     Alcotest.test_case "cancel aborts an in-flight request" `Quick
       cancel_inflight_request;

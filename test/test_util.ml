@@ -47,6 +47,20 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
+exception Hung
+
+(** Wall-clock backstop for the supervision tests: their whole point is
+    that a damaged pool terminates, so a hang must fail the test rather
+    than freeze the suite. *)
+let with_test_alarm seconds f =
+  let previous = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Hung)) in
+  ignore (Unix.alarm seconds);
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.alarm 0);
+      Sys.set_signal Sys.sigalrm previous)
+    f
+
 (* -- alcotest shorthands ------------------------------------------------------ *)
 
 let check_s = Alcotest.(check string)

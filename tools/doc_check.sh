@@ -12,7 +12,10 @@
 #     the contract, and an instrumented counter nobody documented is
 #     drift by definition.  Dynamic names built by concatenation
 #     ("optimize." ^ what) contribute their literal prefix, which the
-#     catalogue's family rows (optimize.<rule>, expand.fuel.<m>) cover.
+#     catalogue's family rows (optimize.<rule>, expand.fuel.<m>) cover;
+#   stale rows: the converse -- every catalogue row naming one metric
+#     (not a <...> family) must appear as a string literal under lib/ or
+#     bin/, so a row whose metric the code no longer emits fails the gate.
 #
 # Usage: tools/doc_check.sh   (from anywhere; the script cd's to the repo root)
 
@@ -66,8 +69,23 @@ else
   done <"$WORK/metrics"
 fi
 
+# -- pass 3: no stale catalogue rows ------------------------------------------
+if [ -f "$CATALOGUE" ]; then
+  grep -oE '^\| `[^`]+` \|' "$CATALOGUE" | sed 's/^| `//; s/` |$//' \
+    | grep -v '[<{ ]' | sort -u >"$WORK/rows"
+  if [ ! -s "$WORK/rows" ]; then
+    bad "no catalogue rows found in $CATALOGUE (extraction is broken?)"
+  fi
+  while IFS= read -r name; do
+    if ! grep -rqF "\"$name\"" lib bin; then
+      bad "$CATALOGUE row \"$name\" names a metric no string literal under lib/ or bin/ emits"
+    fi
+  done <"$WORK/rows"
+fi
+
 if [ "$fail" -eq 0 ]; then
   nmetrics=$(wc -l <"$WORK/metrics" | tr -d ' ')
-  echo "doc_check OK: $nlinks relative links resolve; $nmetrics metric literals documented in $CATALOGUE"
+  nrows=$(wc -l <"$WORK/rows" | tr -d ' ')
+  echo "doc_check OK: $nlinks relative links resolve; $nmetrics metric literals documented in $CATALOGUE; its $nrows metric rows all emitted"
 fi
 exit "$fail"
