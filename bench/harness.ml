@@ -66,7 +66,7 @@ type result = {
           first). *)
   gc_major_words : float;  (** same, words promoted to / allocated in the major heap *)
   analysis_ms : float;
-      (** time spent in the 0CFA pass ([phase.analyze]) while compiling
+      (** time spent in the 0CFA pass (the [analyze] span) while compiling
           this variant — 0.0 for untyped variants and for
           [Typed_no_cfa], whose whole point is to skip the pass *)
   vm : vm_result option;
@@ -171,7 +171,7 @@ let measure_cached (b : Programs.t) (v : variant) : float * float =
 
 (** Compile one variant of a benchmark; returns the module, the
     optimizer's per-rule rewrite counts for that compilation, and the
-    time spent in the 0CFA pass (the [phase.analyze] timer, ms). *)
+    time spent in the 0CFA pass (the outermost [analyze] spans, ms). *)
 let declare_variant_counted (b : Programs.t) (v : variant) :
     Modsys.t * (string * int) list * float =
   let lang, body = if is_typed v then ("typed/racket", b.Programs.typed) else ("racket", b.Programs.untyped) in
@@ -190,7 +190,7 @@ let declare_variant_counted (b : Programs.t) (v : variant) :
         Zcfa.enabled := saved_cfa)
       (fun () -> Core.Metrics.with_collector metrics (fun () -> Modsys.declare ~name source))
   in
-  (m, Optimize.stats_alist (), Core.Metrics.get_ms metrics "phase.analyze")
+  (m, Optimize.stats_alist (), Core.Metrics.get_ms metrics "analyze")
 
 let declare_variant b v : Modsys.t =
   let m, _, _ = declare_variant_counted b v in

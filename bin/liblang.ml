@@ -6,8 +6,9 @@
                                       run #lang programs (later files may
                                       require modules declared by earlier
                                       ones); --fuel bounds evaluation steps;
-                                      --profile reports per-phase wall time,
-                                      per-macro expansion counts and
+                                      --profile reports the span tree (total
+                                      and self wall time per phase and
+                                      macro), per-macro expansion counts and
                                       per-rule optimizer rewrites (as JSON
                                       on stdout with --profile=json);
                                       --trace streams span/macro events to
@@ -74,9 +75,9 @@ let usage_text =
   \                          run #lang programs (later files may require\n\
   \                          modules declared by earlier ones)\n\
   \      --fuel N            bound evaluation to N steps (compile time and runtime)\n\
-  \      --profile           print a profile report (per-phase wall time,\n\
-  \                          per-macro expansion counts, per-rule optimizer\n\
-  \                          rewrites) to stderr after the run\n\
+  \      --profile           print a profile report (span tree with total and\n\
+  \                          self wall time, per-macro expansion counts,\n\
+  \                          per-rule optimizer rewrites) to stderr after the run\n\
   \      --profile=json      same, as one JSON object on stdout\n\
   \      --trace FILE        stream trace events to FILE as the pipeline runs\n\
   \                          (NDJSON if FILE ends in .json/.ndjson, else text)\n\
@@ -117,7 +118,7 @@ let usage_text =
   \                          line per proved fact (call-site callees, escape\n\
   \                          status, in-bounds accesses — docs/analysis.md);\n\
   \                          --profile adds analysis.* metrics and the\n\
-  \                          phase.analyze timer\n\
+  \                          analyze span\n\
   \  eval [-l LANG] [--engine interp|vm] EXPR\n\
   \                          evaluate one expression (default language: racket)\n\
   \  repl [-l LANG]          interactive read-eval-print loop\n\
@@ -270,12 +271,12 @@ let has_suffix suf s =
 (* Build the trace sink (if requested) and arrange for the profile and the
    trace to reach the user even when a file fails and we exit through
    [fail]. *)
-let setup_observe (o : run_opts) =
+let setup_observe ?trace_file ?(verbosity = 1) (profile : profile_mode) =
   let metrics =
-    match o.profile with Profile_off -> None | _ -> Some (Metrics.create ())
+    match profile with Profile_off -> None | _ -> Some (Metrics.create ())
   in
   let trace =
-    match o.trace_file with
+    match trace_file with
     | None -> None
     | Some file ->
         let oc = open_out file in
@@ -283,10 +284,10 @@ let setup_observe (o : run_opts) =
           if has_suffix ".json" file || has_suffix ".ndjson" file then Trace.Ndjson
           else Trace.Text
         in
-        Some (Trace.make_sink ~format ~verbosity:o.verbosity oc)
+        Some (Trace.make_sink ~format ~verbosity oc)
   in
   at_exit (fun () ->
-      (match (metrics, o.profile) with
+      (match (metrics, profile) with
       | Some c, Profile_json -> print_endline (Json.to_string ~pretty:true (Metrics.to_json c))
       | Some c, Profile_text -> prerr_string (Metrics.render c)
       | _ -> ());
@@ -386,7 +387,7 @@ let cmd_run args =
         ~finally:(fun () -> Client.close conn)
         (fun () -> run_via_server conn ~fuel:o.fuel o.paths)
   | None ->
-      let metrics, trace = setup_observe o in
+      let metrics, trace = setup_observe ?trace_file:o.trace_file ~verbosity:o.verbosity o.profile in
       let observe = { Observe.metrics; trace } in
       List.iter
         (fun path ->
@@ -418,7 +419,7 @@ let cmd_compile args =
     | Some d -> d
     | None -> Liblang_core.Core.Compiled.Store.default_dir
   in
-  let profile_c, trace = setup_observe o in
+  let profile_c, trace = setup_observe ?trace_file:o.trace_file ~verbosity:o.verbosity o.profile in
   let worst = ref 0 in
   List.iter
     (fun path ->
@@ -660,16 +661,8 @@ let cmd_analyze args =
       | exception Sys_error m ->
           fail [ Diagnostic.error ~phase:Diagnostic.Module ("cannot read file: " ^ m) ]
       | source -> (
-          let metrics =
-            match !profile with Profile_off -> None | _ -> Some (Metrics.create ())
-          in
-          at_exit (fun () ->
-              match (metrics, !profile) with
-              | Some c, Profile_json ->
-                  print_endline (Json.to_string ~pretty:true (Metrics.to_json c))
-              | Some c, Profile_text -> prerr_string (Metrics.render c)
-              | _ -> ());
-          let observe = { Observe.metrics; trace = None } in
+          let metrics, trace = setup_observe !profile in
+          let observe = { Observe.metrics; trace } in
           let name = Filename.remove_extension (Filename.basename path) in
           match Pipeline.analyze ~name ~observe source with
           | Ok lines -> List.iter print_endline lines

@@ -918,7 +918,6 @@ let extract st (graph : node list) (facts : Facts.t) =
 
 let solve_with run (forms : Stx.t list) : Facts.t =
   Trace.span "analyze" @@ fun () ->
-  Metrics.time "phase.analyze" @@ fun () ->
   let st = init_state () in
   let facts = Facts.create () in
   List.iter (collect_binders st) forms;

@@ -16,6 +16,7 @@
 open Liblang_runtime
 open Value
 module Metrics = Liblang_observe.Metrics
+module Trace = Liblang_observe.Trace
 
 (* total instructions retired; eval_top snapshots around each form *)
 let executed = ref 0
@@ -417,7 +418,7 @@ let eval_top (a : Ast.t) : value =
     | Some l -> l
     | None ->
         let l =
-          Metrics.time "phase.lower" @@ fun () ->
+          Trace.span "lower" @@ fun () ->
           match Lower.lower_form ~unboxing a with
           | Some c -> LCode c
           | None -> LInterp

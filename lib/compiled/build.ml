@@ -385,8 +385,7 @@ let build ?(diagnostic_of_exn = fun _ -> None) ?(task_timeout = 300.0) ~(jobs : 
   let tasks0 = Atomic.get Parallel.tasks and waits0 = Atomic.get Parallel.lock_waits in
   let retries0 = Atomic.get Parallel.retries and timeouts0 = Atomic.get Parallel.timeouts in
   let worker_deaths =
-    Trace.span "build-compile" @@ fun () ->
-    Metrics.time "phase.build" @@ fun () -> schedule ~diagnostic_of_exn ~deadline ~jobs tasks
+    Trace.span "build-compile" @@ fun () -> schedule ~diagnostic_of_exn ~deadline ~jobs tasks
   in
   let tasks_run = Atomic.get Parallel.tasks - tasks0 in
   let lock_waits = Atomic.get Parallel.lock_waits - waits0 in

@@ -124,7 +124,6 @@ let load (a : Artifact.t) : Modsys.t =
   if not (Modsys.is_declared lang) then err "#lang %s: unknown language" lang;
   Expander.with_fresh_limits @@ fun () ->
   Trace.span "load-module" ~detail:name @@ fun () ->
-  Metrics.time "phase.load" @@ fun () ->
   Metrics.count "module.cache_hits";
   Modsys.with_compiling name @@ fun () ->
   Ct_store.with_fresh_store (fun () ->

@@ -402,7 +402,7 @@ let compute_links (m : Liblang_modules.Modsys.t) (core_forms : Stx.t list) :
 let bytecode_section (m : Modsys.t) : Datum.annot option =
   let unboxing = !Liblang_runtime.Interp.unboxing_enabled in
   let entries =
-    Metrics.time "phase.lower" @@ fun () ->
+    Trace.span "lower" @@ fun () ->
     List.mapi
       (fun i (f : Modsys.compiled_form) ->
         let ast =

@@ -170,7 +170,7 @@ let read_module_body ~name source =
 
     [?observe] installs an observability context (metrics collector and/or
     trace sink, see {!Liblang_observe.Observe.ctx}) around the whole run:
-    every phase reports per-phase wall time, per-macro expansion counts and
+    every phase reports its spans, per-macro expansion counts and
     fuel, optimizer rewrite-rule firings, and module-system activity into
     it.  The default context observes nothing and costs nothing (see
     docs/observability.md). *)
@@ -316,8 +316,7 @@ let expand ?fuel ?name ?(observe = Observe.nothing) (source : string) :
 (** Expand a module to core forms and run the 0CFA flow analysis
     ({!Core.Zcfa}) over them, returning the rendered fact report — a
     summary line plus one line per proved fact.  The analysis itself
-    emits [analysis.*] metrics and a [phase.analyze] timer into
-    [?observe]. *)
+    emits [analysis.*] metrics and an [analyze] span into [?observe]. *)
 let analyze ?fuel ?name ?(observe = Observe.nothing) (source : string) :
     (string list, Diagnostic.t list) result =
   Core.init ();

@@ -202,11 +202,13 @@ let transform (t : Denote.transformer) (s : Stx.t) : Stx.t =
   in
   Stx.flip_scope intro output
 
-(* Observability wrapper around [transform]: per-macro application counts,
-   per-transformer wall time, compile-time fuel attribution, and (at trace
-   verbosity 2, the CLI's [-vv]) the syntax before and after each macro
-   step.  When neither a metrics collector nor a trace sink is installed
-   this is a load-and-branch on top of [transform]. *)
+(* Observability wrapper around [transform]: each application is an
+   [expand.macro.<m>] span (per-transformer wall time in the profile tree;
+   at trace verbosity 2, the CLI's [-vv], its enter/exit carry the syntax
+   before and after the step), plus per-macro application counts and
+   compile-time fuel attribution.  When neither a metrics collector nor a
+   trace sink is installed this is a load-and-branch on top of
+   [transform]. *)
 module Metrics = Liblang_observe.Metrics
 module Trace = Liblang_observe.Trace
 
@@ -214,27 +216,22 @@ let apply_transformer (t : Denote.transformer) (s : Stx.t) : Stx.t =
   if not (Metrics.installed () || Trace.installed ()) then transform t s
   else begin
     let name = macro_name_of t s in
-    if Trace.enabled_at 2 then
-      Trace.event ~level:2 "macro"
-        [
-          ("name", name);
-          ("loc", Liblang_reader.Srcloc.to_string (Stx.loc s));
-          ("before", Stx.to_string s);
-        ];
+    let key = "expand.macro." ^ name in
     let interp_fuel0 = !(Interp.fuel ()) in
-    let t0 = Metrics.now () in
-    let output = transform t s in
+    let output =
+      Trace.span ~level:2 key
+        ~fields:(fun () ->
+          [ ("loc", Liblang_reader.Srcloc.to_string (Stx.loc s)); ("before", Stx.to_string s) ])
+        ~result:(fun out -> [ ("after", Stx.to_string out) ])
+        (fun () -> transform t s)
+    in
     if Metrics.installed () then begin
-      let key = "expand.macro." ^ name in
       Metrics.count key;
-      Metrics.add_time key (Metrics.now () -. t0);
       (* compile-time evaluation steps burned inside the transformer: only
          phase-1 (object-language) procedures consume interpreter fuel *)
       let burned = interp_fuel0 - !(Interp.fuel ()) in
       if burned > 0 then Metrics.countn ("expand.fuel." ^ name) burned
     end;
-    if Trace.enabled_at 2 then
-      Trace.event ~level:2 "macro-out" [ ("name", name); ("after", Stx.to_string output) ];
     output
   end
 

@@ -238,8 +238,7 @@ let rec instantiate_at depth (m : t) =
   end
 
 let instantiate (m : t) =
-  Trace.span "instantiate" ~detail:m.mod_name @@ fun () ->
-  Metrics.time "phase.instantiate" @@ fun () -> instantiate_at 0 m
+  Trace.span "instantiate" ~detail:m.mod_name @@ fun () -> instantiate_at 0 m
 
 (* -- imports --------------------------------------------------------------------- *)
 
@@ -387,8 +386,7 @@ let expand_in_language ~name ~lang (body : Datum.annot list) (k : Stx.t list -> 
       let mb = Stx.id ~scopes:(Stx.scopes ctx) "#%module-begin" in
       let wrapped = Stx.list (mb :: forms) in
       k
-        (Trace.span "expand" ~detail:name @@ fun () ->
-         Metrics.time "phase.expand" @@ fun () -> expand_module_top wrapped))
+        (Trace.span "expand" ~detail:name @@ fun () -> expand_module_top wrapped))
 
 (** Expand a module's body to core forms without compiling it — the view a
     whole-module analysis gets (paper §2.2, §4). *)
@@ -443,8 +441,7 @@ let compile_module ~name ~lang (body : Datum.annot list) : t =
       let mb = Stx.id ~scopes:(Stx.scopes ctx) "#%module-begin" in
       let wrapped = Stx.list (mb :: forms) in
       let core_forms =
-        Trace.span "expand" ~detail:name @@ fun () ->
-        Metrics.time "phase.expand" @@ fun () -> expand_module_top wrapped
+        Trace.span "expand" ~detail:name @@ fun () -> expand_module_top wrapped
       in
       (* walk the fully-expanded module and compile each form *)
       reset_internals name;
@@ -499,8 +496,7 @@ let compile_module ~name ~lang (body : Datum.annot list) : t =
             | _ -> m.body <- CExpr (Compile.compile_expr form) :: m.body)
         | _ -> m.body <- CExpr (Compile.compile_expr form) :: m.body
       in
-      (Trace.span "compile" ~detail:name @@ fun () ->
-       Metrics.time "phase.compile" @@ fun () -> List.iter compile_form core_forms);
+      (Trace.span "compile" ~detail:name @@ fun () -> List.iter compile_form core_forms);
       m.body <- List.rev m.body;
       m.requires <- List.rev !requires;
       register m;

@@ -1,7 +1,8 @@
-(** Pipeline metrics: named counters and accumulating wall-clock timers,
-    collected by an {e ambient collector} that mirrors the diagnostics
-    layer's [Reporter] pattern (install with {!with_collector}; phases
-    report through the module-level hooks below).
+(** Pipeline metrics: named counters and a tree of timed spans, collected
+    by an {e ambient collector} that mirrors the diagnostics layer's
+    [Reporter] pattern (install with {!with_collector}; phases report
+    through the module-level hooks below, and time themselves with
+    [Trace.span], whose collector half is {!enter}/{!leave}).
 
     The design constraint is {e zero cost when off}: every hook first loads
     {!current} and returns immediately when no collector is installed — no
@@ -12,10 +13,7 @@
     Metric names are dotted paths; the conventions (documented in
     [docs/observability.md]) are:
 
-    - ["phase.<name>"]    timers: wall time per pipeline phase
-                          (read, expand, typecheck, optimize, compile,
-                          instantiate)
-    - ["expand.macro.<m>"] counter {e and} timer: applications of macro [m]
+    - ["expand.macro.<m>"] counter {e and} span: applications of macro [m]
                           and the wall time spent inside its transformer
     - ["expand.fuel.<m>"] counter: compile-time evaluation steps burned by
                           macro [m]'s phase-1 procedure
@@ -23,15 +21,30 @@
     - ["reader.datums"]   counter: top-level datums read
     - ["module.*"]        counters: compiles, instantiations, re-expansions *)
 
-type timer = { mutable total_s : float; mutable calls : int }
+(** One node of the span tree.  Every span entered at the same name path
+    (outermost … parent, name) folds into one node — the trace's [detail]
+    never keys a node, so a long-lived collector's tree stays as small as
+    the program's phase structure.  Self time is [total_s] minus the
+    children's totals. *)
+type span = {
+  name : string;
+  mutable calls : int;
+  mutable total_s : float;
+  mutable kids : span list;  (** newest first *)
+}
 
 type t = {
   counters : (string, int ref) Hashtbl.t;
-  timers : (string, timer) Hashtbl.t;
+  root : span;  (** nameless; its children are the outermost spans *)
+  mutable cursor : span;  (** the innermost open span, or [root] *)
   mutable interp_apps : int;  (** procedure applications in the evaluator *)
 }
 
-let create () = { counters = Hashtbl.create 32; timers = Hashtbl.create 16; interp_apps = 0 }
+let new_span name = { name; calls = 0; total_s = 0.0; kids = [] }
+
+let create () =
+  let root = new_span "" in
+  { counters = Hashtbl.create 32; root; cursor = root; interp_apps = 0 }
 
 let now () = Unix.gettimeofday ()
 
@@ -39,11 +52,12 @@ let now () = Unix.gettimeofday ()
 
    Domain-local: the ambient collector slot lives in [Domain.DLS], so each
    parallel-build worker collects into its own [t] and the driver merges
-   them on join ({!merge}).  To keep the zero-cost-when-off promise on the
-   evaluator's hot path, a process-wide atomic count of installed
-   collectors gates every hook: when it is zero (the benchmark case — no
-   collector anywhere), the hook is one uncontended [Atomic.get] and a
-   branch, with no DLS access at all. *)
+   them on join ({!merge}).  A collector is installed on one domain at a
+   time, so its [cursor] is that domain's stack of open spans.  To keep the
+   zero-cost-when-off promise on the evaluator's hot path, a process-wide
+   atomic count of installed collectors gates every hook: when it is zero
+   (the benchmark case — no collector anywhere), the hook is one
+   uncontended [Atomic.get] and a branch, with no DLS access at all. *)
 
 let current_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
@@ -81,26 +95,6 @@ let countn key n = match current () with None -> () | Some c -> count_in c key n
 
 let count key = countn key 1
 
-(** Accumulate [dt] seconds into timer [key]. *)
-let add_time key dt =
-  match current () with
-  | None -> ()
-  | Some c -> (
-      match Hashtbl.find_opt c.timers key with
-      | Some t ->
-          t.total_s <- t.total_s +. dt;
-          t.calls <- t.calls + 1
-      | None -> Hashtbl.add c.timers key { total_s = dt; calls = 1 })
-
-(** Time [f] into timer [key]; when no collector is installed this is just
-    [f ()] — no clock reads. *)
-let time key f =
-  match current () with
-  | None -> f ()
-  | Some _ ->
-      let t0 = now () in
-      Fun.protect ~finally:(fun () -> add_time key (now () -. t0)) f
-
 (** The hot-path hook: one evaluator procedure application.  Kept free of
     allocation and hashing so the evaluator can call it unconditionally —
     with no collector installed anywhere it is one atomic load and a
@@ -111,19 +105,52 @@ let[@inline] bump_apps () =
     | None -> ()
     | Some c -> c.interp_apps <- c.interp_apps + 1
 
+(* The child of [parent] named [name], created on first use. *)
+let child (parent : span) name =
+  match List.find_opt (fun k -> String.equal k.name name) parent.kids with
+  | Some k -> k
+  | None ->
+      let k = new_span name in
+      parent.kids <- k :: parent.kids;
+      k
+
+(** Open a span named [name] inside [c]'s innermost open one; returns the
+    span that {!leave} reopens. *)
+let enter (c : t) name : span =
+  let parent = c.cursor in
+  c.cursor <- child parent name;
+  parent
+
+(** Close [c]'s innermost open span, [dt] seconds long, and reopen
+    [parent]. *)
+let leave (c : t) (parent : span) dt =
+  let s = c.cursor in
+  s.calls <- s.calls + 1;
+  s.total_s <- s.total_s +. dt;
+  c.cursor <- parent
+
 (* -- reading a collector ---------------------------------------------------- *)
 
 let get (c : t) key = match Hashtbl.find_opt c.counters key with Some r -> !r | None -> 0
 
-let get_ms (c : t) key =
-  match Hashtbl.find_opt c.timers key with Some t -> 1000.0 *. t.total_s | None -> 0.0
+(** The outermost spans, oldest first. *)
+let spans (c : t) : span list = List.rev c.root.kids
+
+let kids (s : span) : span list = List.rev s.kids
+
+let self_s (s : span) = List.fold_left (fun acc k -> acc -. k.total_s) s.total_s s.kids
+
+(** The phase-timer view: total milliseconds of the outermost spans named
+    [name] (a nested span of the same name is already inside its
+    ancestor's total). *)
+let get_ms (c : t) name =
+  let rec go s =
+    List.fold_left (fun acc k -> acc +. if k.name = name then k.total_s else go k) 0.0 s.kids
+  in
+  1000.0 *. go c.root
 
 let counters_alist (c : t) : (string * int) list =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) c.counters []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let timers_alist (c : t) : (string * timer) list =
-  Hashtbl.fold (fun k t acc -> (k, t) :: acc) c.timers []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (** Counters matching a dotted prefix, with the prefix stripped:
@@ -137,45 +164,45 @@ let by_prefix (c : t) prefix : (string * int) list =
       else None)
     (counters_alist c)
 
-let reset (c : t) =
-  Hashtbl.reset c.counters;
-  Hashtbl.reset c.timers;
-  c.interp_apps <- 0
+(* Add [src]'s children into [dst]'s, node by name path. *)
+let rec graft (dst : span) (src : span) =
+  List.iter
+    (fun k ->
+      let d = child dst k.name in
+      d.calls <- d.calls + k.calls;
+      d.total_s <- d.total_s +. k.total_s;
+      graft d k)
+    (kids src)
 
-(** Fold collector [c] into [into] (counters, timers, interpreter
-    applications).  Used by the CLI to aggregate per-file collectors into a
-    session-wide profile, and by the parallel build driver to merge each
-    worker domain's collector into the main collector on join. *)
+(** Fold collector [c] into [into]: counters add, [c]'s span tree grafts
+    under the span open in [into] (a build task's tree lands under
+    [build-compile], a daemon request's under the daemon's root), and
+    interpreter applications add.  Used by the CLI to aggregate per-file
+    collectors into a session-wide profile, by the build driver for its
+    per-task collectors, and by the daemon for its per-request ones. *)
 let merge ~(into : t) (c : t) : unit =
   List.iter (fun (k, n) -> count_in into k n) (counters_alist c);
-  List.iter
-    (fun (k, (t : timer)) ->
-      match Hashtbl.find_opt into.timers k with
-      | Some dst ->
-          dst.total_s <- dst.total_s +. t.total_s;
-          dst.calls <- dst.calls + t.calls
-      | None -> Hashtbl.add into.timers k { total_s = t.total_s; calls = t.calls })
-    (timers_alist c);
+  graft into.cursor c.root;
   into.interp_apps <- into.interp_apps + c.interp_apps
 
 (* -- reports ---------------------------------------------------------------- *)
 
-(** The canonical phase order of the pipeline (see docs/architecture.md). *)
-let phase_order =
-  [ "read"; "expand"; "typecheck"; "analyze"; "optimize"; "compile"; "lower"; "load"; "instantiate" ]
-
-(** Human-readable profile report (what [--profile] prints). *)
+(** Human-readable profile report (what [--profile] prints): the span tree
+    with total and self time, then the counter sections. *)
 let render (c : t) : string =
   let buf = Buffer.create 512 in
   Buffer.add_string buf "== profile ==\n";
-  Buffer.add_string buf "phase wall time:\n";
-  List.iter
-    (fun p ->
-      let key = "phase." ^ p in
-      match Hashtbl.find_opt c.timers key with
-      | Some t -> Buffer.add_string buf (Printf.sprintf "  %-12s %10.3f ms  (%d call%s)\n" p (1000.0 *. t.total_s) t.calls (if t.calls = 1 then "" else "s"))
-      | None -> ())
-    phase_order;
+  if c.root.kids <> [] then begin
+    Buffer.add_string buf
+      (Printf.sprintf "%-44s %10s  %10s  %6s\n" "spans:" "total ms" "self ms" "calls");
+    let rec row indent s =
+      Buffer.add_string buf
+        (Printf.sprintf "%-44s %10.3f  %10.3f  %6d\n" (indent ^ s.name) (1000.0 *. s.total_s)
+           (1000.0 *. self_s s) s.calls);
+      List.iter (row (indent ^ "  ")) (kids s)
+    in
+    List.iter (row "  ") (spans c)
+  end;
   let section title prefix render_row =
     match by_prefix c prefix with
     | [] -> ()
@@ -184,17 +211,12 @@ let render (c : t) : string =
         List.iter render_row
           (List.sort (fun (_, a) (_, b) -> compare b a) rows)
   in
-  section "macro expansions" "expand.macro." (fun (name, n) ->
-      let ms = get_ms c ("expand.macro." ^ name) in
-      Buffer.add_string buf
-        (if ms > 0.0 then Printf.sprintf "  %-28s %8d  %10.3f ms\n" name n ms
-         else Printf.sprintf "  %-28s %8d\n" name n));
+  let plain (k, n) = Buffer.add_string buf (Printf.sprintf "  %-28s %8d\n" k n) in
+  section "macro expansions" "expand.macro." plain;
   section "compile-time fuel by macro" "expand.fuel." (fun (name, n) ->
       Buffer.add_string buf (Printf.sprintf "  %-28s %8d steps\n" name n));
-  section "optimizer rewrites" "optimize." (fun (rule, n) ->
-      Buffer.add_string buf (Printf.sprintf "  %-28s %8d\n" rule n));
-  section "reader" "reader." (fun (k, n) ->
-      Buffer.add_string buf (Printf.sprintf "  %-28s %8d\n" k n));
+  section "optimizer rewrites" "optimize." plain;
+  section "reader" "reader." plain;
   (let hyg =
      List.filter_map
        (fun k ->
@@ -209,14 +231,10 @@ let render (c : t) : string =
    in
    if hyg <> [] then begin
      Buffer.add_string buf "hygiene engine:\n";
-     List.iter
-       (fun (k, n) -> Buffer.add_string buf (Printf.sprintf "  %-28s %8d\n" k n))
-       hyg
+     List.iter plain hyg
    end);
-  section "module system" "module." (fun (k, n) ->
-      Buffer.add_string buf (Printf.sprintf "  %-28s %8d\n" k n));
-  section "artifact cache" "cache." (fun (k, n) ->
-      Buffer.add_string buf (Printf.sprintf "  %-28s %8d\n" k n));
+  section "module system" "module." plain;
+  section "artifact cache" "cache." plain;
   if c.interp_apps > 0 then
     Buffer.add_string buf (Printf.sprintf "interpreter applications: %d\n" c.interp_apps);
   Buffer.contents buf
@@ -224,33 +242,19 @@ let render (c : t) : string =
 (** Machine-readable profile (what [--profile=json] prints); schema in
     docs/observability.md. *)
 let to_json (c : t) : Json.t =
-  let phases =
-    List.filter_map
-      (fun p ->
-        match Hashtbl.find_opt c.timers ("phase." ^ p) with
-        | Some t ->
-            Some
-              ( p,
-                Json.Obj
-                  [ ("ms", Json.Num (1000.0 *. t.total_s)); ("calls", Json.Num (float_of_int t.calls)) ] )
-        | None -> None)
-      phase_order
-  in
-  let other_timers =
-    List.filter_map
-      (fun (k, (t : timer)) ->
-        if String.length k > 6 && String.sub k 0 6 = "phase." then None
-        else
-          Some
-            ( k,
-              Json.Obj
-                [ ("ms", Json.Num (1000.0 *. t.total_s)); ("calls", Json.Num (float_of_int t.calls)) ] ))
-      (timers_alist c)
+  let rec span_json s =
+    Json.Obj
+      [
+        ("name", Json.Str s.name);
+        ("ms", Json.Num (1000.0 *. s.total_s));
+        ("self_ms", Json.Num (1000.0 *. self_s s));
+        ("calls", Json.Num (float_of_int s.calls));
+        ("children", Json.Arr (List.map span_json (kids s)));
+      ]
   in
   Json.Obj
     [
-      ("phases", Json.Obj phases);
+      ("spans", Json.Arr (List.map span_json (spans c)));
       ("counters", Json.Obj (List.map (fun (k, n) -> (k, Json.Num (float_of_int n))) (counters_alist c)));
-      ("timers", Json.Obj other_timers);
       ("interp_apps", Json.Num (float_of_int c.interp_apps));
     ]

@@ -18,7 +18,5 @@ type ctx = { metrics : Metrics.t option; trace : Trace.sink option }
 (** The do-nothing context (the default of [Pipeline.run ?observe]). *)
 let nothing : ctx = { metrics = None; trace = None }
 
-let profiling () : ctx = { metrics = Some (Metrics.create ()); trace = None }
-
 let with_ctx (ctx : ctx) (f : unit -> 'a) : 'a =
   Metrics.with_opt ctx.metrics (fun () -> Trace.with_opt ctx.trace f)

@@ -392,7 +392,6 @@ module Trace = Liblang_observe.Trace
 (** Read all datums from [src]. *)
 let read_all ?file src =
   Trace.span "read" ?detail:file @@ fun () ->
-  Metrics.time "phase.read" @@ fun () ->
   Metrics.count "reader.reads";
   let st = make_state ?file src in
   let rec go acc = match read_datum st with None -> List.rev acc | Some d -> go (d :: acc) in
@@ -409,7 +408,6 @@ let read_all ?file src =
     error list is capped at [max_errors]. *)
 let read_all_recovering ?file ?(max_errors = 25) src =
   Trace.span "read" ?detail:file @@ fun () ->
-  Metrics.time "phase.read" @@ fun () ->
   Metrics.count "reader.reads";
   let st = make_state ?file src in
   let datums = ref [] and errors = ref [] and n_errors = ref 0 in

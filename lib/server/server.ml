@@ -105,7 +105,7 @@ and t = {
   cfg : config;
   listener : Unix.file_descr;
   store : Compiled.Store.t;
-  metrics : Metrics.t;  (** daemon-lifetime counters (status, at-exit report) *)
+  metrics : Metrics.t;  (** daemon-lifetime counters and span tree (for [status]) *)
   mmu : Mutex.t;
       (** gates every touch of [metrics] ({!Parallel.with_gate}): worker
           domains merge per-request collectors into it concurrently with
@@ -317,7 +317,7 @@ let run_job (job : job) : unit =
   let c = Metrics.create () in
   let reply =
     Metrics.with_collector c @@ fun () ->
-    Metrics.add_time "server.queued_ms" (Unix.gettimeofday () -. job.enqueued);
+    Trace.elapsed "server-queued" ~since:job.enqueued;
     if Atomic.get job.cancelled then begin
       (* cancelled while queued: answer without executing anything *)
       Metrics.count "server.errors";
@@ -329,8 +329,7 @@ let run_job (job : job) : unit =
     else if not conn.open_ then None (* client vanished; nothing to compute for *)
     else
       Some
-        ( Metrics.time "server.request" @@ fun () ->
-          Trace.span "server-request" ~detail:op @@ fun () ->
+        ( Trace.span "server-request" ~detail:op @@ fun () ->
           try
             Fault.with_cancel job.cancelled @@ fun () ->
             Fault.check "server.exec";
@@ -753,6 +752,3 @@ let serve ?(on_ready = fun (_ : t) -> ()) (cfg : config) : unit =
     (fun () ->
       on_ready srv;
       loop srv)
-
-(** Daemon-lifetime counters (for the CLI's at-exit report). *)
-let metrics (srv : t) : Metrics.t = srv.metrics

@@ -549,7 +549,6 @@ let check_top_form (form : Stx.t) : unit =
     pass B checks each form. *)
 let check_module (forms : Stx.t list) : unit =
   Liblang_observe.Trace.span "typecheck" @@ fun () ->
-  Liblang_observe.Metrics.time "phase.typecheck" @@ fun () ->
   Liblang_observe.Metrics.countn "typecheck.forms" (List.length forms);
   Base_env.ensure_initialized ();
   (* With a reporter installed, a failed form is reported and skipped so

@@ -381,4 +381,4 @@ let optimize_module (forms : Stx.t list) : Stx.t list =
   in
   Domain.DLS.set facts_key facts;
   Fun.protect ~finally:(fun () -> Domain.DLS.set facts_key None) @@ fun () ->
-  Liblang_observe.Metrics.time "phase.optimize" @@ fun () -> List.map optimize forms
+  List.map optimize forms

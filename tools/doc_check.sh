@@ -6,16 +6,18 @@
 #     resolve to an existing file (http/mailto/pure-anchor targets are
 #     skipped; a trailing #fragment is stripped before the check) -- a
 #     renamed doc or a typo'd cross-reference fails the gate;
-#   metrics: every metric name passed as a string literal to
-#     Metrics.count / countn / time / add_time anywhere under lib/, bin/
-#     or bench/ must appear in docs/observability.md -- the catalogue is
-#     the contract, and an instrumented counter nobody documented is
-#     drift by definition.  Dynamic names built by concatenation
-#     ("optimize." ^ what) contribute their literal prefix, which the
-#     catalogue's family rows (optimize.<rule>, expand.fuel.<m>) cover;
-#   stale rows: the converse -- every catalogue row naming one metric
-#     (not a <...> family) must appear as a string literal under lib/ or
-#     bin/, so a row whose metric the code no longer emits fails the gate.
+#   metrics and spans: every metric name passed as a string literal to
+#     Metrics.count / countn anywhere under lib/, bin/ or bench/ must
+#     appear in docs/observability.md, and so must every span name passed
+#     as a string literal to Trace.span / Trace.elapsed under lib/ or bin/
+#     (as a `quoted` name) -- the catalogue is the contract, and an
+#     instrumented counter or span nobody documented is drift by
+#     definition.  Dynamic names built by concatenation ("optimize." ^ what)
+#     contribute their literal prefix, which the catalogue's family rows
+#     (optimize.<rule>, expand.fuel.<m>) cover;
+#   stale rows: the converse -- every catalogue row naming one metric or
+#     span (not a <...> family) must appear as a string literal under lib/
+#     or bin/, so a row whose name the code no longer emits fails the gate.
 #
 # Usage: tools/doc_check.sh   (from anywhere; the script cd's to the repo root)
 
@@ -56,7 +58,7 @@ CATALOGUE=docs/observability.md
 if [ ! -f "$CATALOGUE" ]; then
   bad "$CATALOGUE is missing"
 else
-  grep -rhoE 'Metrics\.(add_time|countn|count|time)[[:space:]]*\(?[[:space:]]*"[^"]+"' \
+  grep -rhoE 'Metrics\.(countn|count)[[:space:]]*\(?[[:space:]]*"[^"]+"' \
     lib bin bench 2>/dev/null \
     | sed 's/.*"\(.*\)"$/\1/' | sort -u >"$WORK/metrics"
   if [ ! -s "$WORK/metrics" ]; then
@@ -67,6 +69,19 @@ else
       bad "metric \"$name\" is instrumented in the code but absent from $CATALOGUE"
     fi
   done <"$WORK/metrics"
+  # a span literal is the first string after Trace.span/elapsed and its
+  # labelled arguments (~level:2, ~detail:name, ?detail:file)
+  grep -rhoE 'Trace\.(span|elapsed)([[:space:]]+[~?][a-z]+(:[^[:space:]]+)?)*[[:space:]]+\(?"[^"]+"' \
+    lib bin 2>/dev/null \
+    | sed 's/.*"\(.*\)"$/\1/' | sort -u >"$WORK/spans"
+  if [ ! -s "$WORK/spans" ]; then
+    bad "no Trace.span literals found under lib/ bin/ (extraction is broken?)"
+  fi
+  while IFS= read -r name; do
+    if ! grep -qF "\`$name\`" "$CATALOGUE"; then
+      bad "span \"$name\" is emitted by the code but absent from $CATALOGUE"
+    fi
+  done <"$WORK/spans"
 fi
 
 # -- pass 3: no stale catalogue rows ------------------------------------------
@@ -85,7 +100,8 @@ fi
 
 if [ "$fail" -eq 0 ]; then
   nmetrics=$(wc -l <"$WORK/metrics" | tr -d ' ')
+  nspans=$(wc -l <"$WORK/spans" | tr -d ' ')
   nrows=$(wc -l <"$WORK/rows" | tr -d ' ')
-  echo "doc_check OK: $nlinks relative links resolve; $nmetrics metric literals documented in $CATALOGUE; its $nrows metric rows all emitted"
+  echo "doc_check OK: $nlinks relative links resolve; $nmetrics metric and $nspans span literals documented in $CATALOGUE; its $nrows rows all emitted"
 fi
 exit "$fail"
