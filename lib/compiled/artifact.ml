@@ -32,8 +32,11 @@ module Stx = Liblang_stx.Stx
     for the body forms, covered by the integrity trailer like
     everything else.  Absent when the compiling session lowered
     nothing; a v2 artifact (no such section possible) is version skew
-    and degrades to a recompile. *)
-let format_version = 3
+    and degrades to a recompile.
+    v4: symbols that would not read back bare are written [|...|]
+    (see {!Liblang_reader.Reader}); a v3 artifact may hold such a symbol
+    bare, so it is version skew and recompiles. *)
+let format_version = 4
 
 (** The magic header line; doubles as a human hint not to edit the file. *)
 let magic = ";; liblang compiled artifact (machine-generated; do not edit)"
@@ -126,20 +129,20 @@ let to_string (a : t) : string =
           :: List.map (fun (n, k) -> dlist [ str n; str k ]) a.links);
       ]
   in
-  Buffer.add_string buf (Datum.to_string header.Datum.d);
+  Datum.to_buffer buf header.Datum.d;
   Buffer.add_char buf '\n';
   Buffer.add_string buf "(body\n";
   List.iter
     (fun (f : Datum.annot) ->
       Buffer.add_char buf ' ';
-      Buffer.add_string buf (Datum.to_string f.Datum.d);
+      Datum.to_buffer buf f.Datum.d;
       Buffer.add_char buf '\n')
     a.core_forms;
   Buffer.add_string buf ")\n";
   (match a.bytecode with
   | None -> ()
   | Some bc ->
-      Buffer.add_string buf (Datum.to_string bc.Datum.d);
+      Datum.to_buffer buf bc.Datum.d;
       Buffer.add_char buf '\n');
   let body_text = Buffer.contents buf in
   body_text ^ integrity_marker ^ Digest_util.of_string body_text ^ "\n"

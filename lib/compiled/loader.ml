@@ -1,5 +1,6 @@
 (** Reconstructing a live module from a compiled artifact — the §5 replay
-    path, without re-running expansion or the typechecker.
+    path.  No macro runs and the typechecker never does, but each deferred
+    body (below) takes one expander pass.
 
     The artifact's body is the module's fully-expanded core forms, so
     loading is exactly the back half of {!Modsys.compile_module}: set up a
@@ -10,13 +11,13 @@
       module itself was already resolved by {!Resolver} while validating
       the artifact's transitive digests);
     - [define-values] binds each id now, but {e defers} compiling its
-      right-hand side to first instantiation ({!Modsys.CLazy}): the rhs
-      takes one pass through the expander (already core, so no macro work
-      — but the pass re-binds local binders hygienically, which the
-      textual serialization cannot preserve) and that pass is the bulk of
-      load cost, while only the instantiating domain ever needs its
-      result.  Compile-only consumers — importers, parallel-build workers
-      replaying a dependency — skip it entirely;
+      right-hand side to first instantiation ({!Modsys.CLazy}).  Then the
+      rhs takes its one pass through the expander: the forms are already
+      core, so the pass expands nothing, but it re-binds local binders
+      hygienically, which the textual serialization cannot preserve.
+      Only the instantiating domain ever needs the result; compile-only
+      consumers — importers, parallel-build workers replaying a
+      dependency — skip the pass entirely;
     - [define-syntaxes] re-evaluates the (already fully expanded)
       transformer expression and installs the macro — this is how a typed
       module's export indirections (§6.2) come back to life;

@@ -6,6 +6,14 @@
     line comments [;], nestable block comments [#| |#], datum comments [#;],
     and the quotation shorthands ['] [`] [,] [,@] [#'] [#`] [#,] [#,@].
 
+    Symbols may use Racket's [|...|] notation.  Inside bars every
+    character is taken literally except a backslash, which escapes the
+    next character: the printer ({!Datum.to_string}) writes a bar or a
+    backslash inside bars with a backslash before it.  A token with bars
+    is always a symbol, never a number: [|42|] and [|a b|] are symbols.
+    The printer uses the form for exactly the symbols whose bare text
+    would not read back as themselves.
+
     Symbol tokens are interned through {!Liblang_symbol.Symbol} at creation:
     equal names share one canonical string, and the downstream syntax layer
     ({!Liblang_stx.Stx}) re-interns them into O(1) symbol ids for free. *)
@@ -43,12 +51,7 @@ let advance st =
     st.pos <- st.pos + 1
   end
 
-let is_delimiter c =
-  match c with
-  | '(' | ')' | '[' | ']' | '"' | ';' | '\000' -> true
-  | c -> c = ' ' || c = '\t' || c = '\n' || c = '\r'
-
-let is_symbol_char c = not (is_delimiter c)
+let is_symbol_char c = not (Datum.is_delimiter c)
 
 (* -- whitespace and comments ------------------------------------------- *)
 
@@ -97,13 +100,68 @@ and skip_block_comment st depth =
 
 (* -- tokens ------------------------------------------------------------- *)
 
-and read_token_text st =
+(* End of the token starting at [st.pos]: the first delimiter, or with
+   [~bars] also the first [|]. *)
+and token_end ~bars st =
+  let n = String.length st.src in
+  let rec go i =
+    if i < n then
+      let c = String.unsafe_get st.src i in
+      if is_symbol_char c && not (bars && c = '|') then go (i + 1) else i
+    else i
+  in
+  go st.pos
+
+(* Take [st.pos, stop) as the token text, sliced from the source.  A token
+   holds no newline, so only the column moves. *)
+and take_token st stop =
+  let start = st.pos in
+  st.pos <- stop;
+  st.col <- st.col + (stop - start);
+  String.sub st.src start (stop - start)
+
+and read_token_text st = take_token st (token_end ~bars:false st)
+
+(* A symbol token that has [|...|] segments (see the header). *)
+and read_barred_symbol st =
   let buf = Buffer.create 16 in
-  while (not (eof st)) && is_symbol_char (peek st) do
-    Buffer.add_char buf (peek st);
-    advance st
-  done;
+  let rec plain () =
+    match peek st with
+    | '|' ->
+        advance st;
+        barred ()
+    | c when is_symbol_char c ->
+        Buffer.add_char buf c;
+        advance st;
+        plain ()
+    | _ -> ()
+  and barred () =
+    if eof st then err st "unterminated |...| in symbol"
+    else
+      match peek st with
+      | '|' ->
+          advance st;
+          plain ()
+      | '\\' ->
+          advance st;
+          if eof st then err st "unterminated |...| in symbol";
+          Buffer.add_char buf (peek st);
+          advance st;
+          barred ()
+      | c ->
+          Buffer.add_char buf c;
+          advance st;
+          barred ()
+  in
+  plain ();
   Buffer.contents buf
+
+(* The text of a symbol token that may have bars. *)
+and read_symbol_text st =
+  let stop = token_end ~bars:true st in
+  if bar_at st stop then read_barred_symbol st else take_token st stop
+
+and bar_at st i = i < String.length st.src && st.src.[i] = '|'
 
 and read_string_lit st =
   let start_line = st.line and start_col = st.col and start_pos = st.pos in
@@ -162,66 +220,6 @@ and read_char_lit st loc0 =
 
 (* -- numbers ------------------------------------------------------------ *)
 
-and parse_unsigned_float s = float_of_string_opt s
-
-(* Parse a possibly signed real written as text: "3", "3.5", "1e3", "+inf.0",
-   "-nan.0", ".5". Returns [None] if [s] is not real-number syntax. *)
-and parse_real s : [ `Int of int | `Float of float ] option =
-  match s with
-  | "+inf.0" -> Some (`Float Float.infinity)
-  | "-inf.0" -> Some (`Float Float.neg_infinity)
-  | "+nan.0" | "-nan.0" -> Some (`Float Float.nan)
-  | _ -> (
-      match int_of_string_opt s with
-      | Some n -> Some (`Int n)
-      | None -> (
-          (* Reject things float_of_string accepts but Scheme doesn't, like
-             "0x1" or "infinity"; require digits-and-[.eE+-] only. *)
-          let ok =
-            String.length s > 0
-            && String.for_all
-                 (fun c ->
-                   (c >= '0' && c <= '9') || c = '.' || c = 'e' || c = 'E' || c = '+' || c = '-')
-                 s
-            && String.exists (fun c -> c >= '0' && c <= '9') s
-          in
-          if not ok then None
-          else match parse_unsigned_float s with Some f -> Some (`Float f) | None -> None))
-
-(* Recognize "<real><signed-real>i" float-complex syntax, e.g. 2.0+3.5i,
-   -1e2-0.5i, +2.0i. *)
-and parse_number s : Datum.atom option =
-  let n = String.length s in
-  if n = 0 then None
-  else if s.[n - 1] = 'i' || s.[n - 1] = 'I' then begin
-    let body = String.sub s 0 (n - 1) in
-    (* find the sign that splits real and imaginary parts: the last '+' or '-'
-       that is not part of an exponent and not at position 0 *)
-    let split = ref (-1) in
-    String.iteri
-      (fun i c ->
-        if (c = '+' || c = '-') && i > 0 && s.[i - 1] <> 'e' && s.[i - 1] <> 'E' then split := i)
-      body;
-    let to_float = function `Int n -> float_of_int n | `Float f -> f in
-    if !split = -1 then
-      (* pure imaginary: "+2.0i", "-i"-style not supported without digits *)
-      match parse_real body with
-      | Some r when body.[0] = '+' || body.[0] = '-' -> Some (Datum.Cpx (0., to_float r))
-      | _ -> None
-    else
-      let re_s = String.sub body 0 !split in
-      let im_s = String.sub body !split (String.length body - !split) in
-      let im_s = if im_s = "+" then "1" else if im_s = "-" then "-1" else im_s in
-      match (parse_real re_s, parse_real im_s) with
-      | Some re, Some im -> Some (Datum.Cpx (to_float re, to_float im))
-      | _ -> None
-  end
-  else
-    match parse_real s with
-    | Some (`Int n) -> Some (Datum.Int n)
-    | Some (`Float f) -> Some (Datum.Float f)
-    | None -> None
-
 and read_radix_int st loc0 radix =
   let text = read_token_text st in
   let prefix = match radix with 16 -> "0x" | 8 -> "0o" | 2 -> "0b" | _ -> "" in
@@ -236,43 +234,39 @@ and read_radix_int st loc0 radix =
 
 (* -- datums -------------------------------------------------------------- *)
 
-and read_list st close =
-  let items = ref [] in
-  let rec go () =
+and read_list st close = read_list_items st close []
+
+(* [items] holds the elements read so far, last first. *)
+and read_list_items st close items =
+  skip_atmosphere st;
+  if eof st then err st "unterminated list"
+  else if peek st = close then begin
+    advance st;
+    Datum.List (List.rev items)
+  end
+  else if peek st = ')' || peek st = ']' then err st "mismatched close paren"
+  else if
+    peek st = '.'
+    && (st.pos + 1 >= String.length st.src || Datum.is_delimiter st.src.[st.pos + 1])
+  then begin
+    advance st;
     skip_atmosphere st;
-    if eof st then err st "unterminated list"
-    else if peek st = close then begin
-      advance st;
-      Datum.List (List.rev !items)
-    end
-    else if peek st = ')' || peek st = ']' then err st "mismatched close paren"
-    else if
-      peek st = '.'
-      && (st.pos + 1 >= String.length st.src || is_delimiter st.src.[st.pos + 1])
-    then begin
-      advance st;
-      skip_atmosphere st;
-      let tl = read_datum_exn st in
-      skip_atmosphere st;
-      if eof st || peek st <> close then err st "expected close paren after dotted tail"
-      else begin
-        advance st;
-        match !items with
-        | [] -> err st "dotted pair with no head"
-        | items -> (
-            (* (a b . (c d)) reads as (a b c d) *)
-            match tl.Datum.d with
-            | Datum.List more -> Datum.List (List.rev_append items more)
-            | Datum.DotList (more, tl') -> Datum.DotList (List.rev_append items more, tl')
-            | _ -> Datum.DotList (List.rev items, tl))
-      end
-    end
+    let tl = read_datum_exn st in
+    skip_atmosphere st;
+    if eof st || peek st <> close then err st "expected close paren after dotted tail"
     else begin
-      items := read_datum_exn st :: !items;
-      go ()
+      advance st;
+      match items with
+      | [] -> err st "dotted pair with no head"
+      | items -> (
+          (* (a b . (c d)) reads as (a b c d) *)
+          match tl.Datum.d with
+          | Datum.List more -> Datum.List (List.rev_append items more)
+          | Datum.DotList (more, tl') -> Datum.DotList (List.rev_append items more, tl')
+          | _ -> Datum.DotList (List.rev items, tl))
     end
-  in
-  go ()
+  end
+  else read_list_items st close (read_datum_exn st :: items)
 
 and wrap_quote st name =
   skip_atmosphere st;
@@ -281,102 +275,107 @@ and wrap_quote st name =
   { Datum.d = Datum.List [ { Datum.d = Datum.Atom (Datum.Sym (Symbol.canon name)); loc }; x ]; loc }
 
 and read_datum_exn st =
-  match read_datum st with
-  | Some d -> d
-  | None -> err st "unexpected end of input"
+  skip_atmosphere st;
+  if eof st then err st "unexpected end of input" else read_datum_here st
 
 and read_datum st : Datum.annot option =
   skip_atmosphere st;
-  if eof st then None
-  else begin
-    let start_line = st.line and start_col = st.col and start_pos = st.pos in
-    let mkloc () =
-      Srcloc.make ~file:st.file ~line:start_line ~col:start_col ~pos:start_pos
-        ~span:(st.pos - start_pos)
-    in
-    match peek st with
-    | '(' | '[' ->
-        let close = if peek st = '(' then ')' else ']' in
+  if eof st then None else Some (read_datum_here st)
+
+(* From the datum's start [line], [col], [pos] up to the current position. *)
+and mkloc st line col pos = Srcloc.make ~file:st.file ~line ~col ~pos ~span:(st.pos - pos)
+
+(* The datum starting at the current (non-atmosphere) character. *)
+and read_datum_here st : Datum.annot =
+  let line = st.line and col = st.col and pos = st.pos in
+  match peek st with
+  | '(' | '[' ->
+      let close = if peek st = '(' then ')' else ']' in
+      advance st;
+      let d = read_list st close in
+      { Datum.d; loc = mkloc st line col pos }
+  | ')' | ']' -> err st "unexpected close paren"
+  | '"' -> read_string_lit st
+  | '\'' ->
+      advance st;
+      wrap_quote st "quote"
+  | '`' ->
+      advance st;
+      wrap_quote st "quasiquote"
+  | ',' ->
+      advance st;
+      if peek st = '@' then begin
         advance st;
-        let d = read_list st close in
-        Some { Datum.d; loc = mkloc () }
-    | ')' | ']' -> err st "unexpected close paren"
-    | '"' -> Some (read_string_lit st)
-    | '\'' ->
-        advance st;
-        Some (wrap_quote st "quote")
-    | '`' ->
-        advance st;
-        Some (wrap_quote st "quasiquote")
-    | ',' ->
-        advance st;
-        if peek st = '@' then begin
+        wrap_quote st "unquote-splicing"
+      end
+      else wrap_quote st "unquote"
+  | '#' -> (
+      advance st;
+      match peek st with
+      | '(' ->
           advance st;
-          Some (wrap_quote st "unquote-splicing")
-        end
-        else Some (wrap_quote st "unquote")
-    | '#' -> (
-        advance st;
-        match peek st with
-        | '(' ->
+          let d = read_list st ')' in
+          let items =
+            match d with
+            | Datum.List xs -> xs
+            | _ -> err st "dotted pair not allowed in vector"
+          in
+          { Datum.d = Datum.Vec items; loc = mkloc st line col pos }
+      | 't' | 'f' ->
+          let text = read_token_text st in
+          let b =
+            match text with
+            | "t" | "true" -> true
+            | "f" | "false" -> false
+            | _ -> err st ("bad boolean literal #" ^ text)
+          in
+          { Datum.d = Datum.Atom (Datum.Bool b); loc = mkloc st line col pos }
+      | '\\' ->
+          advance st;
+          read_char_lit st (mkloc st line col pos)
+      | 'x' | 'X' ->
+          advance st;
+          read_radix_int st (mkloc st line col pos) 16
+      | 'b' | 'B' ->
+          advance st;
+          read_radix_int st (mkloc st line col pos) 2
+      | 'o' | 'O' ->
+          advance st;
+          read_radix_int st (mkloc st line col pos) 8
+      | 'd' | 'D' ->
+          advance st;
+          read_radix_int st (mkloc st line col pos) 10
+      | '\'' ->
+          advance st;
+          wrap_quote st "syntax"
+      | '`' ->
+          advance st;
+          wrap_quote st "quasisyntax"
+      | ',' ->
+          advance st;
+          if peek st = '@' then begin
             advance st;
-            let d = read_list st ')' in
-            let items =
-              match d with
-              | Datum.List xs -> xs
-              | _ -> err st "dotted pair not allowed in vector"
-            in
-            Some { Datum.d = Datum.Vec items; loc = mkloc () }
-        | 't' | 'f' ->
-            let text = read_token_text st in
-            let b =
-              match text with
-              | "t" | "true" -> true
-              | "f" | "false" -> false
-              | _ -> err st ("bad boolean literal #" ^ text)
-            in
-            Some { Datum.d = Datum.Atom (Datum.Bool b); loc = mkloc () }
-        | '\\' ->
-            advance st;
-            Some (read_char_lit st (mkloc ()))
-        | 'x' | 'X' ->
-            advance st;
-            Some (read_radix_int st (mkloc ()) 16)
-        | 'b' | 'B' ->
-            advance st;
-            Some (read_radix_int st (mkloc ()) 2)
-        | 'o' | 'O' ->
-            advance st;
-            Some (read_radix_int st (mkloc ()) 8)
-        | 'd' | 'D' ->
-            advance st;
-            Some (read_radix_int st (mkloc ()) 10)
-        | '\'' ->
-            advance st;
-            Some (wrap_quote st "syntax")
-        | '`' ->
-            advance st;
-            Some (wrap_quote st "quasisyntax")
-        | ',' ->
-            advance st;
-            if peek st = '@' then begin
-              advance st;
-              Some (wrap_quote st "unsyntax-splicing")
-            end
-            else Some (wrap_quote st "unsyntax")
-        | '%' ->
-            (* #%app, #%plain-lambda, ... are ordinary symbols *)
-            let text = read_token_text st in
-            Some { Datum.d = Datum.Atom (Datum.Sym (Symbol.canon ("#" ^ text))); loc = mkloc () }
-        | c -> err st (Printf.sprintf "unknown reader syntax #%c" c))
-    | _ -> (
-        let text = read_token_text st in
+            wrap_quote st "unsyntax-splicing"
+          end
+          else wrap_quote st "unsyntax"
+      | '%' ->
+          (* #%app, #%plain-lambda, ... are ordinary symbols *)
+          let text = read_symbol_text st in
+          { Datum.d = Datum.Atom (Datum.Sym (Symbol.canon ("#" ^ text))); loc = mkloc st line col pos }
+      | c -> err st (Printf.sprintf "unknown reader syntax #%c" c))
+  | _ -> (
+      let stop = token_end ~bars:true st in
+      if bar_at st stop then
+        (* a token with bars is a symbol, whatever it spells *)
+        let text = read_barred_symbol st in
+        { Datum.d = Datum.Atom (Datum.Sym (Symbol.canon text)); loc = mkloc st line col pos }
+      else
+        let text = take_token st stop in
         if text = "" then err st "unreadable input"
         else
-          match parse_number text with
-          | Some a -> Some { Datum.d = Datum.Atom a; loc = mkloc () }
-          | None -> Some { Datum.d = Datum.Atom (Datum.Sym (Symbol.canon text)); loc = mkloc () })
-  end
+          match Datum.parse_number text with
+          | Some a -> { Datum.d = Datum.Atom a; loc = mkloc st line col pos }
+          | None -> { Datum.d = Datum.Atom (Datum.Sym (Symbol.canon text)); loc = mkloc st line col pos })
 
 (* -- entry points -------------------------------------------------------- *)
 

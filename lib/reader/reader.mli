@@ -4,14 +4,11 @@
     vectors, booleans, characters, strings, fixnums (decimal / #x / #b /
     #o), flonums, float-complex literals such as [2.0+2.0i],
     [+inf.0] / [+nan.0], line comments [;], nestable block comments
-    [#| |#], datum comments [#;], and the quotation shorthands
-    ['] [`] [,] [,@] [#'] [#`] [#,] [#,@]. *)
+    [#| |#], datum comments [#;], the quotation shorthands
+    ['] [`] [,] [,@] [#'] [#`] [#,] [#,@], and [|...|] symbols such as
+    [|a b|] and [|42|]. *)
 
 exception Error of string * Srcloc.t
-
-(** Recognize number syntax in a token ([None] = not a number). Exposed for
-    the [string->number] primitive. *)
-val parse_number : string -> Datum.atom option
 
 (** Read a single datum; [None] on (whitespace-only) empty input. *)
 val read_one : ?file:string -> string -> Datum.annot option

@@ -577,7 +577,7 @@ let string_prims =
                 (to_list parts))));
     p2 "string<?" (fun a b -> Bool (Bytes.compare (str_arg "string<?" a) (str_arg "string<?" b) < 0));
     p1 "string->number" (fun s ->
-        match Liblang_reader.Reader.parse_number (Bytes.to_string (str_arg "string->number" s)) with
+        match Liblang_reader.Datum.parse_number (Bytes.to_string (str_arg "string->number" s)) with
         | Some a -> of_datum (Liblang_reader.Datum.Atom a)
         | None -> Bool false);
     p1 "number->string" (fun v ->

@@ -98,7 +98,12 @@ let add (id : Stx.t) (b : t) =
   let sym = Stx.symbol_exn id in
   let scopes = Stx.scopes id in
   let existing = Option.value (STbl.find_opt st.table sym) ~default:[] in
-  let existing = List.filter (fun (ss, _) -> not (Scope.Set.equal ss scopes)) existing in
+  (* replacing is rare: keep the list as it is unless this scope set is in it *)
+  let existing =
+    if List.exists (fun (ss, _) -> Scope.Set.equal ss scopes) existing then
+      List.filter (fun (ss, _) -> not (Scope.Set.equal ss scopes)) existing
+    else existing
+  in
   STbl.replace st.table sym ((scopes, b) :: existing);
   STbl.remove st.cache sym
 

@@ -17,6 +17,14 @@
     (through {!view}).  Subtrees that are never looked at again are never
     copied.
 
+    A push costs O(1) when a node's children share one pending delta and
+    one scope set — the shape of a freshly read artifact body, and of any
+    deep subtree under nested binders: composing onto an empty pending
+    delta returns the delta itself, and applying a delta to a scope set
+    goes through a one-entry memo keyed by the physical (delta, set) pair,
+    so only the first child of such a run pays [length delta] set
+    operations.
+
     Invariants:
     - [scopes] is always accurate for the node itself;
     - [pending] is the composed delta that still has to be applied to the
@@ -104,8 +112,36 @@ let compose1 (first : delta) (sc : Scope.t) (op : op) : delta =
           | ORemove -> (sc, OAdd) :: rest
           | OFlip -> rest))
 
+(* Composing onto an empty delta returns [later] itself: a normalized
+   delta's ops commute, so the fold would only rebuild it in reverse.
+   Sharing it keeps a whole subtree's pending deltas physically equal,
+   which is what the apply memo below keys on. *)
 let compose (first : delta) (later : delta) : delta =
-  List.fold_left (fun acc (sc, op) -> compose1 acc sc op) first later
+  match first with
+  | [] -> later
+  | _ -> List.fold_left (fun acc (sc, op) -> compose1 acc sc op) first later
+
+(* A one-entry, per-domain memo of [apply_delta], keyed by the physical
+   (delta, set) pair.  Forcing a subtree pushes one shared delta onto
+   siblings that share one scope set (a freshly read artifact body is all
+   one set), so after the first child every push is a hit instead of
+   [length d] set operations. *)
+type memo = { mutable m_delta : delta; mutable m_set : Scope.Set.t; mutable m_out : Scope.Set.t }
+
+let memo_key : memo Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { m_delta = []; m_set = Scope.Set.empty; m_out = Scope.Set.empty })
+
+let apply_delta_memo (d : delta) (set : Scope.Set.t) : Scope.Set.t =
+  let m = Domain.DLS.get memo_key in
+  if m.m_delta == d && m.m_set == set then m.m_out
+  else begin
+    let out = apply_delta d set in
+    m.m_delta <- d;
+    m.m_set <- set;
+    m.m_out <- out;
+    out
+  end
 
 (* -- constructors -------------------------------------------------------- *)
 
@@ -131,7 +167,7 @@ let push_delta (d : delta) (c : t) : t =
   incr scope_pushes;
   {
     e = c.e;
-    scopes = apply_delta d c.scopes;
+    scopes = apply_delta_memo d c.scopes;
     loc = c.loc;
     props = c.props;
     pending = (if has_children c.e then compose c.pending d else []);

@@ -78,7 +78,9 @@ val pp : Format.formatter -> t -> unit
 val map_scopes : (Scope.Set.t -> Scope.Set.t) -> t -> t
 
 (** O(1): updates the root's scope set and queues a pending delta for the
-    children (pushed lazily by {!view}). *)
+    children (pushed lazily by {!view}).  Each later push onto a child
+    costs O(1) when siblings share one pending delta and one scope set,
+    and one set operation per scope in the delta otherwise. *)
 val add_scope : Scope.t -> t -> t
 
 val remove_scope : Scope.t -> t -> t

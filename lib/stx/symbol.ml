@@ -45,9 +45,9 @@ let name (i : t) : string =
   (Atomic.get names).(i)
 
 let intern_locked (s : string) : t =
-  match Hashtbl.find_opt table s with
-  | Some i -> i
-  | None ->
+  match Hashtbl.find table s with
+  | i -> i
+  | exception Not_found ->
       let i = Atomic.get count in
       let arr = Atomic.get names in
       let arr =
@@ -64,7 +64,10 @@ let intern_locked (s : string) : t =
       Atomic.set count (i + 1);
       i
 
-let intern (s : string) : t = Parallel.with_gate mu (fun () -> intern_locked s)
+(* [with_gate] spelled out, so the common no-pool call allocates no closure *)
+let intern (s : string) : t =
+  if Parallel.active () then Parallel.with_lock mu (fun () -> intern_locked s)
+  else intern_locked s
 
 (** Intern [s] and return its canonical string, so equal names share one
     allocation (the reader calls this on every symbol token). *)

@@ -203,9 +203,12 @@ let replace_first hay needle repl =
   | None -> hay
   | Some i -> String.sub hay 0 i ^ repl ^ String.sub hay (i + nn) (nh - i - nn)
 
+(* the version field of an artifact written by this build *)
+let version_field = Printf.sprintf "(version %d)" Compiled.Artifact.format_version
+
 let t_version_skew = robustness "format version skew" (fun ~src:_ ~art ->
     let text = read_file art in
-    let skewed = replace_first text "(version 3)" "(version 999)" in
+    let skewed = replace_first text version_field "(version 999)" in
     check_b "artifact records its version" true (text <> skewed);
     write_file art skewed)
 
@@ -234,7 +237,7 @@ let t_v2_no_bytecode =
         |> List.filter (fun l -> not (String.starts_with ~prefix:"(bytecode " l))
         |> String.concat "\n"
       in
-      let body = replace_first body "(version 3)" "(version 2)" in
+      let body = replace_first body version_field "(version 2)" in
       write_file art (with_trailer body))
 
 let t_bad_bytecode_trailer =
@@ -752,6 +755,47 @@ let canonicalization_one_key_per_file () =
   check_i "compiled once" 2 (Metrics.get c "module.compiles")
 (* main + lib *)
 
+(* -- symbols that do not read back bare ------------------------------------------ *)
+
+(** The corpus programs whose macro quotes a symbol spelled like a number
+    ([42]) or with a space ([a b]) into the module body.  The artifact
+    must write such a symbol so it reads back as itself: the warm run
+    prints what the uncached and cold runs print, with the same
+    diagnostics (each program ends in a runtime error on purpose). *)
+let quoted_symbols_round_trip () =
+  List.iter
+    (fun name ->
+      let dir = fresh_dir () in
+      let cache = Filename.concat dir "cache" in
+      let src = Filename.concat dir name in
+      write_file src (read_file (Filename.concat "corpus" name));
+      let run ?cache_dir () =
+        let c = Metrics.create () in
+        Compiled.reset_session ();
+        let out, res =
+          Prims.with_captured_output (fun () ->
+              Liblang_core.Pipeline.run_file ?cache_dir
+                ~observe:{ Observe.metrics = Some c; trace = None }
+                src)
+        in
+        let diags =
+          match res with
+          | Ok _ -> "ok"
+          | Error ds -> String.concat "\n" (List.map Core.Diagnostic.to_string ds)
+        in
+        (out, diags, c)
+      in
+      let plain, _, _ = run () in
+      let cold, cold_diags, _ = run ~cache_dir:cache () in
+      let warm, warm_diags, c = run ~cache_dir:cache () in
+      check_s (name ^ ": uncached output") "#t" plain;
+      check_s (name ^ ": cold output") plain cold;
+      check_s (name ^ ": warm output equals cold") cold warm;
+      check_s (name ^ ": warm diagnostics equal cold") cold_diags warm_diags;
+      check_i (name ^ ": warm run loads the artifact") 1 (hits c);
+      check_i (name ^ ": warm run compiles nothing") 0 (compiles c))
+    [ "quoted-symbol-number.scm"; "quoted-symbol-space.scm" ]
+
 (* -- suite --------------------------------------------------------------------- *)
 
 let t name f = Alcotest.test_case name `Quick f
@@ -764,6 +808,7 @@ let suite =
     t "file require: cross-file cycle" file_require_cycle;
     t "canonicalization: one key per file" canonicalization_one_key_per_file;
     t "warm run: zero compiles, all hits" warm_run_zero_compiles;
+    t "warm run: quoted symbols read back as themselves" quoted_symbols_round_trip;
     t "invalidation: exactly the dependents" dependent_invalidation_exact;
     t_corrupt;
     t_truncated;

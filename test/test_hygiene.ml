@@ -165,38 +165,113 @@ let arb_tops =
 
 let deep_src = "(a (b (c d) 1) #(e (f)) (g . h))"
 
+(* A tree whose siblings start from different scope sets (runs that share
+   a set, then a change of set), so pushes both hit and miss the memo of
+   the last (delta, set) application. *)
+let mixed_tree () =
+  let sa = Scope.fresh () and sb = Scope.fresh () in
+  let s0 = Scope.Set.empty and s1 = Scope.Set.singleton sa and s2 = Scope.Set.of_list [ sa; sb ] in
+  let id scopes name = Stx.id ~scopes name in
+  fun () ->
+    Stx.list ~scopes:s0
+      [
+        id s1 "a";
+        id s1 "b";
+        id s2 "c";
+        Stx.list ~scopes:s1 [ id s1 "d"; id s0 "e"; Stx.list ~scopes:s2 [ id s2 "f"; id s2 "g" ] ];
+        id s1 "h";
+        Stx.mk ~scopes:s2 (Stx.Vec [ id s0 "i"; id s1 "j"; id s1 "k" ]);
+        Stx.mk ~scopes:s1 (Stx.DotList ([ id s1 "l"; id s2 "m" ], id s2 "n"));
+      ]
+
+(* The inputs each property runs on, as fresh-tree builders. *)
+let input_trees = [ (fun () -> stx_of deep_src); mixed_tree () ]
+
 let prop_lazy_eager =
   Q.Test.make ~count:300 ~name:"lazy add/remove/flip interleavings = eager map_scopes"
     arb_tops (fun ops ->
       (* two scopes, alternated, so removes and flips interact *)
       let sc1 = Scope.fresh () and sc2 = Scope.fresh () in
-      let lazy_s, eager_s, _ =
-        List.fold_left
-          (fun (ls, es, i) op ->
-            let sc = if i mod 2 = 0 then sc1 else sc2 in
-            (apply_lazy op sc ls, apply_eager op sc es, i + 1))
-          (stx_of deep_src, stx_of deep_src, 0)
-          ops
-      in
-      List.for_all2 Scope.Set.equal (scope_spine lazy_s) (scope_spine eager_s))
+      List.for_all
+        (fun tree ->
+          let lazy_s, eager_s, _ =
+            List.fold_left
+              (fun (ls, es, i) op ->
+                let sc = if i mod 2 = 0 then sc1 else sc2 in
+                (apply_lazy op sc ls, apply_eager op sc es, i + 1))
+              (tree (), tree (), 0)
+              ops
+          in
+          List.for_all2 Scope.Set.equal (scope_spine lazy_s) (scope_spine eager_s))
+        input_trees)
 
 let prop_lazy_interleaved_views =
   Q.Test.make ~count:300 ~name:"forcing between ops does not change the outcome" arb_tops
     (fun ops ->
       let sc1 = Scope.fresh () and sc2 = Scope.fresh () in
       let force_some s = ignore (scope_spine s); s in
-      let forced, unforced, _ =
-        List.fold_left
-          (fun (f, u, i) op ->
-            let sc = if i mod 2 = 0 then sc1 else sc2 in
-            (* one copy is forced after every step, the other only at the end *)
-            (force_some (apply_lazy op sc f), apply_lazy op sc u, i + 1))
-          (stx_of deep_src, stx_of deep_src, 0)
-          ops
-      in
-      List.for_all2 Scope.Set.equal (scope_spine forced) (scope_spine unforced))
+      List.for_all
+        (fun tree ->
+          let forced, unforced, _ =
+            List.fold_left
+              (fun (f, u, i) op ->
+                let sc = if i mod 2 = 0 then sc1 else sc2 in
+                (* one copy is forced after every step, the other only at the end *)
+                (force_some (apply_lazy op sc f), apply_lazy op sc u, i + 1))
+              (tree (), tree (), 0)
+              ops
+          in
+          List.for_all2 Scope.Set.equal (scope_spine forced) (scope_spine unforced))
+        input_trees)
 
 let lazy_props = List.map to_alcotest [ prop_lazy_eager; prop_lazy_interleaved_views ]
+
+(* -- forcing cost ---------------------------------------------------------------
+
+   The loader's shape: a body read with one scope set, under binders that
+   each add a scope to their body.  Under 16 nested lets every node of
+   the body has a 16-scope pending delta, and forcing a node must still
+   cost O(1) words — one pending delta and one scope set shared by all
+   siblings — not O(delta) set operations and a rebuilt delta per node. *)
+
+let nested_lets ~lets ~chain =
+  let buf = Buffer.create 1024 in
+  for i = 0 to lets - 1 do
+    Printf.bprintf buf "(let ((v%d 1)) " i
+  done;
+  for _ = 1 to chain do
+    Buffer.add_string buf "(f "
+  done;
+  Buffer.add_string buf "x";
+  Buffer.add_string buf (String.make (chain + lets) ')');
+  stx_of (Buffer.contents buf)
+
+(* Descend [n] lets as the expander does, adding a fresh scope to each body. *)
+let rec under_lets s n =
+  if n = 0 then s
+  else
+    match Stx.view s with
+    | Stx.List [ _; _; body ] -> under_lets (Stx.add_scope (Scope.fresh ()) body) (n - 1)
+    | _ -> Alcotest.fail "shape"
+
+(* Force every node; returns the node count. *)
+let rec force_all s =
+  match Stx.view s with
+  | Stx.List xs | Stx.Vec xs -> List.fold_left (fun n x -> n + force_all x) 1 xs
+  | Stx.DotList (xs, tl) -> List.fold_left (fun n x -> n + force_all x) (1 + force_all tl) xs
+  | Stx.Id _ | Stx.Atom _ -> 1
+
+let forcing_cost () =
+  let tree = nested_lets ~lets:16 ~chain:2000 in
+  let before = Gc.minor_words () in
+  let nodes = force_all (under_lets tree 16) in
+  let words = Gc.minor_words () -. before in
+  (* about 13 words a node; re-applying and re-composing the whole delta
+     at every push costs about 258 *)
+  check_b
+    (Printf.sprintf "forcing %d nodes allocated %.0f minor words (<= 32 per node)" nodes words)
+    true
+    (words <= 32. *. float_of_int nodes)
 
 (* -- targeted regressions ----------------------------------------------------- *)
 
@@ -204,6 +279,8 @@ let check_sets msg a b = check_b msg true (Scope.Set.equal a b)
 
 let regressions =
   [
+    Alcotest.test_case "forcing under 16 nested binders costs O(1) words a node" `Quick
+      forcing_cost;
     Alcotest.test_case "pending delta survives structure-only reads" `Quick (fun () ->
         let sc = Scope.fresh () in
         let s = Stx.add_scope sc (stx_of "(f x 1)") in
@@ -281,9 +358,10 @@ let regressions =
         let b = Symbol.intern "hyg-sym-alpha" in
         check_b "same id" true (Symbol.equal a b);
         check_s "name" "hyg-sym-alpha" (Symbol.name a);
+        let foo = stx_of "foo" in
         let before = Symbol.interned_count () in
         (* identifier-name probes must not grow the symbol table *)
-        check_b "is_sym" false (Stx.is_sym "hyg-sym-never-interned-xyzzy" (stx_of "foo"));
+        check_b "is_sym" false (Stx.is_sym "hyg-sym-never-interned-xyzzy" foo);
         check_i "no growth" before (Symbol.interned_count ()));
     Alcotest.test_case "hygiene end-to-end still holds (swap example)" `Quick (fun () ->
         (* the classic capture test, as a guard that the fast path did not

@@ -136,11 +136,160 @@ let multiple =
         List.iter
           (fun f ->
             let s = Datum.float_to_string f in
-            match Reader.parse_number s with
+            match Datum.parse_number s with
             | Some (Datum.Float f') ->
                 check_b (Printf.sprintf "%s round-trips" s) true (Float.equal f f')
             | _ -> Alcotest.failf "%s did not parse as float" s)
           [ 0.1; 1.5; -3.25; 1e100; 1e-100; 0.30000000000000004; Float.pi ]);
   ]
 
-let suite = atoms @ lists @ comments @ errors @ multiple
+(* -- tokens that look almost like numbers ----------------------------------------
+
+   Each reads to the atom it always has: the number parser runs only on
+   tokens whose first character can start a number, and that shortcut
+   must not reclassify anything. *)
+
+let tricky_tokens =
+  [
+    ("1_000", Datum.Int 1000);
+    ("e1", Datum.Sym "e1");
+    ("+i", Datum.Sym "+i");
+    ("-nan.0", Datum.Float Float.nan);
+    ("1e+16", Datum.Float 1e16);
+    (".", Datum.Sym ".");
+    ("...", Datum.Sym "...");
+    ("+", Datum.Sym "+");
+    ("-", Datum.Sym "-");
+    ("0x1F", Datum.Int 31);
+    ("2.0+3.5i", Datum.Cpx (2.0, 3.5));
+  ]
+
+let tricky =
+  List.map
+    (fun (src, want) ->
+      Alcotest.test_case ("token " ^ src) `Quick (fun () ->
+          match Reader.read_one src with
+          | Some { Datum.d = Datum.Atom got; _ } ->
+              check_b (src ^ " reads as before") true (Datum.atom_equal want got)
+          | _ -> Alcotest.failf "%s: expected an atom" src))
+    tricky_tokens
+
+(* -- symbols that do not read back bare ------------------------------------------ *)
+
+let sym_case name text printed =
+  Alcotest.test_case name `Quick (fun () ->
+      check_s (name ^ ": printed") printed (Datum.to_string (Datum.Atom (Datum.Sym text)));
+      match Reader.read_all printed with
+      | [ { Datum.d = Datum.Atom (Datum.Sym back); _ } ] -> check_s (name ^ ": read back") text back
+      | _ -> Alcotest.failf "%s: %s did not read back as one symbol" name printed)
+
+let bars =
+  [
+    sym_case "bare symbol stays bare" "list->vector" "list->vector";
+    sym_case "#% symbol stays bare" "#%app" "#%app";
+    sym_case "number-like symbol" "42" "|42|";
+    sym_case "symbol with a space" "a b" "|a b|";
+    sym_case "empty symbol" "" "||";
+    sym_case "lone dot symbol" "." "|.|";
+    sym_case "hash symbol" "#t" "|#t|";
+    sym_case "quote-like symbol" "'x" "|'x|";
+    sym_case "bar and backslash escaped" "a|b\\c" "|a\\|b\\\\c|";
+    t "bars inside a token" "a|b c|d" "|ab cd|";
+    Alcotest.test_case "bars in a list" `Quick (fun () ->
+        match Reader.read_one "(|x y| z)" with
+        | Some { Datum.d = Datum.List [ a; b ]; _ } ->
+            check_b "two symbols" true (Datum.is_sym "x y" a && Datum.is_sym "z" b)
+        | _ -> Alcotest.fail "expected a two-element list");
+    terr "unterminated bars" "|abc" "unterminated";
+  ]
+
+(* -- printing cost ------------------------------------------------------------------ *)
+
+(* Words [f] allocates, minor and major (a minor collection first, so
+   every promoted word was allocated by [f]). *)
+let allocated_words f =
+  Gc.minor ();
+  let s0 = Gc.quick_stat () in
+  let r = f () in
+  let s1 = Gc.quick_stat () in
+  ( r,
+    s1.Gc.minor_words -. s0.Gc.minor_words
+    +. (s1.Gc.major_words -. s0.Gc.major_words)
+    -. (s1.Gc.promoted_words -. s0.Gc.promoted_words) )
+
+let deep_printing () =
+  let d = ref (Datum.sym "x") in
+  for _ = 1 to 5000 do
+    d := Datum.list [ !d ]
+  done;
+  let text, words = allocated_words (fun () -> Datum.to_string !d.Datum.d) in
+  check_i "output length" 10001 (String.length text);
+  (* one buffer: about half a word per output byte; copying the text at
+     each of the 5000 levels would take about 9.5M words *)
+  check_b
+    (Printf.sprintf "printed %d bytes in %.0f words (<= 2 per byte)" (String.length text) words)
+    true
+    (words <= 2. *. float_of_int (String.length text))
+
+(* -- print then read ------------------------------------------------------------------ *)
+
+module Q = QCheck
+
+(* Symbol text drawn to hit every reason a symbol might not read back:
+   delimiters, bars, backslashes, quote and hash prefixes, the dot, and
+   number syntax; plus arbitrary bytes. *)
+let gen_symbol_text =
+  let tricky_chars = "ab09+-.eEi#%|\\ ()[]\";'`,@\t\n\r\000" in
+  Q.Gen.oneof
+    [
+      Q.Gen.string_size ~gen:(Q.Gen.oneofl (List.of_seq (String.to_seq tricky_chars))) (Q.Gen.int_bound 6);
+      Q.Gen.string_size ~gen:Q.Gen.char (Q.Gen.int_bound 8);
+      Q.Gen.oneofl
+        ([ ""; "a b"; "|"; "\\"; "quote"; "#%app"; "#t"; "1+"; "..." ] @ List.map fst tricky_tokens);
+    ]
+
+let gen_atom =
+  Q.Gen.oneof
+    [
+      Q.Gen.map (fun s -> Datum.Sym s) gen_symbol_text;
+      Q.Gen.map (fun n -> Datum.Int n) Q.Gen.int;
+      Q.Gen.map (fun f -> Datum.Float f) Q.Gen.float;
+      Q.Gen.map2 (fun re im -> Datum.Cpx (re, im)) Q.Gen.float Q.Gen.float;
+      Q.Gen.map (fun b -> Datum.Bool b) Q.Gen.bool;
+      Q.Gen.map (fun s -> Datum.Str s) Q.Gen.string;
+      Q.Gen.map (fun c -> Datum.Char c) Q.Gen.char;
+    ]
+
+let gen_datum =
+  let annot d = { Datum.d; loc = Srcloc.none } in
+  Q.Gen.sized
+    (Q.Gen.fix (fun self size ->
+         let atom = Q.Gen.map (fun a -> Datum.Atom a) gen_atom in
+         if size <= 1 then atom
+         else
+           let items n = Q.Gen.list_size (Q.Gen.int_bound n) (Q.Gen.map annot (self (size / 2))) in
+           Q.Gen.oneof
+             [
+               atom;
+               Q.Gen.map (fun xs -> Datum.List xs) (items 4);
+               Q.Gen.map (fun xs -> Datum.Vec xs) (items 3);
+               Q.Gen.map (fun x -> Datum.List [ annot (Datum.Atom (Datum.Sym "quote")); annot x ]) (self (size / 2));
+               (* a list or dotted tail would read back flattened *)
+               Q.Gen.map2
+                 (fun x tl -> Datum.DotList (annot x :: [], annot tl))
+                 (self (size / 2)) atom;
+             ]))
+
+let print_read_identity =
+  Q.Test.make ~count:500 ~name:"print then read is identity (random symbol text)"
+    (Q.make ~print:Datum.to_string gen_datum) (fun d ->
+      match Reader.read_all (Datum.to_string d) with
+      | [ d' ] -> Datum.equal d d'.Datum.d
+      | _ -> false)
+
+let suite =
+  atoms @ lists @ comments @ errors @ multiple @ tricky @ bars
+  @ [
+      Alcotest.test_case "printing a 5000-deep list is linear" `Quick deep_printing;
+      QCheck_alcotest.to_alcotest print_read_identity;
+    ]
