@@ -92,7 +92,10 @@ let parse_bytecode (bc : Datum.annot option) : bool * (int, bc_entry) Hashtbl.t 
 
 (* Decode-and-prime for one deferred body form.  The [vm.load] fault
    site models bytecode deserialization failure; injected faults and
-   decode errors alike degrade to lowering afresh at first eval. *)
+   decode errors alike degrade to lowering afresh at first eval.  Only a
+   form first forced under the VM is primed: the interpreter never reads
+   the bytecode, and a form it forced first lowers afresh if the VM runs
+   it later. *)
 let prime_form ~unboxing (table : (int, bc_entry) Hashtbl.t) ix (ast : Ast.t) : unit =
   match Hashtbl.find_opt table ix with
   | None -> ()
@@ -207,7 +210,9 @@ let load (a : Artifact.t) : Modsys.t =
          [Modsys.CLazy], re-entering this load's compile-time store and
          module name when forced.  A compile-only consumer — an importer,
          or a parallel-build worker replaying a dependency's artifact —
-         therefore never pays for the body at all. *)
+         therefore never pays for the body at all.  Forcing yields a fresh
+         [Modsys.code] cell, whose interpreter closure the first
+         instantiation compiles. *)
       let store = Ct_store.current () in
       let bc_unboxing, bc_table = parse_bytecode a.Artifact.bytecode in
       let body_ix = ref 0 in
@@ -226,12 +231,16 @@ let load (a : Artifact.t) : Modsys.t =
                ~finally:(fun () -> Modsys.set_current_module_name saved)
                compile))
       in
+      let prime ix ast =
+        if !Modsys.evaluator == Vm.eval_top then
+          prime_form ~unboxing:bc_unboxing bc_table ix ast
+      in
       let defer_expr (form : Stx.t) : Modsys.compiled_form =
         let ix = next_ix () in
         defer (fun () ->
             let ast = Compile.compile_expr (Expander.expand_expr form) in
-            prime_form ~unboxing:bc_unboxing bc_table ix ast;
-            Modsys.CExpr ast)
+            prime ix ast;
+            Modsys.CExpr (Modsys.code ast))
       in
       let load_form (form : Stx.t) =
         match Stx.view form with
@@ -252,8 +261,8 @@ let load (a : Artifact.t) : Modsys.t =
                           | [ g ], Ast.Lambda l when l.Ast.l_name = "" ->
                               l.Ast.l_name <- g.Ast.g_name
                           | _ -> ());
-                          prime_form ~unboxing:bc_unboxing bc_table ix ast;
-                          Modsys.CDef (globals, ast))
+                          prime ix ast;
+                          Modsys.CDef (globals, Modsys.code ast))
                     in
                     m.Modsys.body <- form :: m.Modsys.body
                 | _ -> err "artifact: bad define-values in %s" name)

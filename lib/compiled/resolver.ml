@@ -407,7 +407,7 @@ let bytecode_section (m : Modsys.t) : Datum.annot option =
       (fun i (f : Modsys.compiled_form) ->
         let ast =
           match f with
-          | Modsys.CExpr a | Modsys.CDef (_, a) -> Some a
+          | Modsys.CExpr c | Modsys.CDef (_, c) -> Some c.Modsys.ast
           | Modsys.CLazy _ -> None
         in
         match ast with

@@ -64,9 +64,24 @@ let check_cycle ?(loc = Srcloc.none) name =
 
 type export = { ext_name : string; binding : Binding.t }
 
+(** One runnable body form's code: its AST, and the interpreter closures
+    compiled from it (§5: compile once, instantiate many).  The first
+    instantiation under {!Interp.eval_top} fills the closure for the
+    current {!Interp.unboxing_enabled} setting, since the flag decides
+    which closures [Interp.compile] builds; every later instantiation
+    under the same setting reuses it.  Only the domain that instantiates
+    the module writes the cell, the same rule [CLazy] follows. *)
+type code = {
+  ast : Ast.t;
+  mutable unboxed : (Value.env -> Value.value) option;
+  mutable boxed : (Value.env -> Value.value) option;
+}
+
+let code ast = { ast; unboxed = None; boxed = None }
+
 type compiled_form =
-  | CDef of Ast.global list * Ast.t
-  | CExpr of Ast.t
+  | CDef of Ast.global list * code
+  | CExpr of code
   | CLazy of compiled_form Lazy.t
       (** a deferred body compilation, forced on first instantiation.  The
           artifact loader defers compiling [define-values] right-hand
@@ -95,9 +110,10 @@ type t = {
    (preserving alias sharing via physical identity): [visit] and
    [instantiate_at] mutate [visited_stores] / [instantiated] on registry
    records, and those per-compilation marks must stay private to the
-   worker.  Clones still share immutable content — bindings, compiled
-   bodies, the globals referenced from [body] — so builtin modules work
-   unchanged in workers.  Store ids are globally unique (atomic counter in
+   worker.  Clones still share content — bindings, compiled bodies
+   (whose code cells only an instantiating domain fills), the globals
+   referenced from [body] — so builtin modules work unchanged in
+   workers.  Store ids are globally unique (atomic counter in
    [Ct_store]), so a cloned record's inherited [visited_stores] list can
    never falsely match a store created in the child domain. *)
 let clone_registry (parent : (string, t) Hashtbl.t) : (string, t) Hashtbl.t =
@@ -208,11 +224,25 @@ let rec visit (m : t) =
    swaps in {!Liblang_runtime.Naive.eval_top} for its comparison series. *)
 let evaluator : (Ast.t -> Value.value) ref = ref Interp.eval_top
 
+(* Run one form's code: the interpreter through the form's cached
+   closure, any other evaluator on the bare AST. *)
+let eval_code (c : code) : Value.value =
+  let eval = !evaluator in
+  if eval != Interp.eval_top then eval c.ast
+  else
+    let unboxing = !Interp.unboxing_enabled in
+    match if unboxing then c.unboxed else c.boxed with
+    | Some k -> k Value.top_env
+    | None ->
+        let k = Interp.compile c.ast in
+        if unboxing then c.unboxed <- Some k else c.boxed <- Some k;
+        k Value.top_env
+
 let rec run_form = function
   | CLazy l -> run_form (Lazy.force l)
-  | CExpr ast -> ignore (!evaluator ast)
-  | CDef (globals, ast) -> (
-      let v = !evaluator ast in
+  | CExpr c -> ignore (eval_code c)
+  | CDef (globals, c) -> (
+      let v = eval_code c in
       match globals with
       | [ g ] -> g.Ast.g_val <- v
       | gs -> (
@@ -478,7 +508,7 @@ let compile_module ~name ~lang (body : Datum.annot list) : t =
                     | [ g ], Ast.Lambda l when l.Ast.l_name = "" ->
                         l.Ast.l_name <- g.Ast.g_name
                     | _ -> ());
-                    m.body <- CDef (globals, ast) :: m.body
+                    m.body <- CDef (globals, code ast) :: m.body
                 | _ -> err "define-values: bad form after expansion")
             | Some "define-syntaxes" -> ()
             | Some "begin-for-syntax" ->
@@ -493,8 +523,8 @@ let compile_module ~name ~lang (body : Datum.annot list) : t =
             | Some "#%provide" ->
                 List.iter (fun spec -> m.exports <- m.exports @ parse_provide_spec spec) rest
             | Some "#%require" -> ()
-            | _ -> m.body <- CExpr (Compile.compile_expr form) :: m.body)
-        | _ -> m.body <- CExpr (Compile.compile_expr form) :: m.body
+            | _ -> m.body <- CExpr (code (Compile.compile_expr form)) :: m.body)
+        | _ -> m.body <- CExpr (code (Compile.compile_expr form)) :: m.body
       in
       (Trace.span "compile" ~detail:name @@ fun () -> List.iter compile_form core_forms);
       m.body <- List.rev m.body;

@@ -120,6 +120,85 @@ let instantiation =
         check_s "shared state" "2" out);
   ]
 
+(* §5: a module is compiled once and instantiated many times.  Each body
+   form keeps the interpreter closure its first instantiation compiled;
+   these tests pin that later instantiations reuse it and that the reuse
+   never changes what runs. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  let r = f () in
+  (Gc.minor_words () -. before, r)
+
+(* Instantiate [m] afresh (as a long-lived session re-runs a program) and
+   return the allocation and the captured output. *)
+let reinstantiate (m : Modsys.t) =
+  Modsys.reset_instantiated m;
+  minor_words (fun () -> fst (Prims.with_captured_output (fun () -> Modsys.instantiate m)))
+
+let compiled_code =
+  [
+    Alcotest.test_case "an instantiation after the first compiles nothing" `Quick (fun () ->
+        (* a large lambda that is never called: creating its closure is
+           cheap, compiling it is not *)
+        let rec arms i =
+          if i = 300 then "-1" else Printf.sprintf "(if (= x %d) %d %s)" i i (arms (i + 1))
+        in
+        let m =
+          Modsys.declare ~name:(fresh "m-big")
+            (Printf.sprintf "#lang racket\n(define (big x) %s)\n(display 'ok)" (arms 0))
+        in
+        let w1, out1 = reinstantiate m in
+        let w2, out2 = reinstantiate m in
+        check_s "first run" "ok" out1;
+        check_s "second run" "ok" out2;
+        if w2 > 0.1 *. w1 then
+          Alcotest.failf "second instantiation allocated %.0f words, first %.0f" w2 w1);
+    Alcotest.test_case "cached code restarts module state each instantiation" `Quick (fun () ->
+        let m =
+          Modsys.declare ~name:(fresh "m-restart")
+            "#lang racket\n(define counter 0)\n(define (bump!) (set! counter (+ counter 1)) counter)\n(bump!)\n(display (bump!))"
+        in
+        List.iter (fun i -> check_s (Printf.sprintf "run %d" i) "2" (snd (reinstantiate m))) [ 1; 2; 3 ]);
+    Alcotest.test_case "cached code follows the unboxing flag" `Quick (fun () ->
+        let m =
+          Modsys.declare ~name:(fresh "m-unbox")
+            "#lang racket\n(define (sum i acc) (if (unsafe-fl< i 10000.0) (sum (unsafe-fl+ i 1.0) (unsafe-fl+ acc (unsafe-flmax 1.0 (unsafe-fl* i 0.5)))) acc))\n(display (sum 0.0 0.0))"
+        in
+        let saved = !Interp.unboxing_enabled in
+        Fun.protect ~finally:(fun () -> Interp.unboxing_enabled := saved) @@ fun () ->
+        Interp.unboxing_enabled := true;
+        let w_on, out_on = reinstantiate m in
+        Interp.unboxing_enabled := false;
+        let w_off, out_off = reinstantiate m in
+        Interp.unboxing_enabled := true;
+        let w_on', out_on' = reinstantiate m in
+        check_s "unboxing off" out_on out_off;
+        check_s "unboxing back on" out_on out_on';
+        (* with unboxing off, [unsafe-flmax] is a generic application that
+           conses its argument list *)
+        if not (w_off > w_on && w_off > w_on') then
+          Alcotest.failf "minor words on/off/on: %.0f / %.0f / %.0f" w_on w_off w_on');
+    Alcotest.test_case "other evaluators get the bare AST" `Quick (fun () ->
+        let m =
+          Modsys.declare ~name:(fresh "m-naive")
+            "#lang racket\n(define (down n) (if (= n 0) 'done (down (- n 1))))\n(display (down 50))"
+        in
+        let apps () =
+          let c = Metrics.create () in
+          let out = Metrics.with_collector c (fun () -> snd (reinstantiate m)) in
+          (c.Metrics.interp_apps, out)
+        in
+        let interp_apps, interp_out = apps () in
+        let saved = !Modsys.evaluator in
+        Modsys.evaluator := Naive.eval_top;
+        let naive_apps, naive_out =
+          Fun.protect ~finally:(fun () -> Modsys.evaluator := saved) apps
+        in
+        check_s "same output" interp_out naive_out;
+        check_b "interpreter applied" true (interp_apps > 0);
+        check_i "naive run: no interpreter applications" 0 naive_apps);
+  ]
+
 (* §5: each module is compiled with a fresh compile-time store; mutations
    during one compilation don't leak into another, but begin-for-syntax
    declarations persist via replay. *)
@@ -182,4 +261,5 @@ let expansion_views =
         check_b "unsafe-fl*" true (contains text "unsafe-fl*"));
   ]
 
-let suite = basics @ static_exports @ instantiation @ fresh_stores @ expansion_views
+let suite =
+  basics @ static_exports @ instantiation @ compiled_code @ fresh_stores @ expansion_views
