@@ -204,23 +204,18 @@ let declare_variant b v : Modsys.t =
 let run_once ?(vm = false) (m : Modsys.t) (v : variant) : string * float =
   let saved_eval = !Modsys.evaluator in
   let saved_unbox = !Interp.unboxing_enabled in
-  let saved_engine = !Core.Vm.Engine.current in
-  (if vm then begin
-     Modsys.evaluator := Core.Vm.eval_top;
-     Core.Vm.Engine.current := Core.Vm.Engine.Vm
-   end
-   else
-     match v with
-     | Naive_backend -> Modsys.evaluator := Naive.eval_top
-     | _ -> Modsys.evaluator := Interp.eval_top);
+  (Modsys.evaluator :=
+     match (vm, v) with
+     | true, _ -> Core.Vm.eval_top
+     | false, Naive_backend -> Naive.eval_top
+     | false, _ -> Interp.eval_top);
   (match v with
   | Typed_no_unbox -> Interp.unboxing_enabled := false
   | _ -> Interp.unboxing_enabled := true);
   Fun.protect
     ~finally:(fun () ->
       Modsys.evaluator := saved_eval;
-      Interp.unboxing_enabled := saved_unbox;
-      Core.Vm.Engine.current := saved_engine)
+      Interp.unboxing_enabled := saved_unbox)
     (fun () ->
       m.Modsys.instantiated <- false;
       let out, dt =

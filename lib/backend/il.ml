@@ -14,11 +14,9 @@
     Instructions over those files ([FlBin], [FxJcmp], ...) neither
     allocate nor dispatch.
 
-    The instruction stream serializes to a flat int list (see
-    {!encode_code}); constants and globals are referenced by their
-    pre-order position in the AST, so a [.lart] artifact can carry
-    bytecode without duplicating the constant pool (the loader re-walks
-    the recompiled AST to rebuild the pools — see {!Lower.collect_pools}). *)
+    Code lives only in memory: the VM lowers each form at its first
+    evaluation and caches the result per AST node ({!Vm.eval_top}).
+    Artifacts carry no bytecode. *)
 
 open Liblang_runtime
 
@@ -121,180 +119,4 @@ type code = {
   fast1s : (Value.value -> Value.value) array;
   fast2s : (Value.value -> Value.value -> Value.value) array;
   cmps : (Value.value -> Value.value -> bool) array;
-  f1names : string array;  (** pool names, for serialization *)
-  f2names : string array;
-  cmpnames : string array;
 }
-
-exception Decode_error of string
-
-let decode_fail fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
-
-(* -- instruction <-> flat int stream ------------------------------------- *)
-
-let cmp_to_int = function Clt -> 0 | Cgt -> 1 | Cle -> 2 | Cge -> 3 | Ceq -> 4
-
-let cmp_of_int = function
-  | 0 -> Clt
-  | 1 -> Cgt
-  | 2 -> Cle
-  | 3 -> Cge
-  | 4 -> Ceq
-  | n -> decode_fail "bad cmp %d" n
-
-let flbin_to_int = function
-  | FAdd -> 0
-  | FSub -> 1
-  | FMul -> 2
-  | FDiv -> 3
-  | FMin -> 4
-  | FMax -> 5
-  | FExpt -> 6
-
-let flbin_of_int = function
-  | 0 -> FAdd
-  | 1 -> FSub
-  | 2 -> FMul
-  | 3 -> FDiv
-  | 4 -> FMin
-  | 5 -> FMax
-  | 6 -> FExpt
-  | n -> decode_fail "bad flbin %d" n
-
-let flun_to_int = function
-  | FAbs -> 0
-  | FSqrt -> 1
-  | FSin -> 2
-  | FCos -> 3
-  | FTan -> 4
-  | FAtan -> 5
-  | FExp -> 6
-  | FLog -> 7
-  | FFloor -> 8
-  | FCeil -> 9
-  | FRound -> 10
-  | FTrunc -> 11
-
-let flun_of_int = function
-  | 0 -> FAbs
-  | 1 -> FSqrt
-  | 2 -> FSin
-  | 3 -> FCos
-  | 4 -> FTan
-  | 5 -> FAtan
-  | 6 -> FExp
-  | 7 -> FLog
-  | 8 -> FFloor
-  | 9 -> FCeil
-  | 10 -> FRound
-  | 11 -> FTrunc
-  | n -> decode_fail "bad flun %d" n
-
-let fxbin_to_int = function XAdd -> 0 | XSub -> 1 | XMul -> 2
-
-let fxbin_of_int = function
-  | 0 -> XAdd
-  | 1 -> XSub
-  | 2 -> XMul
-  | n -> decode_fail "bad fxbin %d" n
-
-(* Opcode table.  Each instruction encodes as [opcode; operand...] with a
-   fixed per-opcode arity, so the stream needs no framing. *)
-let instr_to_ints = function
-  | Const i -> [ 0; i ]
-  | Pop -> [ 1 ]
-  | Lref (d, i) -> [ 2; d; i ]
-  | Lset (d, i) -> [ 3; d; i ]
-  | Gref i -> [ 4; i ]
-  | Gset i -> [ 5; i ]
-  | Jump t -> [ 6; t ]
-  | Jfalse t -> [ 7; t ]
-  | JcmpGen (f, t) -> [ 8; f; t ]
-  | MkClosure p -> [ 9; p ]
-  | Call n -> [ 10; n ]
-  | TailCall n -> [ 11; n ]
-  | Fast1 i -> [ 12; i ]
-  | Fast2 i -> [ 13; i ]
-  | Step -> [ 14 ]
-  | StepJump t -> [ 18; t ]
-  | Return -> [ 15 ]
-  | BindE (d, s, k) -> [ 20; d; s; k ]
-  | BindEV (d, s, n) -> [ 16; d; s; n ]
-  | ClearE (d, s) -> [ 21; d; s ]
-  | FlConst (r, i) -> [ 22; r; i ]
-  | FlLoad (r, d, i) -> [ 23; r; d; i ]
-  | FlPop r -> [ 24; r ]
-  | FlPush r -> [ 25; r ]
-  | FlBin (op, d, a, b) -> [ 26; flbin_to_int op; d; a; b ]
-  | FlUn (op, d, a) -> [ 27; flun_to_int op; d; a ]
-  | FlCmp (c, a, b) -> [ 28; cmp_to_int c; a; b ]
-  | FlJcmp (c, a, b, t) -> [ 29; cmp_to_int c; a; b; t ]
-  | FlMov (d, s) -> [ 30; d; s ]
-  | FlOfI (d, s) -> [ 31; d; s ]
-  | FxConst (r, n) -> [ 32; r; n ]
-  | FxPush r -> [ 33; r ]
-  | FxBin (op, d, a, b) -> [ 34; fxbin_to_int op; d; a; b ]
-  | FxCmp (c, a, b) -> [ 35; cmp_to_int c; a; b ]
-  | FxJcmp (c, a, b, t) -> [ 36; cmp_to_int c; a; b; t ]
-  | FxMov (d, s) -> [ 37; d; s ]
-  | FxToFl r -> [ 17; r ]
-  | VecRefU -> [ 19 ]
-  | CallKnown n -> [ 38; n ]
-  | TailCallKnown n -> [ 39; n ]
-  | VecSetU -> [ 40 ]
-
-let encode_code (code : instr array) : int list =
-  Array.fold_right (fun i acc -> instr_to_ints i @ acc) code []
-
-let decode_code (ints : int list) : instr array =
-  let out = ref [] in
-  let rec go = function
-    | [] -> ()
-    | 0 :: i :: r -> emit (Const i) r
-    | 1 :: r -> emit Pop r
-    | 2 :: d :: i :: r -> emit (Lref (d, i)) r
-    | 3 :: d :: i :: r -> emit (Lset (d, i)) r
-    | 4 :: i :: r -> emit (Gref i) r
-    | 5 :: i :: r -> emit (Gset i) r
-    | 6 :: t :: r -> emit (Jump t) r
-    | 7 :: t :: r -> emit (Jfalse t) r
-    | 8 :: f :: t :: r -> emit (JcmpGen (f, t)) r
-    | 9 :: p :: r -> emit (MkClosure p) r
-    | 10 :: n :: r -> emit (Call n) r
-    | 11 :: n :: r -> emit (TailCall n) r
-    | 12 :: i :: r -> emit (Fast1 i) r
-    | 13 :: i :: r -> emit (Fast2 i) r
-    | 14 :: r -> emit Step r
-    | 15 :: r -> emit Return r
-    | 16 :: d :: s :: n :: r -> emit (BindEV (d, s, n)) r
-    | 17 :: rg :: r -> emit (FxToFl rg) r
-    | 18 :: t :: r -> emit (StepJump t) r
-    | 20 :: d :: s :: k :: r -> emit (BindE (d, s, k)) r
-    | 21 :: d :: s :: r -> emit (ClearE (d, s)) r
-    | 22 :: rg :: i :: r -> emit (FlConst (rg, i)) r
-    | 23 :: rg :: d :: i :: r -> emit (FlLoad (rg, d, i)) r
-    | 24 :: rg :: r -> emit (FlPop rg) r
-    | 25 :: rg :: r -> emit (FlPush rg) r
-    | 26 :: op :: d :: a :: b :: r -> emit (FlBin (flbin_of_int op, d, a, b)) r
-    | 27 :: op :: d :: a :: r -> emit (FlUn (flun_of_int op, d, a)) r
-    | 28 :: c :: a :: b :: r -> emit (FlCmp (cmp_of_int c, a, b)) r
-    | 29 :: c :: a :: b :: t :: r -> emit (FlJcmp (cmp_of_int c, a, b, t)) r
-    | 30 :: d :: s :: r -> emit (FlMov (d, s)) r
-    | 31 :: d :: s :: r -> emit (FlOfI (d, s)) r
-    | 32 :: rg :: n :: r -> emit (FxConst (rg, n)) r
-    | 33 :: rg :: r -> emit (FxPush rg) r
-    | 34 :: op :: d :: a :: b :: r -> emit (FxBin (fxbin_of_int op, d, a, b)) r
-    | 35 :: c :: a :: b :: r -> emit (FxCmp (cmp_of_int c, a, b)) r
-    | 36 :: c :: a :: b :: t :: r -> emit (FxJcmp (cmp_of_int c, a, b, t)) r
-    | 37 :: d :: s :: r -> emit (FxMov (d, s)) r
-    | 19 :: r -> emit VecRefU r
-    | 38 :: n :: r -> emit (CallKnown n) r
-    | 39 :: n :: r -> emit (TailCallKnown n) r
-    | 40 :: r -> emit VecSetU r
-    | op :: _ -> decode_fail "bad opcode %d" op
-  and emit i r =
-    out := i :: !out;
-    go r
-  in
-  go ints;
-  Array.of_list (List.rev !out)

@@ -21,10 +21,10 @@
      interpreter would accept it: an [Int]-holding binding must keep
      exact-integer printing.
 
-   - Fused-operand evaluation order mirrors the interpreter's OCaml
-     right-to-left quirks: generic 1-argument applications evaluate
-     the argument before the callee, and fused float binaries evaluate
-     the right operand first.
+   - Operand evaluation order mirrors the interpreter's: generic
+     1-argument applications evaluate the argument before the callee
+     (an OCaml right-to-left quirk), and fused float binaries evaluate
+     their operands left to right.
 
    - Anything the VM cannot express with exact interpreter semantics
      raises [Unsupported]; the whole form then runs on the tree
@@ -33,7 +33,6 @@
 
 open Liblang_runtime
 open Value
-module Datum = Liblang_reader.Datum
 module Metrics = Liblang_observe.Metrics
 
 exception Unsupported
@@ -318,9 +317,7 @@ let global_ix ctx g =
   | None -> raise Unsupported
 
 (* ------------------------------------------------------------------ *)
-(* Constant / global pools: deterministic pre-order walks.  The decode
-   side replays the identical walks over the freshly recompiled Ast,
-   so pool *indices* — not values — are what the artifact stores.     *)
+(* Constant / global pools: one pre-order walk over the form.         *)
 (* ------------------------------------------------------------------ *)
 
 let collect_pools (a : Ast.t) =
@@ -890,11 +887,11 @@ and lower_if ctx st scopes ~tail c t el =
            && (match imm_global f with
               | Some n -> flcmp_of_name n <> None
               | None -> false) ->
-        (* fused float compare-and-branch; right operand first, like
-           the interpreter's fused compare (OCaml right-to-left) *)
+        (* fused float compare-and-branch; left operand first, like
+           the interpreter's fused compare *)
         let op = Option.get (flcmp_of_name (Option.get (imm_global f))) in
-        let rb = lower_fl ctx st scopes b in
         let ra = lower_fl ctx st scopes a in
+        let rb = lower_fl ctx st scopes b in
         emit st (Il.FlJcmp (op, ra, rb, 0));
         st.buf.len - 1
     | Ast.App (f, [| a; b |])
@@ -1083,8 +1080,8 @@ and lower_app ctx st scopes ~tail f (args : Ast.t array) =
     | Some n
       when ctx.unboxing && argc = 2 && flcmp_of_name n <> None ->
         let op = Option.get (flcmp_of_name n) in
-        let rb = lower_fl ctx st scopes args.(1) in
         let ra = lower_fl ctx st scopes args.(0) in
+        let rb = lower_fl ctx st scopes args.(1) in
         emit st (Il.FlCmp (op, ra, rb));
         adj st 1
     | Some n
@@ -1152,8 +1149,8 @@ and lower_direct ctx st scopes ~tail f (args : Ast.t array) =
   adj st (-argc)
 
 (* float-lane lowering: emits code leaving the value in a float
-   register and returns the register.  Binary operands evaluate RIGHT
-   first (the fused closures are built right-to-left by OCaml).
+   register and returns the register.  Binary operands evaluate left
+   to right, as the fused closures do.
    [?dst] requests the result in a specific register when the lowering
    writes a fresh one anyway (loop self-call argument targeting);
    preamble-memoized and passthrough cases ignore it, and the caller
@@ -1189,8 +1186,8 @@ and lower_fl ?dst ctx st scopes (e : Ast.t) : int =
             | Some n -> flbin_of_name n <> None
             | None -> false) ->
       let op = Option.get (flbin_of_name (Option.get (imm_global f))) in
-      let rb = lower_fl ctx st scopes b in
       let ra = lower_fl ctx st scopes a in
+      let rb = lower_fl ctx st scopes b in
       let r = res () in
       emit st (Il.FlBin (op, r, ra, rb));
       r
@@ -1325,9 +1322,6 @@ let lower_form ?(unboxing = false) (a : Ast.t) : Il.code option =
       fast1s = Array.of_list (List.rev_map snd ctx.f1);
       fast2s = Array.of_list (List.rev_map snd ctx.f2);
       cmps = Array.of_list (List.rev_map snd ctx.cmps);
-      f1names = Array.of_list (List.rev_map fst ctx.f1);
-      f2names = Array.of_list (List.rev_map fst ctx.f2);
-      cmpnames = Array.of_list (List.rev_map fst ctx.cmps);
     }
   with
   | code ->
@@ -1340,236 +1334,3 @@ let lower_form ?(unboxing = false) (a : Ast.t) : Il.code option =
       end;
       Some code
   | exception Unsupported -> None
-
-(* ------------------------------------------------------------------ *)
-(* Serialization                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* The artifact carries only what the AST cannot reproduce: the
-   instruction streams, proto shapes, and fast-pool names.  Constant
-   and global pools are rebuilt by [collect_pools] over the recompiled
-   AST; fast pools are re-resolved by name against the live registry.
-   Everything here is validated on decode — any inconsistency raises
-   [Il.Decode_error] and the caller degrades to lowering afresh. *)
-
-let code_to_datum (c : Il.code) : Datum.annot =
-  let names tag arr =
-    Datum.list (Datum.sym tag :: Array.to_list (Array.map Datum.str arr))
-  in
-  let proto (p : Il.proto) =
-    Datum.list
-      [
-        Datum.sym "proto";
-        Datum.int p.Il.p_arity;
-        Datum.bool p.Il.p_rest;
-        Datum.str p.Il.p_name;
-        Datum.int p.Il.p_nlocals;
-        Datum.int p.Il.p_nfregs;
-        Datum.int p.Il.p_niregs;
-        Datum.int p.Il.p_nstack;
-        Datum.list (List.map Datum.int (Il.encode_code p.Il.p_code));
-      ]
-  in
-  Datum.list
-    (names "f1" c.Il.f1names :: names "f2" c.Il.f2names
-    :: names "cmp" c.Il.cmpnames
-    :: Array.to_list (Array.map proto c.Il.protos))
-
-let dfail fmt = Printf.ksprintf (fun s -> raise (Il.Decode_error s)) fmt
-
-let d_int (d : Datum.annot) =
-  match d.Datum.d with
-  | Datum.Atom (Datum.Int n) -> n
-  | _ -> dfail "expected int"
-
-let d_str (d : Datum.annot) =
-  match d.Datum.d with
-  | Datum.Atom (Datum.Str s) -> s
-  | _ -> dfail "expected string"
-
-let d_bool (d : Datum.annot) =
-  match d.Datum.d with
-  | Datum.Atom (Datum.Bool b) -> b
-  | _ -> dfail "expected bool"
-
-let d_list (d : Datum.annot) =
-  match d.Datum.d with Datum.List l -> l | _ -> dfail "expected list"
-
-let d_tagged tag (d : Datum.annot) =
-  match d_list d with
-  | { Datum.d = Datum.Atom (Datum.Sym s); _ } :: rest when String.equal s tag ->
-      rest
-  | _ -> dfail "expected (%s ...)" tag
-
-(* static validation: every operand in bounds so a decoded stream can
-   never index outside its pools or its own code *)
-let validate_code (c : Il.code) =
-  let nprotos = Array.length c.Il.protos in
-  let nconsts = Array.length c.Il.consts in
-  let nglobals = Array.length c.Il.globals in
-  let nf1 = Array.length c.Il.fast1s in
-  let nf2 = Array.length c.Il.fast2s in
-  let ncmp = Array.length c.Il.cmps in
-  if nprotos = 0 then dfail "empty proto table";
-  let p0 = c.Il.protos.(0) in
-  if p0.Il.p_arity <> 0 || p0.Il.p_rest then dfail "entry proto shape";
-  Array.iter
-    (fun (p : Il.proto) ->
-      let len = Array.length p.Il.p_code in
-      if p.Il.p_nlocals < 1 || p.Il.p_nstack < 1 || p.Il.p_nfregs < 0
-         || p.Il.p_niregs < 0 || p.Il.p_arity < 0
-      then dfail "proto shape";
-      let slot s = if s < 0 || s >= p.Il.p_nlocals then dfail "slot" in
-      let depth d = if d < 0 then dfail "depth" in
-      let lref d s =
-        depth d;
-        if d = 0 then slot s else if s < 0 then dfail "slot"
-      in
-      let freg r = if r < 0 || r >= p.Il.p_nfregs then dfail "freg" in
-      let ireg r = if r < 0 || r >= p.Il.p_niregs then dfail "ireg" in
-      let target t = if t < 0 || t >= len then dfail "jump target" in
-      let cix i = if i < 0 || i >= nconsts then dfail "const index" in
-      Array.iter
-        (fun (i : Il.instr) ->
-          match i with
-          | Il.Const i -> cix i
-          | Il.Pop | Il.Step | Il.Return -> ()
-          | Il.Lref (d, s) | Il.Lset (d, s) -> lref d s
-          | Il.Gref i | Il.Gset i ->
-              if i < 0 || i >= nglobals then dfail "global index"
-          | Il.Jump t | Il.Jfalse t | Il.StepJump t -> target t
-          | Il.JcmpGen (ix, t) ->
-              if ix < 0 || ix >= ncmp then dfail "cmp pool";
-              target t
-          | Il.MkClosure p ->
-              if p <= 0 || p >= nprotos then dfail "proto index"
-          | Il.Call n | Il.TailCall n | Il.CallKnown n | Il.TailCallKnown n ->
-              if n < 0 then dfail "argc"
-          | Il.VecRefU | Il.VecSetU -> ()
-          | Il.Fast1 i -> if i < 0 || i >= nf1 then dfail "fast1 pool"
-          | Il.Fast2 i -> if i < 0 || i >= nf2 then dfail "fast2 pool"
-          | Il.BindE (d, s, k) ->
-              if d <> 0 then dfail "bind depth";
-              slot s;
-              if k < 0 || k > 2 then dfail "bind kind"
-          | Il.BindEV (d, s, n) ->
-              if d <> 0 then dfail "bind depth";
-              if n < 1 || s < 0 || s + n > p.Il.p_nlocals then dfail "bindv"
-          | Il.ClearE (d, s) ->
-              if d <> 0 then dfail "clear depth";
-              slot s
-          | Il.FlConst (r, i) ->
-              freg r;
-              cix i
-          | Il.FlLoad (r, d, s) ->
-              freg r;
-              lref d s
-          | Il.FlPop r | Il.FlPush r | Il.FxToFl r -> freg r
-          | Il.FlBin (_, d, a, b) ->
-              freg d;
-              freg a;
-              freg b
-          | Il.FlUn (_, d, a) ->
-              freg d;
-              freg a
-          | Il.FlCmp (_, a, b) ->
-              freg a;
-              freg b
-          | Il.FlJcmp (_, a, b, t) ->
-              freg a;
-              freg b;
-              target t
-          | Il.FlMov (d, s) ->
-              freg d;
-              freg s
-          | Il.FlOfI (d, s) ->
-              freg d;
-              ireg s
-          | Il.FxConst (r, _) -> ireg r
-          | Il.FxPush r -> ireg r
-          | Il.FxBin (_, d, a, b) ->
-              ireg d;
-              ireg a;
-              ireg b
-          | Il.FxCmp (_, a, b) ->
-              ireg a;
-              ireg b
-          | Il.FxJcmp (_, a, b, t) ->
-              ireg a;
-              ireg b;
-              target t
-          | Il.FxMov (d, s) ->
-              ireg d;
-              ireg s)
-        p.Il.p_code)
-    c.Il.protos
-
-let code_of_datum (a : Ast.t) (d : Datum.annot) : Il.code =
-  let consts, _, globals, _ = collect_pools a in
-  match d_list d with
-  | f1d :: f2d :: cmpd :: protods ->
-      let f1names =
-        Array.of_list (List.map d_str (d_tagged "f1" f1d))
-      in
-      let f2names = Array.of_list (List.map d_str (d_tagged "f2" f2d)) in
-      let cmpnames = Array.of_list (List.map d_str (d_tagged "cmp" cmpd)) in
-      let fast1s =
-        Array.map
-          (fun n ->
-            match Hashtbl.find_opt Interp.fast1 n with
-            | Some fn -> fn
-            | None -> dfail "unknown fast1 %s" n)
-          f1names
-      in
-      let fast2s =
-        Array.map
-          (fun n ->
-            match Hashtbl.find_opt Interp.fast2 n with
-            | Some fn -> fn
-            | None -> dfail "unknown fast2 %s" n)
-          f2names
-      in
-      let cmps =
-        Array.map
-          (fun n ->
-            match cmp_fn_of_name n with
-            | Some fn -> fn
-            | None -> dfail "unknown cmp %s" n)
-          cmpnames
-      in
-      let protos =
-        Array.of_list
-          (List.map
-             (fun pd ->
-               match d_tagged "proto" pd with
-               | [ arity; rest; name; nlocals; nfregs; niregs; nstack; code ]
-                 ->
-                   {
-                     Il.p_arity = d_int arity;
-                     p_rest = d_bool rest;
-                     p_name = d_str name;
-                     p_nlocals = d_int nlocals;
-                     p_nfregs = d_int nfregs;
-                     p_niregs = d_int niregs;
-                     p_nstack = d_int nstack;
-                     p_code = Il.decode_code (List.map d_int (d_list code));
-                   }
-               | _ -> dfail "bad proto")
-             protods)
-      in
-      let code =
-        {
-          Il.protos;
-          consts;
-          globals;
-          fast1s;
-          fast2s;
-          cmps;
-          f1names;
-          f2names;
-          cmpnames;
-        }
-      in
-      validate_code code;
-      code
-  | _ -> dfail "bad bytecode form"

@@ -47,11 +47,6 @@ let flun_fn : Il.flun -> float -> float = function
   | Il.FRound -> Numeric.round_half_even
   | Il.FTrunc -> Float.trunc
 
-let fl_cvt = function
-  | Int n -> float_of_int n
-  | Float f -> f
-  | v -> error "unsafe-fx->fl: expects a fixnum, given %s" (write_string v)
-
 (* Shared empty register files: most protos have no unboxed registers,
    and an activation must not pay an allocation for files it never
    touches. *)
@@ -79,8 +74,7 @@ let call_n (stack : value array) n sp =
 (* A call site the flow analysis proved monomorphic: the common case is
    an exact-arity closure, entered with a frame built straight off the
    stack — no applyN dispatch chain.  Anything else (a fact made stale
-   by an escaped rebind, or code round-tripped through an artifact that
-   dropped the analysis) falls back to the generic path, so the
+   by an escaped rebind) falls back to the generic path, so the
    observable behavior — including arity errors — is identical. *)
 let call_known (stack : value array) n sp =
   let f = if n = 1 then stack.(sp - 1) else stack.(sp - n - 1) in
@@ -102,10 +96,9 @@ let call_known (stack : value array) n sp =
    allocated, which is what keeps call-heavy code (fibfp) at parity
    with the tree-walker's compiled closures.
 
-   Register indices were bounds-checked against the proto's declared
-   register-file sizes when the code was built (Lower) or decoded
-   (Il.validate via Lower.code_of_datum), so the hot loop reads the
-   register files unchecked; the value stack and locals keep their
+   Register indices are in bounds by construction (Lower sizes each
+   proto's register files to the registers it allocated), so the hot
+   loop reads the register files unchecked; the value stack and locals keep their
    checks.  [ic] (instructions retired) rides along as an unboxed
    parameter and lands in [executed] only at activation exit. *)
 type act = {
@@ -247,19 +240,19 @@ and go (a : act) pc sp ic : value =
       a.a_locals.(s) <- Undefined;
       go a (pc + 1) sp (ic + 1)
   | Il.FlConst (r, i) ->
-      Array.unsafe_set a.a_fregs r (Flfuse.ub a.a_c.Il.consts.(i));
+      Array.unsafe_set a.a_fregs r (Numeric.unsafe_fl a.a_c.Il.consts.(i));
       go a (pc + 1) sp (ic + 1)
   | Il.FlLoad (r, 0, s) ->
       Array.unsafe_set a.a_fregs r
-        (match Array.unsafe_get a.a_locals s with Float f -> f | v -> Flfuse.ub v);
+        (match Array.unsafe_get a.a_locals s with Float f -> f | v -> Numeric.unsafe_fl v);
       go a (pc + 1) sp (ic + 1)
   | Il.FlLoad (r, d, s) ->
       Array.unsafe_set a.a_fregs r
-        (match (lookup_env a.a_env d).frame.(s) with Float f -> f | v -> Flfuse.ub v);
+        (match (lookup_env a.a_env d).frame.(s) with Float f -> f | v -> Numeric.unsafe_fl v);
       go a (pc + 1) sp (ic + 1)
   | Il.FlPop r ->
       Array.unsafe_set a.a_fregs r
-        (match a.a_stack.(sp - 1) with Float f -> f | v -> Flfuse.ub v);
+        (match a.a_stack.(sp - 1) with Float f -> f | v -> Numeric.unsafe_fl v);
       go a (pc + 1) (sp - 1) (ic + 1)
   | Il.FlPush r ->
       a.a_stack.(sp) <- Float (Array.unsafe_get a.a_fregs r);
@@ -306,7 +299,7 @@ and go (a : act) pc sp ic : value =
       Array.unsafe_set a.a_fregs d (float_of_int (Array.unsafe_get a.a_iregs s));
       go a (pc + 1) sp (ic + 1)
   | Il.FxToFl r ->
-      Array.unsafe_set a.a_fregs r (fl_cvt a.a_stack.(sp - 1));
+      Array.unsafe_set a.a_fregs r (Numeric.unsafe_fx_to_fl a.a_stack.(sp - 1));
       go a (pc + 1) (sp - 1) (ic + 1)
   | Il.FxConst (r, n) ->
       Array.unsafe_set a.a_iregs r n;
@@ -371,7 +364,9 @@ let run_code (c : Il.code) : value =
    and re-evaluated many times — the compile server and warm runs), and
    ephemeral so dropping a program's forms drops its bytecode.  Each
    entry caches both unboxing variants: the ablation benchmarks flip
-   [Interp.unboxing_enabled] between runs of the same form. *)
+   [Interp.unboxing_enabled] between runs of the same form.  Artifacts
+   carry no bytecode, so a form loaded from the store lowers here at
+   its first evaluation, like any other. *)
 
 type lowered = LCode of Il.code | LInterp
 
@@ -399,17 +394,6 @@ let get (e : entry) unboxing = if unboxing then e.on_ else e.off_
 let set (e : entry) unboxing l =
   if unboxing then e.on_ <- Some l else e.off_ <- Some l
 
-(* Loader priming: install artifact-decoded bytecode so [eval_top]
-   skips lowering entirely on warm runs. *)
-let prime (a : Ast.t) ~unboxing (c : Il.code) =
-  set (entry_of a) unboxing (LCode c);
-  Metrics.count "vm.loads"
-
-(* A decoded artifact records which forms fell back at lower time; keep
-   the warm path's behavior (and lower-phase timing ≈ 0) identical. *)
-let prime_fallback (a : Ast.t) ~unboxing =
-  set (entry_of a) unboxing LInterp
-
 let eval_top (a : Ast.t) : value =
   let unboxing = !Interp.unboxing_enabled in
   let e = entry_of a in
@@ -436,23 +420,3 @@ let eval_top (a : Ast.t) : value =
         v
       end
       else run_code c
-
-(* -- engine selection ---------------------------------------------------- *)
-
-module Engine = struct
-  type t = Interp | Vm
-
-  let current : t ref = ref Interp
-
-  let of_string = function
-    | "interp" -> Some Interp
-    | "vm" -> Some Vm
-    | _ -> None
-
-  let to_string = function Interp -> "interp" | Vm -> "vm"
-end
-
-let eval (a : Ast.t) : value =
-  match !Engine.current with
-  | Engine.Interp -> Interp.eval_top a
-  | Engine.Vm -> eval_top a

@@ -17,9 +17,12 @@
       (type-environment) declarations of §5: the loader regenerates the
       module's [ct_thunks] from them, so closures are never marshaled.
 
-    The serialization is a single reader-parseable s-expression, so a
-    corrupt or truncated artifact surfaces as an ordinary parse failure
-    and degrades to a recompile (see {!Store}). *)
+    The serialization is reader-parseable text — a header datum, then a
+    body datum — so a corrupt or truncated artifact surfaces as an
+    ordinary parse failure and degrades to a recompile (see {!Store}).
+    The header is read first: a version skew or a changed source is
+    decided before the body is parsed.  Artifacts carry no bytecode; the
+    VM lowers each form at its first evaluation. *)
 
 module Datum = Liblang_reader.Datum
 module Reader = Liblang_reader.Reader
@@ -35,8 +38,12 @@ module Stx = Liblang_stx.Stx
     and degrades to a recompile.
     v4: symbols that would not read back bare are written [|...|]
     (see {!Liblang_reader.Reader}); a v3 artifact may hold such a symbol
-    bare, so it is version skew and recompiles. *)
-let format_version = 4
+    bare, so it is version skew and recompiles.
+    v5: the bytecode section is gone — the VM lowers each form at its
+    first evaluation.  A v4 artifact is version skew: {!of_string}
+    reads the header first, so its trailing [(bytecode ...)] datum is
+    never parsed. *)
+let format_version = 5
 
 (** The magic header line; doubles as a human hint not to edit the file. *)
 let magic = ";; liblang compiled artifact (machine-generated; do not edit)"
@@ -69,12 +76,6 @@ type t = {
           name through the require; these cannot, so the loader re-links
           them explicitly via {!Liblang_modules.Modsys.find_internal}. *)
   core_forms : Datum.annot list;  (** fully-expanded module body *)
-  bytecode : Datum.annot option;
-      (** the backend's serialized lowering of the body's runnable forms
-          (see {!Liblang_backend.Lower.code_to_datum}); [None] when the
-          writer had none.  Purely an acceleration: the loader primes
-          the VM's code cache from it, and any inconsistency degrades to
-          lowering afresh. *)
 }
 
 (** Why a stored artifact cannot be used (each degrades to a recompile). *)
@@ -139,18 +140,13 @@ let to_string (a : t) : string =
       Buffer.add_char buf '\n')
     a.core_forms;
   Buffer.add_string buf ")\n";
-  (match a.bytecode with
-  | None -> ()
-  | Some bc ->
-      Datum.to_buffer buf bc.Datum.d;
-      Buffer.add_char buf '\n');
   let body_text = Buffer.contents buf in
   body_text ^ integrity_marker ^ Digest_util.of_string body_text ^ "\n"
 
 (** Build the artifact for a compiled module from its expanded core forms
     (syntax is flattened to datums; scopes are per-session and are
     reconstructed by the loader). *)
-let of_compiled ?bytecode ~mod_name ~lang ~source_digest ~requires ~exports ~links
+let of_compiled ~mod_name ~lang ~source_digest ~requires ~exports ~links
     ~(core_forms : Stx.t list) () : t =
   {
     version = format_version;
@@ -161,7 +157,6 @@ let of_compiled ?bytecode ~mod_name ~lang ~source_digest ~requires ~exports ~lin
     exports;
     links;
     core_forms = List.map Stx.to_annot core_forms;
-    bytecode;
   }
 
 (* -- integrity -------------------------------------------------------------- *)
@@ -207,92 +202,78 @@ let parse_require (a : Datum.annot) : require_ref =
   | _ -> bad "bad require entry"
 
 (** Parse artifact text.  [Error] carries the reason the artifact cannot
-    be used; version skew is detected before the rest of the header so a
-    future format change never surfaces as "corrupt". *)
-let of_string (text : string) : (t, invalid) result =
-  match Reader.read_all ~file:"<artifact>" text with
+    be used.  The header datum is read first, and the body only if the
+    header admits it: an artifact of another format version is
+    [Version_skew], and one whose source digest is not [?source_digest]
+    (when given) is [Stale_source] — whatever follows the header.  So a
+    stale artifact costs one datum to reject, and a future format change
+    never surfaces as "corrupt". *)
+let of_string ?source_digest (text : string) : (t, invalid) result =
+  let parse next =
+    let fields =
+      match next () with
+      | Some { Datum.d = Datum.List (h :: fields); _ } when Datum.is_sym "liblang-artifact" h ->
+          fields
+      | _ -> bad "not a liblang-artifact"
+    in
+    let field_exn name =
+      match
+        List.find_opt
+          (fun (f : Datum.annot) ->
+            match f.Datum.d with Datum.List (k :: _) -> Datum.is_sym name k | _ -> false)
+          fields
+      with
+      | Some f -> f
+      | None -> bad "missing field %s" name
+    in
+    let str_field name =
+      match (field_exn name).Datum.d with
+      | Datum.List [ _; v ] -> expect_str name v
+      | _ -> bad "bad field %s" name
+    in
+    let list_field name parse =
+      match (field_exn name).Datum.d with
+      | Datum.List (_ :: xs) -> List.map parse xs
+      | _ -> bad "bad %s field" name
+    in
+    let version =
+      match (field_exn "version").Datum.d with
+      | Datum.List [ _; { d = Datum.Atom (Datum.Int v); _ } ] -> v
+      | _ -> bad "bad version field"
+    in
+    if version <> format_version then Error (Version_skew version)
+    else
+      let digest = str_field "source-digest" in
+      match source_digest with
+      | Some d when not (String.equal d digest) -> Error Stale_source
+      | _ ->
+          let requires = list_field "requires" parse_require in
+          let exports = list_field "exports" (expect_str "export") in
+          let links =
+            list_field "links" (fun (l : Datum.annot) ->
+                match l.Datum.d with
+                | Datum.List [ n; k ] -> (expect_str "link name" n, expect_str "link module" k)
+                | _ -> bad "bad link entry")
+          in
+          let core_forms =
+            match next () with
+            | Some { Datum.d = Datum.List (h :: forms); _ } when Datum.is_sym "body" h -> forms
+            | _ -> bad "missing body section (truncated?)"
+          in
+          if Option.is_some (next ()) then bad "unexpected datum after the body";
+          Ok
+            {
+              version;
+              mod_name = str_field "module";
+              lang = str_field "lang";
+              source_digest = digest;
+              requires;
+              exports;
+              links;
+              core_forms;
+            }
+  in
+  match Reader.with_cursor ~file:"<artifact>" text parse with
+  | r -> r
   | exception Reader.Error (m, _) -> Error (Corrupt m)
-  | datums -> (
-      try
-        (* the bytecode section is optional; peel it off so the 2-datum
-           core shape below stays the only required structure *)
-        let datums, bytecode =
-          match datums with
-          | [ h; b; bc ] -> (
-              match bc.Datum.d with
-              | Datum.List (k :: _) when Datum.is_sym "bytecode" k ->
-                  ([ h; b ], Some bc)
-              | _ -> (datums, None))
-          | _ -> (datums, None)
-        in
-        match datums with
-        | [ header; body ] -> (
-            let fields =
-              match header.Datum.d with
-              | Datum.List (h :: fields) when Datum.is_sym "liblang-artifact" h -> fields
-              | _ -> bad "not a liblang-artifact"
-            in
-            let field name =
-              List.find_opt
-                (fun (f : Datum.annot) ->
-                  match f.Datum.d with
-                  | Datum.List (k :: _) -> Datum.is_sym name k
-                  | _ -> false)
-                fields
-            in
-            let field_exn name =
-              match field name with Some f -> f | None -> bad "missing field %s" name
-            in
-            let version =
-              match (field_exn "version").Datum.d with
-              | Datum.List [ _; { d = Datum.Atom (Datum.Int v); _ } ] -> v
-              | _ -> bad "bad version field"
-            in
-            if version <> format_version then Error (Version_skew version)
-            else
-              let str_field name =
-                match (field_exn name).Datum.d with
-                | Datum.List [ _; v ] -> expect_str name v
-                | _ -> bad "bad field %s" name
-              in
-              let requires =
-                match (field_exn "requires").Datum.d with
-                | Datum.List (_ :: rs) -> List.map parse_require rs
-                | _ -> bad "bad requires field"
-              in
-              let exports =
-                match (field_exn "exports").Datum.d with
-                | Datum.List (_ :: es) -> List.map (expect_str "export") es
-                | _ -> bad "bad exports field"
-              in
-              let links =
-                match (field_exn "links").Datum.d with
-                | Datum.List (_ :: ls) ->
-                    List.map
-                      (fun (l : Datum.annot) ->
-                        match l.Datum.d with
-                        | Datum.List [ n; k ] ->
-                            (expect_str "link name" n, expect_str "link module" k)
-                        | _ -> bad "bad link entry")
-                      ls
-                | _ -> bad "bad links field"
-              in
-              let core_forms =
-                match body.Datum.d with
-                | Datum.List (h :: forms) when Datum.is_sym "body" h -> forms
-                | _ -> bad "missing body section"
-              in
-              Ok
-                {
-                  version;
-                  mod_name = str_field "module";
-                  lang = str_field "lang";
-                  source_digest = str_field "source-digest";
-                  requires;
-                  exports;
-                  links;
-                  core_forms;
-                  bytecode;
-                })
-        | _ -> bad "expected a header and a body (truncated?)"
-      with Bad m -> Error (Corrupt m))
+  | exception Bad m -> Error (Corrupt m)

@@ -17,7 +17,9 @@
       hygienically, which the textual serialization cannot preserve.
       Only the instantiating domain ever needs the result; compile-only
       consumers — importers, parallel-build workers replaying a
-      dependency — skip the pass entirely;
+      dependency — skip the pass entirely.  The artifact carries no
+      bytecode: under [--engine vm] the VM lowers each form at its
+      first evaluation, as it does for a freshly compiled module;
     - [define-syntaxes] re-evaluates the (already fully expanded)
       transformer expression and installs the macro — this is how a typed
       module's export indirections (§6.2) come back to life;
@@ -45,69 +47,8 @@ module Ct_store = Liblang_expander.Ct_store
 module Modsys = Liblang_modules.Modsys
 module Metrics = Liblang_observe.Metrics
 module Trace = Liblang_observe.Trace
-module Datum = Liblang_reader.Datum
-module Lower = Liblang_backend.Lower
-module Vm = Liblang_backend.Vm
-module Il = Liblang_backend.Il
 
 let err = Modsys.err
-
-(* -- bytecode priming -----------------------------------------------------
-
-   Parse the artifact's optional [(bytecode (unboxing B) (form I CODE|interp) ...)]
-   section into a body-index table.  Entirely best-effort: a malformed
-   section yields an empty table and the VM lowers afresh at first
-   evaluation — never an error (the integrity trailer already vouches
-   for undamaged bytes; this guards shape skew). *)
-type bc_entry = BCode of Datum.annot | BInterp
-
-let parse_bytecode (bc : Datum.annot option) : bool * (int, bc_entry) Hashtbl.t =
-  let table = Hashtbl.create 8 in
-  match bc with
-  | None -> (true, table)
-  | Some bc -> (
-      match bc.Datum.d with
-      | Datum.List (_tag :: flag :: entries) ->
-          let unboxing =
-            match flag.Datum.d with
-            | Datum.List [ k; { d = Datum.Atom (Datum.Bool b); _ } ]
-              when Datum.is_sym "unboxing" k ->
-                b
-            | _ -> true
-          in
-          List.iter
-            (fun (e : Datum.annot) ->
-              match e.Datum.d with
-              | Datum.List
-                  [ k; { d = Datum.Atom (Datum.Int i); _ }; payload ]
-                when Datum.is_sym "form" k -> (
-                  match payload.Datum.d with
-                  | Datum.Atom (Datum.Sym "interp") ->
-                      Hashtbl.replace table i BInterp
-                  | _ -> Hashtbl.replace table i (BCode payload))
-              | _ -> ())
-            entries;
-          (unboxing, table)
-      | _ -> (true, table))
-
-(* Decode-and-prime for one deferred body form.  The [vm.load] fault
-   site models bytecode deserialization failure; injected faults and
-   decode errors alike degrade to lowering afresh at first eval.  Only a
-   form first forced under the VM is primed: the interpreter never reads
-   the bytecode, and a form it forced first lowers afresh if the VM runs
-   it later. *)
-let prime_form ~unboxing (table : (int, bc_entry) Hashtbl.t) ix (ast : Ast.t) : unit =
-  match Hashtbl.find_opt table ix with
-  | None -> ()
-  | Some BInterp -> Liblang_backend.Vm.prime_fallback ast ~unboxing
-  | Some (BCode d) -> (
-      match
-        Liblang_fault.Fault.check "vm.load";
-        Lower.code_of_datum ast d
-      with
-      | code -> Vm.prime ast ~unboxing code
-      | exception (Il.Decode_error _ | Liblang_fault.Fault.Injected _) ->
-          Metrics.count "vm.load_failures")
 
 let resolve_exn id =
   match Binding.resolve id with
@@ -214,13 +155,6 @@ let load (a : Artifact.t) : Modsys.t =
          [Modsys.code] cell, whose interpreter closure the first
          instantiation compiles. *)
       let store = Ct_store.current () in
-      let bc_unboxing, bc_table = parse_bytecode a.Artifact.bytecode in
-      let body_ix = ref 0 in
-      let next_ix () =
-        let i = !body_ix in
-        incr body_ix;
-        i
-      in
       let defer (compile : unit -> Modsys.compiled_form) : Modsys.compiled_form =
         Modsys.CLazy
           (lazy
@@ -231,16 +165,9 @@ let load (a : Artifact.t) : Modsys.t =
                ~finally:(fun () -> Modsys.set_current_module_name saved)
                compile))
       in
-      let prime ix ast =
-        if !Modsys.evaluator == Vm.eval_top then
-          prime_form ~unboxing:bc_unboxing bc_table ix ast
-      in
       let defer_expr (form : Stx.t) : Modsys.compiled_form =
-        let ix = next_ix () in
         defer (fun () ->
-            let ast = Compile.compile_expr (Expander.expand_expr form) in
-            prime ix ast;
-            Modsys.CExpr (Modsys.code ast))
+            Modsys.CExpr (Modsys.code (Compile.compile_expr (Expander.expand_expr form))))
       in
       let load_form (form : Stx.t) =
         match Stx.view form with
@@ -253,7 +180,6 @@ let load (a : Artifact.t) : Modsys.t =
                     let globals =
                       List.map (fun id -> Namespace.global_of (resolve_exn id)) ids
                     in
-                    let ix = next_ix () in
                     let form =
                       defer (fun () ->
                           let ast = Compile.compile_expr (Expander.expand_expr rhs) in
@@ -261,7 +187,6 @@ let load (a : Artifact.t) : Modsys.t =
                           | [ g ], Ast.Lambda l when l.Ast.l_name = "" ->
                               l.Ast.l_name <- g.Ast.g_name
                           | _ -> ());
-                          prime ix ast;
                           Modsys.CDef (globals, Modsys.code ast))
                     in
                     m.Modsys.body <- form :: m.Modsys.body

@@ -23,11 +23,9 @@
 module Modsys = Liblang_modules.Modsys
 module Stx = Liblang_stx.Stx
 module Srcloc = Liblang_reader.Srcloc
-module Datum = Liblang_reader.Datum
 module Sources = Liblang_diagnostics.Sources
 module Metrics = Liblang_observe.Metrics
 module Trace = Liblang_observe.Trace
-module Lower = Liblang_backend.Lower
 
 (* -- path canonicalization --------------------------------------------------- *)
 
@@ -167,57 +165,51 @@ let compile_from_source ~key ~source : Modsys.t =
     (with the cache counters bumped) when the file must be compiled from
     source instead. *)
 let rec try_artifact (store : Store.t) ~key ~source_digest : Modsys.t option =
-  match Store.read store ~key with
+  let stale reason =
+    Store.forget_digest store key;
+    Store.count_stale key reason;
+    None
+  in
+  (* a changed source is rejected from the header, before the body parses *)
+  match Store.read store ~key ~source_digest with
   | Error Artifact.Missing ->
       Store.count_miss ();
       None
-  | Error reason ->
-      Store.forget_digest store key;
-      Store.count_stale key reason;
-      None
-  | Ok (a, _digest) ->
-      let stale reason =
-        Store.forget_digest store key;
-        Store.count_stale key reason;
-        None
+  | Error reason -> stale reason
+  | Ok (a, _digest) -> (
+      (* transitive invalidation: every required file module must
+         re-resolve to an artifact whose digest matches the recorded
+         one; required builtins must (still) exist *)
+      let check_require = function
+        | Artifact.Builtin n ->
+            if Modsys.is_declared n && (Modsys.find n).Modsys.builtin then None
+            else Some (Artifact.Stale_require n)
+        | Artifact.File (rkey, rdigest) -> (
+            match require_key rkey with
+            | _m -> (
+                match Store.current_digest store rkey with
+                | Some d when String.equal d rdigest -> None
+                | _ -> Some (Artifact.Stale_require rkey))
+            | exception Modsys.Module_error _ ->
+                (* e.g. a require recorded in a corrupt artifact that now
+                   cycles or points at a missing file: treat as stale and
+                   recompile this module from source, which will surface
+                   the real diagnostic (or succeed, if the artifact lied) *)
+                Some (Artifact.Stale_require rkey))
       in
-      if not (String.equal a.Artifact.source_digest source_digest) then
-        stale Artifact.Stale_source
-      else begin
-        (* transitive invalidation: every required file module must
-           re-resolve to an artifact whose digest matches the recorded
-           one; required builtins must (still) exist *)
-        let check_require = function
-          | Artifact.Builtin n ->
-              if Modsys.is_declared n && (Modsys.find n).Modsys.builtin then None
-              else Some (Artifact.Stale_require n)
-          | Artifact.File (rkey, rdigest) -> (
-              match require_key rkey with
-              | _m -> (
-                  match Store.current_digest store rkey with
-                  | Some d when String.equal d rdigest -> None
-                  | _ -> Some (Artifact.Stale_require rkey))
-              | exception Modsys.Module_error _ ->
-                  (* e.g. a require recorded in a corrupt artifact that now
-                     cycles or points at a missing file: treat as stale and
-                     recompile this module from source, which will surface
-                     the real diagnostic (or succeed, if the artifact lied) *)
-                  Some (Artifact.Stale_require rkey))
-        in
-        match List.find_map check_require a.Artifact.requires with
-        | Some reason -> stale reason
-        | None -> (
-            (* the artifact is valid; if rebuilding a live module from it
-               still fails (e.g. a link target vanished because its module
-               was recompiled by a cache-less session), degrade to a
-               recompile — an unusable artifact is never an error *)
-            match Loader.load a with
-            | m ->
-                Store.count_hit ();
-                Some m
-            | exception e ->
-                stale (Artifact.Load_failed (Printexc.to_string e)))
-      end
+      match List.find_map check_require a.Artifact.requires with
+      | Some reason -> stale reason
+      | None -> (
+          (* the artifact is valid; if rebuilding a live module from it
+             still fails (e.g. a link target vanished because its module
+             was recompiled by a cache-less session), degrade to a
+             recompile — an unusable artifact is never an error *)
+          match Loader.load a with
+          | m ->
+              Store.count_hit ();
+              Some m
+          | exception e ->
+              stale (Artifact.Load_failed (Printexc.to_string e))))
 
 (** Acquire the file module for [key] (an absolute, normalized path):
     reuse it if already acquired and unchanged, else load it from a valid
@@ -393,43 +385,6 @@ let compute_links (m : Liblang_modules.Modsys.t) (core_forms : Stx.t list) :
   List.iter walk core_forms;
   List.rev !links
 
-(* Lower each runnable body form (by its position in [m.body] — the
-   loader's pass B rebuilds the same sequence) and serialize the result
-   into the artifact's [(bytecode ...)] section.  Forms the backend
-   cannot express serialize as [interp] so warm sessions also skip
-   re-attempting the lowering.  The unboxing flag is recorded because
-   lowering decisions depend on it. *)
-let bytecode_section (m : Modsys.t) : Datum.annot option =
-  let unboxing = !Liblang_runtime.Interp.unboxing_enabled in
-  let entries =
-    Trace.span "lower" @@ fun () ->
-    List.mapi
-      (fun i (f : Modsys.compiled_form) ->
-        let ast =
-          match f with
-          | Modsys.CExpr c | Modsys.CDef (_, c) -> Some c.Modsys.ast
-          | Modsys.CLazy _ -> None
-        in
-        match ast with
-        | None -> None
-        | Some a ->
-            Some
-              (match Lower.lower_form ~unboxing a with
-              | Some code ->
-                  Datum.list
-                    [ Datum.sym "form"; Datum.int i; Lower.code_to_datum code ]
-              | None -> Datum.list [ Datum.sym "form"; Datum.int i; Datum.sym "interp" ]))
-      m.Modsys.body
-    |> List.filter_map Fun.id
-  in
-  if entries = [] then None
-  else
-    Some
-      (Datum.list
-         (Datum.sym "bytecode"
-         :: Datum.list [ Datum.sym "unboxing"; Datum.bool unboxing ]
-         :: entries))
-
 (** The [Modsys.compiled_hook]: persist an artifact for every successful
     file-module compilation while a store is active.  A module is only
     cacheable when each of its requires is a builtin or itself has a
@@ -459,8 +414,7 @@ let on_compiled (m : Modsys.t) ~(lang : string) ~(core_forms : Stx.t list) : uni
           Artifact.of_compiled ~mod_name:key ~lang ~source_digest
             ~requires:(List.filter_map Fun.id require_refs)
             ~exports:(List.map (fun e -> e.Modsys.ext_name) m.Modsys.exports)
-            ~links:(compute_links m core_forms)
-            ?bytecode:(bytecode_section m) ~core_forms ()
+            ~links:(compute_links m core_forms) ~core_forms ()
         in
         Store.write store a
 

@@ -196,11 +196,14 @@ let note_corrupt (s : t) ~(key : string) ~(path : string)
 
 (** Read and parse [key]'s artifact, verifying its integrity trailer
     first (a torn or bit-flipped artifact is caught before — or instead
-    of — parsing).  On success also memoizes its identity digest.  Does
-    {e not} check freshness against the source or requires — that is the
-    resolver's job (it owns recursive require resolution).  Repeatedly
-    corrupt artifacts are quarantined (see {!note_corrupt}). *)
-let read (s : t) ~(key : string) : (Artifact.t * string, Artifact.invalid) result =
+    of — parsing).  On success also memoizes its identity digest.  An
+    artifact recorded for other source text than [source_digest] is
+    [Stale_source] before its body is parsed ({!Artifact.of_string}); its
+    requires are the resolver's to check (it owns recursive require
+    resolution).  Repeatedly corrupt artifacts are quarantined (see
+    {!note_corrupt}). *)
+let read (s : t) ~(key : string) ~(source_digest : string) :
+    (Artifact.t * string, Artifact.invalid) result =
   Fault.check_deadline ();
   let path = artifact_path s key in
   if not (Sys.file_exists path) then Error Artifact.Missing
@@ -213,7 +216,7 @@ let read (s : t) ~(key : string) : (Artifact.t * string, Artifact.invalid) resul
         | exception Sys_error m -> Error (Artifact.Unreadable m)
         | text -> (
             let parse () =
-              match Artifact.of_string text with
+              match Artifact.of_string ~source_digest text with
               | Error (Artifact.Corrupt _ as r) -> Error (note_corrupt s ~key ~path r)
               | Error reason -> Error reason
               | Ok a ->

@@ -111,9 +111,7 @@ let read_one_stx ~scopes src =
 let eval_expr ?(lang = "racket") (src : string) : Value.value =
   in_lang_context ~lang (fun scopes ->
       let stx = read_one_stx ~scopes src in
-      let expanded = Expander.expand_expr stx in
-      (* Vm.eval dispatches on the selected engine (interpreter by default) *)
-      Vm.eval (Compile.compile_expr expanded))
+      !Modsys.evaluator (Compile.compile_expr (Expander.expand_expr stx)))
 
 (** Expand one expression to core forms and render it — the view
     [local-expand] gives a language (§2.2). *)

@@ -54,21 +54,17 @@ let engine_of_string = function
 let engine_to_string = function Interp -> "interp" | Vm -> "vm"
 
 (** Run [f] with the chosen engine installed as the module system's
-    evaluator (restored after — the setting is per-entry-point, not
-    global, so a server can honor a per-request engine). *)
+    evaluator, {!Modsys.evaluator} — the one engine switch, which
+    instantiation and {!Core.eval_expr} both read.  Restored after: the
+    setting is per-entry-point, not global, so a server can honor a
+    per-request engine. *)
 let with_engine (engine : engine) (f : unit -> 'a) : 'a =
   match engine with
   | Interp -> f ()
   | Vm ->
       let saved = !Modsys.evaluator in
-      let saved_engine = !Core.Vm.Engine.current in
       Modsys.evaluator := Core.Vm.eval_top;
-      Core.Vm.Engine.current := Core.Vm.Engine.Vm;
-      Fun.protect
-        ~finally:(fun () ->
-          Modsys.evaluator := saved;
-          Core.Vm.Engine.current := saved_engine)
-        f
+      Fun.protect ~finally:(fun () -> Modsys.evaluator := saved) f
 
 let in_note (s : Stx.t) = [ Diagnostic.note ("in: " ^ Diagnostic.truncated (Stx.to_string s)) ]
 

@@ -26,9 +26,6 @@
     - [build.spawn]   a worker domain starting up (fires per worker)
     - [build.task]    a scheduled build task starting
     - [loader.replay] rebuilding a live module from an artifact
-    - [vm.load]       decoding an artifact's bytecode section (an
-                      injected error skips priming: the VM lowers the
-                      form afresh at first evaluation)
     - [server.accept]  the compile server accepting a client connection
                        (an injected error drops that connection only)
     - [server.session] a compile-server request starting (an injected
@@ -119,7 +116,6 @@ let sites =
     "build.spawn";
     "build.task";
     "loader.replay";
-    "vm.load";
     "server.accept";
     "server.session";
     "server.exec";

@@ -220,8 +220,10 @@ let rec visit (m : t) =
 
 (* -- instantiation: running a module ------------------------------------------- *)
 
-(* The evaluation backend used to instantiate modules; the benchmark harness
-   swaps in {!Liblang_runtime.Naive.eval_top} for its comparison series. *)
+(* The evaluation backend — the platform's one engine switch.  Module
+   instantiation and [Core.eval_expr] both run through it; the pipeline's
+   [with_engine] installs the bytecode VM here, and the benchmarks swap in
+   {!Liblang_runtime.Naive.eval_top} for their comparison series. *)
 let evaluator : (Ast.t -> Value.value) ref = ref Interp.eval_top
 
 (* Run one form's code: the interpreter through the form's cached

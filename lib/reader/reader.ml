@@ -388,15 +388,27 @@ let read_one ?file src =
 module Metrics = Liblang_observe.Metrics
 module Trace = Liblang_observe.Trace
 
-(** Read all datums from [src]. *)
-let read_all ?file src =
+(** Run [k] with a function that reads [src]'s next datum on each call
+    ([None] at the end), as one accounted read. *)
+let with_cursor ?file src k =
   Trace.span "read" ?detail:file @@ fun () ->
   Metrics.count "reader.reads";
   let st = make_state ?file src in
-  let rec go acc = match read_datum st with None -> List.rev acc | Some d -> go (d :: acc) in
-  let ds = go [] in
-  if Metrics.installed () then Metrics.countn "reader.datums" (List.length ds);
-  ds
+  let n = ref 0 in
+  let r =
+    k (fun () ->
+        let d = read_datum st in
+        if Option.is_some d then incr n;
+        d)
+  in
+  if Metrics.installed () then Metrics.countn "reader.datums" !n;
+  r
+
+(** Read all datums from [src]. *)
+let read_all ?file src =
+  with_cursor ?file src @@ fun next ->
+  let rec go acc = match next () with None -> List.rev acc | Some d -> go (d :: acc) in
+  go []
 
 (** Read all datums from [src] with {e datum-level resynchronization}: on a
     parse error, record it (message × location), skip forward to the next

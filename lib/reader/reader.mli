@@ -16,6 +16,12 @@ val read_one : ?file:string -> string -> Datum.annot option
 (** Read all datums. *)
 val read_all : ?file:string -> string -> Datum.annot list
 
+(** [with_cursor src k] runs [k] with a function that reads [src]'s next
+    datum on each call ([None] at the end of input), accounted like one
+    {!read_all}.  A caller can stop early: an artifact reads its header
+    and skips the body when the header already rules it out. *)
+val with_cursor : ?file:string -> string -> ((unit -> Datum.annot option) -> 'a) -> 'a
+
 (** Read all datums with datum-level error recovery: parse errors are
     collected (in source order, capped at [max_errors], default 25) and
     reading resynchronizes at the next plausible datum start, so one pass

@@ -3,22 +3,17 @@
     Fused closures for the unsafe float / float-complex primitives: each
     (operation, operand shape) pair gets a single OCaml closure with the
     leaf reads and the arithmetic inlined, so a nest of unsafe operations
-    evaluates with one closure call per operation, no dispatch, and no
-    operand boxing — the interpreter-level realization of the unboxing
-    that the unsafe primitives signal to the code generator (§7.1). *)
+    evaluates with one closure call per operation and no dispatch — the
+    interpreter-level realization of the unboxing that the unsafe
+    primitives signal to the code generator (§7.1).  Constant and
+    local-slot operands are read unboxed in place; every closure returns
+    a freshly allocated [Float], so an operand that is itself a fused
+    operation arrives boxed.  Operands evaluate left to right. *)
 
 open Value
 
-let ub = function
-  | Float f -> f
-  | Int n -> float_of_int n
-  | v -> error "unsafe flonum operation: given %s (undefined behavior off-type)" (write_string v)
-
-let ubc = function
-  | Cpx (re, im) -> (re, im)
-  | Float f -> (f, 0.)
-  | Int n -> (float_of_int n, 0.)
-  | v -> error "unsafe float-complex operation: given %s" (write_string v)
+let ub = Numeric.unsafe_fl
+let ubc = Numeric.unsafe_cpx
 
 let local env d i =
   let rec up env d = if d = 0 then env.frame.(i) else up env.up (d - 1) in
@@ -40,26 +35,26 @@ let bin_u_fl_add (a : leaf) (b : leaf) : env -> value =
   | C x, L1 y -> fun env -> Float (x +. (match env.up.frame.(y) with Float f -> f | v -> ub v))
   | C x, LD (dy, y) -> fun env -> Float (x +. (match local env dy y with Float f -> f | v -> ub v))
   | C x, X y -> fun env -> Float (x +. (match y env with Float f -> f | v -> ub v))
-  | L0 x, C y -> fun env -> Float ((match env.frame.(x) with Float f -> f | v -> ub v) +. y)
-  | L0 x, L0 y -> fun env -> Float ((match env.frame.(x) with Float f -> f | v -> ub v) +. (match env.frame.(y) with Float f -> f | v -> ub v))
-  | L0 x, L1 y -> fun env -> Float ((match env.frame.(x) with Float f -> f | v -> ub v) +. (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | L0 x, LD (dy, y) -> fun env -> Float ((match env.frame.(x) with Float f -> f | v -> ub v) +. (match local env dy y with Float f -> f | v -> ub v))
-  | L0 x, X y -> fun env -> Float ((match env.frame.(x) with Float f -> f | v -> ub v) +. (match y env with Float f -> f | v -> ub v))
-  | L1 x, C y -> fun env -> Float ((match env.up.frame.(x) with Float f -> f | v -> ub v) +. y)
-  | L1 x, L0 y -> fun env -> Float ((match env.up.frame.(x) with Float f -> f | v -> ub v) +. (match env.frame.(y) with Float f -> f | v -> ub v))
-  | L1 x, L1 y -> fun env -> Float ((match env.up.frame.(x) with Float f -> f | v -> ub v) +. (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | L1 x, LD (dy, y) -> fun env -> Float ((match env.up.frame.(x) with Float f -> f | v -> ub v) +. (match local env dy y with Float f -> f | v -> ub v))
-  | L1 x, X y -> fun env -> Float ((match env.up.frame.(x) with Float f -> f | v -> ub v) +. (match y env with Float f -> f | v -> ub v))
-  | LD (dx, x), C y -> fun env -> Float ((match local env dx x with Float f -> f | v -> ub v) +. y)
-  | LD (dx, x), L0 y -> fun env -> Float ((match local env dx x with Float f -> f | v -> ub v) +. (match env.frame.(y) with Float f -> f | v -> ub v))
-  | LD (dx, x), L1 y -> fun env -> Float ((match local env dx x with Float f -> f | v -> ub v) +. (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | LD (dx, x), LD (dy, y) -> fun env -> Float ((match local env dx x with Float f -> f | v -> ub v) +. (match local env dy y with Float f -> f | v -> ub v))
-  | LD (dx, x), X y -> fun env -> Float ((match local env dx x with Float f -> f | v -> ub v) +. (match y env with Float f -> f | v -> ub v))
-  | X x, C y -> fun env -> Float ((match x env with Float f -> f | v -> ub v) +. y)
-  | X x, L0 y -> fun env -> Float ((match x env with Float f -> f | v -> ub v) +. (match env.frame.(y) with Float f -> f | v -> ub v))
-  | X x, L1 y -> fun env -> Float ((match x env with Float f -> f | v -> ub v) +. (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | X x, LD (dy, y) -> fun env -> Float ((match x env with Float f -> f | v -> ub v) +. (match local env dy y with Float f -> f | v -> ub v))
-  | X x, X y -> fun env -> Float ((match x env with Float f -> f | v -> ub v) +. (match y env with Float f -> f | v -> ub v))
+  | L0 x, C y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (l +. y)
+  | L0 x, L0 y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (l +. (match env.frame.(y) with Float f -> f | v -> ub v))
+  | L0 x, L1 y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (l +. (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | L0 x, LD (dy, y) -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (l +. (match local env dy y with Float f -> f | v -> ub v))
+  | L0 x, X y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (l +. (match y env with Float f -> f | v -> ub v))
+  | L1 x, C y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (l +. y)
+  | L1 x, L0 y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (l +. (match env.frame.(y) with Float f -> f | v -> ub v))
+  | L1 x, L1 y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (l +. (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | L1 x, LD (dy, y) -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (l +. (match local env dy y with Float f -> f | v -> ub v))
+  | L1 x, X y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (l +. (match y env with Float f -> f | v -> ub v))
+  | LD (dx, x), C y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (l +. y)
+  | LD (dx, x), L0 y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (l +. (match env.frame.(y) with Float f -> f | v -> ub v))
+  | LD (dx, x), L1 y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (l +. (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | LD (dx, x), LD (dy, y) -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (l +. (match local env dy y with Float f -> f | v -> ub v))
+  | LD (dx, x), X y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (l +. (match y env with Float f -> f | v -> ub v))
+  | X x, C y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (l +. y)
+  | X x, L0 y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (l +. (match env.frame.(y) with Float f -> f | v -> ub v))
+  | X x, L1 y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (l +. (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | X x, LD (dy, y) -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (l +. (match local env dy y with Float f -> f | v -> ub v))
+  | X x, X y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (l +. (match y env with Float f -> f | v -> ub v))
 
 let bin_u_fl_sub (a : leaf) (b : leaf) : env -> value =
   match (a, b) with
@@ -70,26 +65,26 @@ let bin_u_fl_sub (a : leaf) (b : leaf) : env -> value =
   | C x, L1 y -> fun env -> Float (x -. (match env.up.frame.(y) with Float f -> f | v -> ub v))
   | C x, LD (dy, y) -> fun env -> Float (x -. (match local env dy y with Float f -> f | v -> ub v))
   | C x, X y -> fun env -> Float (x -. (match y env with Float f -> f | v -> ub v))
-  | L0 x, C y -> fun env -> Float ((match env.frame.(x) with Float f -> f | v -> ub v) -. y)
-  | L0 x, L0 y -> fun env -> Float ((match env.frame.(x) with Float f -> f | v -> ub v) -. (match env.frame.(y) with Float f -> f | v -> ub v))
-  | L0 x, L1 y -> fun env -> Float ((match env.frame.(x) with Float f -> f | v -> ub v) -. (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | L0 x, LD (dy, y) -> fun env -> Float ((match env.frame.(x) with Float f -> f | v -> ub v) -. (match local env dy y with Float f -> f | v -> ub v))
-  | L0 x, X y -> fun env -> Float ((match env.frame.(x) with Float f -> f | v -> ub v) -. (match y env with Float f -> f | v -> ub v))
-  | L1 x, C y -> fun env -> Float ((match env.up.frame.(x) with Float f -> f | v -> ub v) -. y)
-  | L1 x, L0 y -> fun env -> Float ((match env.up.frame.(x) with Float f -> f | v -> ub v) -. (match env.frame.(y) with Float f -> f | v -> ub v))
-  | L1 x, L1 y -> fun env -> Float ((match env.up.frame.(x) with Float f -> f | v -> ub v) -. (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | L1 x, LD (dy, y) -> fun env -> Float ((match env.up.frame.(x) with Float f -> f | v -> ub v) -. (match local env dy y with Float f -> f | v -> ub v))
-  | L1 x, X y -> fun env -> Float ((match env.up.frame.(x) with Float f -> f | v -> ub v) -. (match y env with Float f -> f | v -> ub v))
-  | LD (dx, x), C y -> fun env -> Float ((match local env dx x with Float f -> f | v -> ub v) -. y)
-  | LD (dx, x), L0 y -> fun env -> Float ((match local env dx x with Float f -> f | v -> ub v) -. (match env.frame.(y) with Float f -> f | v -> ub v))
-  | LD (dx, x), L1 y -> fun env -> Float ((match local env dx x with Float f -> f | v -> ub v) -. (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | LD (dx, x), LD (dy, y) -> fun env -> Float ((match local env dx x with Float f -> f | v -> ub v) -. (match local env dy y with Float f -> f | v -> ub v))
-  | LD (dx, x), X y -> fun env -> Float ((match local env dx x with Float f -> f | v -> ub v) -. (match y env with Float f -> f | v -> ub v))
-  | X x, C y -> fun env -> Float ((match x env with Float f -> f | v -> ub v) -. y)
-  | X x, L0 y -> fun env -> Float ((match x env with Float f -> f | v -> ub v) -. (match env.frame.(y) with Float f -> f | v -> ub v))
-  | X x, L1 y -> fun env -> Float ((match x env with Float f -> f | v -> ub v) -. (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | X x, LD (dy, y) -> fun env -> Float ((match x env with Float f -> f | v -> ub v) -. (match local env dy y with Float f -> f | v -> ub v))
-  | X x, X y -> fun env -> Float ((match x env with Float f -> f | v -> ub v) -. (match y env with Float f -> f | v -> ub v))
+  | L0 x, C y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (l -. y)
+  | L0 x, L0 y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (l -. (match env.frame.(y) with Float f -> f | v -> ub v))
+  | L0 x, L1 y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (l -. (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | L0 x, LD (dy, y) -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (l -. (match local env dy y with Float f -> f | v -> ub v))
+  | L0 x, X y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (l -. (match y env with Float f -> f | v -> ub v))
+  | L1 x, C y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (l -. y)
+  | L1 x, L0 y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (l -. (match env.frame.(y) with Float f -> f | v -> ub v))
+  | L1 x, L1 y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (l -. (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | L1 x, LD (dy, y) -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (l -. (match local env dy y with Float f -> f | v -> ub v))
+  | L1 x, X y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (l -. (match y env with Float f -> f | v -> ub v))
+  | LD (dx, x), C y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (l -. y)
+  | LD (dx, x), L0 y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (l -. (match env.frame.(y) with Float f -> f | v -> ub v))
+  | LD (dx, x), L1 y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (l -. (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | LD (dx, x), LD (dy, y) -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (l -. (match local env dy y with Float f -> f | v -> ub v))
+  | LD (dx, x), X y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (l -. (match y env with Float f -> f | v -> ub v))
+  | X x, C y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (l -. y)
+  | X x, L0 y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (l -. (match env.frame.(y) with Float f -> f | v -> ub v))
+  | X x, L1 y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (l -. (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | X x, LD (dy, y) -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (l -. (match local env dy y with Float f -> f | v -> ub v))
+  | X x, X y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (l -. (match y env with Float f -> f | v -> ub v))
 
 let bin_u_fl_mul (a : leaf) (b : leaf) : env -> value =
   match (a, b) with
@@ -100,26 +95,26 @@ let bin_u_fl_mul (a : leaf) (b : leaf) : env -> value =
   | C x, L1 y -> fun env -> Float (x *. (match env.up.frame.(y) with Float f -> f | v -> ub v))
   | C x, LD (dy, y) -> fun env -> Float (x *. (match local env dy y with Float f -> f | v -> ub v))
   | C x, X y -> fun env -> Float (x *. (match y env with Float f -> f | v -> ub v))
-  | L0 x, C y -> fun env -> Float ((match env.frame.(x) with Float f -> f | v -> ub v) *. y)
-  | L0 x, L0 y -> fun env -> Float ((match env.frame.(x) with Float f -> f | v -> ub v) *. (match env.frame.(y) with Float f -> f | v -> ub v))
-  | L0 x, L1 y -> fun env -> Float ((match env.frame.(x) with Float f -> f | v -> ub v) *. (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | L0 x, LD (dy, y) -> fun env -> Float ((match env.frame.(x) with Float f -> f | v -> ub v) *. (match local env dy y with Float f -> f | v -> ub v))
-  | L0 x, X y -> fun env -> Float ((match env.frame.(x) with Float f -> f | v -> ub v) *. (match y env with Float f -> f | v -> ub v))
-  | L1 x, C y -> fun env -> Float ((match env.up.frame.(x) with Float f -> f | v -> ub v) *. y)
-  | L1 x, L0 y -> fun env -> Float ((match env.up.frame.(x) with Float f -> f | v -> ub v) *. (match env.frame.(y) with Float f -> f | v -> ub v))
-  | L1 x, L1 y -> fun env -> Float ((match env.up.frame.(x) with Float f -> f | v -> ub v) *. (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | L1 x, LD (dy, y) -> fun env -> Float ((match env.up.frame.(x) with Float f -> f | v -> ub v) *. (match local env dy y with Float f -> f | v -> ub v))
-  | L1 x, X y -> fun env -> Float ((match env.up.frame.(x) with Float f -> f | v -> ub v) *. (match y env with Float f -> f | v -> ub v))
-  | LD (dx, x), C y -> fun env -> Float ((match local env dx x with Float f -> f | v -> ub v) *. y)
-  | LD (dx, x), L0 y -> fun env -> Float ((match local env dx x with Float f -> f | v -> ub v) *. (match env.frame.(y) with Float f -> f | v -> ub v))
-  | LD (dx, x), L1 y -> fun env -> Float ((match local env dx x with Float f -> f | v -> ub v) *. (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | LD (dx, x), LD (dy, y) -> fun env -> Float ((match local env dx x with Float f -> f | v -> ub v) *. (match local env dy y with Float f -> f | v -> ub v))
-  | LD (dx, x), X y -> fun env -> Float ((match local env dx x with Float f -> f | v -> ub v) *. (match y env with Float f -> f | v -> ub v))
-  | X x, C y -> fun env -> Float ((match x env with Float f -> f | v -> ub v) *. y)
-  | X x, L0 y -> fun env -> Float ((match x env with Float f -> f | v -> ub v) *. (match env.frame.(y) with Float f -> f | v -> ub v))
-  | X x, L1 y -> fun env -> Float ((match x env with Float f -> f | v -> ub v) *. (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | X x, LD (dy, y) -> fun env -> Float ((match x env with Float f -> f | v -> ub v) *. (match local env dy y with Float f -> f | v -> ub v))
-  | X x, X y -> fun env -> Float ((match x env with Float f -> f | v -> ub v) *. (match y env with Float f -> f | v -> ub v))
+  | L0 x, C y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (l *. y)
+  | L0 x, L0 y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (l *. (match env.frame.(y) with Float f -> f | v -> ub v))
+  | L0 x, L1 y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (l *. (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | L0 x, LD (dy, y) -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (l *. (match local env dy y with Float f -> f | v -> ub v))
+  | L0 x, X y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (l *. (match y env with Float f -> f | v -> ub v))
+  | L1 x, C y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (l *. y)
+  | L1 x, L0 y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (l *. (match env.frame.(y) with Float f -> f | v -> ub v))
+  | L1 x, L1 y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (l *. (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | L1 x, LD (dy, y) -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (l *. (match local env dy y with Float f -> f | v -> ub v))
+  | L1 x, X y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (l *. (match y env with Float f -> f | v -> ub v))
+  | LD (dx, x), C y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (l *. y)
+  | LD (dx, x), L0 y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (l *. (match env.frame.(y) with Float f -> f | v -> ub v))
+  | LD (dx, x), L1 y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (l *. (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | LD (dx, x), LD (dy, y) -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (l *. (match local env dy y with Float f -> f | v -> ub v))
+  | LD (dx, x), X y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (l *. (match y env with Float f -> f | v -> ub v))
+  | X x, C y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (l *. y)
+  | X x, L0 y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (l *. (match env.frame.(y) with Float f -> f | v -> ub v))
+  | X x, L1 y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (l *. (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | X x, LD (dy, y) -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (l *. (match local env dy y with Float f -> f | v -> ub v))
+  | X x, X y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (l *. (match y env with Float f -> f | v -> ub v))
 
 let bin_u_fl_div (a : leaf) (b : leaf) : env -> value =
   match (a, b) with
@@ -130,26 +125,26 @@ let bin_u_fl_div (a : leaf) (b : leaf) : env -> value =
   | C x, L1 y -> fun env -> Float (x /. (match env.up.frame.(y) with Float f -> f | v -> ub v))
   | C x, LD (dy, y) -> fun env -> Float (x /. (match local env dy y with Float f -> f | v -> ub v))
   | C x, X y -> fun env -> Float (x /. (match y env with Float f -> f | v -> ub v))
-  | L0 x, C y -> fun env -> Float ((match env.frame.(x) with Float f -> f | v -> ub v) /. y)
-  | L0 x, L0 y -> fun env -> Float ((match env.frame.(x) with Float f -> f | v -> ub v) /. (match env.frame.(y) with Float f -> f | v -> ub v))
-  | L0 x, L1 y -> fun env -> Float ((match env.frame.(x) with Float f -> f | v -> ub v) /. (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | L0 x, LD (dy, y) -> fun env -> Float ((match env.frame.(x) with Float f -> f | v -> ub v) /. (match local env dy y with Float f -> f | v -> ub v))
-  | L0 x, X y -> fun env -> Float ((match env.frame.(x) with Float f -> f | v -> ub v) /. (match y env with Float f -> f | v -> ub v))
-  | L1 x, C y -> fun env -> Float ((match env.up.frame.(x) with Float f -> f | v -> ub v) /. y)
-  | L1 x, L0 y -> fun env -> Float ((match env.up.frame.(x) with Float f -> f | v -> ub v) /. (match env.frame.(y) with Float f -> f | v -> ub v))
-  | L1 x, L1 y -> fun env -> Float ((match env.up.frame.(x) with Float f -> f | v -> ub v) /. (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | L1 x, LD (dy, y) -> fun env -> Float ((match env.up.frame.(x) with Float f -> f | v -> ub v) /. (match local env dy y with Float f -> f | v -> ub v))
-  | L1 x, X y -> fun env -> Float ((match env.up.frame.(x) with Float f -> f | v -> ub v) /. (match y env with Float f -> f | v -> ub v))
-  | LD (dx, x), C y -> fun env -> Float ((match local env dx x with Float f -> f | v -> ub v) /. y)
-  | LD (dx, x), L0 y -> fun env -> Float ((match local env dx x with Float f -> f | v -> ub v) /. (match env.frame.(y) with Float f -> f | v -> ub v))
-  | LD (dx, x), L1 y -> fun env -> Float ((match local env dx x with Float f -> f | v -> ub v) /. (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | LD (dx, x), LD (dy, y) -> fun env -> Float ((match local env dx x with Float f -> f | v -> ub v) /. (match local env dy y with Float f -> f | v -> ub v))
-  | LD (dx, x), X y -> fun env -> Float ((match local env dx x with Float f -> f | v -> ub v) /. (match y env with Float f -> f | v -> ub v))
-  | X x, C y -> fun env -> Float ((match x env with Float f -> f | v -> ub v) /. y)
-  | X x, L0 y -> fun env -> Float ((match x env with Float f -> f | v -> ub v) /. (match env.frame.(y) with Float f -> f | v -> ub v))
-  | X x, L1 y -> fun env -> Float ((match x env with Float f -> f | v -> ub v) /. (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | X x, LD (dy, y) -> fun env -> Float ((match x env with Float f -> f | v -> ub v) /. (match local env dy y with Float f -> f | v -> ub v))
-  | X x, X y -> fun env -> Float ((match x env with Float f -> f | v -> ub v) /. (match y env with Float f -> f | v -> ub v))
+  | L0 x, C y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (l /. y)
+  | L0 x, L0 y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (l /. (match env.frame.(y) with Float f -> f | v -> ub v))
+  | L0 x, L1 y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (l /. (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | L0 x, LD (dy, y) -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (l /. (match local env dy y with Float f -> f | v -> ub v))
+  | L0 x, X y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (l /. (match y env with Float f -> f | v -> ub v))
+  | L1 x, C y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (l /. y)
+  | L1 x, L0 y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (l /. (match env.frame.(y) with Float f -> f | v -> ub v))
+  | L1 x, L1 y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (l /. (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | L1 x, LD (dy, y) -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (l /. (match local env dy y with Float f -> f | v -> ub v))
+  | L1 x, X y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (l /. (match y env with Float f -> f | v -> ub v))
+  | LD (dx, x), C y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (l /. y)
+  | LD (dx, x), L0 y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (l /. (match env.frame.(y) with Float f -> f | v -> ub v))
+  | LD (dx, x), L1 y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (l /. (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | LD (dx, x), LD (dy, y) -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (l /. (match local env dy y with Float f -> f | v -> ub v))
+  | LD (dx, x), X y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (l /. (match y env with Float f -> f | v -> ub v))
+  | X x, C y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (l /. y)
+  | X x, L0 y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (l /. (match env.frame.(y) with Float f -> f | v -> ub v))
+  | X x, L1 y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (l /. (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | X x, LD (dy, y) -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (l /. (match local env dy y with Float f -> f | v -> ub v))
+  | X x, X y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (l /. (match y env with Float f -> f | v -> ub v))
 
 let bin_u_flmin (a : leaf) (b : leaf) : env -> value =
   match (a, b) with
@@ -160,26 +155,26 @@ let bin_u_flmin (a : leaf) (b : leaf) : env -> value =
   | C x, L1 y -> fun env -> Float (Float.min x (match env.up.frame.(y) with Float f -> f | v -> ub v))
   | C x, LD (dy, y) -> fun env -> Float (Float.min x (match local env dy y with Float f -> f | v -> ub v))
   | C x, X y -> fun env -> Float (Float.min x (match y env with Float f -> f | v -> ub v))
-  | L0 x, C y -> fun env -> Float (Float.min (match env.frame.(x) with Float f -> f | v -> ub v) y)
-  | L0 x, L0 y -> fun env -> Float (Float.min (match env.frame.(x) with Float f -> f | v -> ub v) (match env.frame.(y) with Float f -> f | v -> ub v))
-  | L0 x, L1 y -> fun env -> Float (Float.min (match env.frame.(x) with Float f -> f | v -> ub v) (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | L0 x, LD (dy, y) -> fun env -> Float (Float.min (match env.frame.(x) with Float f -> f | v -> ub v) (match local env dy y with Float f -> f | v -> ub v))
-  | L0 x, X y -> fun env -> Float (Float.min (match env.frame.(x) with Float f -> f | v -> ub v) (match y env with Float f -> f | v -> ub v))
-  | L1 x, C y -> fun env -> Float (Float.min (match env.up.frame.(x) with Float f -> f | v -> ub v) y)
-  | L1 x, L0 y -> fun env -> Float (Float.min (match env.up.frame.(x) with Float f -> f | v -> ub v) (match env.frame.(y) with Float f -> f | v -> ub v))
-  | L1 x, L1 y -> fun env -> Float (Float.min (match env.up.frame.(x) with Float f -> f | v -> ub v) (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | L1 x, LD (dy, y) -> fun env -> Float (Float.min (match env.up.frame.(x) with Float f -> f | v -> ub v) (match local env dy y with Float f -> f | v -> ub v))
-  | L1 x, X y -> fun env -> Float (Float.min (match env.up.frame.(x) with Float f -> f | v -> ub v) (match y env with Float f -> f | v -> ub v))
-  | LD (dx, x), C y -> fun env -> Float (Float.min (match local env dx x with Float f -> f | v -> ub v) y)
-  | LD (dx, x), L0 y -> fun env -> Float (Float.min (match local env dx x with Float f -> f | v -> ub v) (match env.frame.(y) with Float f -> f | v -> ub v))
-  | LD (dx, x), L1 y -> fun env -> Float (Float.min (match local env dx x with Float f -> f | v -> ub v) (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | LD (dx, x), LD (dy, y) -> fun env -> Float (Float.min (match local env dx x with Float f -> f | v -> ub v) (match local env dy y with Float f -> f | v -> ub v))
-  | LD (dx, x), X y -> fun env -> Float (Float.min (match local env dx x with Float f -> f | v -> ub v) (match y env with Float f -> f | v -> ub v))
-  | X x, C y -> fun env -> Float (Float.min (match x env with Float f -> f | v -> ub v) y)
-  | X x, L0 y -> fun env -> Float (Float.min (match x env with Float f -> f | v -> ub v) (match env.frame.(y) with Float f -> f | v -> ub v))
-  | X x, L1 y -> fun env -> Float (Float.min (match x env with Float f -> f | v -> ub v) (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | X x, LD (dy, y) -> fun env -> Float (Float.min (match x env with Float f -> f | v -> ub v) (match local env dy y with Float f -> f | v -> ub v))
-  | X x, X y -> fun env -> Float (Float.min (match x env with Float f -> f | v -> ub v) (match y env with Float f -> f | v -> ub v))
+  | L0 x, C y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (Float.min l y)
+  | L0 x, L0 y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (Float.min l (match env.frame.(y) with Float f -> f | v -> ub v))
+  | L0 x, L1 y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (Float.min l (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | L0 x, LD (dy, y) -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (Float.min l (match local env dy y with Float f -> f | v -> ub v))
+  | L0 x, X y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (Float.min l (match y env with Float f -> f | v -> ub v))
+  | L1 x, C y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (Float.min l y)
+  | L1 x, L0 y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (Float.min l (match env.frame.(y) with Float f -> f | v -> ub v))
+  | L1 x, L1 y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (Float.min l (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | L1 x, LD (dy, y) -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (Float.min l (match local env dy y with Float f -> f | v -> ub v))
+  | L1 x, X y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (Float.min l (match y env with Float f -> f | v -> ub v))
+  | LD (dx, x), C y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (Float.min l y)
+  | LD (dx, x), L0 y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (Float.min l (match env.frame.(y) with Float f -> f | v -> ub v))
+  | LD (dx, x), L1 y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (Float.min l (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | LD (dx, x), LD (dy, y) -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (Float.min l (match local env dy y with Float f -> f | v -> ub v))
+  | LD (dx, x), X y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (Float.min l (match y env with Float f -> f | v -> ub v))
+  | X x, C y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (Float.min l y)
+  | X x, L0 y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (Float.min l (match env.frame.(y) with Float f -> f | v -> ub v))
+  | X x, L1 y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (Float.min l (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | X x, LD (dy, y) -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (Float.min l (match local env dy y with Float f -> f | v -> ub v))
+  | X x, X y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (Float.min l (match y env with Float f -> f | v -> ub v))
 
 let bin_u_flmax (a : leaf) (b : leaf) : env -> value =
   match (a, b) with
@@ -190,26 +185,26 @@ let bin_u_flmax (a : leaf) (b : leaf) : env -> value =
   | C x, L1 y -> fun env -> Float (Float.max x (match env.up.frame.(y) with Float f -> f | v -> ub v))
   | C x, LD (dy, y) -> fun env -> Float (Float.max x (match local env dy y with Float f -> f | v -> ub v))
   | C x, X y -> fun env -> Float (Float.max x (match y env with Float f -> f | v -> ub v))
-  | L0 x, C y -> fun env -> Float (Float.max (match env.frame.(x) with Float f -> f | v -> ub v) y)
-  | L0 x, L0 y -> fun env -> Float (Float.max (match env.frame.(x) with Float f -> f | v -> ub v) (match env.frame.(y) with Float f -> f | v -> ub v))
-  | L0 x, L1 y -> fun env -> Float (Float.max (match env.frame.(x) with Float f -> f | v -> ub v) (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | L0 x, LD (dy, y) -> fun env -> Float (Float.max (match env.frame.(x) with Float f -> f | v -> ub v) (match local env dy y with Float f -> f | v -> ub v))
-  | L0 x, X y -> fun env -> Float (Float.max (match env.frame.(x) with Float f -> f | v -> ub v) (match y env with Float f -> f | v -> ub v))
-  | L1 x, C y -> fun env -> Float (Float.max (match env.up.frame.(x) with Float f -> f | v -> ub v) y)
-  | L1 x, L0 y -> fun env -> Float (Float.max (match env.up.frame.(x) with Float f -> f | v -> ub v) (match env.frame.(y) with Float f -> f | v -> ub v))
-  | L1 x, L1 y -> fun env -> Float (Float.max (match env.up.frame.(x) with Float f -> f | v -> ub v) (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | L1 x, LD (dy, y) -> fun env -> Float (Float.max (match env.up.frame.(x) with Float f -> f | v -> ub v) (match local env dy y with Float f -> f | v -> ub v))
-  | L1 x, X y -> fun env -> Float (Float.max (match env.up.frame.(x) with Float f -> f | v -> ub v) (match y env with Float f -> f | v -> ub v))
-  | LD (dx, x), C y -> fun env -> Float (Float.max (match local env dx x with Float f -> f | v -> ub v) y)
-  | LD (dx, x), L0 y -> fun env -> Float (Float.max (match local env dx x with Float f -> f | v -> ub v) (match env.frame.(y) with Float f -> f | v -> ub v))
-  | LD (dx, x), L1 y -> fun env -> Float (Float.max (match local env dx x with Float f -> f | v -> ub v) (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | LD (dx, x), LD (dy, y) -> fun env -> Float (Float.max (match local env dx x with Float f -> f | v -> ub v) (match local env dy y with Float f -> f | v -> ub v))
-  | LD (dx, x), X y -> fun env -> Float (Float.max (match local env dx x with Float f -> f | v -> ub v) (match y env with Float f -> f | v -> ub v))
-  | X x, C y -> fun env -> Float (Float.max (match x env with Float f -> f | v -> ub v) y)
-  | X x, L0 y -> fun env -> Float (Float.max (match x env with Float f -> f | v -> ub v) (match env.frame.(y) with Float f -> f | v -> ub v))
-  | X x, L1 y -> fun env -> Float (Float.max (match x env with Float f -> f | v -> ub v) (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | X x, LD (dy, y) -> fun env -> Float (Float.max (match x env with Float f -> f | v -> ub v) (match local env dy y with Float f -> f | v -> ub v))
-  | X x, X y -> fun env -> Float (Float.max (match x env with Float f -> f | v -> ub v) (match y env with Float f -> f | v -> ub v))
+  | L0 x, C y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (Float.max l y)
+  | L0 x, L0 y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (Float.max l (match env.frame.(y) with Float f -> f | v -> ub v))
+  | L0 x, L1 y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (Float.max l (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | L0 x, LD (dy, y) -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (Float.max l (match local env dy y with Float f -> f | v -> ub v))
+  | L0 x, X y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (Float.max l (match y env with Float f -> f | v -> ub v))
+  | L1 x, C y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (Float.max l y)
+  | L1 x, L0 y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (Float.max l (match env.frame.(y) with Float f -> f | v -> ub v))
+  | L1 x, L1 y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (Float.max l (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | L1 x, LD (dy, y) -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (Float.max l (match local env dy y with Float f -> f | v -> ub v))
+  | L1 x, X y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (Float.max l (match y env with Float f -> f | v -> ub v))
+  | LD (dx, x), C y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (Float.max l y)
+  | LD (dx, x), L0 y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (Float.max l (match env.frame.(y) with Float f -> f | v -> ub v))
+  | LD (dx, x), L1 y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (Float.max l (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | LD (dx, x), LD (dy, y) -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (Float.max l (match local env dy y with Float f -> f | v -> ub v))
+  | LD (dx, x), X y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (Float.max l (match y env with Float f -> f | v -> ub v))
+  | X x, C y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (Float.max l y)
+  | X x, L0 y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (Float.max l (match env.frame.(y) with Float f -> f | v -> ub v))
+  | X x, L1 y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (Float.max l (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | X x, LD (dy, y) -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (Float.max l (match local env dy y with Float f -> f | v -> ub v))
+  | X x, X y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (Float.max l (match y env with Float f -> f | v -> ub v))
 
 let bin_u_flexpt (a : leaf) (b : leaf) : env -> value =
   match (a, b) with
@@ -220,26 +215,26 @@ let bin_u_flexpt (a : leaf) (b : leaf) : env -> value =
   | C x, L1 y -> fun env -> Float (Float.pow x (match env.up.frame.(y) with Float f -> f | v -> ub v))
   | C x, LD (dy, y) -> fun env -> Float (Float.pow x (match local env dy y with Float f -> f | v -> ub v))
   | C x, X y -> fun env -> Float (Float.pow x (match y env with Float f -> f | v -> ub v))
-  | L0 x, C y -> fun env -> Float (Float.pow (match env.frame.(x) with Float f -> f | v -> ub v) y)
-  | L0 x, L0 y -> fun env -> Float (Float.pow (match env.frame.(x) with Float f -> f | v -> ub v) (match env.frame.(y) with Float f -> f | v -> ub v))
-  | L0 x, L1 y -> fun env -> Float (Float.pow (match env.frame.(x) with Float f -> f | v -> ub v) (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | L0 x, LD (dy, y) -> fun env -> Float (Float.pow (match env.frame.(x) with Float f -> f | v -> ub v) (match local env dy y with Float f -> f | v -> ub v))
-  | L0 x, X y -> fun env -> Float (Float.pow (match env.frame.(x) with Float f -> f | v -> ub v) (match y env with Float f -> f | v -> ub v))
-  | L1 x, C y -> fun env -> Float (Float.pow (match env.up.frame.(x) with Float f -> f | v -> ub v) y)
-  | L1 x, L0 y -> fun env -> Float (Float.pow (match env.up.frame.(x) with Float f -> f | v -> ub v) (match env.frame.(y) with Float f -> f | v -> ub v))
-  | L1 x, L1 y -> fun env -> Float (Float.pow (match env.up.frame.(x) with Float f -> f | v -> ub v) (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | L1 x, LD (dy, y) -> fun env -> Float (Float.pow (match env.up.frame.(x) with Float f -> f | v -> ub v) (match local env dy y with Float f -> f | v -> ub v))
-  | L1 x, X y -> fun env -> Float (Float.pow (match env.up.frame.(x) with Float f -> f | v -> ub v) (match y env with Float f -> f | v -> ub v))
-  | LD (dx, x), C y -> fun env -> Float (Float.pow (match local env dx x with Float f -> f | v -> ub v) y)
-  | LD (dx, x), L0 y -> fun env -> Float (Float.pow (match local env dx x with Float f -> f | v -> ub v) (match env.frame.(y) with Float f -> f | v -> ub v))
-  | LD (dx, x), L1 y -> fun env -> Float (Float.pow (match local env dx x with Float f -> f | v -> ub v) (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | LD (dx, x), LD (dy, y) -> fun env -> Float (Float.pow (match local env dx x with Float f -> f | v -> ub v) (match local env dy y with Float f -> f | v -> ub v))
-  | LD (dx, x), X y -> fun env -> Float (Float.pow (match local env dx x with Float f -> f | v -> ub v) (match y env with Float f -> f | v -> ub v))
-  | X x, C y -> fun env -> Float (Float.pow (match x env with Float f -> f | v -> ub v) y)
-  | X x, L0 y -> fun env -> Float (Float.pow (match x env with Float f -> f | v -> ub v) (match env.frame.(y) with Float f -> f | v -> ub v))
-  | X x, L1 y -> fun env -> Float (Float.pow (match x env with Float f -> f | v -> ub v) (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | X x, LD (dy, y) -> fun env -> Float (Float.pow (match x env with Float f -> f | v -> ub v) (match local env dy y with Float f -> f | v -> ub v))
-  | X x, X y -> fun env -> Float (Float.pow (match x env with Float f -> f | v -> ub v) (match y env with Float f -> f | v -> ub v))
+  | L0 x, C y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (Float.pow l y)
+  | L0 x, L0 y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (Float.pow l (match env.frame.(y) with Float f -> f | v -> ub v))
+  | L0 x, L1 y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (Float.pow l (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | L0 x, LD (dy, y) -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (Float.pow l (match local env dy y with Float f -> f | v -> ub v))
+  | L0 x, X y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Float (Float.pow l (match y env with Float f -> f | v -> ub v))
+  | L1 x, C y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (Float.pow l y)
+  | L1 x, L0 y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (Float.pow l (match env.frame.(y) with Float f -> f | v -> ub v))
+  | L1 x, L1 y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (Float.pow l (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | L1 x, LD (dy, y) -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (Float.pow l (match local env dy y with Float f -> f | v -> ub v))
+  | L1 x, X y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Float (Float.pow l (match y env with Float f -> f | v -> ub v))
+  | LD (dx, x), C y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (Float.pow l y)
+  | LD (dx, x), L0 y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (Float.pow l (match env.frame.(y) with Float f -> f | v -> ub v))
+  | LD (dx, x), L1 y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (Float.pow l (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | LD (dx, x), LD (dy, y) -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (Float.pow l (match local env dy y with Float f -> f | v -> ub v))
+  | LD (dx, x), X y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Float (Float.pow l (match y env with Float f -> f | v -> ub v))
+  | X x, C y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (Float.pow l y)
+  | X x, L0 y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (Float.pow l (match env.frame.(y) with Float f -> f | v -> ub v))
+  | X x, L1 y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (Float.pow l (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | X x, LD (dy, y) -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (Float.pow l (match local env dy y with Float f -> f | v -> ub v))
+  | X x, X y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Float (Float.pow l (match y env with Float f -> f | v -> ub v))
 
 let bin_u_fl_lt (a : leaf) (b : leaf) : env -> value =
   match (a, b) with
@@ -250,26 +245,26 @@ let bin_u_fl_lt (a : leaf) (b : leaf) : env -> value =
   | C x, L1 y -> fun env -> Bool (x < (match env.up.frame.(y) with Float f -> f | v -> ub v))
   | C x, LD (dy, y) -> fun env -> Bool (x < (match local env dy y with Float f -> f | v -> ub v))
   | C x, X y -> fun env -> Bool (x < (match y env with Float f -> f | v -> ub v))
-  | L0 x, C y -> fun env -> Bool ((match env.frame.(x) with Float f -> f | v -> ub v) < y)
-  | L0 x, L0 y -> fun env -> Bool ((match env.frame.(x) with Float f -> f | v -> ub v) < (match env.frame.(y) with Float f -> f | v -> ub v))
-  | L0 x, L1 y -> fun env -> Bool ((match env.frame.(x) with Float f -> f | v -> ub v) < (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | L0 x, LD (dy, y) -> fun env -> Bool ((match env.frame.(x) with Float f -> f | v -> ub v) < (match local env dy y with Float f -> f | v -> ub v))
-  | L0 x, X y -> fun env -> Bool ((match env.frame.(x) with Float f -> f | v -> ub v) < (match y env with Float f -> f | v -> ub v))
-  | L1 x, C y -> fun env -> Bool ((match env.up.frame.(x) with Float f -> f | v -> ub v) < y)
-  | L1 x, L0 y -> fun env -> Bool ((match env.up.frame.(x) with Float f -> f | v -> ub v) < (match env.frame.(y) with Float f -> f | v -> ub v))
-  | L1 x, L1 y -> fun env -> Bool ((match env.up.frame.(x) with Float f -> f | v -> ub v) < (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | L1 x, LD (dy, y) -> fun env -> Bool ((match env.up.frame.(x) with Float f -> f | v -> ub v) < (match local env dy y with Float f -> f | v -> ub v))
-  | L1 x, X y -> fun env -> Bool ((match env.up.frame.(x) with Float f -> f | v -> ub v) < (match y env with Float f -> f | v -> ub v))
-  | LD (dx, x), C y -> fun env -> Bool ((match local env dx x with Float f -> f | v -> ub v) < y)
-  | LD (dx, x), L0 y -> fun env -> Bool ((match local env dx x with Float f -> f | v -> ub v) < (match env.frame.(y) with Float f -> f | v -> ub v))
-  | LD (dx, x), L1 y -> fun env -> Bool ((match local env dx x with Float f -> f | v -> ub v) < (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | LD (dx, x), LD (dy, y) -> fun env -> Bool ((match local env dx x with Float f -> f | v -> ub v) < (match local env dy y with Float f -> f | v -> ub v))
-  | LD (dx, x), X y -> fun env -> Bool ((match local env dx x with Float f -> f | v -> ub v) < (match y env with Float f -> f | v -> ub v))
-  | X x, C y -> fun env -> Bool ((match x env with Float f -> f | v -> ub v) < y)
-  | X x, L0 y -> fun env -> Bool ((match x env with Float f -> f | v -> ub v) < (match env.frame.(y) with Float f -> f | v -> ub v))
-  | X x, L1 y -> fun env -> Bool ((match x env with Float f -> f | v -> ub v) < (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | X x, LD (dy, y) -> fun env -> Bool ((match x env with Float f -> f | v -> ub v) < (match local env dy y with Float f -> f | v -> ub v))
-  | X x, X y -> fun env -> Bool ((match x env with Float f -> f | v -> ub v) < (match y env with Float f -> f | v -> ub v))
+  | L0 x, C y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Bool (l < y)
+  | L0 x, L0 y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Bool (l < (match env.frame.(y) with Float f -> f | v -> ub v))
+  | L0 x, L1 y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Bool (l < (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | L0 x, LD (dy, y) -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Bool (l < (match local env dy y with Float f -> f | v -> ub v))
+  | L0 x, X y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Bool (l < (match y env with Float f -> f | v -> ub v))
+  | L1 x, C y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Bool (l < y)
+  | L1 x, L0 y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Bool (l < (match env.frame.(y) with Float f -> f | v -> ub v))
+  | L1 x, L1 y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Bool (l < (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | L1 x, LD (dy, y) -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Bool (l < (match local env dy y with Float f -> f | v -> ub v))
+  | L1 x, X y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Bool (l < (match y env with Float f -> f | v -> ub v))
+  | LD (dx, x), C y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Bool (l < y)
+  | LD (dx, x), L0 y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Bool (l < (match env.frame.(y) with Float f -> f | v -> ub v))
+  | LD (dx, x), L1 y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Bool (l < (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | LD (dx, x), LD (dy, y) -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Bool (l < (match local env dy y with Float f -> f | v -> ub v))
+  | LD (dx, x), X y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Bool (l < (match y env with Float f -> f | v -> ub v))
+  | X x, C y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Bool (l < y)
+  | X x, L0 y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Bool (l < (match env.frame.(y) with Float f -> f | v -> ub v))
+  | X x, L1 y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Bool (l < (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | X x, LD (dy, y) -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Bool (l < (match local env dy y with Float f -> f | v -> ub v))
+  | X x, X y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Bool (l < (match y env with Float f -> f | v -> ub v))
 
 let bin_u_fl_gt (a : leaf) (b : leaf) : env -> value =
   match (a, b) with
@@ -280,26 +275,26 @@ let bin_u_fl_gt (a : leaf) (b : leaf) : env -> value =
   | C x, L1 y -> fun env -> Bool (x > (match env.up.frame.(y) with Float f -> f | v -> ub v))
   | C x, LD (dy, y) -> fun env -> Bool (x > (match local env dy y with Float f -> f | v -> ub v))
   | C x, X y -> fun env -> Bool (x > (match y env with Float f -> f | v -> ub v))
-  | L0 x, C y -> fun env -> Bool ((match env.frame.(x) with Float f -> f | v -> ub v) > y)
-  | L0 x, L0 y -> fun env -> Bool ((match env.frame.(x) with Float f -> f | v -> ub v) > (match env.frame.(y) with Float f -> f | v -> ub v))
-  | L0 x, L1 y -> fun env -> Bool ((match env.frame.(x) with Float f -> f | v -> ub v) > (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | L0 x, LD (dy, y) -> fun env -> Bool ((match env.frame.(x) with Float f -> f | v -> ub v) > (match local env dy y with Float f -> f | v -> ub v))
-  | L0 x, X y -> fun env -> Bool ((match env.frame.(x) with Float f -> f | v -> ub v) > (match y env with Float f -> f | v -> ub v))
-  | L1 x, C y -> fun env -> Bool ((match env.up.frame.(x) with Float f -> f | v -> ub v) > y)
-  | L1 x, L0 y -> fun env -> Bool ((match env.up.frame.(x) with Float f -> f | v -> ub v) > (match env.frame.(y) with Float f -> f | v -> ub v))
-  | L1 x, L1 y -> fun env -> Bool ((match env.up.frame.(x) with Float f -> f | v -> ub v) > (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | L1 x, LD (dy, y) -> fun env -> Bool ((match env.up.frame.(x) with Float f -> f | v -> ub v) > (match local env dy y with Float f -> f | v -> ub v))
-  | L1 x, X y -> fun env -> Bool ((match env.up.frame.(x) with Float f -> f | v -> ub v) > (match y env with Float f -> f | v -> ub v))
-  | LD (dx, x), C y -> fun env -> Bool ((match local env dx x with Float f -> f | v -> ub v) > y)
-  | LD (dx, x), L0 y -> fun env -> Bool ((match local env dx x with Float f -> f | v -> ub v) > (match env.frame.(y) with Float f -> f | v -> ub v))
-  | LD (dx, x), L1 y -> fun env -> Bool ((match local env dx x with Float f -> f | v -> ub v) > (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | LD (dx, x), LD (dy, y) -> fun env -> Bool ((match local env dx x with Float f -> f | v -> ub v) > (match local env dy y with Float f -> f | v -> ub v))
-  | LD (dx, x), X y -> fun env -> Bool ((match local env dx x with Float f -> f | v -> ub v) > (match y env with Float f -> f | v -> ub v))
-  | X x, C y -> fun env -> Bool ((match x env with Float f -> f | v -> ub v) > y)
-  | X x, L0 y -> fun env -> Bool ((match x env with Float f -> f | v -> ub v) > (match env.frame.(y) with Float f -> f | v -> ub v))
-  | X x, L1 y -> fun env -> Bool ((match x env with Float f -> f | v -> ub v) > (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | X x, LD (dy, y) -> fun env -> Bool ((match x env with Float f -> f | v -> ub v) > (match local env dy y with Float f -> f | v -> ub v))
-  | X x, X y -> fun env -> Bool ((match x env with Float f -> f | v -> ub v) > (match y env with Float f -> f | v -> ub v))
+  | L0 x, C y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Bool (l > y)
+  | L0 x, L0 y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Bool (l > (match env.frame.(y) with Float f -> f | v -> ub v))
+  | L0 x, L1 y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Bool (l > (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | L0 x, LD (dy, y) -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Bool (l > (match local env dy y with Float f -> f | v -> ub v))
+  | L0 x, X y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Bool (l > (match y env with Float f -> f | v -> ub v))
+  | L1 x, C y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Bool (l > y)
+  | L1 x, L0 y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Bool (l > (match env.frame.(y) with Float f -> f | v -> ub v))
+  | L1 x, L1 y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Bool (l > (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | L1 x, LD (dy, y) -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Bool (l > (match local env dy y with Float f -> f | v -> ub v))
+  | L1 x, X y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Bool (l > (match y env with Float f -> f | v -> ub v))
+  | LD (dx, x), C y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Bool (l > y)
+  | LD (dx, x), L0 y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Bool (l > (match env.frame.(y) with Float f -> f | v -> ub v))
+  | LD (dx, x), L1 y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Bool (l > (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | LD (dx, x), LD (dy, y) -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Bool (l > (match local env dy y with Float f -> f | v -> ub v))
+  | LD (dx, x), X y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Bool (l > (match y env with Float f -> f | v -> ub v))
+  | X x, C y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Bool (l > y)
+  | X x, L0 y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Bool (l > (match env.frame.(y) with Float f -> f | v -> ub v))
+  | X x, L1 y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Bool (l > (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | X x, LD (dy, y) -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Bool (l > (match local env dy y with Float f -> f | v -> ub v))
+  | X x, X y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Bool (l > (match y env with Float f -> f | v -> ub v))
 
 let bin_u_fl_le (a : leaf) (b : leaf) : env -> value =
   match (a, b) with
@@ -310,26 +305,26 @@ let bin_u_fl_le (a : leaf) (b : leaf) : env -> value =
   | C x, L1 y -> fun env -> Bool (x <= (match env.up.frame.(y) with Float f -> f | v -> ub v))
   | C x, LD (dy, y) -> fun env -> Bool (x <= (match local env dy y with Float f -> f | v -> ub v))
   | C x, X y -> fun env -> Bool (x <= (match y env with Float f -> f | v -> ub v))
-  | L0 x, C y -> fun env -> Bool ((match env.frame.(x) with Float f -> f | v -> ub v) <= y)
-  | L0 x, L0 y -> fun env -> Bool ((match env.frame.(x) with Float f -> f | v -> ub v) <= (match env.frame.(y) with Float f -> f | v -> ub v))
-  | L0 x, L1 y -> fun env -> Bool ((match env.frame.(x) with Float f -> f | v -> ub v) <= (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | L0 x, LD (dy, y) -> fun env -> Bool ((match env.frame.(x) with Float f -> f | v -> ub v) <= (match local env dy y with Float f -> f | v -> ub v))
-  | L0 x, X y -> fun env -> Bool ((match env.frame.(x) with Float f -> f | v -> ub v) <= (match y env with Float f -> f | v -> ub v))
-  | L1 x, C y -> fun env -> Bool ((match env.up.frame.(x) with Float f -> f | v -> ub v) <= y)
-  | L1 x, L0 y -> fun env -> Bool ((match env.up.frame.(x) with Float f -> f | v -> ub v) <= (match env.frame.(y) with Float f -> f | v -> ub v))
-  | L1 x, L1 y -> fun env -> Bool ((match env.up.frame.(x) with Float f -> f | v -> ub v) <= (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | L1 x, LD (dy, y) -> fun env -> Bool ((match env.up.frame.(x) with Float f -> f | v -> ub v) <= (match local env dy y with Float f -> f | v -> ub v))
-  | L1 x, X y -> fun env -> Bool ((match env.up.frame.(x) with Float f -> f | v -> ub v) <= (match y env with Float f -> f | v -> ub v))
-  | LD (dx, x), C y -> fun env -> Bool ((match local env dx x with Float f -> f | v -> ub v) <= y)
-  | LD (dx, x), L0 y -> fun env -> Bool ((match local env dx x with Float f -> f | v -> ub v) <= (match env.frame.(y) with Float f -> f | v -> ub v))
-  | LD (dx, x), L1 y -> fun env -> Bool ((match local env dx x with Float f -> f | v -> ub v) <= (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | LD (dx, x), LD (dy, y) -> fun env -> Bool ((match local env dx x with Float f -> f | v -> ub v) <= (match local env dy y with Float f -> f | v -> ub v))
-  | LD (dx, x), X y -> fun env -> Bool ((match local env dx x with Float f -> f | v -> ub v) <= (match y env with Float f -> f | v -> ub v))
-  | X x, C y -> fun env -> Bool ((match x env with Float f -> f | v -> ub v) <= y)
-  | X x, L0 y -> fun env -> Bool ((match x env with Float f -> f | v -> ub v) <= (match env.frame.(y) with Float f -> f | v -> ub v))
-  | X x, L1 y -> fun env -> Bool ((match x env with Float f -> f | v -> ub v) <= (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | X x, LD (dy, y) -> fun env -> Bool ((match x env with Float f -> f | v -> ub v) <= (match local env dy y with Float f -> f | v -> ub v))
-  | X x, X y -> fun env -> Bool ((match x env with Float f -> f | v -> ub v) <= (match y env with Float f -> f | v -> ub v))
+  | L0 x, C y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Bool (l <= y)
+  | L0 x, L0 y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Bool (l <= (match env.frame.(y) with Float f -> f | v -> ub v))
+  | L0 x, L1 y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Bool (l <= (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | L0 x, LD (dy, y) -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Bool (l <= (match local env dy y with Float f -> f | v -> ub v))
+  | L0 x, X y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Bool (l <= (match y env with Float f -> f | v -> ub v))
+  | L1 x, C y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Bool (l <= y)
+  | L1 x, L0 y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Bool (l <= (match env.frame.(y) with Float f -> f | v -> ub v))
+  | L1 x, L1 y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Bool (l <= (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | L1 x, LD (dy, y) -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Bool (l <= (match local env dy y with Float f -> f | v -> ub v))
+  | L1 x, X y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Bool (l <= (match y env with Float f -> f | v -> ub v))
+  | LD (dx, x), C y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Bool (l <= y)
+  | LD (dx, x), L0 y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Bool (l <= (match env.frame.(y) with Float f -> f | v -> ub v))
+  | LD (dx, x), L1 y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Bool (l <= (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | LD (dx, x), LD (dy, y) -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Bool (l <= (match local env dy y with Float f -> f | v -> ub v))
+  | LD (dx, x), X y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Bool (l <= (match y env with Float f -> f | v -> ub v))
+  | X x, C y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Bool (l <= y)
+  | X x, L0 y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Bool (l <= (match env.frame.(y) with Float f -> f | v -> ub v))
+  | X x, L1 y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Bool (l <= (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | X x, LD (dy, y) -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Bool (l <= (match local env dy y with Float f -> f | v -> ub v))
+  | X x, X y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Bool (l <= (match y env with Float f -> f | v -> ub v))
 
 let bin_u_fl_ge (a : leaf) (b : leaf) : env -> value =
   match (a, b) with
@@ -340,26 +335,26 @@ let bin_u_fl_ge (a : leaf) (b : leaf) : env -> value =
   | C x, L1 y -> fun env -> Bool (x >= (match env.up.frame.(y) with Float f -> f | v -> ub v))
   | C x, LD (dy, y) -> fun env -> Bool (x >= (match local env dy y with Float f -> f | v -> ub v))
   | C x, X y -> fun env -> Bool (x >= (match y env with Float f -> f | v -> ub v))
-  | L0 x, C y -> fun env -> Bool ((match env.frame.(x) with Float f -> f | v -> ub v) >= y)
-  | L0 x, L0 y -> fun env -> Bool ((match env.frame.(x) with Float f -> f | v -> ub v) >= (match env.frame.(y) with Float f -> f | v -> ub v))
-  | L0 x, L1 y -> fun env -> Bool ((match env.frame.(x) with Float f -> f | v -> ub v) >= (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | L0 x, LD (dy, y) -> fun env -> Bool ((match env.frame.(x) with Float f -> f | v -> ub v) >= (match local env dy y with Float f -> f | v -> ub v))
-  | L0 x, X y -> fun env -> Bool ((match env.frame.(x) with Float f -> f | v -> ub v) >= (match y env with Float f -> f | v -> ub v))
-  | L1 x, C y -> fun env -> Bool ((match env.up.frame.(x) with Float f -> f | v -> ub v) >= y)
-  | L1 x, L0 y -> fun env -> Bool ((match env.up.frame.(x) with Float f -> f | v -> ub v) >= (match env.frame.(y) with Float f -> f | v -> ub v))
-  | L1 x, L1 y -> fun env -> Bool ((match env.up.frame.(x) with Float f -> f | v -> ub v) >= (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | L1 x, LD (dy, y) -> fun env -> Bool ((match env.up.frame.(x) with Float f -> f | v -> ub v) >= (match local env dy y with Float f -> f | v -> ub v))
-  | L1 x, X y -> fun env -> Bool ((match env.up.frame.(x) with Float f -> f | v -> ub v) >= (match y env with Float f -> f | v -> ub v))
-  | LD (dx, x), C y -> fun env -> Bool ((match local env dx x with Float f -> f | v -> ub v) >= y)
-  | LD (dx, x), L0 y -> fun env -> Bool ((match local env dx x with Float f -> f | v -> ub v) >= (match env.frame.(y) with Float f -> f | v -> ub v))
-  | LD (dx, x), L1 y -> fun env -> Bool ((match local env dx x with Float f -> f | v -> ub v) >= (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | LD (dx, x), LD (dy, y) -> fun env -> Bool ((match local env dx x with Float f -> f | v -> ub v) >= (match local env dy y with Float f -> f | v -> ub v))
-  | LD (dx, x), X y -> fun env -> Bool ((match local env dx x with Float f -> f | v -> ub v) >= (match y env with Float f -> f | v -> ub v))
-  | X x, C y -> fun env -> Bool ((match x env with Float f -> f | v -> ub v) >= y)
-  | X x, L0 y -> fun env -> Bool ((match x env with Float f -> f | v -> ub v) >= (match env.frame.(y) with Float f -> f | v -> ub v))
-  | X x, L1 y -> fun env -> Bool ((match x env with Float f -> f | v -> ub v) >= (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | X x, LD (dy, y) -> fun env -> Bool ((match x env with Float f -> f | v -> ub v) >= (match local env dy y with Float f -> f | v -> ub v))
-  | X x, X y -> fun env -> Bool ((match x env with Float f -> f | v -> ub v) >= (match y env with Float f -> f | v -> ub v))
+  | L0 x, C y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Bool (l >= y)
+  | L0 x, L0 y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Bool (l >= (match env.frame.(y) with Float f -> f | v -> ub v))
+  | L0 x, L1 y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Bool (l >= (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | L0 x, LD (dy, y) -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Bool (l >= (match local env dy y with Float f -> f | v -> ub v))
+  | L0 x, X y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Bool (l >= (match y env with Float f -> f | v -> ub v))
+  | L1 x, C y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Bool (l >= y)
+  | L1 x, L0 y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Bool (l >= (match env.frame.(y) with Float f -> f | v -> ub v))
+  | L1 x, L1 y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Bool (l >= (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | L1 x, LD (dy, y) -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Bool (l >= (match local env dy y with Float f -> f | v -> ub v))
+  | L1 x, X y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Bool (l >= (match y env with Float f -> f | v -> ub v))
+  | LD (dx, x), C y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Bool (l >= y)
+  | LD (dx, x), L0 y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Bool (l >= (match env.frame.(y) with Float f -> f | v -> ub v))
+  | LD (dx, x), L1 y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Bool (l >= (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | LD (dx, x), LD (dy, y) -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Bool (l >= (match local env dy y with Float f -> f | v -> ub v))
+  | LD (dx, x), X y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Bool (l >= (match y env with Float f -> f | v -> ub v))
+  | X x, C y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Bool (l >= y)
+  | X x, L0 y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Bool (l >= (match env.frame.(y) with Float f -> f | v -> ub v))
+  | X x, L1 y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Bool (l >= (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | X x, LD (dy, y) -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Bool (l >= (match local env dy y with Float f -> f | v -> ub v))
+  | X x, X y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Bool (l >= (match y env with Float f -> f | v -> ub v))
 
 let bin_u_fl_eq (a : leaf) (b : leaf) : env -> value =
   match (a, b) with
@@ -370,26 +365,26 @@ let bin_u_fl_eq (a : leaf) (b : leaf) : env -> value =
   | C x, L1 y -> fun env -> Bool (Float.equal x (match env.up.frame.(y) with Float f -> f | v -> ub v))
   | C x, LD (dy, y) -> fun env -> Bool (Float.equal x (match local env dy y with Float f -> f | v -> ub v))
   | C x, X y -> fun env -> Bool (Float.equal x (match y env with Float f -> f | v -> ub v))
-  | L0 x, C y -> fun env -> Bool (Float.equal (match env.frame.(x) with Float f -> f | v -> ub v) y)
-  | L0 x, L0 y -> fun env -> Bool (Float.equal (match env.frame.(x) with Float f -> f | v -> ub v) (match env.frame.(y) with Float f -> f | v -> ub v))
-  | L0 x, L1 y -> fun env -> Bool (Float.equal (match env.frame.(x) with Float f -> f | v -> ub v) (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | L0 x, LD (dy, y) -> fun env -> Bool (Float.equal (match env.frame.(x) with Float f -> f | v -> ub v) (match local env dy y with Float f -> f | v -> ub v))
-  | L0 x, X y -> fun env -> Bool (Float.equal (match env.frame.(x) with Float f -> f | v -> ub v) (match y env with Float f -> f | v -> ub v))
-  | L1 x, C y -> fun env -> Bool (Float.equal (match env.up.frame.(x) with Float f -> f | v -> ub v) y)
-  | L1 x, L0 y -> fun env -> Bool (Float.equal (match env.up.frame.(x) with Float f -> f | v -> ub v) (match env.frame.(y) with Float f -> f | v -> ub v))
-  | L1 x, L1 y -> fun env -> Bool (Float.equal (match env.up.frame.(x) with Float f -> f | v -> ub v) (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | L1 x, LD (dy, y) -> fun env -> Bool (Float.equal (match env.up.frame.(x) with Float f -> f | v -> ub v) (match local env dy y with Float f -> f | v -> ub v))
-  | L1 x, X y -> fun env -> Bool (Float.equal (match env.up.frame.(x) with Float f -> f | v -> ub v) (match y env with Float f -> f | v -> ub v))
-  | LD (dx, x), C y -> fun env -> Bool (Float.equal (match local env dx x with Float f -> f | v -> ub v) y)
-  | LD (dx, x), L0 y -> fun env -> Bool (Float.equal (match local env dx x with Float f -> f | v -> ub v) (match env.frame.(y) with Float f -> f | v -> ub v))
-  | LD (dx, x), L1 y -> fun env -> Bool (Float.equal (match local env dx x with Float f -> f | v -> ub v) (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | LD (dx, x), LD (dy, y) -> fun env -> Bool (Float.equal (match local env dx x with Float f -> f | v -> ub v) (match local env dy y with Float f -> f | v -> ub v))
-  | LD (dx, x), X y -> fun env -> Bool (Float.equal (match local env dx x with Float f -> f | v -> ub v) (match y env with Float f -> f | v -> ub v))
-  | X x, C y -> fun env -> Bool (Float.equal (match x env with Float f -> f | v -> ub v) y)
-  | X x, L0 y -> fun env -> Bool (Float.equal (match x env with Float f -> f | v -> ub v) (match env.frame.(y) with Float f -> f | v -> ub v))
-  | X x, L1 y -> fun env -> Bool (Float.equal (match x env with Float f -> f | v -> ub v) (match env.up.frame.(y) with Float f -> f | v -> ub v))
-  | X x, LD (dy, y) -> fun env -> Bool (Float.equal (match x env with Float f -> f | v -> ub v) (match local env dy y with Float f -> f | v -> ub v))
-  | X x, X y -> fun env -> Bool (Float.equal (match x env with Float f -> f | v -> ub v) (match y env with Float f -> f | v -> ub v))
+  | L0 x, C y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Bool (Float.equal l y)
+  | L0 x, L0 y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Bool (Float.equal l (match env.frame.(y) with Float f -> f | v -> ub v))
+  | L0 x, L1 y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Bool (Float.equal l (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | L0 x, LD (dy, y) -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Bool (Float.equal l (match local env dy y with Float f -> f | v -> ub v))
+  | L0 x, X y -> fun env -> let l = (match env.frame.(x) with Float f -> f | v -> ub v) in Bool (Float.equal l (match y env with Float f -> f | v -> ub v))
+  | L1 x, C y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Bool (Float.equal l y)
+  | L1 x, L0 y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Bool (Float.equal l (match env.frame.(y) with Float f -> f | v -> ub v))
+  | L1 x, L1 y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Bool (Float.equal l (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | L1 x, LD (dy, y) -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Bool (Float.equal l (match local env dy y with Float f -> f | v -> ub v))
+  | L1 x, X y -> fun env -> let l = (match env.up.frame.(x) with Float f -> f | v -> ub v) in Bool (Float.equal l (match y env with Float f -> f | v -> ub v))
+  | LD (dx, x), C y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Bool (Float.equal l y)
+  | LD (dx, x), L0 y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Bool (Float.equal l (match env.frame.(y) with Float f -> f | v -> ub v))
+  | LD (dx, x), L1 y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Bool (Float.equal l (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | LD (dx, x), LD (dy, y) -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Bool (Float.equal l (match local env dy y with Float f -> f | v -> ub v))
+  | LD (dx, x), X y -> fun env -> let l = (match local env dx x with Float f -> f | v -> ub v) in Bool (Float.equal l (match y env with Float f -> f | v -> ub v))
+  | X x, C y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Bool (Float.equal l y)
+  | X x, L0 y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Bool (Float.equal l (match env.frame.(y) with Float f -> f | v -> ub v))
+  | X x, L1 y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Bool (Float.equal l (match env.up.frame.(y) with Float f -> f | v -> ub v))
+  | X x, LD (dy, y) -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Bool (Float.equal l (match local env dy y with Float f -> f | v -> ub v))
+  | X x, X y -> fun env -> let l = (match x env with Float f -> f | v -> ub v) in Bool (Float.equal l (match y env with Float f -> f | v -> ub v))
 
 let un_u_flabs (a : leaf) : env -> value =
   match a with
@@ -512,11 +507,7 @@ let un_u_fltruncate (a : leaf) : env -> value =
   | X x -> fun env -> Float (Float.trunc (match x env with Float f -> f | v -> ub v))
 
 let un_fx_to_fl (a : leaf) : env -> value =
-  let cvt = function
-    | Int n -> float_of_int n
-    | Float f -> f
-    | v -> error "unsafe-fx->fl: expects a fixnum, given %s" (write_string v)
-  in
+  let cvt = Numeric.unsafe_fx_to_fl in
   match a with
   | C x -> fun _ -> Float x
   | L0 i -> fun env -> Float (cvt env.frame.(i))
@@ -572,7 +563,8 @@ let cbin_add (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar +. br, ai +. bi))
   | CL0 x, CL0 y ->
       fun env ->
-        (match (env.frame.(x), env.frame.(y)) with
+        let va = env.frame.(x) in
+        (match (va, env.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar +. br, ai +. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -580,7 +572,8 @@ let cbin_add (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar +. br, ai +. bi))
   | CL0 x, CL1 y ->
       fun env ->
-        (match (env.frame.(x), env.up.frame.(y)) with
+        let va = env.frame.(x) in
+        (match (va, env.up.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar +. br, ai +. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -588,7 +581,8 @@ let cbin_add (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar +. br, ai +. bi))
   | CL0 x, CLD (dy, y) ->
       fun env ->
-        (match (env.frame.(x), local env dy y) with
+        let va = env.frame.(x) in
+        (match (va, local env dy y) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar +. br, ai +. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -596,7 +590,8 @@ let cbin_add (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar +. br, ai +. bi))
   | CL0 x, CX y ->
       fun env ->
-        (match (env.frame.(x), y env) with
+        let va = env.frame.(x) in
+        (match (va, y env) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar +. br, ai +. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -612,7 +607,8 @@ let cbin_add (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar +. br, ai +. bi))
   | CL1 x, CL0 y ->
       fun env ->
-        (match (env.up.frame.(x), env.frame.(y)) with
+        let va = env.up.frame.(x) in
+        (match (va, env.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar +. br, ai +. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -620,7 +616,8 @@ let cbin_add (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar +. br, ai +. bi))
   | CL1 x, CL1 y ->
       fun env ->
-        (match (env.up.frame.(x), env.up.frame.(y)) with
+        let va = env.up.frame.(x) in
+        (match (va, env.up.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar +. br, ai +. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -628,7 +625,8 @@ let cbin_add (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar +. br, ai +. bi))
   | CL1 x, CLD (dy, y) ->
       fun env ->
-        (match (env.up.frame.(x), local env dy y) with
+        let va = env.up.frame.(x) in
+        (match (va, local env dy y) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar +. br, ai +. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -636,7 +634,8 @@ let cbin_add (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar +. br, ai +. bi))
   | CL1 x, CX y ->
       fun env ->
-        (match (env.up.frame.(x), y env) with
+        let va = env.up.frame.(x) in
+        (match (va, y env) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar +. br, ai +. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -652,7 +651,8 @@ let cbin_add (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar +. br, ai +. bi))
   | CLD (dx, x), CL0 y ->
       fun env ->
-        (match (local env dx x, env.frame.(y)) with
+        let va = local env dx x in
+        (match (va, env.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar +. br, ai +. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -660,7 +660,8 @@ let cbin_add (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar +. br, ai +. bi))
   | CLD (dx, x), CL1 y ->
       fun env ->
-        (match (local env dx x, env.up.frame.(y)) with
+        let va = local env dx x in
+        (match (va, env.up.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar +. br, ai +. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -668,7 +669,8 @@ let cbin_add (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar +. br, ai +. bi))
   | CLD (dx, x), CLD (dy, y) ->
       fun env ->
-        (match (local env dx x, local env dy y) with
+        let va = local env dx x in
+        (match (va, local env dy y) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar +. br, ai +. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -676,7 +678,8 @@ let cbin_add (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar +. br, ai +. bi))
   | CLD (dx, x), CX y ->
       fun env ->
-        (match (local env dx x, y env) with
+        let va = local env dx x in
+        (match (va, y env) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar +. br, ai +. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -692,7 +695,8 @@ let cbin_add (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar +. br, ai +. bi))
   | CX x, CL0 y ->
       fun env ->
-        (match (x env, env.frame.(y)) with
+        let va = x env in
+        (match (va, env.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar +. br, ai +. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -700,7 +704,8 @@ let cbin_add (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar +. br, ai +. bi))
   | CX x, CL1 y ->
       fun env ->
-        (match (x env, env.up.frame.(y)) with
+        let va = x env in
+        (match (va, env.up.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar +. br, ai +. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -708,7 +713,8 @@ let cbin_add (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar +. br, ai +. bi))
   | CX x, CLD (dy, y) ->
       fun env ->
-        (match (x env, local env dy y) with
+        let va = x env in
+        (match (va, local env dy y) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar +. br, ai +. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -716,7 +722,8 @@ let cbin_add (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar +. br, ai +. bi))
   | CX x, CX y ->
       fun env ->
-        (match (x env, y env) with
+        let va = x env in
+        (match (va, y env) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar +. br, ai +. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -771,7 +778,8 @@ let cbin_sub (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar -. br, ai -. bi))
   | CL0 x, CL0 y ->
       fun env ->
-        (match (env.frame.(x), env.frame.(y)) with
+        let va = env.frame.(x) in
+        (match (va, env.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar -. br, ai -. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -779,7 +787,8 @@ let cbin_sub (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar -. br, ai -. bi))
   | CL0 x, CL1 y ->
       fun env ->
-        (match (env.frame.(x), env.up.frame.(y)) with
+        let va = env.frame.(x) in
+        (match (va, env.up.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar -. br, ai -. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -787,7 +796,8 @@ let cbin_sub (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar -. br, ai -. bi))
   | CL0 x, CLD (dy, y) ->
       fun env ->
-        (match (env.frame.(x), local env dy y) with
+        let va = env.frame.(x) in
+        (match (va, local env dy y) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar -. br, ai -. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -795,7 +805,8 @@ let cbin_sub (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar -. br, ai -. bi))
   | CL0 x, CX y ->
       fun env ->
-        (match (env.frame.(x), y env) with
+        let va = env.frame.(x) in
+        (match (va, y env) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar -. br, ai -. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -811,7 +822,8 @@ let cbin_sub (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar -. br, ai -. bi))
   | CL1 x, CL0 y ->
       fun env ->
-        (match (env.up.frame.(x), env.frame.(y)) with
+        let va = env.up.frame.(x) in
+        (match (va, env.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar -. br, ai -. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -819,7 +831,8 @@ let cbin_sub (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar -. br, ai -. bi))
   | CL1 x, CL1 y ->
       fun env ->
-        (match (env.up.frame.(x), env.up.frame.(y)) with
+        let va = env.up.frame.(x) in
+        (match (va, env.up.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar -. br, ai -. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -827,7 +840,8 @@ let cbin_sub (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar -. br, ai -. bi))
   | CL1 x, CLD (dy, y) ->
       fun env ->
-        (match (env.up.frame.(x), local env dy y) with
+        let va = env.up.frame.(x) in
+        (match (va, local env dy y) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar -. br, ai -. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -835,7 +849,8 @@ let cbin_sub (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar -. br, ai -. bi))
   | CL1 x, CX y ->
       fun env ->
-        (match (env.up.frame.(x), y env) with
+        let va = env.up.frame.(x) in
+        (match (va, y env) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar -. br, ai -. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -851,7 +866,8 @@ let cbin_sub (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar -. br, ai -. bi))
   | CLD (dx, x), CL0 y ->
       fun env ->
-        (match (local env dx x, env.frame.(y)) with
+        let va = local env dx x in
+        (match (va, env.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar -. br, ai -. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -859,7 +875,8 @@ let cbin_sub (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar -. br, ai -. bi))
   | CLD (dx, x), CL1 y ->
       fun env ->
-        (match (local env dx x, env.up.frame.(y)) with
+        let va = local env dx x in
+        (match (va, env.up.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar -. br, ai -. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -867,7 +884,8 @@ let cbin_sub (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar -. br, ai -. bi))
   | CLD (dx, x), CLD (dy, y) ->
       fun env ->
-        (match (local env dx x, local env dy y) with
+        let va = local env dx x in
+        (match (va, local env dy y) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar -. br, ai -. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -875,7 +893,8 @@ let cbin_sub (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar -. br, ai -. bi))
   | CLD (dx, x), CX y ->
       fun env ->
-        (match (local env dx x, y env) with
+        let va = local env dx x in
+        (match (va, y env) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar -. br, ai -. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -891,7 +910,8 @@ let cbin_sub (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar -. br, ai -. bi))
   | CX x, CL0 y ->
       fun env ->
-        (match (x env, env.frame.(y)) with
+        let va = x env in
+        (match (va, env.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar -. br, ai -. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -899,7 +919,8 @@ let cbin_sub (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar -. br, ai -. bi))
   | CX x, CL1 y ->
       fun env ->
-        (match (x env, env.up.frame.(y)) with
+        let va = x env in
+        (match (va, env.up.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar -. br, ai -. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -907,7 +928,8 @@ let cbin_sub (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar -. br, ai -. bi))
   | CX x, CLD (dy, y) ->
       fun env ->
-        (match (x env, local env dy y) with
+        let va = x env in
+        (match (va, local env dy y) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar -. br, ai -. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -915,7 +937,8 @@ let cbin_sub (a : cleaf) (b : cleaf) : env -> value =
             Cpx (ar -. br, ai -. bi))
   | CX x, CX y ->
       fun env ->
-        (match (x env, y env) with
+        let va = x env in
+        (match (va, y env) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx (ar -. br, ai -. bi)
         | va, vb ->
             let ar, ai = ubc va in
@@ -970,7 +993,8 @@ let cbin_mul (a : cleaf) (b : cleaf) : env -> value =
             Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br)))
   | CL0 x, CL0 y ->
       fun env ->
-        (match (env.frame.(x), env.frame.(y)) with
+        let va = env.frame.(x) in
+        (match (va, env.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br))
         | va, vb ->
             let ar, ai = ubc va in
@@ -978,7 +1002,8 @@ let cbin_mul (a : cleaf) (b : cleaf) : env -> value =
             Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br)))
   | CL0 x, CL1 y ->
       fun env ->
-        (match (env.frame.(x), env.up.frame.(y)) with
+        let va = env.frame.(x) in
+        (match (va, env.up.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br))
         | va, vb ->
             let ar, ai = ubc va in
@@ -986,7 +1011,8 @@ let cbin_mul (a : cleaf) (b : cleaf) : env -> value =
             Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br)))
   | CL0 x, CLD (dy, y) ->
       fun env ->
-        (match (env.frame.(x), local env dy y) with
+        let va = env.frame.(x) in
+        (match (va, local env dy y) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br))
         | va, vb ->
             let ar, ai = ubc va in
@@ -994,7 +1020,8 @@ let cbin_mul (a : cleaf) (b : cleaf) : env -> value =
             Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br)))
   | CL0 x, CX y ->
       fun env ->
-        (match (env.frame.(x), y env) with
+        let va = env.frame.(x) in
+        (match (va, y env) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1010,7 +1037,8 @@ let cbin_mul (a : cleaf) (b : cleaf) : env -> value =
             Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br)))
   | CL1 x, CL0 y ->
       fun env ->
-        (match (env.up.frame.(x), env.frame.(y)) with
+        let va = env.up.frame.(x) in
+        (match (va, env.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1018,7 +1046,8 @@ let cbin_mul (a : cleaf) (b : cleaf) : env -> value =
             Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br)))
   | CL1 x, CL1 y ->
       fun env ->
-        (match (env.up.frame.(x), env.up.frame.(y)) with
+        let va = env.up.frame.(x) in
+        (match (va, env.up.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1026,7 +1055,8 @@ let cbin_mul (a : cleaf) (b : cleaf) : env -> value =
             Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br)))
   | CL1 x, CLD (dy, y) ->
       fun env ->
-        (match (env.up.frame.(x), local env dy y) with
+        let va = env.up.frame.(x) in
+        (match (va, local env dy y) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1034,7 +1064,8 @@ let cbin_mul (a : cleaf) (b : cleaf) : env -> value =
             Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br)))
   | CL1 x, CX y ->
       fun env ->
-        (match (env.up.frame.(x), y env) with
+        let va = env.up.frame.(x) in
+        (match (va, y env) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1050,7 +1081,8 @@ let cbin_mul (a : cleaf) (b : cleaf) : env -> value =
             Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br)))
   | CLD (dx, x), CL0 y ->
       fun env ->
-        (match (local env dx x, env.frame.(y)) with
+        let va = local env dx x in
+        (match (va, env.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1058,7 +1090,8 @@ let cbin_mul (a : cleaf) (b : cleaf) : env -> value =
             Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br)))
   | CLD (dx, x), CL1 y ->
       fun env ->
-        (match (local env dx x, env.up.frame.(y)) with
+        let va = local env dx x in
+        (match (va, env.up.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1066,7 +1099,8 @@ let cbin_mul (a : cleaf) (b : cleaf) : env -> value =
             Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br)))
   | CLD (dx, x), CLD (dy, y) ->
       fun env ->
-        (match (local env dx x, local env dy y) with
+        let va = local env dx x in
+        (match (va, local env dy y) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1074,7 +1108,8 @@ let cbin_mul (a : cleaf) (b : cleaf) : env -> value =
             Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br)))
   | CLD (dx, x), CX y ->
       fun env ->
-        (match (local env dx x, y env) with
+        let va = local env dx x in
+        (match (va, y env) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1090,7 +1125,8 @@ let cbin_mul (a : cleaf) (b : cleaf) : env -> value =
             Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br)))
   | CX x, CL0 y ->
       fun env ->
-        (match (x env, env.frame.(y)) with
+        let va = x env in
+        (match (va, env.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1098,7 +1134,8 @@ let cbin_mul (a : cleaf) (b : cleaf) : env -> value =
             Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br)))
   | CX x, CL1 y ->
       fun env ->
-        (match (x env, env.up.frame.(y)) with
+        let va = x env in
+        (match (va, env.up.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1106,7 +1143,8 @@ let cbin_mul (a : cleaf) (b : cleaf) : env -> value =
             Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br)))
   | CX x, CLD (dy, y) ->
       fun env ->
-        (match (x env, local env dy y) with
+        let va = x env in
+        (match (va, local env dy y) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1114,7 +1152,8 @@ let cbin_mul (a : cleaf) (b : cleaf) : env -> value =
             Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br)))
   | CX x, CX y ->
       fun env ->
-        (match (x env, y env) with
+        let va = x env in
+        (match (va, y env) with
         | Cpx (ar, ai), Cpx (br, bi) -> Cpx ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1169,7 +1208,8 @@ let cbin_div (a : cleaf) (b : cleaf) : env -> value =
             (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d)))
   | CL0 x, CL0 y ->
       fun env ->
-        (match (env.frame.(x), env.frame.(y)) with
+        let va = env.frame.(x) in
+        (match (va, env.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1177,7 +1217,8 @@ let cbin_div (a : cleaf) (b : cleaf) : env -> value =
             (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d)))
   | CL0 x, CL1 y ->
       fun env ->
-        (match (env.frame.(x), env.up.frame.(y)) with
+        let va = env.frame.(x) in
+        (match (va, env.up.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1185,7 +1226,8 @@ let cbin_div (a : cleaf) (b : cleaf) : env -> value =
             (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d)))
   | CL0 x, CLD (dy, y) ->
       fun env ->
-        (match (env.frame.(x), local env dy y) with
+        let va = env.frame.(x) in
+        (match (va, local env dy y) with
         | Cpx (ar, ai), Cpx (br, bi) -> (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1193,7 +1235,8 @@ let cbin_div (a : cleaf) (b : cleaf) : env -> value =
             (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d)))
   | CL0 x, CX y ->
       fun env ->
-        (match (env.frame.(x), y env) with
+        let va = env.frame.(x) in
+        (match (va, y env) with
         | Cpx (ar, ai), Cpx (br, bi) -> (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1209,7 +1252,8 @@ let cbin_div (a : cleaf) (b : cleaf) : env -> value =
             (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d)))
   | CL1 x, CL0 y ->
       fun env ->
-        (match (env.up.frame.(x), env.frame.(y)) with
+        let va = env.up.frame.(x) in
+        (match (va, env.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1217,7 +1261,8 @@ let cbin_div (a : cleaf) (b : cleaf) : env -> value =
             (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d)))
   | CL1 x, CL1 y ->
       fun env ->
-        (match (env.up.frame.(x), env.up.frame.(y)) with
+        let va = env.up.frame.(x) in
+        (match (va, env.up.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1225,7 +1270,8 @@ let cbin_div (a : cleaf) (b : cleaf) : env -> value =
             (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d)))
   | CL1 x, CLD (dy, y) ->
       fun env ->
-        (match (env.up.frame.(x), local env dy y) with
+        let va = env.up.frame.(x) in
+        (match (va, local env dy y) with
         | Cpx (ar, ai), Cpx (br, bi) -> (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1233,7 +1279,8 @@ let cbin_div (a : cleaf) (b : cleaf) : env -> value =
             (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d)))
   | CL1 x, CX y ->
       fun env ->
-        (match (env.up.frame.(x), y env) with
+        let va = env.up.frame.(x) in
+        (match (va, y env) with
         | Cpx (ar, ai), Cpx (br, bi) -> (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1249,7 +1296,8 @@ let cbin_div (a : cleaf) (b : cleaf) : env -> value =
             (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d)))
   | CLD (dx, x), CL0 y ->
       fun env ->
-        (match (local env dx x, env.frame.(y)) with
+        let va = local env dx x in
+        (match (va, env.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1257,7 +1305,8 @@ let cbin_div (a : cleaf) (b : cleaf) : env -> value =
             (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d)))
   | CLD (dx, x), CL1 y ->
       fun env ->
-        (match (local env dx x, env.up.frame.(y)) with
+        let va = local env dx x in
+        (match (va, env.up.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1265,7 +1314,8 @@ let cbin_div (a : cleaf) (b : cleaf) : env -> value =
             (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d)))
   | CLD (dx, x), CLD (dy, y) ->
       fun env ->
-        (match (local env dx x, local env dy y) with
+        let va = local env dx x in
+        (match (va, local env dy y) with
         | Cpx (ar, ai), Cpx (br, bi) -> (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1273,7 +1323,8 @@ let cbin_div (a : cleaf) (b : cleaf) : env -> value =
             (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d)))
   | CLD (dx, x), CX y ->
       fun env ->
-        (match (local env dx x, y env) with
+        let va = local env dx x in
+        (match (va, y env) with
         | Cpx (ar, ai), Cpx (br, bi) -> (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1289,7 +1340,8 @@ let cbin_div (a : cleaf) (b : cleaf) : env -> value =
             (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d)))
   | CX x, CL0 y ->
       fun env ->
-        (match (x env, env.frame.(y)) with
+        let va = x env in
+        (match (va, env.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1297,7 +1349,8 @@ let cbin_div (a : cleaf) (b : cleaf) : env -> value =
             (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d)))
   | CX x, CL1 y ->
       fun env ->
-        (match (x env, env.up.frame.(y)) with
+        let va = x env in
+        (match (va, env.up.frame.(y)) with
         | Cpx (ar, ai), Cpx (br, bi) -> (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1305,7 +1358,8 @@ let cbin_div (a : cleaf) (b : cleaf) : env -> value =
             (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d)))
   | CX x, CLD (dy, y) ->
       fun env ->
-        (match (x env, local env dy y) with
+        let va = x env in
+        (match (va, local env dy y) with
         | Cpx (ar, ai), Cpx (br, bi) -> (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d))
         | va, vb ->
             let ar, ai = ubc va in
@@ -1313,7 +1367,8 @@ let cbin_div (a : cleaf) (b : cleaf) : env -> value =
             (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d)))
   | CX x, CX y ->
       fun env ->
-        (match (x env, y env) with
+        let va = x env in
+        (match (va, y env) with
         | Cpx (ar, ai), Cpx (br, bi) -> (let d = (br *. br) +. (bi *. bi) in Cpx (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d))
         | va, vb ->
             let ar, ai = ubc va in

@@ -7,11 +7,14 @@
       (no argument-list allocation), so the dominant remaining cost of
       untyped arithmetic is the generic operation's tag dispatch.
     - Applications of the {e unsafe type-specialized} primitives compile to
-      {e unboxed} code: a nest of [unsafe-fl*] operations becomes an
-      [env -> float] computation with no intermediate boxing, and
-      float-complex operations flow through unboxed (re, im) pairs.  This
-      implements §7.1's "these primitives … serve as signals to the Racket
-      code generator to guide its unboxing optimizations". *)
+      fused closures ({!Flfuse}): each reads its constant and local-slot
+      operands unboxed and computes on raw floats (or unboxed (re, im)
+      pairs for float-complex operations), with no generic dispatch.
+      Each still returns a freshly allocated [Float] (or [Cpx]), so in a
+      nest of [unsafe-fl*] operations every inner result reaches its
+      parent boxed.  This is this interpreter's reading of §7.1's "these
+      primitives … serve as signals to the Racket code generator to guide
+      its unboxing optimizations". *)
 
 open Value
 
@@ -168,17 +171,6 @@ let local_ref depth idx : env -> value =
       fun env ->
         let rec up env d = if d = 0 then env.frame.(idx) else up env.up (d - 1) in
         up env depth
-
-let unbox_float = function
-  | Float f -> f
-  | Int n -> float_of_int n
-  | v -> error "unsafe flonum operation: given %s (unsafe primitives have undefined behavior off-type)" (write_string v)
-
-let unbox_cpx = function
-  | Cpx (re, im) -> (re, im)
-  | Float f -> (f, 0.)
-  | Int n -> (float_of_int n, 0.)
-  | v -> error "unsafe float-complex operation: given %s" (write_string v)
 
 let rec compile (a : Ast.t) : env -> value =
   match a with

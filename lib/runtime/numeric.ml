@@ -25,6 +25,32 @@ let cpx_parts op = function
 
 let is_number = function Int _ | Float _ | Cpx _ -> true | _ -> false
 
+(* -- the unsafe primitives' operands (§7.1) --------------------------------
+   Racket leaves an unsafe primitive's behaviour on an off-type operand
+   undefined; here it raises, with one text per failure.  Every path
+   that runs an unsafe primitive — its entry in [Prims] and its fast
+   path, the fused closures of [Flfuse], the VM — reads its operands
+   through these, left to right, so the error names the leftmost
+   off-type operand whichever path compiled the call. *)
+
+let unsafe_fl = function
+  | Float f -> f
+  | Int n -> float_of_int n
+  | v -> error "unsafe flonum operation: given %s (undefined behavior off-type)" (write_string v)
+
+let unsafe_cpx = function
+  | Cpx (re, im) -> (re, im)
+  | Float f -> (f, 0.)
+  | Int n -> (float_of_int n, 0.)
+  | v ->
+      error "unsafe float-complex operation: given %s (undefined behavior off-type)"
+        (write_string v)
+
+let unsafe_fx_to_fl = function
+  | Int n -> float_of_int n
+  | Float f -> f
+  | v -> error "unsafe-fx->fl: expects a fixnum, given %s (undefined behavior off-type)" (write_string v)
+
 (* -- generic binary arithmetic ------------------------------------------- *)
 
 let add a b =

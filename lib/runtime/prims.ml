@@ -124,19 +124,39 @@ let numeric_prims =
 
 (* -- unsafe type-specialized primitives (§7.1) ------------------------------ *)
 
-let unsafe_fl2 name f =
-  p2 name (fun a b ->
-      match (a, b) with
-      | Float x, Float y -> Float (f x y)
-      | _ -> Float (f (Interp.unbox_float a) (Interp.unbox_float b)))
+(* The operand reads of [Numeric] raise each off-type error with its one
+   text; binary operations read the left operand first, so the error
+   names the leftmost off-type one, as every other path does. *)
+let fl2 f a b =
+  match (a, b) with
+  | Float x, Float y -> Float (f x y)
+  | _ ->
+      let x = Numeric.unsafe_fl a in
+      Float (f x (Numeric.unsafe_fl b))
 
-let unsafe_flcmp name f =
-  p2 name (fun a b ->
-      match (a, b) with
-      | Float x, Float y -> Bool (f x y)
-      | _ -> Bool (f (Interp.unbox_float a) (Interp.unbox_float b)))
+let flcmp f a b =
+  match (a, b) with
+  | Float x, Float y -> Bool (f x y)
+  | _ ->
+      let x = Numeric.unsafe_fl a in
+      Bool (f x (Numeric.unsafe_fl b))
 
-let unsafe_fl1 name f = p1 name (fun a -> Float (f (Interp.unbox_float a)))
+let fx_to_fl = function
+  | Int n -> Float (float_of_int n)
+  | Float _ as v -> v
+  | v -> Float (Numeric.unsafe_fx_to_fl v)
+
+let unsafe_car = function
+  | Pair p -> p.car
+  | v -> error "unsafe-car: expects a pair, given %s (undefined behavior off-type)" (write_string v)
+
+let unsafe_cdr = function
+  | Pair p -> p.cdr
+  | v -> error "unsafe-cdr: expects a pair, given %s (undefined behavior off-type)" (write_string v)
+
+let unsafe_fl2 name f = p2 name (fun a b -> fl2 f a b)
+let unsafe_flcmp name f = p2 name (fun a b -> flcmp f a b)
+let unsafe_fl1 name f = p1 name (fun a -> Float (f (Numeric.unsafe_fl a)))
 
 let unsafe_fx2 name f =
   p2 name (fun a b ->
@@ -152,7 +172,8 @@ let unsafe_fxcmp name f =
 
 let unsafe_c2 name f =
   p2 name (fun a b ->
-      let ar, ai = Interp.unbox_cpx a and br, bi = Interp.unbox_cpx b in
+      let ar, ai = Numeric.unsafe_cpx a in
+      let br, bi = Numeric.unsafe_cpx b in
       let re, im = f ar ai br bi in
       Cpx (re, im))
 
@@ -198,28 +219,22 @@ let unsafe_prims =
         ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br)));
     unsafe_c2 "unsafe-c/" Numeric.cpx_div;
     p1 "unsafe-cneg" (fun a ->
-        let re, im = Interp.unbox_cpx a in
+        let re, im = Numeric.unsafe_cpx a in
         Cpx (-.re, -.im));
     p1 "unsafe-conjugate" (fun a ->
-        let re, im = Interp.unbox_cpx a in
+        let re, im = Numeric.unsafe_cpx a in
         Cpx (re, -.im));
     p1 "unsafe-magnitude" (fun a ->
-        let re, im = Interp.unbox_cpx a in
+        let re, im = Numeric.unsafe_cpx a in
         Float (Float.hypot re im));
-    p1 "unsafe-real-part" (fun a -> Float (fst (Interp.unbox_cpx a)));
-    p1 "unsafe-imag-part" (fun a -> Float (snd (Interp.unbox_cpx a)));
+    p1 "unsafe-real-part" (fun a -> Float (fst (Numeric.unsafe_cpx a)));
+    p1 "unsafe-imag-part" (fun a -> Float (snd (Numeric.unsafe_cpx a)));
     p2 "unsafe-make-rectangular" (fun a b ->
-        Cpx (Interp.unbox_float a, Interp.unbox_float b));
-    p1 "unsafe-fx->fl" (function
-      | Int n -> Float (float_of_int n)
-      | Float f -> Float f
-      | _ -> error "unsafe-fx->fl: expects a fixnum (undefined behavior off-type)");
-    p1 "unsafe-car" (function
-      | Pair p -> p.car
-      | v -> error "unsafe-car: expects a pair (undefined behavior off-type), given %s" (write_string v));
-    p1 "unsafe-cdr" (function
-      | Pair p -> p.cdr
-      | v -> error "unsafe-cdr: expects a pair (undefined behavior off-type), given %s" (write_string v));
+        let re = Numeric.unsafe_fl a in
+        Cpx (re, Numeric.unsafe_fl b));
+    p1 "unsafe-fx->fl" fx_to_fl;
+    p1 "unsafe-car" unsafe_car;
+    p1 "unsafe-cdr" unsafe_cdr;
     p2 "unsafe-vector-ref" (fun v i ->
         match (v, i) with
         | Vec a, Int i -> Array.unsafe_get a i
@@ -871,25 +886,16 @@ let () =
   (* unsafe primitives also get direct-call paths, so that disabling the
      unboxing backend (ablation) still measures dispatch elimination *)
   List.iter
-    (fun (name, f) -> Interp.register_fast2 name (fun a b ->
-        match (a, b) with
-        | Float x, Float y -> Float (f x y)
-        | _ -> Float (f (Interp.unbox_float a) (Interp.unbox_float b))))
+    (fun (name, f) -> Interp.register_fast2 name (fun a b -> fl2 f a b))
     [ ("unsafe-fl+", ( +. )); ("unsafe-fl-", ( -. )); ("unsafe-fl*", ( *. )); ("unsafe-fl/", ( /. )) ];
   List.iter
-    (fun (name, f) -> Interp.register_fast2 name (fun a b ->
-        Bool (f (Interp.unbox_float a) (Interp.unbox_float b))))
+    (fun (name, f) -> Interp.register_fast2 name (fun a b -> flcmp f a b))
     [ ("unsafe-fl<", ( < )); ("unsafe-fl>", ( > )); ("unsafe-fl<=", ( <= )); ("unsafe-fl>=", ( >= )); ("unsafe-fl=", Float.equal) ];
-  Interp.register_fast1 "unsafe-flsqrt" (fun a -> Float (Float.sqrt (Interp.unbox_float a)));
-  Interp.register_fast1 "unsafe-fx->fl" (fun a ->
-      match a with Int n -> Float (float_of_int n) | Float _ -> a | _ -> error "unsafe-fx->fl: off-type");
-  Interp.register_fast1 "unsafe-flabs" (fun a -> Float (Float.abs (Interp.unbox_float a)));
-  Interp.register_fast1 "unsafe-car" (function
-    | Pair p -> p.car
-    | v -> error "unsafe-car: undefined behavior off-type, given %s" (write_string v));
-  Interp.register_fast1 "unsafe-cdr" (function
-    | Pair p -> p.cdr
-    | v -> error "unsafe-cdr: undefined behavior off-type, given %s" (write_string v));
+  Interp.register_fast1 "unsafe-flsqrt" (fun a -> Float (Float.sqrt (Numeric.unsafe_fl a)));
+  Interp.register_fast1 "unsafe-fx->fl" fx_to_fl;
+  Interp.register_fast1 "unsafe-flabs" (fun a -> Float (Float.abs (Numeric.unsafe_fl a)));
+  Interp.register_fast1 "unsafe-car" unsafe_car;
+  Interp.register_fast1 "unsafe-cdr" unsafe_cdr;
   Interp.register_fast2 "unsafe-vector-ref" (fun v i ->
       match (v, i) with
       | Vec a, Int i -> Array.unsafe_get a i

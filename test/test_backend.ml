@@ -1,6 +1,5 @@
 (** The bytecode backend (lib/backend/): engine parity against the
-    closure-tree interpreter, the IL's encode/decode round-trip, and the
-    VM's observability counters.
+    closure-tree interpreter and the VM's observability counters.
 
     Parity is the backend's prime directive (docs/backend.md): the
     cases here pin the quirks the lowerer reproduces on purpose —
@@ -10,7 +9,6 @@
 open Liblang_core.Core
 open Test_util
 module Pipeline = Liblang_core.Pipeline
-module Il = Liblang_backend.Il
 
 let run_vm (src : string) : string =
   Pipeline.with_engine Pipeline.Vm (fun () -> run src)
@@ -116,38 +114,19 @@ let vm_counters () =
   check_s "vm: same answer as the interpreter" expected out;
   check_b "vm.instructions > 0" true (Metrics.get c "vm.instructions" > 0);
   check_b "lower.protos > 0" true (Metrics.get c "lower.protos" > 0);
-  check_b "lower.instructions > 0" true (Metrics.get c "lower.instructions" > 0)
-
-(* -- the IL's flat-int serialization ------------------------------------- *)
-
-let every_instr : Il.instr array =
-  [|
-    Il.Const 3; Il.Pop; Il.Lref (0, 2); Il.Lset (1, 4); Il.Gref 0; Il.Gset 1;
-    Il.Jump 9; Il.Jfalse 10; Il.JcmpGen (0, 11); Il.MkClosure 1; Il.Call 2;
-    Il.TailCall 3; Il.Fast1 0; Il.Fast2 1; Il.Step; Il.StepJump 4; Il.Return;
-    Il.BindE (0, 5, Il.bind_short); Il.BindEV (0, 6, 2); Il.ClearE (0, 7);
-    Il.FlConst (0, 1); Il.FlLoad (1, 0, 2); Il.FlPop 0; Il.FlPush 1;
-    Il.FlBin (Il.FAdd, 0, 1, 2); Il.FlUn (Il.FSqrt, 0, 1);
-    Il.FlCmp (Il.Clt, 0, 1); Il.FlJcmp (Il.Cge, 0, 1, 12); Il.FlMov (0, 1);
-    Il.FlOfI (0, 1); Il.FxConst (0, 42); Il.FxPush 0;
-    Il.FxBin (Il.XAdd, 0, 1, 2); Il.FxCmp (Il.Ceq, 0, 1);
-    Il.FxJcmp (Il.Cgt, 0, 1, 13); Il.FxMov (0, 1); Il.FxToFl 0;
-  |]
-
-let il_round_trip () =
-  let decoded = Il.decode_code (Il.encode_code every_instr) in
-  check_b "every opcode round-trips" true (decoded = every_instr)
-
-let il_bad_opcode () =
-  match Il.decode_code [ 99; 0 ] with
-  | _ -> Alcotest.fail "bad opcode must not decode"
-  | exception Il.Decode_error _ -> ()
-
-let il_truncated_stream () =
-  (* an operand-hungry opcode cut short must fail cleanly, not read junk *)
-  match Il.decode_code [ 26; 0; 1 ] with
-  | _ -> Alcotest.fail "truncated stream must not decode"
-  | exception Il.Decode_error _ -> ()
+  check_b "lower.instructions > 0" true (Metrics.get c "lower.instructions" > 0);
+  (* [eval] reads the same engine switch as instantiation *)
+  let c = Metrics.create () in
+  (match
+     Pipeline.eval ~engine:Pipeline.Vm
+       ~observe:{ Observe.metrics = Some c; trace = None }
+       "(let loop ([i 0]) (if (< i 10) (loop (+ i 1)) i))"
+   with
+  | Ok v -> check_s "vm eval: same answer" "10" (Value.write_string v)
+  | Error ds ->
+      Alcotest.failf "vm eval failed: %s"
+        (String.concat "; " (List.map Pipeline.Diagnostic.to_string ds)));
+  check_b "vm eval: vm.instructions > 0" true (Metrics.get c "vm.instructions" > 0)
 
 let t name f = Alcotest.test_case name `Quick f
 
@@ -156,7 +135,4 @@ let suite =
   @ [
       t "fuel: same exhaustion point under both engines" fuel_exhaustion_point;
       t "metrics: vm.* and lower.* counters" vm_counters;
-      t "il: every opcode round-trips through the int stream" il_round_trip;
-      t "il: unknown opcode is a decode error" il_bad_opcode;
-      t "il: truncated stream is a decode error" il_truncated_stream;
     ]

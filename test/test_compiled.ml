@@ -167,23 +167,28 @@ let dependent_invalidation_exact () =
 (** Cold-compile a one-module project, mutate something ([mutate ~src
     ~art] gets the source path and its artifact path), then re-run warm:
     output must be byte-identical, the module must recompile, and the
-    staleness must be counted (never an error). *)
+    staleness must be counted (never an error).  When the source is left
+    alone, the recompile must rewrite the cold artifact byte for byte. *)
 let robustness name mutate =
   Alcotest.test_case name `Quick (fun () ->
       let dir = fresh_dir () in
       let cache = Filename.concat dir "cache" in
       let src = Filename.concat dir "m.scm" in
-      write_file src "#lang racket\n(define (sq x) (* x x))\n(display (sq 9))\n";
+      let source = "#lang racket\n(define (sq x) (* x x))\n(display (sq 9))\n" in
+      write_file src source;
       let cold, c0 = run_measured ~cache src in
       check_i (name ^ ": cold compiles") 1 (compiles c0);
       let art = artifact_file ~cache (Compiled.Resolver.module_key src) in
       check_b (name ^ ": artifact written") true (Sys.file_exists art);
+      let cold_art = read_file art in
       mutate ~src ~art;
       let warm, c = run_measured ~cache src in
       check_s (name ^ ": output byte-identical") cold warm;
       check_i (name ^ ": recompiled from source") 1 (compiles c);
       check_i (name ^ ": nothing loaded from cache") 0 (hits c);
       check_b (name ^ ": staleness counted") true (stale c >= 1);
+      if String.equal (read_file src) source then
+        check_s (name ^ ": recompiled artifact byte-identical") cold_art (read_file art);
       (* the recompile rewrote a good artifact *)
       let _, c2 = run_measured ~cache src in
       check_i (name ^ ": healed") 1 (hits c2))
@@ -222,56 +227,42 @@ let strip_trailer text =
    under test is structural, not damage). *)
 let with_trailer body = body ^ ";; integrity: " ^ Compiled.Digest_util.of_string body ^ "\n"
 
-let t_v2_no_bytecode =
-  robustness "v2 artifact (no bytecode section)" (fun ~src:_ ~art ->
-      (* regress a real v3 artifact to the v2 shape: drop the (bytecode
-         ...) section, regress the version marker, and recompute the
-         trailer so it is a well-formed v2 artifact rather than a corrupt
-         v3 one.  The warm run must see version skew — never an error,
-         never a bytecode-less replay of the v3 format *)
-      let text = read_file art in
-      check_b "v3 artifact carries a bytecode section" true
-        (List.exists (String.starts_with ~prefix:"(bytecode ") (String.split_on_char '\n' text));
-      let body =
-        strip_trailer text |> String.split_on_char '\n'
-        |> List.filter (fun l -> not (String.starts_with ~prefix:"(bytecode " l))
-        |> String.concat "\n"
+(* A v4 artifact: the (bytecode ...) datum that format carried after the
+   body, under a recomputed trailer so only the format differs.  The
+   header is read first, so it is version skew — never "corrupt", which
+   would feed quarantine — and the section is never parsed. *)
+let t_v4_bytecode =
+  robustness "v4 artifact (bytecode section) is version skew" (fun ~src:_ ~art ->
+      let body = replace_first (strip_trailer (read_file art)) version_field "(version 4)" in
+      let v4 =
+        with_trailer
+          (body ^ "(bytecode (unboxing #t) (form 0 ((f1) (f2) (cmp) (proto 0 #f \"\" 1 0 0 1 (15)))))\n")
       in
-      let body = replace_first body version_field "(version 2)" in
-      write_file art (with_trailer body))
+      (match Compiled.Artifact.of_string v4 with
+      | Error (Compiled.Artifact.Version_skew 4) -> ()
+      | Error r -> Alcotest.failf "v4 artifact read as: %s" (Compiled.Artifact.invalid_to_string r)
+      | Ok _ -> Alcotest.fail "v4 artifact read as current");
+      write_file art v4)
 
-let t_bad_bytecode_trailer =
-  robustness "damaged bytecode section caught by integrity trailer" (fun ~src:_ ~art ->
-      (* flip one opcode digit inside the (bytecode ...) section only —
-         header and core forms untouched, trailer left stale.  The
-         integrity check must reject the artifact before the VM ever
-         decodes the damaged code *)
-      let text = read_file art in
-      let damaged =
-        String.split_on_char '\n' text
-        |> List.map (fun l ->
-               if String.starts_with ~prefix:"(bytecode " l then begin
-                 let b = Bytes.of_string l in
-                 (* mutate the first digit after the section head *)
-                 let rec go i =
-                   if i >= Bytes.length b then failwith "no digit in bytecode section"
-                   else
-                     match Bytes.get b i with
-                     | '0' .. '8' as c ->
-                         Bytes.set b i (Char.chr (Char.code c + 1));
-                         Bytes.to_string b
-                     | '9' ->
-                         Bytes.set b i '8';
-                         Bytes.to_string b
-                     | _ -> go (i + 1)
-                 in
-                 go (String.length "(bytecode ")
-               end
-               else l)
-        |> String.concat "\n"
-      in
-      check_b "bytecode section present and mutated" true (text <> damaged);
-      write_file art damaged)
+(* The source digest is checked from the header, before the body is
+   read: an edit rejects a stale artifact for the price of one datum,
+   even when its body would not parse at all. *)
+let stale_before_body () =
+  let module A = Compiled.Artifact in
+  let text =
+    A.to_string
+      (A.of_compiled ~mod_name:"/m.scm" ~lang:"racket" ~source_digest:"d1" ~requires:[]
+         ~exports:[] ~links:[] ~core_forms:[] ())
+  in
+  let cut = replace_first (strip_trailer text) "(body" "(body (((" in
+  check_b "body damaged" true (cut <> strip_trailer text);
+  let is_stale = function Error A.Stale_source -> true | _ -> false in
+  let is_corrupt = function Error (A.Corrupt _) -> true | _ -> false in
+  check_b "intact artifact, right digest: ok" true (Result.is_ok (A.of_string ~source_digest:"d1" text));
+  check_b "intact artifact, wrong digest: stale" true (is_stale (A.of_string ~source_digest:"d2" text));
+  check_b "unparseable body, wrong digest: stale" true (is_stale (A.of_string ~source_digest:"d2" cut));
+  check_b "unparseable body, right digest: corrupt" true (is_corrupt (A.of_string ~source_digest:"d1" cut));
+  check_b "unparseable body, no digest: corrupt" true (is_corrupt (A.of_string cut))
 
 let t_stale_source = robustness "stale source" (fun ~src ~art:_ ->
     write_file src "#lang racket\n(define (sq x) (* x x))\n(display (sq 9))\n;; edited\n")
@@ -571,6 +562,7 @@ let quarantine_after_repeated_corruption () =
   write_file art "(liblang-artifact garbage that parses as nothing";
   Compiled.reset_session ();
   let store = Compiled.Store.create ~dir:cache () in
+  let source_digest = Compiled.Digest_util.of_string (read_file src) in
   let c = Metrics.create () in
   Observe.with_ctx
     { Observe.metrics = Some c; trace = None }
@@ -579,10 +571,11 @@ let quarantine_after_repeated_corruption () =
         | Stdlib.Error (Compiled.Artifact.Corrupt _) -> true
         | _ -> false
       in
-      check_b "first corrupt read reported" true (corrupt (Compiled.Store.read store ~key));
-      check_b "second corrupt read reported" true (corrupt (Compiled.Store.read store ~key));
+      let read () = Compiled.Store.read store ~key ~source_digest in
+      check_b "first corrupt read reported" true (corrupt (read ()));
+      check_b "second corrupt read reported" true (corrupt (read ()));
       check_b "third read finds nothing (quarantined)" true
-        (Compiled.Store.read store ~key = Stdlib.Error Compiled.Artifact.Missing));
+        (read () = Stdlib.Error Compiled.Artifact.Missing));
   check_i "quarantine counted once" 1 (Metrics.get c "cache.quarantined");
   check_b "post-mortem kept as .bad" true (Sys.file_exists (art ^ ".bad"));
   check_b "corrupt artifact gone" false (Sys.file_exists art);
@@ -813,8 +806,8 @@ let suite =
     t_corrupt;
     t_truncated;
     t_version_skew;
-    t_v2_no_bytecode;
-    t_bad_bytecode_trailer;
+    t_v4_bytecode;
+    t "stale source rejected before the body parses" stale_before_body;
     t_stale_source;
     t "stale transitive require" stale_transitive_require;
     t "§5 replay: types from artifact" replay_types_from_artifact;

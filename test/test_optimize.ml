@@ -121,6 +121,23 @@ let preservation =
       ~untyped:"(display (list (min 1.5 2.5) (max 1.5 2.5) (abs -1.5) (floor 1.7) (ceiling 1.2)))"
       ~typed:
         "(define (go [a : Float] [b : Float]) (list (min a b) (max a b) (abs (- a)) (floor (+ a 0.2)) (ceiling (- b 1.3))))\n(display (go 1.5 2.5))";
+    t_agree "float operands evaluate left to right"
+      ~untyped:
+        "(define (f x) (display x) x)\n\
+         (display (+ (f 1.0) (f 2.0)))\n\
+         (display (< (f 3.0) (f 4.0)))\n\
+         (display (if (< (f 5.0) (f 6.0)) 'lt 'ge))\n\
+         (define (g z) (display z) z)\n\
+         (display (+ (g 1.0+1.0i) (g 2.0+2.0i)))"
+      ~typed:
+        "(: f (Float -> Float))\n\
+         (define (f x) (display x) x)\n\
+         (display (+ (f 1.0) (f 2.0)))\n\
+         (display (< (f 3.0) (f 4.0)))\n\
+         (display (if (< (f 5.0) (f 6.0)) 'lt 'ge))\n\
+         (: g (Float-Complex -> Float-Complex))\n\
+         (define (g z) (display z) z)\n\
+         (display (+ (g 1.0+1.0i) (g 2.0+2.0i)))";
     t_agree "float special values"
       ~untyped:"(display (list (/ 1.0 0.0) (/ -1.0 0.0) (sqrt (* 1.0 4.0))))"
       ~typed:

@@ -150,12 +150,17 @@ let gen_float_expr =
   Q.Gen.sized (fun size ->
       Q.Gen.fix
         (fun self size ->
+          (* a tagged leaf displays its tag before returning its operand,
+             so the printed tags pin the operands' evaluation order *)
           let leaf =
             Q.Gen.oneof
               [
                 Q.Gen.return "x";
                 Q.Gen.return "y";
                 Q.Gen.map (Printf.sprintf "%.3f") (Q.Gen.float_bound_inclusive 10.);
+                Q.Gen.map2
+                  (Printf.sprintf "(begin (display %d) %s)")
+                  (Q.Gen.int_bound 9) (Q.Gen.oneofl [ "x"; "y" ]);
               ]
           in
           if size <= 1 then leaf

@@ -2,6 +2,8 @@
     primitives (safe and unsafe). *)
 
 open Test_util
+module Core = Liblang_core.Core
+module Pipeline = Liblang_core.Pipeline
 
 let tower =
   [
@@ -219,5 +221,36 @@ let equality_misc =
     t_ev_err "format too many args" "(format \"~a\" 1 2)" "too many";
   ]
 
+(* One off-type text per unsafe primitive, whichever path compiled the
+   call: the fused closures (a direct call), the primitive itself
+   ([apply]), its fast path (unboxing off), and the VM.  The text names
+   the leftmost off-type operand. *)
+let off_type name args expect =
+  Alcotest.test_case ("one off-type text: " ^ name) `Quick (fun () ->
+      let call = Printf.sprintf "(%s %s)" name args in
+      let with_unboxing b f =
+        let saved = !Core.Interp.unboxing_enabled in
+        Core.Interp.unboxing_enabled := b;
+        Fun.protect ~finally:(fun () -> Core.Interp.unboxing_enabled := saved) f
+      in
+      check_s (name ^ ": direct") expect (ev_err call);
+      check_s (name ^ ": apply") expect
+        (ev_err (Printf.sprintf "(apply %s (list %s))" name args));
+      check_s (name ^ ": unboxing off") expect (with_unboxing false (fun () -> ev_err call));
+      check_s (name ^ ": vm") expect
+        (Pipeline.with_engine Pipeline.Vm (fun () -> ev_err call)))
+
+let off_type_texts =
+  [
+    off_type "unsafe-fl+" "'a 'b" "runtime: unsafe flonum operation: given a (undefined behavior off-type)";
+    off_type "unsafe-fl<" "1.0 'b" "runtime: unsafe flonum operation: given b (undefined behavior off-type)";
+    off_type "unsafe-fx->fl" "'a"
+      "runtime: unsafe-fx->fl: expects a fixnum, given a (undefined behavior off-type)";
+    off_type "unsafe-car" "5" "runtime: unsafe-car: expects a pair, given 5 (undefined behavior off-type)";
+    off_type "unsafe-c+" "'a 'b"
+      "runtime: unsafe float-complex operation: given a (undefined behavior off-type)";
+  ]
+
 let suite =
-  tower @ tower_errors @ unsafe @ lists @ higher_order @ vectors_strings @ equality_misc
+  tower @ tower_errors @ unsafe @ off_type_texts @ lists @ higher_order @ vectors_strings
+  @ equality_misc

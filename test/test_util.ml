@@ -91,9 +91,12 @@ let t_ev_err name src fragment =
         Alcotest.failf "%s: expected error containing %S, got %S" name fragment msg)
 
 (** Assert a typed program and its untyped twin print the same thing (the
-    optimizer preserves behaviour). *)
+    optimizer preserves behaviour), under the interpreter and under the
+    VM, which runs the same rewritten code through its own float lane. *)
 let t_agree name ~untyped ~typed =
   Alcotest.test_case name `Quick (fun () ->
       let u = run ("#lang racket\n" ^ untyped) in
-      let t = run ("#lang typed/racket\n" ^ typed) in
-      check_s name u t)
+      let typed () = run ("#lang typed/racket\n" ^ typed) in
+      check_s name u (typed ());
+      check_s (name ^ " (vm)") u
+        (Liblang_core.Pipeline.with_engine Liblang_core.Pipeline.Vm typed))

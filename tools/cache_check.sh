@@ -19,8 +19,8 @@
 #     program that loops at runtime ends the same way in both);
 #   engine vm: the same files again under run --engine vm, cached and
 #     uncached -- both must match the interpreter's uncached output
-#     byte-for-byte (the cached leg warm-loads the artifact's
-#     bytecode section; docs/backend.md).
+#     byte-for-byte (the cached leg replays the artifact's core forms
+#     and lowers each form at its first evaluation; docs/backend.md).
 #
 # Usage: tools/cache_check.sh [path/to/liblang.exe]   (from the repo root;
 # the script cd's there itself when invoked from elsewhere)
@@ -136,8 +136,8 @@ if [ -f "$WORK/ok" ]; then
       bad "$f: cached run output diverges from uncached"
     fi
     # engine parity through the same store: the VM must agree with the
-    # interpreter uncached, and warm-loading the artifact's bytecode
-    # section must not change a byte either.
+    # interpreter uncached, and running forms replayed from the store
+    # must not change a byte either.
     vm=$($RUN "$LIBLANG" run --fuel $FUEL --engine vm "$f" </dev/null 2>/dev/null)
     vc=$?
     vmc=$($RUN "$LIBLANG" run --fuel $FUEL --engine vm --cache-dir "$CACHE" "$f" </dev/null 2>/dev/null)

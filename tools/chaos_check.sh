@@ -132,61 +132,6 @@ if [ "$schedules" -lt 50 ]; then
   bad "only $schedules schedules ran (need >= 50; is CHAOS_SEEDS too low?)"
 fi
 
-# -- bytecode-section chaos (docs/backend.md) --------------------------------
-# The artifact's v3 bytecode section must degrade like every other
-# artifact problem: injected vm.load faults fall back to a fresh
-# lowering, and on-disk corruption fails the integrity trailer into a
-# clean recompile -- in both cases the program's output is byte-identical
-# to the fault-free run, and a fault-free rebuild heals the store
-# byte-identical to the reference artifact.
-VMDIR="$WORK/vm"
-mkdir -p "$VMDIR"
-cat > "$VMDIR/flloop.scm" <<'EOF'
-#lang typed/racket
-(: run (Float -> Float))
-(define (run n)
-  (let loop : Float ([i : Float 0.0] [s : Float 0.0])
-    (if (< i n) (loop (+ i 1.0) (+ s i)) s)))
-(display (run 1000.0))
-EOF
-VMCACHE="$VMDIR/cache"
-if ! $RUN "$LIBLANG" compile --cache-dir "$VMCACHE" "$VMDIR/flloop.scm" >/dev/null 2>&1; then
-  bad "vm: cold compile of the float kernel failed"
-else
-  vm_expected=$($RUN "$LIBLANG" run --cache-dir "$VMCACHE" --engine vm "$VMDIR/flloop.scm" 2>/dev/null)
-  # injected load faults: every decode attempt errors; the form must
-  # lower afresh and the answer must not change
-  for seed in 11 23 47; do
-    got=$($RUN "$LIBLANG" run --cache-dir "$VMCACHE" --engine vm \
-      --faults "seed=$seed;vm.load=error~1.0" "$VMDIR/flloop.scm" 2>/dev/null)
-    schedules=$((schedules + 1))
-    if [ "$got" != "$vm_expected" ]; then
-      bad "vm seed=$seed: output under vm.load faults diverged ('$got' vs '$vm_expected')"
-    fi
-  done
-  # on-disk corruption: flip one digit inside the bytecode section,
-  # leaving the integrity trailer stale -- the loader must reject the
-  # whole artifact and recompile cleanly
-  art=$(ls "$VMCACHE"/*.lart 2>/dev/null | head -n 1)
-  if [ -z "$art" ] || ! grep -q '^(bytecode ' "$art"; then
-    bad "vm: artifact has no bytecode section to corrupt"
-  else
-    cp "$art" "$VMDIR/art-ref"
-    sed '/^(bytecode /s/5/6/' "$VMDIR/art-ref" > "$art"
-    if cmp -s "$art" "$VMDIR/art-ref"; then
-      bad "vm: corruption sed was a no-op (artifact unchanged)"
-    fi
-    got=$($RUN "$LIBLANG" run --cache-dir "$VMCACHE" --engine vm "$VMDIR/flloop.scm" 2>/dev/null)
-    if [ "$got" != "$vm_expected" ]; then
-      bad "vm: output over a corrupt bytecode section diverged ('$got' vs '$vm_expected')"
-    fi
-    # the fault-free rebuild must have healed the artifact byte-identically
-    if ! cmp -s "$art" "$VMDIR/art-ref"; then
-      bad "vm: corrupt bytecode section did not heal byte-identical to the reference"
-    fi
-  fi
-fi
-
 # -- concurrent-server chaos (docs/server.md) --------------------------------
 # The daemon's worker pool must extend the same blast-radius discipline:
 # under seeded session/exec/worker-death/build faults and concurrent

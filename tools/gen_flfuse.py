@@ -4,10 +4,15 @@ float-complex primitives.
 
 Each (operation, operand-shape) combination becomes a single OCaml closure
 with the leaf reads and the arithmetic inlined, so a nest of unsafe
-operations evaluates with one closure call per operation, no dynamic
-dispatch, and no boxing of operands — the interpreter-level realization of
-the unboxing that the unsafe primitives signal to the code generator
-(paper section 7.1)."""
+operations evaluates with one closure call per operation and no dynamic
+dispatch — the interpreter-level realization of the unboxing that the
+unsafe primitives signal to the code generator (paper section 7.1).
+Constant and local-slot operands are read unboxed in place; each closure
+returns a freshly allocated Float, so an operand that is itself a fused
+operation arrives boxed.  Operands evaluate left to right, as in Racket:
+the left one is let-bound before the right one is read.
+
+Usage (from the repository root): python3 tools/gen_flfuse.py"""
 
 binops = [("unsafe-fl+", "{} +. {}"), ("unsafe-fl-", "{} -. {}"),
           ("unsafe-fl*", "{} *. {}"), ("unsafe-fl/", "{} /. {}"),
@@ -61,8 +66,13 @@ def emit_bin(name, tmpl, result):
             expr = tmpl.format(fread(sa, va), fread(sb, vb))
             if sa == "C" and sb == "C":
                 lines.append(f"  | C x, C y ->\n      let r = {tmpl.format('x', 'y')} in\n      fun _ -> {result}(r)")
-            else:
+            elif sa == "C":
                 lines.append(f"  | {pa}, {pb} -> fun env -> {result}({expr})")
+            else:
+                # bind the left operand first: OCaml evaluates the
+                # operands of an application right to left
+                expr = tmpl.format("l", fread(sb, vb))
+                lines.append(f"  | {pa}, {pb} -> fun env -> let l = {fread(sa, va)} in {result}({expr})")
     return "\n".join(lines) + "\n"
 
 
@@ -132,7 +142,8 @@ def emit_cbin(name, body):
                 lines.append(
                     f"  | {pa}, {pb} ->\n"
                     f"      fun env ->\n"
-                    f"        (match ({cval(sa, 'x')}, {cval(sb, 'y')}) with\n"
+                    f"        let va = {cval(sa, 'x')} in\n"
+                    f"        (match (va, {cval(sb, 'y')}) with\n"
                     f"        | Cpx (ar, ai), Cpx (br, bi) -> {body}\n"
                     f"        | va, vb ->\n"
                     f"            let ar, ai = ubc va in\n"
@@ -168,22 +179,17 @@ out = ['''(** GENERATED by tools/gen_flfuse.py — do not edit by hand.
     Fused closures for the unsafe float / float-complex primitives: each
     (operation, operand shape) pair gets a single OCaml closure with the
     leaf reads and the arithmetic inlined, so a nest of unsafe operations
-    evaluates with one closure call per operation, no dispatch, and no
-    operand boxing — the interpreter-level realization of the unboxing
-    that the unsafe primitives signal to the code generator (§7.1). *)
+    evaluates with one closure call per operation and no dispatch — the
+    interpreter-level realization of the unboxing that the unsafe
+    primitives signal to the code generator (§7.1).  Constant and
+    local-slot operands are read unboxed in place; every closure returns
+    a freshly allocated [Float], so an operand that is itself a fused
+    operation arrives boxed.  Operands evaluate left to right. *)
 
 open Value
 
-let ub = function
-  | Float f -> f
-  | Int n -> float_of_int n
-  | v -> error "unsafe flonum operation: given %s (undefined behavior off-type)" (write_string v)
-
-let ubc = function
-  | Cpx (re, im) -> (re, im)
-  | Float f -> (f, 0.)
-  | Int n -> (float_of_int n, 0.)
-  | v -> error "unsafe float-complex operation: given %s" (write_string v)
+let ub = Numeric.unsafe_fl
+let ubc = Numeric.unsafe_cpx
 
 let local env d i =
   let rec up env d = if d = 0 then env.frame.(i) else up env.up (d - 1) in
@@ -205,11 +211,7 @@ for n, fn in unops:
     out.append(emit_un(n, fn))
 
 out.append('''let un_fx_to_fl (a : leaf) : env -> value =
-  let cvt = function
-    | Int n -> float_of_int n
-    | Float f -> f
-    | v -> error "unsafe-fx->fl: expects a fixnum, given %s" (write_string v)
-  in
+  let cvt = Numeric.unsafe_fx_to_fl in
   match a with
   | C x -> fun _ -> Float x
   | L0 i -> fun env -> Float (cvt env.frame.(i))

@@ -25,11 +25,12 @@
 #      be finding call sites and the optimizer must be consuming its
 #      facts, so a silently inert analysis cannot pass CI
 #      (docs/analysis.md);
-#   7. after a cold compile --cache-dir, a warm run --cache-dir of the
-#      typed float loop takes each engine's own artifact path: the
-#      interpreter decodes no bytecode (no vm.loads), and --engine vm is
-#      primed from it (vm.loads > 0) and lowers nothing (no `lower` span)
-#      -- docs/backend.md.
+#   7. the default engine's artifact path never lowers to bytecode: a
+#      cold compile --cache-dir and a warm run --cache-dir of the typed
+#      float loop both record no `lower` span under --profile=json, the
+#      warm run loads from the store (module.cache_hits), and no .lart
+#      file in the store carries a (bytecode ...) section -- artifacts
+#      hold core forms only (docs/compilation.md, docs/backend.md).
 #
 # Timings are noise in CI and are not asserted; correctness of the perf
 # machinery is what this gate pins down.
@@ -209,37 +210,34 @@ else
   echo "perf_smoke: 0CFA wired (analysis.call_sites = $sites, opt.direct_calls = $directs)"
 fi
 
-# -- 7. each engine's warm artifact path --------------------------------------
-# Both warm runs must load the float loop from the store (cache hits), or
-# the interpreter half would pass vacuously.
+# -- 7. no bytecode on the default path ----------------------------------------
+# Only --engine vm lowers, at a form's first evaluation; compiling and
+# warm-running through the store must not.  The warm run must really load
+# from the store (cache hits), or the no-`lower` half would pass vacuously.
 counter() {
   printf '%s\n' "$2" | sed -n "s/.*\"$1\": *\([0-9][0-9]*\).*/\1/p" | head -n 1
 }
 CACHE="$WORK/cache"
-if ! $RUN "$LIBLANG" compile --cache-dir "$CACHE" "$WORK/flloop.scm" >/dev/null 2>&1; then
+if ! cold=$($RUN "$LIBLANG" compile --cache-dir "$CACHE" --profile=json "$WORK/flloop.scm" 2>/dev/null); then
   echo "perf_smoke: FAIL: cold compile --cache-dir of the float loop failed" >&2
   fail=1
 else
-  warm_interp=$($RUN "$LIBLANG" run --cache-dir "$CACHE" --profile=json "$WORK/flloop.scm" 2>/dev/null)
-  warm_vm=$($RUN "$LIBLANG" run --cache-dir "$CACHE" --engine vm --profile=json "$WORK/flloop.scm" 2>/dev/null)
-  ihits=$(counter 'module\.cache_hits' "$warm_interp")
-  vhits=$(counter 'module\.cache_hits' "$warm_vm")
-  iloads=$(counter 'vm\.loads' "$warm_interp")
-  vloads=$(counter 'vm\.loads' "$warm_vm")
-  if [ -z "${ihits:-}" ] || [ -z "${vhits:-}" ]; then
-    echo "perf_smoke: FAIL: a warm run loaded nothing from the store (module.cache_hits: interp ${ihits:-missing}, vm ${vhits:-missing})" >&2
+  warm=$($RUN "$LIBLANG" run --cache-dir "$CACHE" --profile=json "$WORK/flloop.scm" 2>/dev/null)
+  hits=$(counter 'module\.cache_hits' "$warm")
+  if printf '%s\n' "$cold" | grep -q '"name": *"lower"'; then
+    echo "perf_smoke: FAIL: cold compile --cache-dir lowered to bytecode (lower span present)" >&2
     fail=1
-  elif [ "${iloads:-0}" -gt 0 ]; then
-    echo "perf_smoke: FAIL: warm interpreter run decoded bytecode (vm.loads = $iloads)" >&2
+  elif printf '%s\n' "$warm" | grep -q '"name": *"lower"'; then
+    echo "perf_smoke: FAIL: warm run --cache-dir lowered to bytecode (lower span present)" >&2
     fail=1
-  elif [ -z "${vloads:-}" ] || [ "$vloads" -le 0 ]; then
-    echo "perf_smoke: FAIL: warm --engine vm run was not primed from bytecode (vm.loads = ${vloads:-missing})" >&2
+  elif [ -z "${hits:-}" ] || [ "$hits" -le 0 ]; then
+    echo "perf_smoke: FAIL: warm run loaded nothing from the store (module.cache_hits = ${hits:-missing})" >&2
     fail=1
-  elif printf '%s\n' "$warm_vm" | grep -q '"name": *"lower"'; then
-    echo "perf_smoke: FAIL: warm --engine vm run lowered afresh (lower span present)" >&2
+  elif grep -l '^(bytecode' "$CACHE"/*.lart >/dev/null 2>&1; then
+    echo "perf_smoke: FAIL: an artifact carries a (bytecode ...) section" >&2
     fail=1
   else
-    echo "perf_smoke: warm artifact paths hold (interp: no vm.loads; vm: vm.loads = $vloads, no lower span)"
+    echo "perf_smoke: no bytecode on the default path (no lower span cold or warm; module.cache_hits = $hits)"
   fi
 fi
 
