@@ -233,11 +233,9 @@ let expand_name_counter = ref 0
 (** Median expansion-only time for [source] (a full [#lang] program) in
     milliseconds: [Modsys.expand_source] under a monotonic clock, after
     one warmup, with a fresh module name per call so no session state is
-    reused.  The binding table is snapshotted before and restored after:
-    the throwaway expansions would otherwise keep growing the per-name
-    binder lists that every *later* measurement's resolutions scan,
-    slowly poisoning the rest of the figure (most visibly the
-    [compile_cold_ms] series). *)
+    reused.  The binding table is snapshotted before and restored after,
+    so the throwaway expansions leave no binders or imports behind for
+    the measurements that follow. *)
 let measure_expand_ms ?(rounds = 3) ~name (source : string) : float =
   let snap = Core.Binding.snapshot () in
   Fun.protect

@@ -135,6 +135,7 @@ let load (a : Artifact.t) : Modsys.t =
         {
           Modsys.mod_name = name;
           exports = [];
+          export_index = None;
           body = [];
           ct_thunks = [];
           requires = [];

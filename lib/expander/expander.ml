@@ -238,10 +238,11 @@ let apply_transformer (t : Denote.transformer) (s : Stx.t) : Stx.t =
 let stx_flush_depth_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 
 (** The hygiene engine (lib/stx) keeps plain monotonic int counters for its
-    hot paths — per-domain resolver cache hits/misses and lazy scope pushes
-    — so the expander's inner loop never hashes a metric name.  This wrapper
-    flushes the deltas accumulated during [f] into the ambient collector as
-    the ["expand.resolve_hits"]/["expand.resolve_misses"]/
+    hot paths — per-domain resolver cache hits/misses/scanned entries and
+    lazy scope pushes — so the expander's inner loop never hashes a metric
+    name.  This wrapper flushes the deltas accumulated during [f] into the
+    ambient collector as the ["expand.resolve_hits"]/
+    ["expand.resolve_misses"]/["expand.resolve_scanned"]/
     ["stx.scope_pushes"] metrics (plus interning gauges); it is a no-op
     without a collector.
 
@@ -253,11 +254,11 @@ let stx_flush_depth_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () ->
     in the merged [--profile].  Only the outermost bracket of each domain
     flushes.
 
-    The per-domain deltas (resolver hits/misses) flush on every domain; the
-    {e process-wide} gauges (scope pushes, interned symbols / scope sets)
-    flush only from the main domain — concurrent worker windows overlap the
-    main window, so per-worker deltas of a shared counter would double-
-    count. *)
+    The per-domain deltas (resolver hits/misses/scanned) flush on every
+    domain; the {e process-wide} gauges (scope pushes, interned symbols /
+    scope sets) flush only from the main domain — concurrent worker
+    windows overlap the main window, so per-worker deltas of a shared
+    counter would double-count. *)
 let with_stx_counters (f : unit -> 'a) : 'a =
   if not (Metrics.installed ()) then f ()
   else begin
@@ -267,6 +268,7 @@ let with_stx_counters (f : unit -> 'a) : 'a =
       incr depth;
       let h0 = Binding.resolve_hits ()
       and m0 = Binding.resolve_misses ()
+      and r0 = Binding.resolve_scanned ()
       and p0 = !Stx.scope_pushes
       and sy0 = Stx.Symbol.interned_count ()
       and sc0 = Scope.Set.interned_count () in
@@ -275,6 +277,7 @@ let with_stx_counters (f : unit -> 'a) : 'a =
           decr depth;
           Metrics.countn "expand.resolve_hits" (Binding.resolve_hits () - h0);
           Metrics.countn "expand.resolve_misses" (Binding.resolve_misses () - m0);
+          Metrics.countn "expand.resolve_scanned" (Binding.resolve_scanned () - r0);
           if Domain.is_main_domain () then begin
             Metrics.countn "stx.scope_pushes" (!Stx.scope_pushes - p0);
             Metrics.countn "stx.symbols_interned" (Stx.Symbol.interned_count () - sy0);

@@ -97,6 +97,9 @@ type compiled_form =
 type t = {
   mod_name : string;
   mutable exports : export list;
+  mutable export_index : (export list * Binding.exports) option;
+      (** the bulk-binding index of [exports], tagged with the list it was
+          built from *)
   mutable body : compiled_form list;
   mutable ct_thunks : (unit -> unit) list;
   mutable requires : string list;
@@ -274,9 +277,7 @@ let instantiate (m : t) =
 
 (* -- imports --------------------------------------------------------------------- *)
 
-(** Make every export of [m] visible in the lexical context of [ctx]:
-    each external name is bound, with [ctx]'s scopes, as an alias of the
-    original binding — imported identifiers keep their identity (§5). *)
+(** The binding [m] exports as [ext_name]. *)
 let export_binding (m : t) (ext_name : string) : Binding.t =
   match List.find_opt (fun e -> String.equal e.ext_name ext_name) m.exports with
   | None -> err "module %s provides no binding named %s" m.mod_name ext_name
@@ -287,12 +288,21 @@ let export_binding (m : t) (ext_name : string) : Binding.t =
 let bind_export_as (m : t) ~(ext_name : string) ~(as_id : Stx.t) =
   Binding.add as_id (export_binding m ext_name)
 
-let bind_exports ~(ctx : Stx.t) (m : t) =
-  List.iter
-    (fun e ->
-      let id = Stx.id ~scopes:(Stx.scopes ctx) e.ext_name in
-      Binding.add id e.binding)
-    m.exports
+(* [m]'s export index, built once per export list: [provide] and layered
+   languages replace the list, which rebuilds it on the next use. *)
+let export_index (m : t) : Binding.exports =
+  match m.export_index with
+  | Some (l, ix) when l == m.exports -> ix
+  | _ ->
+      let ix = Binding.exports (List.map (fun e -> (e.ext_name, e.binding)) m.exports) in
+      m.export_index <- Some (m.exports, ix);
+      ix
+
+(** Make every export of [m] visible in the lexical context of [ctx]:
+    each external name refers, with [ctx]'s scopes, to the original
+    binding — imported identifiers keep their identity (§5).  One bulk
+    entry records [ctx]'s scopes and [m]'s export index. *)
+let bind_exports ~(ctx : Stx.t) (m : t) = Binding.add_bulk (Stx.scopes ctx) (export_index m)
 
 (* Per-domain dynamic compilation state: the requires recorded during the
    current compilation, and the name of the module currently being compiled
@@ -481,6 +491,7 @@ let compile_module ~name ~lang (body : Datum.annot list) : t =
         {
           mod_name = name;
           exports = [];
+          export_index = None;
           body = [];
           ct_thunks = [];
           requires = [];
@@ -588,6 +599,7 @@ let declare_builtin ~name ?(values : (string * Value.value) list = [])
     {
       mod_name = name;
       exports = List.rev !exports;
+      export_index = None;
       body = [];
       ct_thunks;
       requires = [];

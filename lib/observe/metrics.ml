@@ -224,6 +224,7 @@ let render (c : t) : string =
        [
          "expand.resolve_hits";
          "expand.resolve_misses";
+         "expand.resolve_scanned";
          "stx.scope_pushes";
          "stx.symbols_interned";
          "stx.scope_sets_interned";

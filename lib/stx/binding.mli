@@ -7,12 +7,17 @@
     tables (type environments, namespaces) work across modules with no
     extra plumbing.
 
-    The table is keyed by interned symbol id and {!resolve} is memoized per
+    Binders are indexed by (symbol id, anchor), where the anchor is the
+    largest scope of the binder's set, so resolving a reference probes
+    only the anchors of its own scope set; imports are {e bulk} entries
+    (a scope set plus the provider's export index), one per [require].
+    The cost of a resolution therefore does not grow with the number of
+    modules the process has compiled.  {!resolve} is memoized per
     (symbol id, scope-set representative id), with invalidation on {!add}
-    — see docs/architecture.md, "hygiene internals".
+    and {!add_bulk} — see docs/architecture.md, "hygiene internals".
 
-    The table, cache and counters are domain-local, seeded at
-    domain spawn with a copy of the parent's table; binding uids remain
+    The tables, cache and counters are domain-local, seeded at
+    domain spawn with a copy of the parent's tables; binding uids remain
     globally fresh across domains (see docs/architecture.md, "Parallelism
     & domain-safety"). *)
 
@@ -36,10 +41,27 @@ val add : Stx.t -> t -> unit
 (** Bind [id] to a fresh binding and return it. *)
 val bind : Stx.t -> t
 
+type exports
+(** A provider's export index: name -> binding.  Immutable once built, so
+    one index serves every {!add_bulk} of the same export list, in any
+    domain. *)
+
+(** Index an export list.  A name listed twice maps to its last
+    occurrence. *)
+val exports : (string * t) list -> exports
+
+(** [add_bulk scopes ex] makes every name [ex] provides refer, under
+    [scopes], to its export — one entry, not one {!add} per name.  An
+    entry added later with the same scope set, explicit or bulk, shadows
+    it for the names both supply, and it shadows earlier ones the same
+    way.  Invalidates the resolver cache for the names [ex] provides. *)
+val add_bulk : Scope.Set.t -> exports -> unit
+
 (** Resolve a reference: among all bindings for the name whose scope set is
     a subset of the reference's, the one with the largest scope set.
-    Memoized; when exactly one candidate matches, the ambiguity
-    total-order check is skipped. *)
+    Memoized for names with more than one binder (a name with one binder
+    costs one subset test); when exactly one candidate matches, the
+    ambiguity total-order check is skipped. *)
 val resolve : Stx.t -> t option
 
 (** Racket's [free-identifier=?]: do two identifiers refer to the same
@@ -55,6 +77,11 @@ val resolve_hits : unit -> int
 
 val resolve_misses : unit -> int
 
+(** Entries, explicit and bulk, that cache misses have tested, for the
+    calling domain; reported like the hit/miss counts, as
+    ["expand.resolve_scanned"]. *)
+val resolve_scanned : unit -> int
+
 (** Testing hook: forget all bindings (and the resolver cache). *)
 val reset_for_tests : unit -> unit
 
@@ -68,6 +95,6 @@ val snapshot : unit -> snapshot
 (** Replace the binding table with a previously captured {!snapshot} and
     drop the resolver cache.  Used by the bench harness to make
     expansion-only measurements leave no residue: throwaway modules
-    expanded for timing would otherwise keep growing the per-name binder
-    lists that every later resolution scans. *)
+    expanded for timing would otherwise leave their binders and bulk
+    entries behind for everything measured after them. *)
 val restore : snapshot -> unit

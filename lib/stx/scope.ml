@@ -14,6 +14,15 @@
     - the unique [id] doubles as a memoization key — {!Binding}'s resolver
       cache is keyed by (symbol id, scope-set id).
 
+    The cons table is split into 16 shards.  A shard's hash table picks
+    its bucket from the low bits of a set's hash, so the shard index is
+    taken from the top bits of a multiplicative mix of that hash instead:
+    if the low bits did both jobs, each shard would use one bucket in
+    sixteen, and its chains would grow with every set the process
+    interned.  The set hash multiplies each element in (FNV-1a over
+    ints), so sets of nearby scopes, the common case, spread over the
+    buckets rather than sharing hash values.
+
     The cons table only grows; the number of distinct scope sets in an
     expansion is bounded by the binding structure of the program, which is
     the usual compiler trade-off.
@@ -48,12 +57,14 @@ module Set = struct
     hash : int;  (** cached structural hash of [elems] *)
   }
 
+  (* FNV-1a over whole elements, then the high bits folded into the low
+     ones, which pick the bucket. *)
   let hash_elems (a : int array) : int =
     let h = ref 5381 in
     for i = 0 to Array.length a - 1 do
-      h := ((!h lsl 5) + !h) lxor a.(i)
+      h := (!h lxor a.(i)) * 0x100000001B3
     done;
-    !h land max_int
+    (!h lxor (!h lsr 32)) land max_int
 
   (* -- the cons table ------------------------------------------------------ *)
 
@@ -89,6 +100,12 @@ module Set = struct
      across domains.  The [n_shards] split bounds per-table rehash cost. *)
   let n_shards = 16
 
+  (* A shard's [Tbl] picks its bucket from the hash's low bits, so the
+     shard index must come from other bits: taking it from the low four
+     would leave every shard using one bucket in sixteen.  The top bits of
+     a Fibonacci product depend on every bit of the hash. *)
+  let shard_of (h : int) = ((h * 0x1E3779B97F4A7C15) lsr 59) land (n_shards - 1)
+
   let shards_key : t Tbl.t array Domain.DLS.key =
     Domain.DLS.new_key
       ~split_from_parent:(fun shards -> Array.map Tbl.copy shards)
@@ -105,7 +122,7 @@ module Set = struct
      this call. *)
   let hashcons (elems : int array) : t =
     let h = hash_elems elems in
-    let table = (Domain.DLS.get shards_key).(h land (n_shards - 1)) in
+    let table = (Domain.DLS.get shards_key).(shard_of h) in
     match Tbl.find_opt table elems with
     | Some s -> s
     | None ->
@@ -114,6 +131,9 @@ module Set = struct
         s
 
   let empty = hashcons [||]
+
+  (** Per-shard statistics of the calling domain's cons table. *)
+  let shard_stats () = Array.map Tbl.stats (Domain.DLS.get shards_key)
 
   (* -- single-op memo --------------------------------------------------------
 
@@ -162,6 +182,10 @@ module Set = struct
   let compare (a : t) (b : t) = Int.compare a.id b.id
   let cardinal (s : t) = Array.length s.elems
   let is_empty (s : t) = Array.length s.elems = 0
+
+  let max_elt (s : t) =
+    let n = Array.length s.elems in
+    if n = 0 then invalid_arg "Scope.Set.max_elt: empty set" else s.elems.(n - 1)
 
   (* -- membership / modification ------------------------------------------- *)
 

@@ -49,6 +49,11 @@ module Set : sig
   val hash : t -> int
 
   val cardinal : t -> int
+
+  (** The largest scope in the set.  Raises [Invalid_argument] on the
+      empty set. *)
+  val max_elt : t -> elt
+
   val is_empty : t -> bool
   val elements : t -> elt list
   val iter : (elt -> unit) -> t -> unit
@@ -57,4 +62,8 @@ module Set : sig
 
   (** Number of distinct scope sets interned so far. *)
   val interned_count : unit -> int
+
+  (** Bucket statistics of each shard of the calling domain's cons table
+      (diagnostics and tests). *)
+  val shard_stats : unit -> Hashtbl.statistics array
 end

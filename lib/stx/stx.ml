@@ -227,6 +227,10 @@ let rec to_datum (s : t) : Datum.t =
   | Id sym -> Datum.Atom (Datum.Sym (Symbol.name sym))
   | Atom a -> Datum.Atom a
   | List xs -> Datum.List (List.map to_annot xs)
+  (* a macro can build a dotted list with no elements, such as the
+     formals of [(define (f . xs) ...)]; as a datum that is its tail,
+     which is also how it must print to read back *)
+  | DotList ([], tl) -> to_datum tl
   | DotList (xs, tl) -> Datum.DotList (List.map to_annot xs, to_annot tl)
   | Vec xs -> Datum.Vec (List.map to_annot xs)
 

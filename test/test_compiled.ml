@@ -793,6 +793,59 @@ let quoted_symbols_round_trip () =
 
 let t name f = Alcotest.test_case name `Quick f
 
+(* Which import a name resolves to when several supply it: a later
+   [require] shadows an earlier one and the language, a module-level
+   definition shadows any import, and a renaming [only-in] binds only the
+   new name.  Each answer must hold cold and warm from the store. *)
+let import_shadowing () =
+  let dir = fresh_dir () in
+  let cache = Filename.concat dir "cache" in
+  let file name text =
+    write_file (Filename.concat dir name) text;
+    Filename.concat dir name
+  in
+  ignore
+    (file "a.scm"
+       "#lang racket\n(provide car cdr)\n(define (car p) 'a-car)\n(define (cdr p) 'a-cdr)\n");
+  ignore (file "b.scm" "#lang racket\n(provide car)\n(define (car p) 'b-car)\n");
+  ignore (file "l.scm" "#lang racket\n(provide list)\n(define (list . xs) 'l-list)\n");
+  let cases =
+    [
+      ( "two requires: the later wins",
+        "#lang racket\n(require \"a.scm\")\n(require \"b.scm\")\n(display (car (cons 1 2)))\n",
+        "b-car" );
+      ( "a required name overrides the language's",
+        "#lang racket\n(require \"l.scm\")\n(display (list 1 2))\n",
+        "l-list" );
+      ( "a definition before the require wins",
+        "#lang racket\n(define (car p) 'own-car)\n(require \"a.scm\")\n(display (car (cons 1 2)))\n",
+        "own-car" );
+      ( "a definition after the require wins",
+        "#lang racket\n(require \"a.scm\")\n(define (car p) 'own-car)\n(display (car (cons 1 2)))\n",
+        "own-car" );
+      ( "a renaming only-in keeps the language's name",
+        "#lang racket\n(require (only-in \"a.scm\" [car acar]))\n(display (list (car (cons 1 2)) (acar 0)))\n",
+        "(1 a-car)" );
+      ( "free-identifier=? sees the renaming",
+        "#lang racket\n(require (only-in \"a.scm\" [car acar]))\n\
+         (define-syntax (fid stx)\n\
+        \  (let ([xs (syntax->list stx)])\n\
+        \    (if (free-identifier=? (cadr xs) (caddr xs)) #''yes #''no)))\n\
+         (display (list (fid car acar) (fid cdr cdr)))\n",
+        "(no yes)" );
+    ]
+  in
+  List.iteri
+    (fun i (what, text, want) ->
+      let main = file (Printf.sprintf "main%d.scm" i) text in
+      let cold, c0 = run_measured ~cache main in
+      check_s (what ^ ", cold") want cold;
+      check_b (what ^ ": cold compiled") true (compiles c0 > 0);
+      let warm, c1 = run_measured ~cache main in
+      check_s (what ^ ", warm") want warm;
+      check_i (what ^ ": warm compiles nothing") 0 (compiles c1))
+    cases
+
 let suite =
   [
     t "file require: basic" file_require_basic;
@@ -802,6 +855,7 @@ let suite =
     t "canonicalization: one key per file" canonicalization_one_key_per_file;
     t "warm run: zero compiles, all hits" warm_run_zero_compiles;
     t "warm run: quoted symbols read back as themselves" quoted_symbols_round_trip;
+    t "import shadowing holds cold and warm" import_shadowing;
     t "invalidation: exactly the dependents" dependent_invalidation_exact;
     t_corrupt;
     t_truncated;

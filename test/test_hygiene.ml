@@ -378,4 +378,30 @@ let regressions =
         check_s "swap" "(2 1)" out);
   ]
 
-let suite = properties @ lazy_props @ regressions
+(* The cons table's shards pick their buckets from the low bits of a
+   set's hash; a shard index taken from those same bits leaves each shard
+   one bucket in sixteen, so its chains grow with everything the process
+   has interned instead of staying short.  Run after the rest of the
+   suite, the longest chain reads 8-9 with the table holding 1.35M sets;
+   the bound leaves room for a shard at twice that load, just before its
+   table doubles. *)
+let cons_table =
+  [
+    Alcotest.test_case "scope-set cons table: short chains in every shard" `Quick (fun () ->
+        (* 100k distinct sets of the shapes expansion makes: fresh
+           singletons, and pairs under one enclosing scope *)
+        let outer = Scope.fresh () in
+        for _ = 1 to 50_000 do
+          let sc = Scope.fresh () in
+          ignore (Scope.Set.singleton sc);
+          ignore (Scope.Set.of_list [ outer; sc ])
+        done;
+        let longest =
+          Array.fold_left
+            (fun m (st : Hashtbl.statistics) -> max m st.max_bucket_length)
+            0 (Scope.Set.shard_stats ())
+        in
+        if longest > 16 then Alcotest.failf "longest cons-table chain: %d sets (bound 16)" longest);
+  ]
+
+let suite = properties @ lazy_props @ regressions @ cons_table

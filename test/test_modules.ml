@@ -261,5 +261,45 @@ let expansion_views =
         check_b "unsafe-fl*" true (contains text "unsafe-fl*"));
   ]
 
+(* Resolution probes the anchors of a reference's own scope set, and an
+   import is one bulk entry, so what one compile scans must not depend on
+   how many modules the process compiled before it. *)
+let resolution_work =
+  [
+    Alcotest.test_case "resolution work per compile stays flat" `Quick (fun () ->
+        let dir = Filename.temp_dir "liblang-test-scan" "" in
+        let files = [ "lib.scm"; "main.scm" ] in
+        Fun.protect ~finally:(fun () ->
+            List.iter (fun f -> Sys.remove (Filename.concat dir f)) files;
+            Sys.rmdir dir)
+        @@ fun () ->
+        let write name text =
+          Out_channel.with_open_bin (Filename.concat dir name) (fun oc -> output_string oc text)
+        in
+        write "lib.scm" "#lang racket\n(provide twice)\n(define (twice x) (* 2 x))\n";
+        write "main.scm"
+          "#lang racket\n(require \"lib.scm\")\n(define (f x) (let ([y (twice x)]) (+ x y)))\n(display (f 3))\n";
+        let main = Filename.concat dir "main.scm" in
+        let cycle () =
+          Compiled.reset_session ();
+          let c = Metrics.create () in
+          Observe.with_ctx { Observe.metrics = Some c; trace = None } (fun () ->
+              Liblang_core.Pipeline.with_stx_counters (fun () -> ignore (Compiled.compile_file main)));
+          Metrics.get c "expand.resolve_scanned"
+        in
+        (* the first cycle binds some names for the first time, which then
+           resolve without the cache *)
+        match List.init 50 (fun _ -> cycle ()) with
+        | _ :: second :: later ->
+            check_b "cache misses scan entries" true (second > 0);
+            List.iteri
+              (fun i n ->
+                if n <> second then
+                  Alcotest.failf "cycle %d scanned %d entries, cycle 2 scanned %d" (i + 3) n second)
+              later
+        | _ -> assert false);
+  ]
+
 let suite =
   basics @ static_exports @ instantiation @ compiled_code @ fresh_stores @ expansion_views
+  @ resolution_work

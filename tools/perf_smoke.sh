@@ -1,6 +1,6 @@
 #!/bin/sh
 # Hygiene-engine perf smoke gate (CI): the fast path must stay *wired*,
-# not just fast.  Four checks (docs/architecture.md "Hygiene internals",
+# not just fast.  Eight checks (docs/architecture.md "Hygiene internals",
 # docs/observability.md metric catalogue):
 #
 #   1. the expansion stress family (bench --expand --smoke) expands and
@@ -30,7 +30,13 @@
 #      float loop both record no `lower` span under --profile=json, the
 #      warm run loads from the store (module.cache_hits), and no .lart
 #      file in the store carries a (bytecode ...) section -- artifacts
-#      hold core forms only (docs/compilation.md, docs/backend.md).
+#      hold core forms only (docs/compilation.md, docs/backend.md);
+#   8. resolution work stays flat across compiles in one process: the
+#      shadowing program of check 3, run 40 times in one invocation,
+#      reports at most 50x the expand.resolve_scanned of a single run --
+#      binders indexed by scope and imports bound in bulk, not per-name
+#      lists that every compile appends to (docs/architecture.md,
+#      "Hygiene internals").
 #
 # Timings are noise in CI and are not asserted; correctness of the perf
 # machinery is what this gate pins down.
@@ -239,6 +245,43 @@ else
   else
     echo "perf_smoke: no bytecode on the default path (no lower span cold or warm; module.cache_hits = $hits)"
   fi
+fi
+
+# -- 8. resolution work stays flat across compiles in one process ------------
+# A reference probes only the anchors of its own scope set, and an import is
+# one bulk entry, so what a compile scans on resolver-cache misses must not
+# depend on how many modules the process compiled before it.  Run the
+# shadowing program of check 3 once, then 40 times in one invocation (40
+# module compiles in one process): the 40 must scan at most 40 times what
+# one does, plus ten compiles' worth of slack -- the first compile binds
+# some names for the first time and resolves them without the cache, so
+# each later one scans a little more.  Binder lists that every compile
+# appends to make the total grow quadratically instead.
+one=$($RUN "$LIBLANG" run --profile=json "$WORK/shadow.scm" 2>/dev/null)
+set --
+i=0
+while [ "$i" -lt 40 ]; do
+  set -- "$@" "$WORK/shadow.scm"
+  i=$((i + 1))
+done
+forty=$($RUN "$LIBLANG" run --profile=json "$@" 2>/dev/null)
+scan1=$(counter 'expand\.resolve_scanned' "$one")
+scan40=$(counter 'expand\.resolve_scanned' "$forty")
+compiles40=$(counter 'module\.compiles' "$forty")
+if [ -z "${scan1:-}" ] || [ -z "${scan40:-}" ]; then
+  echo "perf_smoke: FAIL: expand.resolve_scanned missing from --profile=json output" >&2
+  fail=1
+elif [ "${compiles40:-0}" -ne 40 ]; then
+  echo "perf_smoke: FAIL: expected 40 module.compiles in one process, got ${compiles40:-missing}" >&2
+  fail=1
+elif [ "$scan1" -le 0 ]; then
+  echo "perf_smoke: FAIL: expand.resolve_scanned = $scan1 for one compile (nothing scanned?)" >&2
+  fail=1
+elif [ "$scan40" -gt $((50 * scan1)) ]; then
+  echo "perf_smoke: FAIL: 40 compiles scanned $scan40 entries, over 50x one compile's $scan1 (resolution work grows with process history)" >&2
+  fail=1
+else
+  echo "perf_smoke: resolution work flat (expand.resolve_scanned: 1 compile $scan1, 40 compiles $scan40)"
 fi
 
 if [ "$fail" -ne 0 ]; then
