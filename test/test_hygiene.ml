@@ -382,9 +382,9 @@ let regressions =
    set's hash; a shard index taken from those same bits leaves each shard
    one bucket in sixteen, so its chains grow with everything the process
    has interned instead of staying short.  Run after the rest of the
-   suite, the longest chain reads 8-9 with the table holding 1.35M sets;
-   the bound leaves room for a shard at twice that load, just before its
-   table doubles. *)
+   suite, the longest chain reads 8-9 with the table holding 1.35M sets
+   (1.3 per bucket); the bound leaves room for a shard at 2 sets per
+   bucket, the most it holds before its table doubles. *)
 let cons_table =
   [
     Alcotest.test_case "scope-set cons table: short chains in every shard" `Quick (fun () ->
