@@ -12,10 +12,14 @@
       [file] module together with the digest of {e its} artifact — this is
       what makes invalidation transitive;
     - the export table (external names), informational;
-    - the fully-expanded core forms of the module body.  The
-      [begin-for-syntax] forms inside it are the serialized compile-time
-      (type-environment) declarations of §5: the loader regenerates the
-      module's [ct_thunks] from them, so closures are never marshaled.
+    - the [links] aliases and the [renames] of binders (below);
+    - the fully-expanded core forms of the module body, written by
+      {!Writer} so that each name alone fixes its binding in the loader's
+      module context: no scope set is serialized, and none is needed.
+      The [begin-for-syntax] forms inside it are the serialized
+      compile-time (type-environment) declarations of §5: the loader
+      regenerates the module's [ct_thunks] from them, so closures are
+      never marshaled.
 
     The serialization is reader-parseable text — a header datum, then a
     body datum — so a corrupt or truncated artifact surfaces as an
@@ -26,7 +30,6 @@
 
 module Datum = Liblang_reader.Datum
 module Reader = Liblang_reader.Reader
-module Stx = Liblang_stx.Stx
 
 (** Bump whenever the serialized shape (or the meaning of the core forms)
     changes; artifacts written by any other version are ignored.
@@ -42,8 +45,12 @@ module Stx = Liblang_stx.Stx
     v5: the bytecode section is gone — the VM lowers each form at its
     first evaluation.  A v4 artifact is version skew: {!of_string}
     reads the header first, so its trailing [(bytecode ...)] datum is
-    never parsed. *)
-let format_version = 5
+    never parsed.
+    v6: body names fix their bindings ({!Writer}): links are
+    (alias, owner, name in owner) triples, and a [renames] field maps
+    renamed binders to their source names.  A v5 body spells every
+    binding by its bare source name, so it is version skew. *)
+let format_version = 6
 
 (** The magic header line; doubles as a human hint not to edit the file. *)
 let magic = ";; liblang compiled artifact (machine-generated; do not edit)"
@@ -67,15 +74,21 @@ type t = {
   source_digest : string;
   requires : require_ref list;
   exports : string list;  (** external names, for listing/validation *)
-  links : (string * string) list;
-      (** cross-module {e internal} references: [(name, module-key)] pairs
-          for every free identifier in the core forms that is bound to a
-          required module's unexported module-level definition — e.g. the
-          [defensive-*] bindings a typed module's export indirection
-          (§6.2) splices into untyped clients.  Exported names rebind by
-          name through the require; these cannot, so the loader re-links
-          them explicitly via {!Liblang_modules.Modsys.find_internal}. *)
-  core_forms : Datum.annot list;  (** fully-expanded module body *)
+  links : (string * string * string) list;
+      (** [(alias, owner, name)]: the body's name [alias] means the
+          binding module [owner] defines under written name [name] (or, for
+          a builtin owner, exports as [name]).  Written for every free
+          reference whose own name would not mean it from the module
+          scope — e.g. the [defensive-*] bindings a typed module's export
+          indirection (§6.2) splices into untyped clients, or a language
+          binding a macro introduces where the module defines the same
+          name.  The loader binds each alias via
+          {!Liblang_modules.Modsys.find_internal}. *)
+  renames : (string * string) list;
+      (** [(written, source)] for each binder written under a name other
+          than its source name; procedures and errors show the source
+          name *)
+  core_forms : Datum.annot list;  (** fully-expanded module body, as {!Writer} wrote it *)
 }
 
 (** Why a stored artifact cannot be used (each degrades to a recompile). *)
@@ -127,7 +140,8 @@ let to_string (a : t) : string =
         dlist (sym "exports" :: List.map str a.exports);
         dlist
           (sym "links"
-          :: List.map (fun (n, k) -> dlist [ str n; str k ]) a.links);
+          :: List.map (fun (n, k, o) -> dlist [ str n; str k; str o ]) a.links);
+        dlist (sym "renames" :: List.map (fun (w, n) -> dlist [ str w; str n ]) a.renames);
       ]
   in
   Datum.to_buffer buf header.Datum.d;
@@ -143,11 +157,10 @@ let to_string (a : t) : string =
   let body_text = Buffer.contents buf in
   body_text ^ integrity_marker ^ Digest_util.of_string body_text ^ "\n"
 
-(** Build the artifact for a compiled module from its expanded core forms
-    (syntax is flattened to datums; scopes are per-session and are
-    reconstructed by the loader). *)
-let of_compiled ~mod_name ~lang ~source_digest ~requires ~exports ~links
-    ~(core_forms : Stx.t list) () : t =
+(** Build the artifact for a compiled module from its core forms as
+    {!Writer} wrote them. *)
+let of_compiled ~mod_name ~lang ~source_digest ~requires ~exports ~links ~renames
+    ~(core_forms : Datum.annot list) () : t =
   {
     version = format_version;
     mod_name;
@@ -156,7 +169,8 @@ let of_compiled ~mod_name ~lang ~source_digest ~requires ~exports ~links
     requires;
     exports;
     links;
-    core_forms = List.map Stx.to_annot core_forms;
+    renames;
+    core_forms;
   }
 
 (* -- integrity -------------------------------------------------------------- *)
@@ -252,8 +266,15 @@ let of_string ?source_digest (text : string) : (t, invalid) result =
           let links =
             list_field "links" (fun (l : Datum.annot) ->
                 match l.Datum.d with
-                | Datum.List [ n; k ] -> (expect_str "link name" n, expect_str "link module" k)
+                | Datum.List [ n; k; o ] ->
+                    (expect_str "link alias" n, expect_str "link module" k, expect_str "link name" o)
                 | _ -> bad "bad link entry")
+          in
+          let renames =
+            list_field "renames" (fun (r : Datum.annot) ->
+                match r.Datum.d with
+                | Datum.List [ w; n ] -> (expect_str "renamed binder" w, expect_str "source name" n)
+                | _ -> bad "bad renames entry")
           in
           let core_forms =
             match next () with
@@ -270,6 +291,7 @@ let of_string ?source_digest (text : string) : (t, invalid) result =
               requires;
               exports;
               links;
+              renames;
               core_forms;
             }
   in

@@ -10,15 +10,18 @@
       one artifact per module, validated by format version, source digest
       and the digests of its requires' artifacts (transitive
       invalidation); anything unusable degrades to a recompile.
-    - {!Artifact} is the serialized format; {!Loader} rebuilds a live
-      module from it without re-running expansion or the typechecker,
-      regenerating [ct_thunks] from the serialized §5 declarations.
+    - {!Artifact} is the serialized format; {!Writer} writes a module's
+      core forms so that each name alone fixes its binding; {!Loader}
+      rebuilds a live module from them without re-running expansion or
+      the typechecker, regenerating [ct_thunks] from the serialized §5
+      declarations.
 
     See docs/compilation.md for the format table, the invalidation rules
     and a worked [liblang compile] example. *)
 
 module Digest_util = Digest_util
 module Artifact = Artifact
+module Writer = Writer
 module Store = Store
 module Loader = Loader
 module Resolver = Resolver

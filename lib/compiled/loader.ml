@@ -1,33 +1,40 @@
 (** Reconstructing a live module from a compiled artifact — the §5 replay
-    path.  No macro runs and the typechecker never does, but each deferred
-    body (below) takes one expander pass.
+    path.  No macro runs and the typechecker never does, and no body form
+    goes through the expander: {!Writer} wrote every name so that it alone
+    fixes its binding, so a body compiles from its datum straight to an
+    AST.
 
     The artifact's body is the module's fully-expanded core forms, so
     loading is exactly the back half of {!Modsys.compile_module}: set up a
-    fresh lexical context with the language's (and each require's) exports
+    fresh module context with the language's (and each require's) exports
     bound, then walk the core forms once —
 
     - [#%require] re-binds the required module's exports (the required
       module itself was already resolved by {!Resolver} while validating
       the artifact's transitive digests);
-    - [define-values] binds each id now, but {e defers} compiling its
-      right-hand side to first instantiation ({!Modsys.CLazy}).  Then the
-      rhs takes its one pass through the expander: the forms are already
-      core, so the pass expands nothing, but it re-binds local binders
-      hygienically, which the textual serialization cannot preserve.
-      Only the instantiating domain ever needs the result; compile-only
+    - [define-values] binds each id's written name now, to a binding
+      carrying the source name (the artifact's [renames]), and
+      {e defers} compiling its right-hand side to first instantiation
+      ({!Modsys.CLazy}).  Forcing compiles the datum with
+      {!Compile.compile_datum}: a name bound by an enclosing binder in the
+      datum is that local, and any other name resolves once per load in
+      the module context plus the artifact's [links].  Compile-only
       consumers — importers, parallel-build workers replaying a
-      dependency — skip the pass entirely.  The artifact carries no
-      bytecode: under [--engine vm] the VM lowers each form at its
-      first evaluation, as it does for a freshly compiled module;
-    - [define-syntaxes] re-evaluates the (already fully expanded)
-      transformer expression and installs the macro — this is how a typed
-      module's export indirections (§6.2) come back to life;
+      dependency — never compile a body.  The artifact carries no
+      bytecode: under [--engine vm] the VM lowers each form at its first
+      evaluation, as it does for a freshly compiled module;
+    - [define-syntaxes] re-evaluates the transformer expression and
+      installs the macro — this is how a typed module's export
+      indirections (§6.2) come back to life;
     - [begin-for-syntax] forms are the serialized compile-time
       declarations of §5 (e.g. Typed Racket's [typed:declare-type] calls):
       each is compiled once and becomes a regenerated [ct_thunk], replayed
       by [visit] into every later compilation that requires the module.
       Closures are never read from disk — only core syntax is.
+
+    These last two, and [#%require] and [#%provide], are the forms
+    importers expand against, so they alone become syntax objects (with
+    the module scope) and take the expander's path.
 
     Loading bumps [module.cache_hits] (the cache-aware sibling of
     [module.compiles]: their sum is the number of modules this session
@@ -36,6 +43,7 @@
 
 module Stx = Liblang_stx.Stx
 module Scope = Liblang_stx.Scope
+module Datum = Liblang_reader.Datum
 module Binding = Liblang_stx.Binding
 module Ast = Liblang_runtime.Ast
 module Interp = Liblang_runtime.Interp
@@ -49,13 +57,6 @@ module Metrics = Liblang_observe.Metrics
 module Trace = Liblang_observe.Trace
 
 let err = Modsys.err
-
-let resolve_exn id =
-  match Binding.resolve id with
-  | Some b -> b
-  | None ->
-      err "%s: unbound identifier while loading compiled module (stale artifact?)"
-        (Stx.sym_exn id)
 
 (** Rebuild a {!Modsys.t} from [a]'s core forms and register it.  Every
     module [a] requires must already be declared (the resolver loads
@@ -84,53 +85,94 @@ let load (a : Artifact.t) : Modsys.t =
           Modsys.set_current_module_name saved_name;
           Modsys.set_current_requires saved_requires)
       @@ fun () ->
-      let sc = Scope.fresh () in
-      let scopes = Scope.Set.singleton sc in
-      let ctx = Stx.id ~scopes "module-ctx" in
+      let scopes = Scope.Set.singleton (Scope.fresh ()) in
+      let syntax (d : Datum.annot) = Stx.of_datum ~scopes d in
       let lang_mod = Modsys.find lang in
       Modsys.visit lang_mod;
-      Modsys.bind_exports ~ctx lang_mod;
-      let forms = List.map (Stx.of_datum ~scopes) a.Artifact.core_forms in
+      Modsys.bind_exports ~ctx:(Stx.id ~scopes "module-ctx") lang_mod;
+      let source_names : (string, string) Hashtbl.t = Hashtbl.create 16 in
+      List.iter (fun (w, n) -> Hashtbl.replace source_names w n) a.Artifact.renames;
+      let display w = Option.value (Hashtbl.find_opt source_names w) ~default:w in
+      (* what a written name means in the module context: resolved once
+         per load, since the name alone fixes the binding *)
+      let meanings : (string, Binding.t) Hashtbl.t = Hashtbl.create 64 in
+      let resolve n =
+        match Hashtbl.find_opt meanings n with
+        | Some b -> b
+        | None -> (
+            match Binding.resolve (Stx.id ~scopes n) with
+            | Some b ->
+                Hashtbl.add meanings n b;
+                b
+            | None ->
+                err "%s: unbound identifier while loading compiled module (stale artifact?)" n)
+      in
+      let bad what = err "artifact: bad %s in %s" what name in
+      let sym_of what (d : Datum.annot) =
+        match d.Datum.d with Datum.Atom (Datum.Sym s) -> s | _ -> bad what
+      in
+      let ids_of what (d : Datum.annot) =
+        match d.Datum.d with Datum.List ids -> List.map (sym_of what) ids | _ -> bad what
+      in
+      let core_kind (f : Datum.annot) =
+        match f.Datum.d with
+        | Datum.List ({ Datum.d = Datum.Atom (Datum.Sym n); _ } :: _) -> (
+            match Denote.get (resolve n) with Some (Denote.DCore k) -> Some k | _ -> None)
+        | _ -> None
+      in
+      let args (f : Datum.annot) = match f.Datum.d with Datum.List (_ :: rest) -> rest | _ -> [] in
+      (* bind each alias to the binding it links: another module's
+         internal definition, or a builtin module's export.  A builtin
+         owner needs no require, so its aliases — a core form's among them
+         — are bound before pass A reads any form's head; a file owner is
+         loaded by the requires pass A replays.  A missing target means the
+         owner was recompiled to a different shape by a cache-less session:
+         fail, and the resolver degrades this artifact to a recompile. *)
+      let builtin owner = match Modsys.find_opt owner with Some m -> m.Modsys.builtin | None -> false in
+      let link (alias, owner, n) =
+        let target =
+          match Modsys.find_internal ~mod_name:owner n with
+          | Some b -> Some b
+          | None when builtin owner ->
+              List.find_map
+                (fun e -> if String.equal e.Modsys.ext_name n then Some e.Modsys.binding else None)
+                (Modsys.find owner).Modsys.exports
+          | None -> None
+        in
+        match target with
+        | Some b -> Binding.add (Stx.id ~scopes alias) b
+        | None -> err "artifact: link target %s in module %s no longer exists" n owner
+      in
+      let builtin_links, file_links = List.partition (fun (_, o, _) -> builtin o) a.Artifact.links in
+      List.iter link builtin_links;
       (* pass A: process requires and forward-bind every module-level
          definition, so mutually recursive right-hand sides compile (the
-         expander's pass 1 did the same during the original compilation) *)
+         expander's pass 1 did the same during the original compilation).
+         A require can change what a name means, so the names resolved
+         before it are resolved again after it. *)
       Modsys.reset_internals name;
+      let define (w : string) : Binding.t =
+        let b = Binding.fresh (display w) in
+        Binding.add (Stx.id ~scopes w) b;
+        b
+      in
       List.iter
-        (fun (form : Stx.t) ->
-          match Stx.view form with
-          | Stx.List (hd :: rest) when Stx.is_id hd -> (
-              match Modsys.core_kind hd with
-              | Some "#%require" -> List.iter Modsys.handle_require rest
-              | Some "define-values" -> (
-                  match rest with
-                  | [ ids; _ ] ->
-                      let ids =
-                        match Stx.to_list ids with
-                        | Some ids -> ids
-                        | None -> err "artifact: bad define-values in %s" name
-                      in
-                      List.iter
-                        (fun id ->
-                          let b = Binding.bind id in
-                          Denote.set b Denote.DVar;
-                          Modsys.record_internal ~mod_name:name (Stx.sym_exn id) b)
-                        ids
-                  | _ -> err "artifact: bad define-values in %s" name)
-              | _ -> ())
+        (fun f ->
+          match (core_kind f, args f) with
+          | Some "#%require", specs ->
+              List.iter (fun spec -> Modsys.handle_require (syntax spec)) specs;
+              Hashtbl.reset meanings
+          | Some "define-values", [ ids; _ ] ->
+              List.iter
+                (fun w ->
+                  let b = define w in
+                  Denote.set b Denote.DVar;
+                  Modsys.record_internal ~mod_name:name w b)
+                (ids_of "define-values" ids)
+          | Some "define-values", _ -> bad "define-values"
           | _ -> ())
-        forms;
-      (* re-link serialized references to other modules' internal
-         (unexported) bindings — the names a require cannot rebind.  A
-         missing target means the owner was recompiled to a different
-         shape by a cache-less session: fail, and the resolver degrades
-         this artifact to a recompile. *)
-      List.iter
-        (fun (n, owner) ->
-          match Modsys.find_internal ~mod_name:owner n with
-          | Some b -> Binding.add (Stx.id ~scopes n) b
-          | None ->
-              err "artifact: link target %s in module %s no longer exists" n owner)
-        a.Artifact.links;
+        a.Artifact.core_forms;
+      List.iter link file_links;
       let m =
         {
           Modsys.mod_name = name;
@@ -147,84 +189,59 @@ let load (a : Artifact.t) : Modsys.t =
       (* pass B: process each core form.  Transformers and compile-time
          declarations are re-evaluated eagerly — importers compile against
          them — but [define-values] right-hand sides and top-level
-         expressions only matter at instantiation, so their (expensive)
-         re-binding pass + AST compilation is deferred behind a
-         [Modsys.CLazy], re-entering this load's compile-time store and
-         module name when forced.  A compile-only consumer — an importer,
-         or a parallel-build worker replaying a dependency's artifact —
-         therefore never pays for the body at all.  Forcing yields a fresh
-         [Modsys.code] cell, whose interpreter closure the first
-         instantiation compiles. *)
-      let store = Ct_store.current () in
-      let defer (compile : unit -> Modsys.compiled_form) : Modsys.compiled_form =
-        Modsys.CLazy
-          (lazy
-            (Ct_store.with_store store @@ fun () ->
-             let saved = Modsys.current_module_name () in
-             Modsys.set_current_module_name name;
-             Fun.protect
-               ~finally:(fun () -> Modsys.set_current_module_name saved)
-               compile))
+         expressions only matter at instantiation, so their compilation
+         is deferred behind a [Modsys.CLazy].  A compile-only consumer — an
+         importer, or a parallel-build worker replaying a dependency's
+         artifact — therefore never pays for the body at all.  Forcing
+         yields a fresh [Modsys.code] cell, whose interpreter closure the
+         first instantiation compiles. *)
+      let compile d = Compile.compile_datum ~resolve ~display ~syntax d in
+      let defer (k : unit -> Modsys.compiled_form) = Modsys.CLazy (lazy (k ())) in
+      let provides = ref [] in
+      let load_form f =
+        match (core_kind f, args f) with
+        | Some "define-values", [ ids; rhs ] ->
+            let globals =
+              List.map (fun w -> Namespace.global_of (resolve w)) (ids_of "define-values" ids)
+            in
+            m.Modsys.body <-
+              defer (fun () ->
+                  let ast = compile rhs in
+                  (match (globals, ast) with
+                  | [ g ], Ast.Lambda l when l.Ast.l_name = "" -> l.Ast.l_name <- g.Ast.g_name
+                  | _ -> ());
+                  Modsys.CDef (globals, Modsys.code ast))
+              :: m.Modsys.body
+        | Some "define-syntaxes", [ ids; rhs ] -> (
+            match ids_of "define-syntaxes" ids with
+            | [ w ] ->
+                let t = Expander.eval_transformer_rhs ~name:(display w) (syntax rhs) in
+                Denote.set (define w) (Denote.DMacro t)
+            | _ -> bad "define-syntaxes")
+        | Some "define-syntaxes", _ -> bad "define-syntaxes"
+        | Some "begin-for-syntax", es ->
+            (* the serialized §5 declarations: compile once, replay now
+               into the module's own (fresh) store — mirroring the
+               original compilation — and keep the thunk for [visit] *)
+            let thunks =
+              List.map
+                (fun e ->
+                  let ast = Compile.compile_expr (Expander.expand_expr (syntax e)) in
+                  fun () -> ignore (Interp.eval_top ast))
+                es
+            in
+            List.iter (fun thunk -> thunk ()) thunks;
+            m.Modsys.ct_thunks <- m.Modsys.ct_thunks @ thunks
+        | Some "#%provide", specs -> provides := !provides @ specs
+        | Some "#%require", _ -> ()
+        | _ -> m.Modsys.body <- defer (fun () -> Modsys.CExpr (Modsys.code (compile f))) :: m.Modsys.body
       in
-      let defer_expr (form : Stx.t) : Modsys.compiled_form =
-        defer (fun () ->
-            Modsys.CExpr (Modsys.code (Compile.compile_expr (Expander.expand_expr form))))
-      in
-      let load_form (form : Stx.t) =
-        match Stx.view form with
-        | Stx.List (hd :: rest) when Stx.is_id hd -> (
-            match Modsys.core_kind hd with
-            | Some "define-values" -> (
-                match rest with
-                | [ ids; rhs ] ->
-                    let ids = Option.get (Stx.to_list ids) in
-                    let globals =
-                      List.map (fun id -> Namespace.global_of (resolve_exn id)) ids
-                    in
-                    let form =
-                      defer (fun () ->
-                          let ast = Compile.compile_expr (Expander.expand_expr rhs) in
-                          (match (globals, ast) with
-                          | [ g ], Ast.Lambda l when l.Ast.l_name = "" ->
-                              l.Ast.l_name <- g.Ast.g_name
-                          | _ -> ());
-                          Modsys.CDef (globals, Modsys.code ast))
-                    in
-                    m.Modsys.body <- form :: m.Modsys.body
-                | _ -> err "artifact: bad define-values in %s" name)
-            | Some "define-syntaxes" -> (
-                match rest with
-                | [ ids; rhs ] -> (
-                    match Stx.to_list ids with
-                    | Some [ id ] ->
-                        let t = Expander.eval_transformer_rhs ~name:(Stx.sym_exn id) rhs in
-                        let b = Binding.bind id in
-                        Denote.set b (Denote.DMacro t)
-                    | _ -> err "artifact: bad define-syntaxes in %s" name)
-                | _ -> err "artifact: bad define-syntaxes in %s" name)
-            | Some "begin-for-syntax" ->
-                (* the serialized §5 declarations: compile once, replay now
-                   into the module's own (fresh) store — mirroring the
-                   original compilation — and keep the thunk for [visit] *)
-                let thunks =
-                  List.map
-                    (fun e ->
-                      let ast = Compile.compile_expr (Expander.expand_expr e) in
-                      fun () -> ignore (Interp.eval_top ast))
-                    rest
-                in
-                List.iter (fun thunk -> thunk ()) thunks;
-                m.Modsys.ct_thunks <- m.Modsys.ct_thunks @ thunks
-            | Some "#%provide" ->
-                List.iter
-                  (fun spec ->
-                    m.Modsys.exports <- m.Modsys.exports @ Modsys.parse_provide_spec spec)
-                  rest
-            | Some "#%require" -> ()
-            | _ -> m.Modsys.body <- defer_expr form :: m.Modsys.body)
-        | _ -> m.Modsys.body <- defer_expr form :: m.Modsys.body
-      in
-      List.iter load_form forms;
+      List.iter load_form a.Artifact.core_forms;
+      (* a provide may name a macro defined after it: parse the specs once
+         every form is loaded, as compilation does once expansion is done *)
+      List.iter
+        (fun spec -> m.Modsys.exports <- m.Modsys.exports @ Modsys.parse_provide_spec (syntax spec))
+        !provides;
       m.Modsys.body <- List.rev m.Modsys.body;
       m.Modsys.requires <- List.rev !requires;
       Modsys.register m;

@@ -340,60 +340,19 @@ let invalidate_changed () : int =
 
 (* -- persisting artifacts ------------------------------------------------------ *)
 
-(* Free identifiers in [core_forms] that resolve to {e another} module's
-   internal (module-level) binding are serialized as explicit links:
-   rebinding by name through a require only covers exports, and
-   macro-introduced references routinely name unexported internals — the
-   typed boundary's [defensive-*] definitions (§6.2) being the canonical
-   case.  [quote] bodies are data and are skipped; [quote-syntax] bodies
-   are future references and are scanned. *)
-let compute_links (m : Liblang_modules.Modsys.t) (core_forms : Stx.t list) :
-    (string * string) list =
-  let module Binding = Liblang_stx.Binding in
-  let key = m.Modsys.mod_name in
-  let seen : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let links = ref [] in
-  let consider (id : Stx.t) =
-    let name = Stx.sym_exn id in
-    if not (Hashtbl.mem seen name) then (
-      Hashtbl.add seen name ();
-      match (try Binding.resolve id with Binding.Ambiguous _ -> None) with
-      | None -> ()
-      | Some b -> (
-          (* own module-level definitions rebind in pass A of the loader;
-             anything owned by another module needs an explicit link *)
-          match Modsys.find_internal ~mod_name:key name with
-          | Some b' when Binding.equal b b' -> ()
-          | _ -> (
-              match Modsys.find_internal_owner ~excluding:key name b with
-              | Some owner -> links := (name, owner) :: !links
-              | None -> ())))
-  in
-  let rec walk (s : Stx.t) =
-    match Stx.view s with
-    | Stx.Id _ -> consider s
-    | Stx.List (hd :: args) when Stx.is_id hd -> (
-        match Modsys.core_kind hd with
-        | Some "quote" -> ()
-        | _ -> List.iter walk args)
-    | Stx.List xs -> List.iter walk xs
-    | Stx.DotList (xs, tl) ->
-        List.iter walk xs;
-        walk tl
-    | _ -> ()
-  in
-  List.iter walk core_forms;
-  List.rev !links
-
 (** The [Modsys.compiled_hook]: persist an artifact for every successful
     file-module compilation while a store is active.  A module is only
     cacheable when each of its requires is a builtin or itself has a
-    current artifact (so the transitive digest chain is complete);
-    otherwise it is skipped with a [-v] trace note. *)
-let on_compiled (m : Modsys.t) ~(lang : string) ~(core_forms : Stx.t list) : unit =
+    current artifact (so the transitive digest chain is complete), and
+    when {!Writer} can give every reference in its body a name the loader
+    can link; otherwise it is skipped with a [-v] trace note.  Once
+    written, the module's internals are keyed by written name, the names
+    an importer's artifact links against. *)
+let on_compiled (m : Modsys.t) ~(lang : string) ~(scopes : Liblang_stx.Scope.Set.t)
+    ~(core_forms : Stx.t list) : unit =
   match (Store.active (), Hashtbl.find_opt (cacheable ()) m.Modsys.mod_name) with
   | None, _ | _, None -> ()
-  | Some store, Some source_digest ->
+  | Some store, Some source_digest -> (
       let key = m.Modsys.mod_name in
       let require_refs =
           List.map
@@ -406,17 +365,18 @@ let on_compiled (m : Modsys.t) ~(lang : string) ~(core_forms : Stx.t list) : uni
                   | None -> None))
             m.Modsys.requires
       in
-      if List.mem None require_refs then
-        Trace.event "cache-skip"
-          [ ("module", key); ("reason", "requires a module with no artifact") ]
+      let skip reason = Trace.event "cache-skip" [ ("module", key); ("reason", reason) ] in
+      if List.mem None require_refs then skip "requires a module with no artifact"
       else
-        let a =
-          Artifact.of_compiled ~mod_name:key ~lang ~source_digest
-            ~requires:(List.filter_map Fun.id require_refs)
-            ~exports:(List.map (fun e -> e.Modsys.ext_name) m.Modsys.exports)
-            ~links:(compute_links m core_forms) ~core_forms ()
-        in
-        Store.write store a
+        match Writer.write ~mod_name:key ~requires:m.Modsys.requires ~scopes core_forms with
+        | Error reason -> skip reason
+        | Ok w ->
+            Modsys.set_internals ~mod_name:key w.Writer.defs;
+            Store.write store
+              (Artifact.of_compiled ~mod_name:key ~lang ~source_digest
+                 ~requires:(List.filter_map Fun.id require_refs)
+                 ~exports:(List.map (fun e -> e.Modsys.ext_name) m.Modsys.exports)
+                 ~links:w.Writer.links ~renames:w.Writer.renames ~core_forms:w.Writer.forms ()))
 
 (* -- installation --------------------------------------------------------------- *)
 

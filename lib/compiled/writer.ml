@@ -1,0 +1,273 @@
+(** The artifact writer: a compiled module's core forms as datums whose
+    names alone fix their bindings (paper §5; Racket's compiled linklets
+    store resolved names for the same reason).
+
+    A syntax object's identifier means a binding through its scope set,
+    and scope sets do not survive serialization.  So each binding the body
+    mentions gets one {e written name}, unique in the module, that can mean
+    only that binding in the loader's module context (the module scope,
+    the language's and the requires' exports, the module's definitions
+    under their written names, and the [links] aliases):
+
+    - a module-level definition, or a free reference, whose source name
+      already means it from the module scope keeps that name;
+    - any other module-level definition (one a macro introduced) gets a
+      fresh name: its source name, or that name with a [_N] suffix, that
+      nothing is bound to in the module scope;
+    - any other free reference gets such a fresh name as an {e alias},
+      recorded in [links] as (alias, owner module, name in owner): the
+      owner is the module that defines the binding (its internals are
+      keyed by written name) or a builtin module that exports it.  A
+      reference with no owner makes the module uncacheable;
+    - a local binder keeps its source name unless another binding already
+      took it or it names a core form, and gets a [_N] suffix otherwise.
+
+    Renamed binders are listed in [renames] with their source names, so a
+    procedure is still shown under the name its source gave it.  The
+    contents of [quote] and [quote-syntax] are data and are never renamed;
+    [define-syntaxes] right-hand sides and [#%require] specs are written
+    as they are, since the loader replays them through the expander —
+    except that a require binder a macro introduced is left out, since
+    the loader would bind it in the module scope.
+    Everything depends only on the module's own forms and on what its
+    module context binds, so an unchanged module writes the same bytes in
+    every session and on every domain. *)
+
+module Stx = Liblang_stx.Stx
+module Scope = Liblang_stx.Scope
+module Binding = Liblang_stx.Binding
+module Datum = Liblang_reader.Datum
+module Denote = Liblang_expander.Denote
+module Expander = Liblang_expander.Expander
+module Modsys = Liblang_modules.Modsys
+
+type kind = Def | Local | Free
+
+(* One binding the body mentions, with its source name, the core form it
+   denotes (if any) and, once named, its written name. *)
+type info = {
+  b : Binding.t;
+  src : string;
+  core : string option;
+  mutable kind : kind;
+  mutable written : string;
+}
+
+module ITbl = Hashtbl.Make (Int)
+
+(* The body with each walked identifier replaced by its binding's info. *)
+type node =
+  | Id of info
+  | Provided of info * string  (** a [#%provide]d identifier and its external name *)
+  | Data of Datum.t
+  | List of node list
+  | Dot of node list * node
+
+type t = {
+  forms : Datum.annot list;
+  links : (string * string * string) list;  (** (alias, owner module, name in owner) *)
+  renames : (string * string) list;  (** (written name, source name) of renamed binders *)
+  defs : (string * Binding.t) list;
+      (** the module's [define-values] bindings by written name, in order *)
+}
+
+exception Uncacheable of string
+
+let uncacheable fmt = Printf.ksprintf (fun m -> raise (Uncacheable m)) fmt
+
+(** Write [forms], the core forms of module [mod_name] whose module
+    context has scope set [scopes] and which requires [requires] (its
+    language first).  [Error reason] when some reference has no owner the
+    loader could link it to. *)
+let write ~mod_name ~(requires : string list) ~(scopes : Scope.Set.t) (forms : Stx.t list) :
+    (t, string) result =
+  let infos : info ITbl.t = ITbl.create 64 in
+  let order = ref [] and value_defs = ref [] in
+  (* a binder fixes its binding's kind, whenever a reference noted it
+     first; a reference to a binding not seen yet is free until then *)
+  let note kind (id : Stx.t) : info =
+    let b =
+      match Binding.resolve id with
+      | Some b -> b
+      | None -> uncacheable "%s: unbound reference" (Stx.sym_exn id)
+      | exception Binding.Ambiguous _ -> uncacheable "%s: ambiguous reference" (Stx.sym_exn id)
+    in
+    match ITbl.find_opt infos b.Binding.uid with
+    | Some i ->
+        if kind <> Free then i.kind <- kind;
+        i
+    | None ->
+        let core = match Denote.get b with Some (Denote.DCore n) -> Some n | _ -> None in
+        let i = { b; src = Stx.sym_exn id; core; kind; written = "" } in
+        ITbl.add infos b.Binding.uid i;
+        order := i :: !order;
+        i
+  in
+  let data (s : Stx.t) = Data (Stx.to_datum s) in
+  let binder kind (id : Stx.t) = if Stx.is_id id then Id (note kind id) else data id in
+  let binders kind (ids : Stx.t) =
+    match Stx.view ids with
+    | Stx.Id _ -> binder kind ids
+    | Stx.List xs -> List (List.map (binder kind) xs)
+    | Stx.DotList (xs, tl) -> Dot (List.map (binder kind) xs, binder kind tl)
+    | _ -> data ids
+  in
+  (* a form's head: its node and the core form it names, if any *)
+  let head (hd : Stx.t) =
+    let i = note Free hd in
+    (Id i, i.core)
+  in
+  let rec expr (s : Stx.t) : node =
+    match Stx.view s with
+    | Stx.Id _ -> Id (note Free s)
+    | Stx.List (hd :: args) when Stx.is_id hd -> form (head hd) args
+    | Stx.List xs -> List (List.map expr xs)
+    | Stx.DotList (xs, tl) -> Dot (List.map expr xs, expr tl)
+    | Stx.Atom _ | Stx.Vec _ -> data s
+  and form (h, core) args =
+    match (core, args) with
+    | Some ("quote" | "quote-syntax"), _ -> List (h :: List.map data args)
+    | Some "#%plain-lambda", formals :: body -> List (h :: binders Local formals :: List.map expr body)
+    | Some ("let-values" | "letrec-values"), clauses :: body ->
+        let clause c =
+          match Stx.to_list c with
+          | Some [ ids; rhs ] -> List [ binders Local ids; expr rhs ]
+          | _ -> data c
+        in
+        let clauses =
+          match Stx.to_list clauses with Some cs -> List (List.map clause cs) | None -> data clauses
+        in
+        List (h :: clauses :: List.map expr body)
+    | _ -> List (h :: List.map expr args)
+  in
+  let provide_spec (spec : Stx.t) =
+    match Stx.view spec with
+    | Stx.Id n -> Provided (note Free spec, Stx.Symbol.name n)
+    | Stx.List (kw :: clauses) when Stx.is_sym "rename-out" kw ->
+        let clause c =
+          match Stx.to_list c with
+          | Some [ internal; ext ] when Stx.is_id internal -> List [ Id (note Free internal); data ext ]
+          | _ -> uncacheable "rename-out: bad clause %s" (Stx.to_string c)
+        in
+        List (data kw :: List.map clause clauses)
+    | _ -> uncacheable "provide: bad spec %s" (Stx.to_string spec)
+  in
+  (* The loader replays a require in the module scope, so a require
+     binder a macro introduced would capture the module's own names
+     there.  Such binders are left out — the spec still loads and visits
+     its module — and every reference through them becomes a link. *)
+  let in_module_scope (s : Stx.t) = Scope.Set.equal (Stx.scopes s) scopes in
+  let require_spec (spec : Stx.t) =
+    match Stx.view spec with
+    | Stx.List (kw :: mod_id :: clauses) when Stx.is_sym "only-in" kw ->
+        let binder c = match Stx.to_list c with Some [ _; new_id ] -> new_id | _ -> c in
+        List
+          (data kw :: data mod_id
+          :: List.filter_map (fun c -> if in_module_scope (binder c) then Some (data c) else None) clauses)
+    | _ when in_module_scope spec -> data spec
+    | _ -> List [ Data (Datum.Atom (Datum.Sym "only-in")); data spec ]
+  in
+  let top (s : Stx.t) : node =
+    match Stx.view s with
+    | Stx.List (hd :: args) when Stx.is_id hd -> (
+        let ((h, core) as hc) = head hd in
+        match (core, args) with
+        | Some "define-values", [ ids; rhs ] ->
+            let ids = binders Def ids in
+            (match ids with
+            | List xs -> List.iter (function Id i -> value_defs := i :: !value_defs | _ -> ()) xs
+            | _ -> ());
+            List [ h; ids; expr rhs ]
+        | Some "define-syntaxes", [ ids; rhs ] -> List [ h; binders Def ids; data rhs ]
+        | Some "begin-for-syntax", es -> List (h :: List.map expr es)
+        | Some "#%require", specs -> List (h :: List.map require_spec specs)
+        | Some "#%provide", specs -> List (h :: List.map provide_spec specs)
+        | _ -> form hc args)
+    | _ -> expr s
+  in
+  match List.map top forms with
+  | exception Uncacheable m -> Error m
+  | nodes -> (
+      let infos = List.rev !order in
+      let taken : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+      (* what [n] means from the module scope *)
+      let at_module n =
+        match Binding.resolve (Stx.id ~scopes n) with
+        | Some b -> `Bound b
+        | None -> `Unbound
+        | exception Binding.Ambiguous _ -> `Ambiguous
+      in
+      let claim i n =
+        i.written <- n;
+        Hashtbl.replace taken n ()
+      in
+      let fresh ~module_level src =
+        let ok n =
+          (not (Hashtbl.mem taken n))
+          &&
+          if module_level then at_module n = `Unbound
+          else not (List.mem n Expander.core_form_names)
+        in
+        let rec go k =
+          let n = src ^ "_" ^ string_of_int k in
+          if ok n then n else go (k + 1)
+        in
+        if ok src then src else go 1
+      in
+      (* names that already mean their binding from the module scope *)
+      List.iter
+        (fun i ->
+          if i.kind <> Local then
+            match at_module i.src with
+            | `Bound b when Binding.equal b i.b -> claim i i.src
+            | _ -> ())
+        infos;
+      List.iter (fun i -> if i.kind = Def && i.written = "" then claim i (fresh ~module_level:true i.src)) infos;
+      match
+        List.filter_map
+          (fun i ->
+            if i.kind = Free && i.written = "" then begin
+              let owner, name =
+                match Modsys.find_internal_owner ~excluding:mod_name i.b with
+                | Some o -> o
+                | None -> (
+                    match Modsys.find_builtin_export ~prefer:requires i.b with
+                    | Some o -> o
+                    | None -> uncacheable "%s: reference with no owner module" i.src)
+              in
+              claim i (fresh ~module_level:true i.src);
+              Some (i.written, owner, name)
+            end
+            else None)
+          infos
+      with
+      | exception Uncacheable m -> Error m
+      | links ->
+          List.iter (fun i -> if i.kind = Local then claim i (fresh ~module_level:false i.src)) infos;
+          let sym = Datum.sym and dlist = Datum.list in
+          (* datums are immutable: every occurrence of a binding shares one *)
+          let written : Datum.annot ITbl.t = ITbl.create 64 in
+          List.iter (fun i -> ITbl.replace written i.b.Binding.uid (sym i.written)) infos;
+          let rec emit = function
+            | Id i -> ITbl.find written i.b.Binding.uid
+            | Provided (i, ext) ->
+                if String.equal i.written ext then sym ext
+                else dlist [ sym "rename-out"; dlist [ sym i.written; sym ext ] ]
+            | Data d -> { Datum.d; loc = Liblang_reader.Srcloc.none }
+            | List xs -> dlist (List.map emit xs)
+            | Dot ([], tl) -> emit tl (* a dotted list with no elements is its tail *)
+            | Dot (xs, tl) ->
+                { Datum.d = Datum.DotList (List.map emit xs, emit tl); loc = Liblang_reader.Srcloc.none }
+          in
+          Ok
+            {
+              forms = List.map emit nodes;
+              links;
+              renames =
+                List.filter_map
+                  (fun i ->
+                    if i.kind <> Free && not (String.equal i.written i.src) then Some (i.written, i.src)
+                    else None)
+                  infos;
+              defs = List.rev_map (fun i -> (i.written, i.b)) !value_defs;
+            })

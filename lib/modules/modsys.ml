@@ -88,10 +88,12 @@ type compiled_form =
           sides and top-level expressions: importers only need a loaded
           module's exports, macros and compile-time declarations to
           compile against it, so a load on the compile-only path (e.g. a
-          parallel-build worker replaying a dependency) skips the
-          expensive re-binding pass over the core forms entirely.  A
-          [CLazy] is only ever forced by the domain that owns the module
-          record (instantiation happens on the acquiring domain), so
+          parallel-build worker replaying a dependency) never compiles a
+          body at all.  Forcing compiles the form's artifact datum
+          straight to an AST ({!Compile.compile_datum}): no syntax
+          object, scope or expander pass is involved.  A [CLazy] is only
+          ever forced by the domain that owns the module record
+          (instantiation happens on the acquiring domain), so
           [Lazy.force] is single-domain here. *)
 
 type t = {
@@ -156,12 +158,17 @@ let alias m name = Hashtbl.replace (registry ()) name m
 
 (* -- module-level internals (for separate compilation) -------------------------- *)
 
-(* module key -> (defined name -> binding): every module-level
-   [define-values] binding of the module, including unexported ones.  The
-   separate-compilation layer uses this to re-link serialized cross-module
+(* module key -> (name -> binding): every module-level [define-values]
+   binding of the module, including unexported ones.  The separate-
+   compilation layer uses this to re-link serialized cross-module
    references to internal bindings — e.g. the typed boundary's
    [defensive-*] definitions, which a typed module's export indirection
-   (§6.2) splices into untyped clients without ever exporting them. *)
+   (§6.2) splices into untyped clients without ever exporting them.  A
+   module with an artifact keys its table by {e written} name — unique in
+   the module, unlike a source name, which a macro-introduced definition
+   may share with the user's (see [Liblang_compiled.Writer]): the artifact
+   writer re-keys a freshly compiled module's table with {!set_internals},
+   and the loader records the written names it binds. *)
 (* Domain-local like the registry; the split deep-copies (outer and inner
    tables) so a worker's recompilations never mutate tables shared with
    the parent. *)
@@ -195,20 +202,29 @@ let find_internal ~mod_name name : Binding.t option =
   Option.bind (Hashtbl.find_opt (internals ()) mod_name) (fun tbl ->
       Hashtbl.find_opt tbl name)
 
-(** The module (other than [excluding]) whose module-level definition
-    [name] is exactly the binding [b], if any — the owner a serialized
-    cross-module reference must be re-linked against. *)
-let find_internal_owner ?excluding name (b : Binding.t) : string option =
+(** Replace [mod_name]'s internals table with [defs]. *)
+let set_internals ~mod_name (defs : (string * Binding.t) list) =
+  let tbl = Hashtbl.create (max 8 (List.length defs)) in
+  List.iter (fun (n, b) -> Hashtbl.replace tbl n b) defs;
+  Hashtbl.replace (internals ()) mod_name tbl
+
+(** The module (other than [excluding]) with a module-level definition
+    that is exactly the binding [b], and the name it is recorded under —
+    the owner a serialized cross-module reference is re-linked against.
+    A binding has at most one defining module. *)
+let find_internal_owner ?excluding (b : Binding.t) : (string * string) option =
   Hashtbl.fold
     (fun mod_name tbl acc ->
       match acc with
       | Some _ -> acc
+      | None when excluding = Some mod_name -> None
       | None ->
-          if excluding = Some mod_name then None
-          else (
-            match Hashtbl.find_opt tbl name with
-            | Some b' when Binding.equal b b' -> Some mod_name
-            | _ -> None))
+          Hashtbl.fold
+            (fun n b' acc ->
+              match acc with
+              | None when Binding.equal b b' -> Some (mod_name, n)
+              | _ -> acc)
+            tbl None)
     (internals ()) None
 
 (* -- visiting: replaying compile-time declarations (§5) ----------------------- *)
@@ -283,6 +299,26 @@ let export_binding (m : t) (ext_name : string) : Binding.t =
   | None -> err "module %s provides no binding named %s" m.mod_name ext_name
   | Some e -> e.binding
 
+(** A builtin module exporting exactly the binding [b], and the name it
+    exports it under: the first such pair among the modules [prefer]
+    names, in order, and then among all builtins by module name; within
+    a module, the first export.  So every domain and session picks the
+    same one. *)
+let find_builtin_export ?(prefer = []) (b : Binding.t) : (string * string) option =
+  let all =
+    Hashtbl.fold (fun name m acc -> if m.builtin then name :: acc else acc) (registry ()) []
+    |> List.sort String.compare
+  in
+  List.find_map
+    (fun name ->
+      match find_opt name with
+      | Some m when m.builtin ->
+          List.find_map
+            (fun e -> if Binding.equal e.binding b then Some (name, e.ext_name) else None)
+            m.exports
+      | _ -> None)
+    (prefer @ all)
+
 (** Bind one export of [m] under the identifier [as_id] (using [as_id]'s own
     lexical context). *)
 let bind_export_as (m : t) ~(ext_name : string) ~(as_id : Stx.t) =
@@ -333,10 +369,12 @@ let file_require_handler : (path:string -> loc:Srcloc.t -> t) ref =
         "require: file-based module resolution is not installed (require of %S)" path)
 
 (** Observer of successful module compilations, invoked with the module's
-    fully-expanded core forms; the artifact store persists them so a later
-    session can skip expansion and typechecking entirely. *)
-let compiled_hook : (t -> lang:string -> core_forms:Stx.t list -> unit) ref =
-  ref (fun _ ~lang:_ ~core_forms:_ -> ())
+    fully-expanded core forms and the scope set of its module context;
+    the artifact store persists them so a later session can skip
+    expansion and typechecking entirely. *)
+let compiled_hook :
+    (t -> lang:string -> scopes:Scope.Set.t -> core_forms:Stx.t list -> unit) ref =
+  ref (fun _ ~lang:_ ~scopes:_ ~core_forms:_ -> ())
 
 (* A require spec names its module either by registry name (an identifier)
    or by file path (a string literal, resolved from disk). *)
@@ -543,7 +581,7 @@ let compile_module ~name ~lang (body : Datum.annot list) : t =
       m.body <- List.rev m.body;
       m.requires <- List.rev !requires;
       register m;
-      !compiled_hook m ~lang ~core_forms;
+      !compiled_hook m ~lang ~scopes:(Stx.scopes ctx) ~core_forms;
       m)
 
 (** Declare a module from full source text beginning with [#lang <name>]. *)

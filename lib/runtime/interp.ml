@@ -356,36 +356,48 @@ and compile_app f args : env -> value =
   match f with
   | Ast.GlobalRef g when not g.Ast.g_mutable -> (
       let name = g.Ast.g_name in
-      let fbin = if !unboxing_enabled then List.assoc_opt name Flfuse.bin_table else None in
-      let fcmp = if !unboxing_enabled then List.assoc_opt name Flfuse.cmp_table else None in
-      let fun1 = if !unboxing_enabled then List.assoc_opt name Flfuse.un_table else None in
-      match (fbin, fcmp, fun1, Array.length args) with
-      | Some build, _, _, 2 -> build (fleaf args.(0)) (fleaf args.(1))
-      | _, Some build, _, 2 -> build (fleaf args.(0)) (fleaf args.(1))
-      | _, _, Some build, 1 -> build (fleaf args.(0))
-      | _ -> (
-          let cbin = if !unboxing_enabled then List.assoc_opt name Flfuse.cbin_table else None in
-          let cun = if !unboxing_enabled then List.assoc_opt name Flfuse.cun_table else None in
-          match (cbin, cun, Array.length args) with
-          | Some build, _, 2 -> build (cleaf args.(0)) (cleaf args.(1))
-          | _, Some build, 1 -> build (cleaf args.(0))
-          | _ when name = "unsafe-make-rectangular" && Array.length args = 2
-                   && !unboxing_enabled ->
-              Flfuse.c_rect (fleaf args.(0)) (fleaf args.(1))
-          | _ -> (
-              match (Hashtbl.find_opt fast2 name, Array.length args) with
-              | Some op, 2 ->
-                  let a0 = compile args.(0) and a1 = compile args.(1) in
-                  fun env ->
-                    let x = a0 env in
-                    op x (a1 env)
-              | _ -> (
-                  match (Hashtbl.find_opt fast1 name, Array.length args) with
-                  | Some op, 1 ->
-                      let a0 = compile args.(0) in
-                      fun env -> op (a0 env)
-                  | _ -> generic ()))))
+      (* every fused name starts with [unsafe-]: one prefix test spares
+         every other primitive application the table scans *)
+      match
+        if !unboxing_enabled && String.starts_with ~prefix:"unsafe-" name then fused name args
+        else None
+      with
+      | Some k -> k
+      | None -> (
+          let n = Array.length args in
+          match if n = 2 then Hashtbl.find_opt fast2 name else None with
+          | Some op ->
+              let a0 = compile args.(0) and a1 = compile args.(1) in
+              fun env ->
+                let x = a0 env in
+                op x (a1 env)
+          | None -> (
+              match if n = 1 then Hashtbl.find_opt fast1 name else None with
+              | Some op ->
+                  let a0 = compile args.(0) in
+                  fun env -> op (a0 env)
+              | None -> generic ())))
   | _ -> generic ()
+
+(* the fused unsafe-float closure for an application of [name], if the
+   generated tables have one for its arity *)
+and fused name args : (env -> value) option =
+  let fbin = List.assoc_opt name Flfuse.bin_table in
+  let fcmp = List.assoc_opt name Flfuse.cmp_table in
+  let fun1 = List.assoc_opt name Flfuse.un_table in
+  match (fbin, fcmp, fun1, Array.length args) with
+  | Some build, _, _, 2 -> Some (build (fleaf args.(0)) (fleaf args.(1)))
+  | _, Some build, _, 2 -> Some (build (fleaf args.(0)) (fleaf args.(1)))
+  | _, _, Some build, 1 -> Some (build (fleaf args.(0)))
+  | _ -> (
+      let cbin = List.assoc_opt name Flfuse.cbin_table in
+      let cun = List.assoc_opt name Flfuse.cun_table in
+      match (cbin, cun, Array.length args) with
+      | Some build, _, 2 -> Some (build (cleaf args.(0)) (cleaf args.(1)))
+      | _, Some build, 1 -> Some (build (cleaf args.(0)))
+      | _ when name = "unsafe-make-rectangular" && Array.length args = 2 ->
+          Some (Flfuse.c_rect (fleaf args.(0)) (fleaf args.(1)))
+      | _ -> None)
 
 (* operand shape classification for the fused unsafe-float closures *)
 and fleaf (a : Ast.t) : Flfuse.leaf =

@@ -252,7 +252,7 @@ let stale_before_body () =
   let text =
     A.to_string
       (A.of_compiled ~mod_name:"/m.scm" ~lang:"racket" ~source_digest:"d1" ~requires:[]
-         ~exports:[] ~links:[] ~core_forms:[] ())
+         ~exports:[] ~links:[] ~renames:[] ~core_forms:[] ())
   in
   let cut = replace_first (strip_trailer text) "(body" "(body (((" in
   check_b "body damaged" true (cut <> strip_trailer text);
@@ -751,13 +751,15 @@ let canonicalization_one_key_per_file () =
 (* -- symbols that do not read back bare ------------------------------------------ *)
 
 (** The corpus programs whose macro quotes a symbol spelled like a number
-    ([42]) or with a space ([a b]) into the module body.  The artifact
-    must write such a symbol so it reads back as itself: the warm run
-    prints what the uncached and cold runs print, with the same
-    diagnostics (each program ends in a runtime error on purpose). *)
+    ([42]) or with a space ([a b]) into the module body, and the one whose
+    macro binders share names with user binders.  The artifact must write
+    such a symbol so it reads back as itself, and each name so it means
+    the binding it meant: the warm run prints what the uncached and cold
+    runs print, with the same diagnostics (each program ends in a runtime
+    error on purpose). *)
 let quoted_symbols_round_trip () =
   List.iter
-    (fun name ->
+    (fun (name, want) ->
       let dir = fresh_dir () in
       let cache = Filename.concat dir "cache" in
       let src = Filename.concat dir name in
@@ -781,13 +783,18 @@ let quoted_symbols_round_trip () =
       let plain, _, _ = run () in
       let cold, cold_diags, _ = run ~cache_dir:cache () in
       let warm, warm_diags, c = run ~cache_dir:cache () in
-      check_s (name ^ ": uncached output") "#t" plain;
+      check_s (name ^ ": uncached output") want plain;
       check_s (name ^ ": cold output") plain cold;
       check_s (name ^ ": warm output equals cold") cold warm;
       check_s (name ^ ": warm diagnostics equal cold") cold_diags warm_diags;
       check_i (name ^ ": warm run loads the artifact") 1 (hits c);
       check_i (name ^ ": warm run compiles nothing") 0 (compiles c))
-    [ "quoted-symbol-number.scm"; "quoted-symbol-space.scm" ]
+    [
+      ("quoted-symbol-number.scm", "#t");
+      ("quoted-symbol-space.scm", "#t");
+      ( "warm-hygiene.scm",
+        "5\n(2 1)\n(#<procedure:helper> 2)\n(1 2 3)\n(quote)\n(5 #<procedure:loop>)\n" );
+    ]
 
 (* -- suite --------------------------------------------------------------------- *)
 
@@ -796,7 +803,9 @@ let t name f = Alcotest.test_case name `Quick f
 (* Which import a name resolves to when several supply it: a later
    [require] shadows an earlier one and the language, a module-level
    definition shadows any import, and a renaming [only-in] binds only the
-   new name.  Each answer must hold cold and warm from the store. *)
+   new name.  A required macro's names keep meaning what they meant where
+   the macro was defined, whatever the client defines.  Each answer must
+   hold cold and warm from the store. *)
 let import_shadowing () =
   let dir = fresh_dir () in
   let cache = Filename.concat dir "cache" in
@@ -809,6 +818,12 @@ let import_shadowing () =
        "#lang racket\n(provide car cdr)\n(define (car p) 'a-car)\n(define (cdr p) 'a-cdr)\n");
   ignore (file "b.scm" "#lang racket\n(provide car)\n(define (car p) 'b-car)\n");
   ignore (file "l.scm" "#lang racket\n(provide list)\n(define (list . xs) 'l-list)\n");
+  ignore
+    (file "mac.scm"
+       "#lang racket\n(provide first-of call-helper)\n\
+        (define-syntax-rule (first-of p) (car p))\n\
+        (define (helper) 40)\n\
+        (define-syntax-rule (call-helper) (helper))\n");
   let cases =
     [
       ( "two requires: the later wins",
@@ -833,6 +848,21 @@ let import_shadowing () =
         \    (if (free-identifier=? (cadr xs) (caddr xs)) #''yes #''no)))\n\
          (display (list (fid car acar) (fid cdr cdr)))\n",
         "(no yes)" );
+      ( "a required macro's car is the language's, whatever the client defines",
+        "#lang racket\n(require \"mac.scm\")\n(define (car p) 'own-car)\n(display (first-of (cons 1 2)))\n",
+        "1" );
+      ( "a required macro's helper is its module's, whatever the client defines",
+        "#lang racket\n(require \"mac.scm\")\n(define (helper) 'own)\n(display (list (helper) (call-helper)))\n",
+        "(own 40)" );
+      ( "a macro's own require binds nothing the client defines",
+        "#lang racket\n\
+         (define-syntax-rule (def-a-car get) (begin (require \"a.scm\") (define (get p) (car p))))\n\
+         (define (car p) 'own-car)\n(def-a-car a-car-of)\n(display (list (a-car-of (cons 1 2)) (car 0)))\n",
+        "(a-car own-car)" );
+      ( "a definition named like a core form leaves the language's macros theirs",
+        "#lang racket\n(define (if a b c) 'my-if)\n\
+         (define (g x) (cond [(> x 0) 'pos] [else 'nonpos]))\n(display (list (g 5) (if 1 2 3)))\n",
+        "(pos my-if)" );
     ]
   in
   List.iteri

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Hygiene-engine perf smoke gate (CI): the fast path must stay *wired*,
-# not just fast.  Eight checks (docs/architecture.md "Hygiene internals",
+# not just fast.  Nine checks (docs/architecture.md "Hygiene internals",
 # docs/observability.md metric catalogue):
 #
 #   1. the expansion stress family (bench --expand --smoke) expands and
@@ -36,7 +36,14 @@
 #      reports at most 50x the expand.resolve_scanned of a single run --
 #      binders indexed by scope and imports bound in bulk, not per-name
 #      lists that every compile appends to (docs/architecture.md,
-#      "Hygiene internals").
+#      "Hygiene internals");
+#   9. warm loads never send bodies through the expander: after a cold
+#      compile --cache-dir of an 8-module gen-modules --shape wide
+#      project, a warm run --cache-dir --profile=json reports
+#      stx.scope_pushes = 0 and at most 100 resolutions
+#      (expand.resolve_hits + expand.resolve_misses) per loaded module
+#      (module.cache_hits) -- artifact bodies compile from their datums,
+#      whose names alone fix their bindings (docs/compilation.md).
 #
 # Timings are noise in CI and are not asserted; correctness of the perf
 # machinery is what this gate pins down.
@@ -282,6 +289,40 @@ elif [ "$scan40" -gt $((50 * scan1)) ]; then
   fail=1
 else
   echo "perf_smoke: resolution work flat (expand.resolve_scanned: 1 compile $scan1, 40 compiles $scan40)"
+fi
+
+# -- 9. warm loads never send bodies through the expander --------------------
+# An artifact's names alone fix their bindings, so the loader compiles
+# each body form from its datum: no syntax object is built for a body,
+# so no scope is ever pushed, and a name resolves once per load in the
+# module context.  Re-expanding bodies (the replay this replaced) pushes
+# scopes by the hundred thousand and resolves every identifier occurrence.
+WIDE="$WORK/wide"
+if ! $RUN "$LIBLANG" gen-modules --dir "$WIDE" --shape wide 8 >/dev/null 2>&1; then
+  echo "perf_smoke: FAIL: gen-modules --shape wide 8 failed" >&2
+  fail=1
+elif ! $RUN "$LIBLANG" compile --cache-dir "$WIDE/cache" "$WIDE/main.scm" >/dev/null 2>&1; then
+  echo "perf_smoke: FAIL: cold compile --cache-dir of the wide project failed" >&2
+  fail=1
+else
+  warm=$($RUN "$LIBLANG" run --cache-dir "$WIDE/cache" --profile=json "$WIDE/main.scm" 2>/dev/null)
+  pushes=$(counter 'stx\.scope_pushes' "$warm")
+  rhits=$(counter 'expand\.resolve_hits' "$warm")
+  rmisses=$(counter 'expand\.resolve_misses' "$warm")
+  loaded=$(counter 'module\.cache_hits' "$warm")
+  resolutions=$(( ${rhits:-0} + ${rmisses:-0} ))
+  if [ -z "${loaded:-}" ] || [ "$loaded" -le 0 ]; then
+    echo "perf_smoke: FAIL: warm run loaded nothing from the store (module.cache_hits = ${loaded:-missing})" >&2
+    fail=1
+  elif [ -z "${pushes:-}" ] || [ "$pushes" -ne 0 ]; then
+    echo "perf_smoke: FAIL: warm run pushed scopes (stx.scope_pushes = ${pushes:-missing}): bodies went through the expander" >&2
+    fail=1
+  elif [ "$resolutions" -gt $((100 * loaded)) ]; then
+    echo "perf_smoke: FAIL: warm run made $resolutions resolutions for $loaded loaded modules (over 100 each): bodies resolve per occurrence" >&2
+    fail=1
+  else
+    echo "perf_smoke: warm loads skip the expander (stx.scope_pushes = 0; $resolutions resolutions for $loaded modules)"
+  fi
 fi
 
 if [ "$fail" -ne 0 ]; then
