@@ -1252,8 +1252,8 @@ let sortedset =
    exactly what the lazy-propagation series is meant to expose (see
    docs/architecture.md, "hygiene internals").
 
-   Each program prints [copies * (2^depth + nvars)] so the harness can
-   verify the expansion was not mangled (the checksum gate). *)
+   Each program prints [copies * (2^depth + nvars)], so the repository
+   benchmark (bench/e2e) can check that the expansion was not mangled. *)
 
 let stress_body ~depth ~nvars ~copies : string =
   let buf = Buffer.create 4096 in
@@ -1281,8 +1281,8 @@ let stress_body ~depth ~nvars ~copies : string =
   add "(display (+ %s))" calls;
   Buffer.contents buf
 
-(* The expansion series is untyped-only: the [typed] field holds the same
-   body, but the harness only expands the untyped variant. *)
+(* The stress programs are untyped-only: the [typed] field holds the
+   same body, but bench/e2e compiles only the untyped variant. *)
 let stress name ~depth ~nvars ~copies =
   let body = stress_body ~depth ~nvars ~copies in
   let p = b name "expand" "hygiene" body body in

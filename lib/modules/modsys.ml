@@ -320,9 +320,10 @@ let find_builtin_export ?(prefer = []) (b : Binding.t) : (string * string) optio
     (prefer @ all)
 
 (** Bind one export of [m] under the identifier [as_id] (using [as_id]'s own
-    lexical context). *)
+    lexical context), ranked as an import: a definition of [as_id] in the
+    same context outranks it. *)
 let bind_export_as (m : t) ~(ext_name : string) ~(as_id : Stx.t) =
-  Binding.add as_id (export_binding m ext_name)
+  Binding.add_import as_id (export_binding m ext_name)
 
 (* [m]'s export index, built once per export list: [provide] and layered
    languages replace the list, which rebuilds it on the next use. *)

@@ -1,7 +1,8 @@
 (** Client side of the compile-server protocol: connect to a daemon's
     Unix-domain socket, send request frames, read response frames.
     Used by [liblang client] and [liblang run/compile --via-server], and
-    by the bench harness's [--serve] series.  Paths in requests should be
+    by the server tests and the repository benchmark's [daemon] workload.
+    Paths in requests should be
     absolute (the daemon resolves relative paths against {e its} working
     directory, not the client's) — {!Liblang_compiled.Resolver.module_key}
     canonicalizes on the client side.

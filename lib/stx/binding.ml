@@ -79,11 +79,15 @@ end)
 (* -- entries -----------------------------------------------------------------
 
    Every entry carries a stamp from a per-domain counter.  When two entries
-   that can supply a name have the same scope set, the later one wins:
-   that is the rule that lets a module-level definition, or a second
-   [require], shadow an import in the same context. *)
+   that can supply a name have the same scope set, the larger stamp wins.
+   A definition's stamp is offset by [definition_rank], so a module-level
+   definition outranks every import of its name in the same context,
+   whichever came first.  Among imports the later one wins: a [require]
+   shadows the module's language, and a second [require] the first. *)
 
 type entry = { scopes : Scope.Set.t; binding : t; stamp : int }
+
+let definition_rank = 1 lsl 48
 
 type exports = t STbl.t
 
@@ -123,8 +127,8 @@ let anchor (s : Scope.Set.t) = if Scope.Set.is_empty s then empty_anchor else Sc
 
 type state = {
   mutable names : name array;
-  mutable explicit : entry list KTbl.t;
-  mutable bulks : bulk list ITbl.t;
+  explicit : entry list KTbl.t;
+  bulks : bulk list ITbl.t;
   mutable stamp : int;
   mutable hits : int;
   mutable misses : int;
@@ -188,21 +192,23 @@ let count_entry (n : name) (e : entry) =
   if n.count = 1 then n.sole <- e;
   n.cache <- None
 
-(** [add id b] records that [id]'s name, with [id]'s scope set, refers to
-    [b].  Adding twice with the same name and scope set replaces (supports
-    redefinition at a REPL-like top level). *)
-let add (id : Stx.t) (b : t) =
+(* Record that [id]'s name, with [id]'s scope set, refers to [b], as a
+   definition ([rank] = [definition_rank]) or an import ([rank] = 0).  An
+   entry of the same rank with the same scope set is replaced (supports
+   redefinition at a REPL-like top level); one of the other rank stays, and
+   the stamps decide between them. *)
+let add_ranked ~rank (id : Stx.t) (b : t) =
   let st = state () in
   let sym = Stx.symbol_exn id in
   let scopes = Stx.scopes id in
   let key = (sym, anchor scopes) in
-  let e = { scopes; binding = b; stamp = next_stamp st } in
+  let e = { scopes; binding = b; stamp = rank + next_stamp st } in
   let existing = Option.value (KTbl.find_opt st.explicit key) ~default:[] in
   let n = name_for_update st sym in
   (* an equal scope set has the same anchor, so it is in this short list *)
-  if List.exists (fun e' -> Scope.Set.equal e'.scopes scopes) existing then begin
-    KTbl.replace st.explicit key
-      (e :: List.filter (fun e' -> not (Scope.Set.equal e'.scopes scopes)) existing);
+  let same e' = Scope.Set.equal e'.scopes scopes && (e'.stamp >= definition_rank) = (rank > 0) in
+  if List.exists same existing then begin
+    KTbl.replace st.explicit key (e :: List.filter (fun e' -> not (same e')) existing);
     if n.count = 1 then n.sole <- e;
     n.cache <- None
   end
@@ -210,6 +216,9 @@ let add (id : Stx.t) (b : t) =
     KTbl.replace st.explicit key (e :: existing);
     count_entry n e
   end
+
+let add id b = add_ranked ~rank:definition_rank id b
+let add_import id b = add_ranked ~rank:0 id b
 
 (** Bind [id] to a fresh binding and return it. *)
 let bind (id : Stx.t) : t =
@@ -276,8 +285,8 @@ let candidates_at st sym scopes (a : int) acc =
 
 (* The uncached resolution: probe the empty set's anchor and each scope of
    the reference's set, take the candidate with the largest scope set (the
-   latest, among equal sets), and check the inclusion total order only
-   when more than one candidate matched. *)
+   largest stamp, among equal sets), and check the inclusion total order
+   only when more than one candidate matched. *)
 let resolve_scan st (sym : Symbol.t) (scopes : Scope.Set.t) (id : Stx.t) : t option =
   let cands =
     Scope.Set.fold
@@ -353,23 +362,3 @@ let reset_for_tests () =
   st.names <- [||];
   KTbl.reset st.explicit;
   ITbl.reset st.bulks
-
-(* -- measurement isolation --------------------------------------------------
-
-   The bench harness expands throwaway modules (fresh names, never
-   instantiated) purely to time expansion.  Each such expansion adds
-   binders and bulk entries that later work would carry, so snapshot/
-   restore brackets the throwaway work.  Both operate on the calling
-   domain's state; the stamp counter keeps running, so entries added after
-   a restore still shadow the restored ones. *)
-
-type snapshot = state
-
-let snapshot () : snapshot = copy_state (state ())
-
-let restore (s : snapshot) =
-  let st = state () in
-  let c = copy_state s in
-  st.names <- c.names;
-  st.explicit <- c.explicit;
-  st.bulks <- c.bulks

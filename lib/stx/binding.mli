@@ -33,10 +33,18 @@ val compare : t -> t -> int
 val to_string : t -> string
 
 (** [add id b] records that [id]'s name, under [id]'s scope set, refers to
-    [b].  Re-adding with the same name and scope set replaces (supports
+    [b], as a definition.  A definition outranks every import of the name
+    with the same scope set, added before or after it.  Re-adding a
+    definition with the same name and scope set replaces it (supports
     module-level redefinition).  Invalidates the resolver cache for that
     name. *)
 val add : Stx.t -> t -> unit
+
+(** [add_import id b] is {!add} for one imported name (a renaming
+    [only-in]): it ranks as an import, like an {!add_bulk} entry, so a
+    definition with the same scope set outranks it, and among imports the
+    later one wins. *)
+val add_import : Stx.t -> t -> unit
 
 (** Bind [id] to a fresh binding and return it. *)
 val bind : Stx.t -> t
@@ -51,10 +59,12 @@ type exports
 val exports : (string * t) list -> exports
 
 (** [add_bulk scopes ex] makes every name [ex] provides refer, under
-    [scopes], to its export — one entry, not one {!add} per name.  An
-    entry added later with the same scope set, explicit or bulk, shadows
-    it for the names both supply, and it shadows earlier ones the same
-    way.  Invalidates the resolver cache for the names [ex] provides. *)
+    [scopes], to its export — one entry, not one {!add} per name.  It
+    ranks as an import: an import added later with the same scope set
+    shadows it for the names both supply, it shadows earlier imports the
+    same way, and a definition with the same scope set outranks it
+    whenever it was added.  Invalidates the resolver cache for the names
+    [ex] provides. *)
 val add_bulk : Scope.Set.t -> exports -> unit
 
 (** Resolve a reference: among all bindings for the name whose scope set is
@@ -84,17 +94,3 @@ val resolve_scanned : unit -> int
 
 (** Testing hook: forget all bindings (and the resolver cache). *)
 val reset_for_tests : unit -> unit
-
-type snapshot
-(** An immutable copy of the binding table, for measurement isolation. *)
-
-(** Capture the current binding table.  O(table size); entry lists are
-    immutable, so the copy is shallow. *)
-val snapshot : unit -> snapshot
-
-(** Replace the binding table with a previously captured {!snapshot} and
-    drop the resolver cache.  Used by the bench harness to make
-    expansion-only measurements leave no residue: throwaway modules
-    expanded for timing would otherwise leave their binders and bulk
-    entries behind for everything measured after them. *)
-val restore : snapshot -> unit

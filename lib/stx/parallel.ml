@@ -21,7 +21,7 @@
     run on the calling domain.
 
     The module also hosts the pool-level counters ({!tasks}, {!lock_waits})
-    that the bench harness reports as [par.tasks] / [par.lock_waits]. *)
+    that builds report as the [par.tasks] / [par.lock_waits] metrics. *)
 
 (* Number of nested/concurrent activations; > 0 while any domain pool runs. *)
 let activations = Atomic.make 0

@@ -262,6 +262,38 @@ let t_parity name src =
       Alcotest.(check string) "analyzed vm" reference (run_vm src);
       Alcotest.(check string) "unanalyzed vm" reference (run_vm_nocfa src))
 
+(* The rewrite rules fed by the 0CFA facts, as opposed to type-driven
+   ones like [fl:+]: they must fire on the typed vector kernels, so an
+   inert analysis cannot pass, and never with the analysis off, so facts
+   cannot leak past the switch.  spectralnorm's [mulAv] keeps its
+   matrix-element accessor as a single-call-site [let]-bound lambda so
+   closure unboxing has a benchmarked target. *)
+let cfa_rules = [ "opt:direct-call"; "opt:closure-unbox"; "vec:ref!"; "vec:set!" ]
+
+let kernel_rewrites ~cfa name =
+  let b = Programs.find name in
+  let saved = !Zcfa.enabled in
+  Zcfa.enabled := cfa;
+  Optimize.reset_stats ();
+  Fun.protect
+    ~finally:(fun () -> Zcfa.enabled := saved)
+    (fun () ->
+      ignore (Modsys.declare ~name:(fresh name) ("#lang typed/racket\n" ^ b.Programs.typed));
+      Optimize.stats_alist ())
+
+let cfa_rewrites_fire () =
+  List.iter
+    (fun (name, expected) ->
+      let fired rewrites rule = Option.value (List.assoc_opt rule rewrites) ~default:0 in
+      let on = kernel_rewrites ~cfa:true name and off = kernel_rewrites ~cfa:false name in
+      List.iter
+        (fun rule -> check_b (name ^ ": " ^ rule ^ " fires on typed") true (fired on rule > 0))
+        expected;
+      List.iter
+        (fun rule -> check_i (name ^ ": " ^ rule ^ " with the analysis off") 0 (fired off rule))
+        cfa_rules)
+    [ ("spectralnorm", cfa_rules); ("nbody", [ "opt:direct-call" ]) ]
+
 let suite =
   [
     to_alcotest chain_soundness;
@@ -276,4 +308,6 @@ let suite =
       escaping_not_unboxable;
     t_parity "parity: unboxed-closure float kernel" kernel;
     t_parity "parity: counted loop with elided bound checks" counted_loop;
+    Alcotest.test_case "0cfa: rewrites fire on typed kernels, never with the analysis off" `Quick
+      cfa_rewrites_fire;
   ]

@@ -1,5 +1,6 @@
 (** The bytecode backend (lib/backend/): engine parity against the
-    closure-tree interpreter and the VM's observability counters.
+    closure-tree interpreter, the VM's observability counters, and the
+    allocation budgets of the typed float kernels.
 
     Parity is the backend's prime directive (docs/backend.md): the
     cases here pin the quirks the lowerer reproduces on purpose —
@@ -128,6 +129,52 @@ let vm_counters () =
         (String.concat "; " (List.map Pipeline.Diagnostic.to_string ds)));
   check_b "vm eval: vm.instructions > 0" true (Metrics.get c "vm.instructions" > 0)
 
+(* Per-run minor-word budgets for the typed float kernels under the VM,
+   whose unboxed register lanes carry their inner loops; losing the lanes
+   boxes every float the loops touch (~12.6M words for sumfp, ~4.5M for
+   mbrot).  heapsort's residue is structural, ~30k generic sift-down!
+   activations plus fill-random!'s per-slot boxing (~7.1M words).  The 0CFA
+   vector kernels read ~3.1M (nbody) and ~4.5M (spectralnorm) against ~7.1M
+   and ~5.5M with the analysis off, so their budget trips when the
+   flow-driven wins are lost.
+
+   Words are read as [Gc.quick_stat]'s [minor_words] delta after a
+   [Gc.minor ()], the counter bench/main.exe reports as
+   [vm_gc_minor_words].  On OCaml 5.1 that delta only counts words of the
+   minor collections the run triggers, so a run that allocates less than
+   one minor heap reads 0: sumfp and mbrot do (1.8k and 132k words by
+   [Gc.minor_words]). *)
+let vm_alloc_budgets =
+  [
+    ("sumfp", 50_000.0);
+    ("mbrot", 50_000.0);
+    ("heapsort", 10_000_000.0);
+    ("nbody", 5_000_000.0);
+    ("spectralnorm", 5_000_000.0);
+  ]
+
+(* The typed kernel prints under the VM what it prints under the
+   interpreter, and its second VM instantiation (the first lowers it)
+   stays within its budget. *)
+let vm_kernel (name, budget) =
+  Alcotest.test_case ("kernel: typed " ^ name ^ " under the VM") `Slow (fun () ->
+      let b = Programs.find name in
+      let m = Modsys.declare ~name:(fresh name) ("#lang typed/racket\n" ^ b.Programs.typed) in
+      let instantiate () =
+        m.Modsys.instantiated <- false;
+        fst (Prims.with_captured_output (fun () -> Modsys.instantiate m))
+      in
+      let interp = instantiate () in
+      Pipeline.with_engine Pipeline.Vm (fun () ->
+          check_s (name ^ ": vm output = interpreter output") interp (instantiate ());
+          Gc.minor ();
+          let w0 = (Gc.quick_stat ()).Gc.minor_words in
+          ignore (instantiate ());
+          let words = (Gc.quick_stat ()).Gc.minor_words -. w0 in
+          if words > budget then
+            Alcotest.failf "%s: %.0f minor words under the VM, over its %.0f-word budget" name
+              words budget))
+
 let t name f = Alcotest.test_case name `Quick f
 
 let suite =
@@ -136,3 +183,4 @@ let suite =
       t "fuel: same exhaustion point under both engines" fuel_exhaustion_point;
       t "metrics: vm.* and lower.* counters" vm_counters;
     ]
+  @ List.map vm_kernel vm_alloc_budgets

@@ -802,10 +802,12 @@ let t name f = Alcotest.test_case name `Quick f
 
 (* Which import a name resolves to when several supply it: a later
    [require] shadows an earlier one and the language, a module-level
-   definition shadows any import, and a renaming [only-in] binds only the
-   new name.  A required macro's names keep meaning what they meant where
-   the macro was defined, whatever the client defines.  Each answer must
-   hold cold and warm from the store. *)
+   definition shadows any import whether it comes before or after it, and
+   a renaming [only-in] binds only the new name.  A definition never
+   takes over the provider's binding, so the provider's own callers keep
+   calling its definition.  A required macro's names keep meaning what
+   they meant where the macro was defined, whatever the client defines.
+   Each answer must hold cold and warm from the store. *)
 let import_shadowing () =
   let dir = fresh_dir () in
   let cache = Filename.concat dir "cache" in
@@ -815,7 +817,13 @@ let import_shadowing () =
   in
   ignore
     (file "a.scm"
-       "#lang racket\n(provide car cdr)\n(define (car p) 'a-car)\n(define (cdr p) 'a-cdr)\n");
+       "#lang racket\n(provide car cdr use-car car2 use-car2)\n\
+        (define (car p) 'a-car)\n(define (cdr p) 'a-cdr)\n(define (use-car) (car 0))\n\
+        (define (car2 p) 'a-car2)\n(define (use-car2) (car2 0))\n");
+  ignore
+    (file "lib.scm"
+       "#lang racket\n(provide double quad)\n\
+        (define (double x) (* 2 x))\n(define (quad x) (double (double x)))\n");
   ignore (file "b.scm" "#lang racket\n(provide car)\n(define (car p) 'b-car)\n");
   ignore (file "l.scm" "#lang racket\n(provide list)\n(define (list . xs) 'l-list)\n");
   ignore
@@ -833,11 +841,29 @@ let import_shadowing () =
         "#lang racket\n(require \"l.scm\")\n(display (list 1 2))\n",
         "l-list" );
       ( "a definition before the require wins",
-        "#lang racket\n(define (car p) 'own-car)\n(require \"a.scm\")\n(display (car (cons 1 2)))\n",
-        "own-car" );
+        "#lang racket\n(define (car p) 'own-car)\n(require \"a.scm\")\n\
+         (display (list (car (cons 1 2)) (use-car)))\n",
+        "(own-car a-car)" );
       ( "a definition after the require wins",
-        "#lang racket\n(require \"a.scm\")\n(define (car p) 'own-car)\n(display (car (cons 1 2)))\n",
-        "own-car" );
+        "#lang racket\n(require \"a.scm\")\n(define (car p) 'own-car)\n\
+         (display (list (car (cons 1 2)) (use-car)))\n",
+        "(own-car a-car)" );
+      ( "a definition before the require leaves the provider's callers theirs",
+        "#lang racket\n(define (double x) 'user)\n(require \"lib.scm\")\n\
+         (display (list (double 1) (quad 1)))\n",
+        "(user 4)" );
+      ( "a definition after the require leaves the provider's callers theirs",
+        "#lang racket\n(require \"lib.scm\")\n(define (double x) 'user)\n\
+         (display (list (double 1) (quad 1)))\n",
+        "(user 4)" );
+      ( "a definition before a renaming only-in wins",
+        "#lang racket\n(define (x p) 'user)\n(require (only-in \"a.scm\" [car2 x] use-car2))\n\
+         (display (list (x 1) (use-car2)))\n",
+        "(user a-car2)" );
+      ( "a definition after a renaming only-in wins",
+        "#lang racket\n(require (only-in \"a.scm\" [car2 x] use-car2))\n(define (x p) 'user)\n\
+         (display (list (x 1) (use-car2)))\n",
+        "(user a-car2)" );
       ( "a renaming only-in keeps the language's name",
         "#lang racket\n(require (only-in \"a.scm\" [car acar]))\n(display (list (car (cons 1 2)) (acar 0)))\n",
         "(1 a-car)" );

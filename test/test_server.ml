@@ -563,6 +563,44 @@ let worker_death_spares_daemon () =
       check_i "still warm after worker death" 0 (Client.summary_count j "compiles");
       Client.close c)
 
+(* Head-of-line isolation: a cold compile held at its artifact write
+   ([store.write=delay]; warm requests write nothing) must not hold up
+   another session's warm requests.  Consecutive accepts land on distinct
+   worker slots, so on more than one core the slowest of five warm runs
+   (their nearest-rank p95) stays under half the delay.  On one core the
+   domains timeshare and the warm runs may stall, so only the outputs are
+   checked there. *)
+let head_of_line_isolation () =
+  let delay_ms = 250.0 in
+  with_server (fun socket dir ->
+      let module Genproj = Core.Compiled.Genproj in
+      let root, expected = Genproj.generate ~dir ~shape:Genproj.Diamond ~n:6 ~depth:6 () in
+      let expected = string_of_int expected in
+      let warm = connect socket in
+      let cold = connect socket in
+      check_s "warm session primed" expected (Client.output_of (run_req warm root));
+      let cold_path = Filename.concat dir "cold_hol.scm" in
+      write_file cold_path "#lang racket\n(display 7)\n";
+      let lats = ref [] in
+      with_plan (Printf.sprintf "seed=1;store.write=delay@%.0f" delay_ms) (fun () ->
+          (match Client.send cold (P.Run { path = cold_path; fuel = None }) with
+          | Ok _ -> ()
+          | Error m -> Alcotest.failf "send: %s" m);
+          Unix.sleepf 0.03;
+          for _ = 1 to 5 do
+            let t0 = Unix.gettimeofday () in
+            let j = run_req warm root in
+            lats := (1000.0 *. (Unix.gettimeofday () -. t0)) :: !lats;
+            check_s "warm output next to the delayed compile" expected (Client.output_of j)
+          done;
+          check_s "delayed cold output" "7" (Client.output_of (recv cold)));
+      let p95 = List.fold_left max 0.0 !lats in
+      if Domain.recommended_domain_count () > 1 && p95 >= delay_ms /. 2.0 then
+        Alcotest.failf "warm p95 %.1f ms next to a compile delayed %.0f ms: head-of-line blocking"
+          p95 delay_ms;
+      Client.close warm;
+      Client.close cold)
+
 let suite =
   [
     Alcotest.test_case "codec round-trips" `Quick codec_roundtrip;
@@ -588,4 +626,6 @@ let suite =
       idle_session_eviction_rebuilds_from_store;
     Alcotest.test_case "worker death spares the daemon" `Quick
       worker_death_spares_daemon;
+    Alcotest.test_case "a delayed cold compile leaves other sessions' warm runs fast" `Quick
+      head_of_line_isolation;
   ]

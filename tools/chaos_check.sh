@@ -13,9 +13,9 @@
 #   must print the generator's expected output, and no *.tmp.* orphans
 #   may remain (quarantined *.bad post-mortems are allowed by design).
 #
-# Unlike bench --chaos (in-process, error/torn/delay only), this gate
-# runs each schedule in a subprocess, so it exercises the crash mode and
-# the tmp-file sweep for real.
+# Unlike the in-process fault-plan tests in test/test_compiled.ml
+# (error/torn/delay only), this gate runs each schedule in a subprocess,
+# so it exercises the crash mode and the tmp-file sweep for real.
 #
 # Usage: tools/chaos_check.sh [path/to/liblang.exe]   (from the repo root;
 # the script cd's there itself when invoked from elsewhere).

@@ -1,43 +1,34 @@
 #!/bin/sh
 # Hygiene-engine perf smoke gate (CI): the fast path must stay *wired*,
-# not just fast.  Nine checks (docs/architecture.md "Hygiene internals",
+# not just fast.  Six checks (docs/architecture.md "Hygiene internals",
 # docs/observability.md metric catalogue):
 #
-#   1. the expansion stress family (bench --expand --smoke) expands and
-#      its closed-form checksums hold -- the bench driver exits 1 on any
-#      mismatch, same contract as the cross-variant checksum gate;
-#   2. BENCH_fig6.json actually carries the expansion_stress rows with
-#      ok:true (guards against the bench wiring silently dropping them);
-#   3. a shadowing-heavy program reports expand.resolve_hits > 0 under
+#   1. a shadowing-heavy program reports expand.resolve_hits > 0 under
 #      --profile=json -- the memoized binding resolver only caches
 #      multi-binder symbols, so this asserts the cache is exercised
 #      rather than silently bypassed by the single-binder fast path;
-#   4. the stress family re-runs alone (--filter stx-: no fig6 rows, no
-#      parallel projects, hence no domain pool) -- the single-domain
-#      regression gate for the parallelism work: the gated locks must
-#      not change any checksum when no pool is active;
-#   5. a typed float loop under run --engine vm reports
+#   2. a typed float loop under run --engine vm reports
 #      vm.instructions > 0 via --profile=json -- the bytecode VM must be
 #      actually retiring instructions, not silently falling back to the
 #      tree walker (docs/backend.md);
-#   6. a known-monomorphic typed program reports analysis.call_sites > 0
+#   3. a known-monomorphic typed program reports analysis.call_sites > 0
 #      and opt.direct_calls > 0 via --profile=json -- the 0CFA pass must
 #      be finding call sites and the optimizer must be consuming its
 #      facts, so a silently inert analysis cannot pass CI
 #      (docs/analysis.md);
-#   7. the default engine's artifact path never lowers to bytecode: a
+#   4. the default engine's artifact path never lowers to bytecode: a
 #      cold compile --cache-dir and a warm run --cache-dir of the typed
 #      float loop both record no `lower` span under --profile=json, the
 #      warm run loads from the store (module.cache_hits), and no .lart
 #      file in the store carries a (bytecode ...) section -- artifacts
 #      hold core forms only (docs/compilation.md, docs/backend.md);
-#   8. resolution work stays flat across compiles in one process: the
-#      shadowing program of check 3, run 40 times in one invocation,
+#   5. resolution work stays flat across compiles in one process: the
+#      shadowing program of check 1, run 40 times in one invocation,
 #      reports at most 50x the expand.resolve_scanned of a single run --
 #      binders indexed by scope and imports bound in bulk, not per-name
 #      lists that every compile appends to (docs/architecture.md,
 #      "Hygiene internals");
-#   9. warm loads never send bodies through the expander: after a cold
+#   6. warm loads never send bodies through the expander: after a cold
 #      compile --cache-dir of an 8-module gen-modules --shape wide
 #      project, a warm run --cache-dir --profile=json reports
 #      stx.scope_pushes = 0 and at most 100 resolutions
@@ -45,64 +36,30 @@
 #      (module.cache_hits) -- artifact bodies compile from their datums,
 #      whose names alone fix their bindings (docs/compilation.md).
 #
-# Timings are noise in CI and are not asserted; correctness of the perf
-# machinery is what this gate pins down.
+# The expansion stress family's closed-form checksums are checked by the
+# repository benchmark's --smoke run under `dune runtest` (its frontend
+# workload, bench/e2e/README.md).  Timings are noise in CI and are not
+# asserted; correctness of the perf machinery is what this gate pins
+# down.
 #
-# Usage: tools/perf_smoke.sh [path/to/bench/main.exe [path/to/liblang.exe]]
+# Usage: tools/perf_smoke.sh [path/to/liblang.exe]
 # (from the repo root; the script cd's there itself when invoked from
-# elsewhere).  With PERF_SMOKE_REUSE_JSON=1 and a BENCH_fig6.json already
-# present, step 1 is skipped and the existing file is checked instead --
-# CI uses this so the artifact it uploads keeps the --cached series from
-# its own bench step rather than being overwritten here.
+# elsewhere).
 
 set -u
 cd "$(dirname "$0")/.." || exit 2
 
-BENCH=${1:-_build/default/bench/main.exe}
-LIBLANG=${2:-_build/default/bin/liblang.exe}
-for exe in "$BENCH" "$LIBLANG"; do
-  if [ ! -x "$exe" ]; then
-    echo "perf_smoke: $exe not built (dune build first)" >&2
-    exit 2
-  fi
-done
+LIBLANG=${1:-_build/default/bin/liblang.exe}
+if [ ! -x "$LIBLANG" ]; then
+  echo "perf_smoke: $LIBLANG not built (dune build first)" >&2
+  exit 2
+fi
 
 if command -v timeout >/dev/null 2>&1; then RUN="timeout 300"; else RUN=""; fi
 
 fail=0
 
-# -- 1. expansion stress family + checksum gate ------------------------------
-if [ "${PERF_SMOKE_REUSE_JSON:-0}" = 1 ] && [ -f BENCH_fig6.json ]; then
-  echo "== perf_smoke: reusing existing BENCH_fig6.json (PERF_SMOKE_REUSE_JSON=1) =="
-else
-  echo "== perf_smoke: bench --expand --smoke =="
-  if ! $RUN "$BENCH" --expand --smoke; then
-    echo "perf_smoke: FAIL: bench --expand --smoke exited nonzero (checksum gate?)" >&2
-    fail=1
-  fi
-fi
-
-# -- 2. expansion_stress rows present and ok in BENCH_fig6.json --------------
-if [ ! -f BENCH_fig6.json ]; then
-  echo "perf_smoke: FAIL: BENCH_fig6.json not written" >&2
-  fail=1
-else
-  rows=$(grep -c '"expand_ms"' BENCH_fig6.json || true)
-  if [ "$rows" -lt 3 ]; then
-    echo "perf_smoke: FAIL: expected >=3 expand_ms rows in BENCH_fig6.json, got $rows" >&2
-    fail=1
-  fi
-  if grep -q '"ok": false' BENCH_fig6.json; then
-    echo "perf_smoke: FAIL: expansion stress checksum row not ok in BENCH_fig6.json" >&2
-    fail=1
-  fi
-  if ! grep -q '"expansion_stress"' BENCH_fig6.json; then
-    echo "perf_smoke: FAIL: no expansion_stress section in BENCH_fig6.json" >&2
-    fail=1
-  fi
-fi
-
-# -- 3. the resolver cache is exercised (hits > 0 on shadowing) --------------
+# -- 1. the resolver cache is exercised (hits > 0 on shadowing) --------------
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
@@ -131,36 +88,7 @@ else
   echo "perf_smoke: resolver cache exercised (expand.resolve_hits = $hits)"
 fi
 
-# -- 4. single-domain regression gate: stx checksums with no pool ------------
-# Re-run the stress family alone in a scratch directory.  `--filter stx-`
-# skips the fig6 rows and the parallel projects entirely, so no domain
-# pool ever activates: this pins the stress checksums on the pure
-# single-domain path, where the parallelism gate must be a no-op (its
-# locks sit off the intern-hit fast path -- docs/architecture.md,
-# "Parallelism & domain-safety").  Gate on checksums, never wall time.
-echo "== perf_smoke: single-domain stx stress (--expand --smoke --filter stx-) =="
-BENCH_ABS=$(cd "$(dirname "$BENCH")" && pwd)/$(basename "$BENCH")
-if ! (cd "$WORK" && $RUN "$BENCH_ABS" --expand --smoke --filter "stx-" >/dev/null); then
-  echo "perf_smoke: FAIL: single-domain stx stress exited nonzero (checksum gate?)" >&2
-  fail=1
-elif [ ! -f "$WORK/BENCH_fig6.json" ]; then
-  echo "perf_smoke: FAIL: single-domain stx stress wrote no BENCH_fig6.json" >&2
-  fail=1
-else
-  srows=$(grep -c '"expand_ms"' "$WORK/BENCH_fig6.json" || true)
-  if [ "$srows" -lt 3 ]; then
-    echo "perf_smoke: FAIL: expected >=3 single-domain stress rows, got $srows" >&2
-    fail=1
-  fi
-  if grep -q '"ok": false' "$WORK/BENCH_fig6.json"; then
-    echo "perf_smoke: FAIL: single-domain stx checksum row not ok" >&2
-    fail=1
-  else
-    echo "perf_smoke: single-domain stx checksums hold ($srows rows)"
-  fi
-fi
-
-# -- 5. the bytecode VM is wired (vm.instructions > 0 under --engine vm) -----
+# -- 2. the bytecode VM is wired (vm.instructions > 0 under --engine vm) -----
 # Same answer under both engines, and the VM run must actually retire
 # bytecode: a zero counter means every form fell back to the interpreter,
 # which the parity gates cannot see (fallback is observably identical by
@@ -194,7 +122,7 @@ else
   echo "perf_smoke: bytecode VM wired (vm.instructions = $instrs)"
 fi
 
-# -- 6. the 0CFA analysis is wired (facts found and consumed) -----------------
+# -- 3. the 0CFA analysis is wired (facts found and consumed) -----------------
 # Every call in this program is monomorphic, so the analysis must report
 # call sites and the optimizer must turn at least one of them into a
 # direct call.  Zero on either counter means the flow-analysis pipeline
@@ -223,7 +151,7 @@ else
   echo "perf_smoke: 0CFA wired (analysis.call_sites = $sites, opt.direct_calls = $directs)"
 fi
 
-# -- 7. no bytecode on the default path ----------------------------------------
+# -- 4. no bytecode on the default path ----------------------------------------
 # Only --engine vm lowers, at a form's first evaluation; compiling and
 # warm-running through the store must not.  The warm run must really load
 # from the store (cache hits), or the no-`lower` half would pass vacuously.
@@ -254,11 +182,11 @@ else
   fi
 fi
 
-# -- 8. resolution work stays flat across compiles in one process ------------
+# -- 5. resolution work stays flat across compiles in one process ------------
 # A reference probes only the anchors of its own scope set, and an import is
 # one bulk entry, so what a compile scans on resolver-cache misses must not
 # depend on how many modules the process compiled before it.  Run the
-# shadowing program of check 3 once, then 40 times in one invocation (40
+# shadowing program of check 1 once, then 40 times in one invocation (40
 # module compiles in one process): the 40 must scan at most 40 times what
 # one does, plus ten compiles' worth of slack -- the first compile binds
 # some names for the first time and resolves them without the cache, so
@@ -291,7 +219,7 @@ else
   echo "perf_smoke: resolution work flat (expand.resolve_scanned: 1 compile $scan1, 40 compiles $scan40)"
 fi
 
-# -- 9. warm loads never send bodies through the expander --------------------
+# -- 6. warm loads never send bodies through the expander --------------------
 # An artifact's names alone fix their bindings, so the loader compiles
 # each body form from its datum: no syntax object is built for a body,
 # so no scope is ever pushed, and a name resolves once per load in the
