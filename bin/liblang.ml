@@ -4,8 +4,9 @@
     liblang run [--fuel N] [--profile[=json]] [--trace FILE] [-v|-vv]
                 [--cache | --cache-dir DIR] [--engine interp|vm] FILE ...
                                       run #lang programs (later files may
-                                      require modules declared by earlier
-                                      ones); --fuel bounds evaluation steps;
+                                      require earlier ones by basename,
+                                      with or without --cache); --fuel
+                                      bounds evaluation steps;
                                       --profile reports the span tree (total
                                       and self wall time per phase and
                                       macro), per-macro expansion counts and
@@ -73,7 +74,7 @@ let usage_text =
    commands:\n\
   \  run [--fuel N] [--profile[=json]] [--trace FILE] [-v|-vv] FILE...\n\
   \                          run #lang programs (later files may require\n\
-  \                          modules declared by earlier ones)\n\
+  \                          earlier ones by basename, with or without --cache)\n\
   \      --fuel N            bound evaluation to N steps (compile time and runtime)\n\
   \      --profile           print a profile report (span tree with total and\n\
   \                          self wall time, per-macro expansion counts,\n\
@@ -331,35 +332,13 @@ let print_response ~(print_output : bool) (r : (Json.t, string) result) : int =
         Client.exit_of j
       end
 
-(* [run]/[expand] through a server connection: like the local commands,
-   stop at the first failing file. *)
-let run_via_server conn ~fuel paths =
+(* [run]/[expand]/[analyze] through a server connection: send [req] of
+   each path in turn; like the local commands, stop at the first failing
+   file. *)
+let request_each conn (req : string -> Sproto.request) paths =
   List.iter
     (fun path ->
-      let code =
-        print_response ~print_output:true
-          (Client.request conn (Sproto.Run { path = abs_path path; fuel }))
-      in
-      if code <> 0 then exit code)
-    paths
-
-let expand_via_server conn paths =
-  List.iter
-    (fun path ->
-      let code =
-        print_response ~print_output:true
-          (Client.request conn (Sproto.Expand { path = abs_path path }))
-      in
-      if code <> 0 then exit code)
-    paths
-
-let analyze_via_server conn paths =
-  List.iter
-    (fun path ->
-      let code =
-        print_response ~print_output:true
-          (Client.request conn (Sproto.Analyze { path = abs_path path }))
-      in
+      let code = print_response ~print_output:true (Client.request conn (req (abs_path path))) in
       if code <> 0 then exit code)
     paths
 
@@ -385,7 +364,7 @@ let cmd_run args =
       let conn = client_connect sock in
       Fun.protect
         ~finally:(fun () -> Client.close conn)
-        (fun () -> run_via_server conn ~fuel:o.fuel o.paths)
+        (fun () -> request_each conn (fun path -> Sproto.Run { path; fuel = o.fuel }) o.paths)
   | None ->
       let metrics, trace = setup_observe ?trace_file:o.trace_file ~verbosity:o.verbosity o.profile in
       let observe = { Observe.metrics; trace } in
@@ -614,26 +593,22 @@ let cmd_client args =
           | Error m ->
               Printf.eprintf "liblang: %s\n" m;
               exit 2)
-  | "run" :: (_ :: _ as paths) -> with_conn (fun conn -> run_via_server conn ~fuel:None paths)
+  | "run" :: (_ :: _ as paths) ->
+      with_conn (fun conn -> request_each conn (fun path -> Sproto.Run { path; fuel = None }) paths)
   | "compile" :: (_ :: _ as paths) ->
       with_conn (fun conn -> compile_via_server conn ~jobs:None paths)
-  | "expand" :: (_ :: _ as paths) -> with_conn (fun conn -> expand_via_server conn paths)
-  | "analyze" :: (_ :: _ as paths) -> with_conn (fun conn -> analyze_via_server conn paths)
+  | "expand" :: (_ :: _ as paths) ->
+      with_conn (fun conn -> request_each conn (fun path -> Sproto.Expand { path }) paths)
+  | "analyze" :: (_ :: _ as paths) ->
+      with_conn (fun conn -> request_each conn (fun path -> Sproto.Analyze { path }) paths)
   | _ -> usage ()
 
 (* -- other subcommands ------------------------------------------------------- *)
 
 let cmd_expand path =
-  match Pipeline.slurp path with
-  | exception Sys_error m ->
-      (* like every other failure: a located diagnostic through the
-         renderer, not a bare eprintf *)
-      fail [ Diagnostic.error ~phase:Diagnostic.Module ("cannot read file: " ^ m) ]
-  | source -> (
-      let name = Filename.remove_extension (Filename.basename path) in
-      match Pipeline.expand ~name source with
-      | Ok forms -> List.iter print_endline forms
-      | Error ds -> fail ds)
+  match Pipeline.expand_file path with
+  | Ok forms -> List.iter print_endline forms
+  | Error ds -> fail ds
 
 (* [analyze]: expand to core forms, run the 0CFA flow analysis, print the
    fact report.  Diagnostics only — the analysis never rejects a program,
@@ -657,16 +632,10 @@ let cmd_analyze args =
   match !path with
   | None -> usage ()
   | Some path -> (
-      match Pipeline.slurp path with
-      | exception Sys_error m ->
-          fail [ Diagnostic.error ~phase:Diagnostic.Module ("cannot read file: " ^ m) ]
-      | source -> (
-          let metrics, trace = setup_observe !profile in
-          let observe = { Observe.metrics; trace } in
-          let name = Filename.remove_extension (Filename.basename path) in
-          match Pipeline.analyze ~name ~observe source with
-          | Ok lines -> List.iter print_endline lines
-          | Error ds -> fail ds))
+      let metrics, trace = setup_observe !profile in
+      match Pipeline.analyze_file ~observe:{ Observe.metrics; trace } path with
+      | Ok lines -> List.iter print_endline lines
+      | Error ds -> fail ds)
 
 let cmd_eval args =
   let lang = ref "racket" and engine = ref Pipeline.Interp and expr = ref None in

@@ -125,8 +125,6 @@ type result = {
   jobs : int;
   graph : node list;
   outcomes : (string * outcome) list;  (** in graph order *)
-  graph_ms : float;
-  compile_ms : float;
   tasks : int;  (** tasks actually run (scheduled, not skipped) *)
   lock_waits : int;  (** contended store/per-key lock acquisitions *)
   retries : int;  (** task attempts re-run after transient failures *)
@@ -377,9 +375,7 @@ let build ?(diagnostic_of_exn = fun _ -> None) ?(task_timeout = 300.0) ~(jobs : 
   let deadline =
     match Fault.deadline_override () with Some s -> s | None -> task_timeout
   in
-  let t0 = Metrics.now () in
   let graph = Trace.span "build-graph" (fun () -> scan_graph roots) in
-  let t1 = Metrics.now () in
   let tasks = link_tasks graph in
   let jobs = min jobs (max 1 (List.length tasks)) in
   let tasks0 = Atomic.get Parallel.tasks and waits0 = Atomic.get Parallel.lock_waits in
@@ -399,7 +395,6 @@ let build ?(diagnostic_of_exn = fun _ -> None) ?(task_timeout = 300.0) ~(jobs : 
   if retries > 0 then Metrics.countn "par.retries" retries;
   if timeouts > 0 then Metrics.countn "par.timeouts" timeouts;
   if worker_deaths > 0 then Metrics.countn "par.worker_deaths" worker_deaths;
-  let t2 = Metrics.now () in
   {
     jobs;
     graph;
@@ -416,6 +411,4 @@ let build ?(diagnostic_of_exn = fun _ -> None) ?(task_timeout = 300.0) ~(jobs : 
             | Some o -> o
             | None -> Skipped "(scheduler: never released)" ))
         tasks;
-    graph_ms = 1000.0 *. (t1 -. t0);
-    compile_ms = 1000.0 *. (t2 -. t1);
   }

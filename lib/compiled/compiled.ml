@@ -44,16 +44,16 @@ let with_cache_dir (dir : string) (f : unit -> 'a) : 'a =
 let compile_file (path : string) : Liblang_modules.Modsys.t =
   Resolver.require_key (Resolver.module_key path)
 
-(** Run [f] with relative [(require "path.scm")] forms resolving against
-    [path]'s directory.  The resolver does this automatically for files it
-    loads itself; use this when compiling a file's source through
-    [Modsys.declare] directly (e.g. an uncached [liblang run FILE]), so
-    cached and uncached runs resolve requires identically. *)
-let with_source_dir (path : string) (f : unit -> 'a) : 'a =
-  let abs =
-    if Filename.is_relative path then Filename.concat (Sys.getcwd ()) path else path
-  in
-  Resolver.with_dir (Filename.dirname abs) f
+(** Expand (without compiling) the module in [path] to core forms.  Like
+    {!compile_file}, it names the module by its canonical key and
+    resolves its requires from its own directory, through the artifact
+    store when one is active. *)
+let expand_file (path : string) : Liblang_stx.Stx.t list =
+  let key = Resolver.module_key path in
+  let source = Resolver.read_key key in
+  Liblang_diagnostics.Sources.register ~file:key source;
+  Resolver.with_dir (Filename.dirname key) (fun () ->
+      Liblang_modules.Modsys.expand_source ~name:key source)
 
 (** Test/bench hook: forget session state so the next [compile_file]
     exercises the artifact store as a fresh process would. *)

@@ -5,9 +5,9 @@
     AST.
 
     The artifact's body is the module's fully-expanded core forms, so
-    loading is exactly the back half of {!Modsys.compile_module}: set up a
-    fresh module context with the language's (and each require's) exports
-    bound, then walk the core forms once —
+    loading is exactly the back half of {!Modsys.compile_module}: enter the
+    same module context ({!Modsys.in_module_context}), with the language's
+    (and each require's) exports bound, then walk the core forms once —
 
     - [#%require] re-binds the required module's exports (the required
       module itself was already resolved by {!Resolver} while validating
@@ -42,7 +42,6 @@
     counter the warm-path acceptance test pins to zero. *)
 
 module Stx = Liblang_stx.Stx
-module Scope = Liblang_stx.Scope
 module Datum = Liblang_reader.Datum
 module Binding = Liblang_stx.Binding
 module Ast = Liblang_runtime.Ast
@@ -51,10 +50,8 @@ module Expander = Liblang_expander.Expander
 module Compile = Liblang_expander.Compile
 module Denote = Liblang_expander.Denote
 module Namespace = Liblang_expander.Namespace
-module Ct_store = Liblang_expander.Ct_store
 module Modsys = Liblang_modules.Modsys
 module Metrics = Liblang_observe.Metrics
-module Trace = Liblang_observe.Trace
 
 let err = Modsys.err
 
@@ -65,184 +62,152 @@ let load (a : Artifact.t) : Modsys.t =
   (* the [loader.replay] fault site: an injected error here is caught by
      the resolver's load wrapper and degrades to a recompile *)
   Liblang_fault.Fault.check "loader.replay";
-  let name = a.Artifact.mod_name and lang = a.Artifact.lang in
-  Modsys.check_cycle lang;
-  if not (Modsys.is_declared lang) then err "#lang %s: unknown language" lang;
-  Expander.with_fresh_limits @@ fun () ->
-  Trace.span "load-module" ~detail:name @@ fun () ->
+  let name = a.Artifact.mod_name in
+  Modsys.in_module_context ~span:"load-module" ~name ~lang:a.Artifact.lang
+  @@ fun scopes requires ->
   Metrics.count "module.cache_hits";
-  Modsys.with_compiling name @@ fun () ->
-  Ct_store.with_fresh_store (fun () ->
-      let requires = ref [ lang ] in
-      (* loads nest inside an enclosing compilation (a require of a cached
-         file module), so save and restore its recording state *)
-      let saved_requires = Modsys.current_requires () in
-      Modsys.set_current_requires requires;
-      let saved_name = Modsys.current_module_name () in
-      Modsys.set_current_module_name name;
-      Fun.protect
-        ~finally:(fun () ->
-          Modsys.set_current_module_name saved_name;
-          Modsys.set_current_requires saved_requires)
-      @@ fun () ->
-      let scopes = Scope.Set.singleton (Scope.fresh ()) in
-      let syntax (d : Datum.annot) = Stx.of_datum ~scopes d in
-      let lang_mod = Modsys.find lang in
-      Modsys.visit lang_mod;
-      Modsys.bind_exports ~ctx:(Stx.id ~scopes "module-ctx") lang_mod;
-      let source_names : (string, string) Hashtbl.t = Hashtbl.create 16 in
-      List.iter (fun (w, n) -> Hashtbl.replace source_names w n) a.Artifact.renames;
-      let display w = Option.value (Hashtbl.find_opt source_names w) ~default:w in
-      (* what a written name means in the module context: resolved once
-         per load, since the name alone fixes the binding *)
-      let meanings : (string, Binding.t) Hashtbl.t = Hashtbl.create 64 in
-      let resolve n =
-        match Hashtbl.find_opt meanings n with
-        | Some b -> b
-        | None -> (
-            match Binding.resolve (Stx.id ~scopes n) with
-            | Some b ->
-                Hashtbl.add meanings n b;
-                b
-            | None ->
-                err "%s: unbound identifier while loading compiled module (stale artifact?)" n)
-      in
-      let bad what = err "artifact: bad %s in %s" what name in
-      let sym_of what (d : Datum.annot) =
-        match d.Datum.d with Datum.Atom (Datum.Sym s) -> s | _ -> bad what
-      in
-      let ids_of what (d : Datum.annot) =
-        match d.Datum.d with Datum.List ids -> List.map (sym_of what) ids | _ -> bad what
-      in
-      let core_kind (f : Datum.annot) =
-        match f.Datum.d with
-        | Datum.List ({ Datum.d = Datum.Atom (Datum.Sym n); _ } :: _) -> (
-            match Denote.get (resolve n) with Some (Denote.DCore k) -> Some k | _ -> None)
-        | _ -> None
-      in
-      let args (f : Datum.annot) = match f.Datum.d with Datum.List (_ :: rest) -> rest | _ -> [] in
-      (* bind each alias to the binding it links: another module's
-         internal definition, or a builtin module's export.  A builtin
-         owner needs no require, so its aliases — a core form's among them
-         — are bound before pass A reads any form's head; a file owner is
-         loaded by the requires pass A replays.  A missing target means the
-         owner was recompiled to a different shape by a cache-less session:
-         fail, and the resolver degrades this artifact to a recompile. *)
-      let builtin owner = match Modsys.find_opt owner with Some m -> m.Modsys.builtin | None -> false in
-      let link (alias, owner, n) =
-        let target =
-          match Modsys.find_internal ~mod_name:owner n with
-          | Some b -> Some b
-          | None when builtin owner ->
-              List.find_map
-                (fun e -> if String.equal e.Modsys.ext_name n then Some e.Modsys.binding else None)
-                (Modsys.find owner).Modsys.exports
-          | None -> None
+  let syntax (d : Datum.annot) = Stx.of_datum ~scopes d in
+  let source_names : (string, string) Hashtbl.t = Hashtbl.create 16 in
+  List.iter (fun (w, n) -> Hashtbl.replace source_names w n) a.Artifact.renames;
+  let display w = Option.value (Hashtbl.find_opt source_names w) ~default:w in
+  (* what a written name means in the module context: resolved once
+     per load, since the name alone fixes the binding *)
+  let meanings : (string, Binding.t) Hashtbl.t = Hashtbl.create 64 in
+  let resolve n =
+    match Hashtbl.find_opt meanings n with
+    | Some b -> b
+    | None -> (
+        match Binding.resolve (Stx.id ~scopes n) with
+        | Some b ->
+            Hashtbl.add meanings n b;
+            b
+        | None ->
+            err "%s: unbound identifier while loading compiled module (stale artifact?)" n)
+  in
+  let bad what = err "artifact: bad %s in %s" what name in
+  let sym_of what (d : Datum.annot) =
+    match d.Datum.d with Datum.Atom (Datum.Sym s) -> s | _ -> bad what
+  in
+  let ids_of what (d : Datum.annot) =
+    match d.Datum.d with Datum.List ids -> List.map (sym_of what) ids | _ -> bad what
+  in
+  let core_kind (f : Datum.annot) =
+    match f.Datum.d with
+    | Datum.List ({ Datum.d = Datum.Atom (Datum.Sym n); _ } :: _) -> (
+        match Denote.get (resolve n) with Some (Denote.DCore k) -> Some k | _ -> None)
+    | _ -> None
+  in
+  let args (f : Datum.annot) = match f.Datum.d with Datum.List (_ :: rest) -> rest | _ -> [] in
+  (* bind each alias to the binding it links: another module's
+     internal definition, or a builtin module's export.  A builtin
+     owner needs no require, so its aliases — a core form's among them
+     — are bound before pass A reads any form's head; a file owner is
+     loaded by the requires pass A replays.  A missing target means the
+     owner was recompiled to a different shape by a cache-less session:
+     fail, and the resolver degrades this artifact to a recompile. *)
+  let builtin owner = match Modsys.find_opt owner with Some m -> m.Modsys.builtin | None -> false in
+  let link (alias, owner, n) =
+    let target =
+      match Modsys.find_internal ~mod_name:owner n with
+      | Some b -> Some b
+      | None when builtin owner ->
+          List.find_map
+            (fun e -> if String.equal e.Modsys.ext_name n then Some e.Modsys.binding else None)
+            (Modsys.find owner).Modsys.exports
+      | None -> None
+    in
+    match target with
+    | Some b -> Binding.add (Stx.id ~scopes alias) b
+    | None -> err "artifact: link target %s in module %s no longer exists" n owner
+  in
+  let builtin_links, file_links = List.partition (fun (_, o, _) -> builtin o) a.Artifact.links in
+  List.iter link builtin_links;
+  (* pass A: process requires and forward-bind every module-level
+     definition, so mutually recursive right-hand sides compile (the
+     expander's pass 1 did the same during the original compilation).
+     A require can change what a name means, so the names resolved
+     before it are resolved again after it. *)
+  Modsys.reset_internals name;
+  let define (w : string) : Binding.t =
+    let b = Binding.fresh (display w) in
+    Binding.add (Stx.id ~scopes w) b;
+    b
+  in
+  List.iter
+    (fun f ->
+      match (core_kind f, args f) with
+      | Some "#%require", specs ->
+          List.iter (fun spec -> Modsys.handle_require (syntax spec)) specs;
+          Hashtbl.reset meanings
+      | Some "define-values", [ ids; _ ] ->
+          List.iter
+            (fun w ->
+              let b = define w in
+              Denote.set b Denote.DVar;
+              Modsys.record_internal ~mod_name:name w b)
+            (ids_of "define-values" ids)
+      | Some "define-values", _ -> bad "define-values"
+      | _ -> ())
+    a.Artifact.core_forms;
+  List.iter link file_links;
+  let m = Modsys.fresh_module name in
+  (* pass B: process each core form.  Transformers and compile-time
+     declarations are re-evaluated eagerly — importers compile against
+     them — but [define-values] right-hand sides and top-level
+     expressions only matter at instantiation, so their compilation
+     is deferred behind a [Modsys.CLazy].  A compile-only consumer — an
+     importer, or a parallel-build worker replaying a dependency's
+     artifact — therefore never pays for the body at all.  Forcing
+     yields a fresh [Modsys.code] cell, whose interpreter closure the
+     first instantiation compiles. *)
+  let compile d = Compile.compile_datum ~resolve ~display ~syntax d in
+  let defer (k : unit -> Modsys.compiled_form) = Modsys.CLazy (lazy (k ())) in
+  let provides = ref [] in
+  let load_form f =
+    match (core_kind f, args f) with
+    | Some "define-values", [ ids; rhs ] ->
+        let globals =
+          List.map (fun w -> Namespace.global_of (resolve w)) (ids_of "define-values" ids)
         in
-        match target with
-        | Some b -> Binding.add (Stx.id ~scopes alias) b
-        | None -> err "artifact: link target %s in module %s no longer exists" n owner
-      in
-      let builtin_links, file_links = List.partition (fun (_, o, _) -> builtin o) a.Artifact.links in
-      List.iter link builtin_links;
-      (* pass A: process requires and forward-bind every module-level
-         definition, so mutually recursive right-hand sides compile (the
-         expander's pass 1 did the same during the original compilation).
-         A require can change what a name means, so the names resolved
-         before it are resolved again after it. *)
-      Modsys.reset_internals name;
-      let define (w : string) : Binding.t =
-        let b = Binding.fresh (display w) in
-        Binding.add (Stx.id ~scopes w) b;
-        b
-      in
-      List.iter
-        (fun f ->
-          match (core_kind f, args f) with
-          | Some "#%require", specs ->
-              List.iter (fun spec -> Modsys.handle_require (syntax spec)) specs;
-              Hashtbl.reset meanings
-          | Some "define-values", [ ids; _ ] ->
-              List.iter
-                (fun w ->
-                  let b = define w in
-                  Denote.set b Denote.DVar;
-                  Modsys.record_internal ~mod_name:name w b)
-                (ids_of "define-values" ids)
-          | Some "define-values", _ -> bad "define-values"
-          | _ -> ())
-        a.Artifact.core_forms;
-      List.iter link file_links;
-      let m =
-        {
-          Modsys.mod_name = name;
-          exports = [];
-          export_index = None;
-          body = [];
-          ct_thunks = [];
-          requires = [];
-          instantiated = false;
-          visited_stores = [ Ct_store.store_id () ];
-          builtin = false;
-        }
-      in
-      (* pass B: process each core form.  Transformers and compile-time
-         declarations are re-evaluated eagerly — importers compile against
-         them — but [define-values] right-hand sides and top-level
-         expressions only matter at instantiation, so their compilation
-         is deferred behind a [Modsys.CLazy].  A compile-only consumer — an
-         importer, or a parallel-build worker replaying a dependency's
-         artifact — therefore never pays for the body at all.  Forcing
-         yields a fresh [Modsys.code] cell, whose interpreter closure the
-         first instantiation compiles. *)
-      let compile d = Compile.compile_datum ~resolve ~display ~syntax d in
-      let defer (k : unit -> Modsys.compiled_form) = Modsys.CLazy (lazy (k ())) in
-      let provides = ref [] in
-      let load_form f =
-        match (core_kind f, args f) with
-        | Some "define-values", [ ids; rhs ] ->
-            let globals =
-              List.map (fun w -> Namespace.global_of (resolve w)) (ids_of "define-values" ids)
-            in
-            m.Modsys.body <-
-              defer (fun () ->
-                  let ast = compile rhs in
-                  (match (globals, ast) with
-                  | [ g ], Ast.Lambda l when l.Ast.l_name = "" -> l.Ast.l_name <- g.Ast.g_name
-                  | _ -> ());
-                  Modsys.CDef (globals, Modsys.code ast))
-              :: m.Modsys.body
-        | Some "define-syntaxes", [ ids; rhs ] -> (
-            match ids_of "define-syntaxes" ids with
-            | [ w ] ->
-                let t = Expander.eval_transformer_rhs ~name:(display w) (syntax rhs) in
-                Denote.set (define w) (Denote.DMacro t)
-            | _ -> bad "define-syntaxes")
-        | Some "define-syntaxes", _ -> bad "define-syntaxes"
-        | Some "begin-for-syntax", es ->
-            (* the serialized §5 declarations: compile once, replay now
-               into the module's own (fresh) store — mirroring the
-               original compilation — and keep the thunk for [visit] *)
-            let thunks =
-              List.map
-                (fun e ->
-                  let ast = Compile.compile_expr (Expander.expand_expr (syntax e)) in
-                  fun () -> ignore (Interp.eval_top ast))
-                es
-            in
-            List.iter (fun thunk -> thunk ()) thunks;
-            m.Modsys.ct_thunks <- m.Modsys.ct_thunks @ thunks
-        | Some "#%provide", specs -> provides := !provides @ specs
-        | Some "#%require", _ -> ()
-        | _ -> m.Modsys.body <- defer (fun () -> Modsys.CExpr (Modsys.code (compile f))) :: m.Modsys.body
-      in
-      List.iter load_form a.Artifact.core_forms;
-      (* a provide may name a macro defined after it: parse the specs once
-         every form is loaded, as compilation does once expansion is done *)
-      List.iter
-        (fun spec -> m.Modsys.exports <- m.Modsys.exports @ Modsys.parse_provide_spec (syntax spec))
-        !provides;
-      m.Modsys.body <- List.rev m.Modsys.body;
-      m.Modsys.requires <- List.rev !requires;
-      Modsys.register m;
-      m)
+        m.Modsys.body <-
+          defer (fun () ->
+              let ast = compile rhs in
+              (match (globals, ast) with
+              | [ g ], Ast.Lambda l when l.Ast.l_name = "" -> l.Ast.l_name <- g.Ast.g_name
+              | _ -> ());
+              Modsys.CDef (globals, Modsys.code ast))
+          :: m.Modsys.body
+    | Some "define-syntaxes", [ ids; rhs ] -> (
+        match ids_of "define-syntaxes" ids with
+        | [ w ] ->
+            let t = Expander.eval_transformer_rhs ~name:(display w) (syntax rhs) in
+            Denote.set (define w) (Denote.DMacro t)
+        | _ -> bad "define-syntaxes")
+    | Some "define-syntaxes", _ -> bad "define-syntaxes"
+    | Some "begin-for-syntax", es ->
+        (* the serialized §5 declarations: compile once, replay now
+           into the module's own (fresh) store — mirroring the
+           original compilation — and keep the thunk for [visit] *)
+        let thunks =
+          List.map
+            (fun e ->
+              let ast = Compile.compile_expr (Expander.expand_expr (syntax e)) in
+              fun () -> ignore (Interp.eval_top ast))
+            es
+        in
+        List.iter (fun thunk -> thunk ()) thunks;
+        m.Modsys.ct_thunks <- m.Modsys.ct_thunks @ thunks
+    | Some "#%provide", specs -> provides := !provides @ specs
+    | Some "#%require", _ -> ()
+    | _ -> m.Modsys.body <- defer (fun () -> Modsys.CExpr (Modsys.code (compile f))) :: m.Modsys.body
+  in
+  List.iter load_form a.Artifact.core_forms;
+  (* a provide may name a macro defined after it: parse the specs once
+     every form is loaded, as compilation does once expansion is done *)
+  List.iter
+    (fun spec -> m.Modsys.exports <- m.Modsys.exports @ Modsys.parse_provide_spec (syntax spec))
+    !provides;
+  m.Modsys.body <- List.rev m.Modsys.body;
+  m.Modsys.requires <- List.rev !requires;
+  Modsys.register m;
+  m

@@ -153,6 +153,15 @@ let slurp path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(** The source text of the file module [key]; a file that cannot be read
+    is a module error at [loc] (the require that named it). *)
+let read_key ?(loc = Srcloc.none) (key : string) : string =
+  match slurp key with
+  | s -> s
+  | exception Sys_error m ->
+      Metrics.count "module.file_require_errors";
+      Modsys.err_at loc "require: cannot read module file %s: %s" key m
+
 let compile_from_source ~key ~source : Modsys.t =
   Sources.register ~file:key source;
   let cacheable = cacheable () in
@@ -239,13 +248,7 @@ and require_key ?(loc = Srcloc.none) (key : string) : Modsys.t =
       Metrics.count "module.stat_hits";
       m
   | None -> (
-  let source =
-    match slurp key with
-    | s -> s
-    | exception Sys_error m ->
-        Metrics.count "module.file_require_errors";
-        Modsys.err_at loc "require: cannot read module file %s: %s" key m
-  in
+  let source = read_key ~loc key in
   let source_digest = Digest_util.of_string source in
   (match st with
   | Some st -> Hashtbl.replace stat_memo key (st.Unix.st_mtime, st.Unix.st_size, source_digest)

@@ -1,8 +1,8 @@
 (** Public facade of the platform: the API a language implementor or
     embedder programs against.
 
-    - [run_string] / [run_file]: declare and run a [#lang] program,
-      capturing its output.
+    - [run_string]: declare and run a [#lang] program, capturing its
+      output.
     - [eval_expr]: evaluate a single expression in a given language's
       binding environment.
     - [expand_expr_string]: show the core-form expansion of an expression —
@@ -77,12 +77,6 @@ let run_string ?name (source : string) : string =
     Prims.with_captured_output (fun () -> ignore (Modsys.declare_and_run ~name source))
   in
   output
-
-let run_file (path : string) : string =
-  let ic = open_in_bin path in
-  let source = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  run_string ~name:(Filename.basename path) source
 
 (** Declare a module without running it (compile only — type errors in a
     typed module surface here). *)

@@ -18,7 +18,6 @@ module Reporter = Liblang_diagnostics.Reporter
 module Sources = Liblang_diagnostics.Sources
 module Render = Liblang_diagnostics.Render
 module Reader = Core.Reader
-module Srcloc = Core.Srcloc
 module Stx = Core.Stx
 module Binding = Liblang_stx.Binding
 module Value = Core.Value
@@ -143,20 +142,14 @@ let contain ?fuel (f : unit -> 'a) : ('a, Diagnostic.t list) result =
       in
       finish (Error (pending () @ [ d ]))
 
-let read_module_body ~name source =
-  match Reader.split_lang_line source with
-  | None ->
-      raise
-        (Modsys.Module_error
-           ( Printf.sprintf "module %s: source must start with #lang <language>" name,
-             Srcloc.none ))
-  | Some (lang, rest) -> (
-      match Reader.read_all_recovering ~file:name rest with
-      | datums, [] -> (lang, datums)
-      | _, errs ->
-          raise
-            (Diagnostic.Failed
-               (List.map (fun (m, loc) -> Diagnostic.error ~phase:Reader ~loc m) errs)))
+(* Compilation done: switch the step counter to the runtime allotment and
+   run [m] — again if it already ran, so that running a program twice
+   prints twice. *)
+let instantiate ?fuel (m : Modsys.t) : Value.value =
+  Interp.fuel () := (match fuel with Some n -> n | None -> Interp.unlimited);
+  Modsys.reset_instantiated m;
+  Modsys.instantiate m;
+  Value.Void
 
 (** Compile and instantiate a [#lang] program.  [?fuel] bounds the number
     of evaluation steps (compile-time and runtime); without it, runtime
@@ -179,20 +172,7 @@ let run ?fuel ?name ?(observe = Observe.nothing) ?(engine = Interp) (source : st
       with_stx_counters @@ fun () ->
       Trace.span "run" ~detail:name (fun () ->
           contain ?fuel (fun () ->
-              with_engine engine (fun () ->
-                  let lang, datums = read_module_body ~name source in
-                  let m = Modsys.compile_module ~name ~lang datums in
-                  (* compilation done: switch the step counter to the runtime allotment *)
-                  Interp.fuel ()
-                  := (match fuel with Some n -> n | None -> Interp.unlimited);
-                  Modsys.instantiate m;
-                  Value.Void))))
-
-let slurp path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+              with_engine engine (fun () -> instantiate ?fuel (Modsys.declare ~name source)))))
 
 (* Run [f] with an artifact store rooted at [cache_dir] when one is
    requested; otherwise plain. *)
@@ -258,75 +238,61 @@ let compile_file ?fuel ?cache_dir ?(jobs = 1) ?(observe = Observe.nothing) (path
                     ignore (Core.Compiled.compile_file path)))))
   end
 
+(** Run the program in [path]: acquire it through the file resolver — the
+    one way a file becomes a module, under its canonical path, with its
+    requires resolved from its own directory — and instantiate it.  With
+    [?cache_dir] the resolver reads valid artifacts from the store rooted
+    there instead of compiling, and persists fresh ones; with [jobs > 1]
+    as well, the module graph is first built in parallel (artifacts
+    written by the pool), then the main domain acquires the program from
+    the warm store and instantiates it serially — instantiation order is
+    the language's observable semantics and is never parallelized.
+    Without a store [jobs] is ignored.
+
+    The module is also registered under its file's basename, so a later
+    program in the same session may [(require NAME)] it, and each call
+    runs the program afresh, its requires included, even when the session
+    already ran it. *)
 let run_file ?fuel ?cache_dir ?(jobs = 1) ?(observe = Observe.nothing) ?(engine = Interp)
     (path : string) : (Value.value, Diagnostic.t list) result =
-  match cache_dir with
-  | None -> (
-      match slurp path with
-      | source ->
-          (* relative (require "path.scm") forms resolve against the
-             file's own directory, exactly as under the cached path *)
-          Core.Compiled.with_source_dir path (fun () ->
-              run ?fuel ~observe ~engine
-                ~name:(Filename.remove_extension (Filename.basename path))
-                source)
-      | exception Sys_error m ->
-          Error [ Diagnostic.error ~phase:Module ("cannot read file: " ^ m) ])
-  | Some _ ->
-      (* cached runs route through the file resolver: the module is
-         registered under its canonical absolute path and may be loaded
-         from its artifact instead of compiled.  With [jobs > 1] the
-         module graph is first built in parallel (artifacts written by the
-         pool), then the main domain acquires the program from the warm
-         store and instantiates it serially — instantiation order is the
-         language's observable semantics and is never parallelized. *)
-      Core.init ();
-      Observe.with_ctx observe (fun () ->
-      with_stx_counters @@ fun () ->
-          Trace.span "run" ~detail:path (fun () ->
-              contain ?fuel (fun () ->
-                  with_engine engine (fun () ->
-                      with_optional_cache cache_dir (fun () ->
-                          if jobs > 1 then
-                            raise_build_failures
-                              (Core.Compiled.Build.build ~diagnostic_of_exn ~jobs [ path ]);
-                          let m = Core.Compiled.compile_file path in
-                          Interp.fuel ()
-                          := (match fuel with Some n -> n | None -> Interp.unlimited);
-                          Modsys.instantiate m;
-                          Value.Void)))))
-
-(** Expand a module to core forms (each rendered as text). *)
-let expand ?fuel ?name ?(observe = Observe.nothing) (source : string) :
-    (string list, Diagnostic.t list) result =
   Core.init ();
-  let name = match name with Some n -> n | None -> Core.fresh_module_name "program" in
-  Sources.register ~file:name source;
   Observe.with_ctx observe (fun () ->
       with_stx_counters @@ fun () ->
-      contain ?fuel (fun () ->
-          match Reader.split_lang_line source with
-          | None -> ignore (read_module_body ~name source); assert false
-          | Some _ -> List.map Stx.to_string (Modsys.expand_source ~name source)))
+      Trace.span "run" ~detail:path (fun () ->
+          contain ?fuel (fun () ->
+              with_engine engine (fun () ->
+                  with_optional_cache cache_dir (fun () ->
+                      if jobs > 1 && cache_dir <> None then
+                        raise_build_failures
+                          (Core.Compiled.Build.build ~diagnostic_of_exn ~jobs [ path ]);
+                      let m = Core.Compiled.compile_file path in
+                      Modsys.alias m (Filename.remove_extension (Filename.basename path));
+                      instantiate ?fuel m)))))
 
-(** Expand a module to core forms and run the 0CFA flow analysis
-    ({!Core.Zcfa}) over them, returning the rendered fact report — a
-    summary line plus one line per proved fact.  The analysis itself
-    emits [analysis.*] metrics and an [analyze] span into [?observe]. *)
-let analyze ?fuel ?name ?(observe = Observe.nothing) (source : string) :
+(* Expand the module in [path] and render [k] of its core forms. *)
+let with_expansion ?fuel ~observe (path : string) (k : Stx.t list -> string list) :
     (string list, Diagnostic.t list) result =
   Core.init ();
-  let name = match name with Some n -> n | None -> Core.fresh_module_name "program" in
-  Sources.register ~file:name source;
   Observe.with_ctx observe (fun () ->
       with_stx_counters @@ fun () ->
-      contain ?fuel (fun () ->
-          match Reader.split_lang_line source with
-          | None -> ignore (read_module_body ~name source); assert false
-          | Some _ ->
-              let forms = Modsys.expand_source ~name source in
-              let facts = Core.Zcfa.analyze_module forms in
-              Core.Facts.render facts))
+      contain ?fuel (fun () -> k (Core.Compiled.expand_file path)))
+
+(** Expand the module in [path] to core forms (each rendered as text).
+    The file is named and its requires resolved exactly as under
+    {!run_file}. *)
+let expand_file ?fuel ?(observe = Observe.nothing) (path : string) :
+    (string list, Diagnostic.t list) result =
+  with_expansion ?fuel ~observe path (List.map Stx.to_string)
+
+(** Expand the module in [path] as {!expand_file} does and run the 0CFA
+    flow analysis ({!Core.Zcfa}) over its core forms, returning the
+    rendered fact report — a summary line plus one line per proved fact.
+    The analysis itself emits [analysis.*] metrics and an [analyze] span
+    into [?observe]. *)
+let analyze_file ?fuel ?(observe = Observe.nothing) (path : string) :
+    (string list, Diagnostic.t list) result =
+  with_expansion ?fuel ~observe path (fun forms ->
+      Core.Facts.render (Core.Zcfa.analyze_module forms))
 
 (** Evaluate one expression in [lang]'s environment; [?fuel] bounds its
     evaluation steps (default: unbounded, as befits a REPL). *)

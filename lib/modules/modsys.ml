@@ -24,6 +24,7 @@ module Denote = Liblang_expander.Denote
 module Namespace = Liblang_expander.Namespace
 module Ct_store = Liblang_expander.Ct_store
 module Srcloc = Liblang_reader.Srcloc
+module Diagnostic = Liblang_diagnostics.Diagnostic
 module Metrics = Liblang_observe.Metrics
 module Trace = Liblang_observe.Trace
 
@@ -153,8 +154,12 @@ let is_declared name = Hashtbl.mem (registry ()) name
 
 let register m = Hashtbl.replace (registry ()) m.mod_name m
 
-(** Register an existing module under an additional name. *)
-let alias m name = Hashtbl.replace (registry ()) name m
+(** Register an existing module under an additional name, unless a
+    builtin module (a language) holds that name. *)
+let alias m name =
+  match find_opt name with
+  | Some b when b.builtin -> ()
+  | _ -> Hashtbl.replace (registry ()) name m
 
 (* -- module-level internals (for separate compilation) -------------------------- *)
 
@@ -356,9 +361,7 @@ let dyn_key : dyn Domain.DLS.key =
 let[@inline] dyn () = Domain.DLS.get dyn_key
 
 let current_requires () = (dyn ()).cur_requires
-let set_current_requires r = (dyn ()).cur_requires <- r
 let current_module_name () = (dyn ()).cur_module_name
-let set_current_module_name n = (dyn ()).cur_module_name <- n
 
 (** File-based module resolution hook, installed by the separate
     compilation layer ([Liblang_compiled.Resolver]): resolves a
@@ -438,9 +441,62 @@ let core_kind (hd : Stx.t) : string option =
   | None -> None
   | Some b -> ( match Denote.get b with Some (Denote.DCore n) -> Some n | _ -> None)
 
-(* Expand a whole module body (already wrapped in the language's
-   #%module-begin) down to (#%plain-module-begin core-form ...). *)
-let expand_module_top (wrapped : Stx.t) : Stx.t list =
+(** A new, empty module record named [name], visited in the current
+    compile-time store. *)
+let fresh_module name =
+  {
+    mod_name = name;
+    exports = [];
+    export_index = None;
+    body = [];
+    ct_thunks = [];
+    requires = [];
+    instantiated = false;
+    visited_stores = [ Ct_store.store_id () ];
+    builtin = false;
+  }
+
+(** Run [k] in a fresh context for module [name] in language [lang] — the
+    one setup that compiling, expanding and loading a module share: [name]
+    on the cycle stack, fresh macro limits and a fresh compile-time store,
+    [name] as the current module with its own requires list (seeded with
+    [lang]), and a fresh module scope with the language's exports bound in
+    it (§2.3).  [k] gets the module scope set and the requires list.  The
+    enclosing compilation's requires and name are restored after: a file
+    require compiles or loads its module {e during} the requiring module's
+    expansion, so contexts nest.  [?span] times everything after the
+    language check. *)
+let in_module_context ?span ~name ~lang (k : Scope.Set.t -> string list ref -> 'a) : 'a =
+  check_cycle lang;
+  if not (is_declared lang) then err "#lang %s: unknown language" lang;
+  Expander.with_fresh_limits @@ fun () ->
+  let enter () =
+    with_compiling name @@ fun () ->
+    Ct_store.with_fresh_store @@ fun () ->
+    let d = dyn () in
+    let saved_requires = d.cur_requires and saved_name = d.cur_module_name in
+    let requires = ref [ lang ] in
+    d.cur_requires <- requires;
+    d.cur_module_name <- name;
+    Fun.protect ~finally:(fun () ->
+        d.cur_requires <- saved_requires;
+        d.cur_module_name <- saved_name)
+    @@ fun () ->
+    let scopes = Scope.Set.singleton (Scope.fresh ()) in
+    let lang_mod = find lang in
+    visit lang_mod;
+    bind_exports ~ctx:(Stx.id ~scopes "module-ctx") lang_mod;
+    k scopes requires
+  in
+  match span with None -> enter () | Some s -> Trace.span s ~detail:name enter
+
+(* Expand a module body in the module context [scopes]: wrap it in the
+   language's #%module-begin and expand down to
+   (#%plain-module-begin core-form ...). *)
+let expand_body ~name ~scopes (body : Datum.annot list) : Stx.t list =
+  let forms = List.map (Stx.of_datum ~scopes) body in
+  let wrapped = Stx.list (Stx.id ~scopes "#%module-begin" :: forms) in
+  Trace.span "expand" ~detail:name @@ fun () ->
   let w = Expander.partial_expand wrapped in
   match Stx.view w with
   | Stx.List (hd :: forms) when Stx.is_id hd -> (
@@ -449,43 +505,29 @@ let expand_module_top (wrapped : Stx.t) : Stx.t list =
       | _ -> err_stx w "module body did not expand to #%%plain-module-begin")
   | _ -> err_stx wrapped "module body did not expand to #%%plain-module-begin"
 
-(* Set up a module's lexical context (fresh store, language imports) and
-   expand its body to core forms; shared by compilation and the
-   expansion-inspection entry point. *)
-let expand_in_language ~name ~lang (body : Datum.annot list) (k : Stx.t list -> 'a) : 'a =
-  check_cycle lang;
-  if not (is_declared lang) then err "#lang %s: unknown language" lang;
-  Expander.with_fresh_limits @@ fun () ->
-  with_compiling name @@ fun () ->
-  Ct_store.with_fresh_store (fun () ->
-      let sc = Scope.fresh () in
-      let ctx = Stx.id ~scopes:(Scope.Set.singleton sc) "module-ctx" in
-      let lang_mod = find lang in
-      visit lang_mod;
-      bind_exports ~ctx lang_mod;
-      let forms = List.map (Stx.of_datum ~scopes:(Scope.Set.singleton sc)) body in
-      let mb = Stx.id ~scopes:(Stx.scopes ctx) "#%module-begin" in
-      let wrapped = Stx.list (mb :: forms) in
-      k
-        (Trace.span "expand" ~detail:name @@ fun () -> expand_module_top wrapped))
-
-(** Expand a module's body to core forms without compiling it — the view a
-    whole-module analysis gets (paper §2.2, §4). *)
-let expand_source ~name (source : string) : Stx.t list =
+(** Split [source]'s [#lang] line and read its body with the recovering
+    reader: a source with parse errors raises all of them as one
+    {!Diagnostic.Failed} batch, located in file [name]. *)
+let read_source ~name (source : string) : string * Datum.annot list =
   match Reader.split_lang_line source with
   | None -> err "module %s: source must start with #lang <language>" name
-  | Some (lang, rest) ->
-      let saved = current_module_name () in
-      set_current_module_name name;
-      Fun.protect ~finally:(fun () -> set_current_module_name saved) @@ fun () ->
-      expand_in_language ~name ~lang (Reader.read_all ~file:name rest) (fun forms -> forms)
+  | Some (lang, rest) -> (
+      match Reader.read_all_recovering ~file:name rest with
+      | body, [] -> (lang, body)
+      | _, errs ->
+          raise
+            (Diagnostic.Failed
+               (List.map (fun (m, loc) -> Diagnostic.error ~phase:Diagnostic.Reader ~loc m) errs)))
+
+(** Expand a module's source to core forms without compiling it — the
+    view a whole-module analysis gets (paper §2.2, §4). *)
+let expand_source ~name (source : string) : Stx.t list =
+  let lang, body = read_source ~name source in
+  in_module_context ~name ~lang (fun scopes _ -> expand_body ~name ~scopes body)
 
 (** Compile a module from its body forms (datums) in language [lang]. *)
 let compile_module ~name ~lang (body : Datum.annot list) : t =
-  check_cycle lang;
-  if not (is_declared lang) then err "#lang %s: unknown language" lang;
-  Expander.with_fresh_limits @@ fun () ->
-  Trace.span "compile-module" ~detail:name @@ fun () ->
+  in_module_context ~span:"compile-module" ~name ~lang @@ fun scopes requires ->
   Metrics.count "module.compiles";
   (* [module.compiles] counts full (expand + typecheck + compile) module
      compilations.  Since the separate-compilation layer landed it is no
@@ -497,99 +539,59 @@ let compile_module ~name ~lang (body : Datum.annot list) : t =
      re-expands it eagerly; that residual cache-less work is what
      [module.reexpansions] surfaces. *)
   if is_declared name then Metrics.count "module.reexpansions";
-  with_compiling name @@ fun () ->
-  Ct_store.with_fresh_store (fun () ->
-      let requires = ref [ lang ] in
-      (* save the enclosing compilation's recording state: a file require
-         compiles its module {e during} the requiring module's expansion,
-         so compilations nest *)
-      let saved_requires = current_requires () in
-      set_current_requires requires;
-      let saved_name = current_module_name () in
-      set_current_module_name name;
-      Fun.protect
-        ~finally:(fun () ->
-          set_current_module_name saved_name;
-          set_current_requires saved_requires)
-      @@ fun () ->
-      let sc = Scope.fresh () in
-      let ctx = Stx.id ~scopes:(Scope.Set.singleton sc) "module-ctx" in
-      (* the language's exports form the initial environment (§2.3) *)
-      let lang_mod = find lang in
-      visit lang_mod;
-      bind_exports ~ctx lang_mod;
-      let forms = List.map (Stx.of_datum ~scopes:(Scope.Set.singleton sc)) body in
-      let mb = Stx.id ~scopes:(Stx.scopes ctx) "#%module-begin" in
-      let wrapped = Stx.list (mb :: forms) in
-      let core_forms =
-        Trace.span "expand" ~detail:name @@ fun () -> expand_module_top wrapped
-      in
-      (* walk the fully-expanded module and compile each form *)
-      reset_internals name;
-      let m =
-        {
-          mod_name = name;
-          exports = [];
-          export_index = None;
-          body = [];
-          ct_thunks = [];
-          requires = [];
-          instantiated = false;
-          visited_stores = [ Ct_store.store_id () ];
-          builtin = false;
-        }
-      in
-      let compile_form (form : Stx.t) =
-        match Stx.view form with
-        | Stx.List (hd :: rest) when Stx.is_id hd -> (
-            match core_kind hd with
-            | Some "define-values" -> (
-                match rest with
-                | [ ids; rhs ] ->
-                    let ids = Option.get (Stx.to_list ids) in
-                    let globals =
-                      List.map
-                        (fun id ->
-                          let b = resolve_exn id in
-                          record_internal ~mod_name:name (Stx.sym_exn id) b;
-                          Namespace.global_of b)
-                        ids
-                    in
-                    let ast = Compile.compile_expr rhs in
-                    (match (globals, ast) with
-                    | [ g ], Ast.Lambda l when l.Ast.l_name = "" ->
-                        l.Ast.l_name <- g.Ast.g_name
-                    | _ -> ());
-                    m.body <- CDef (globals, code ast) :: m.body
-                | _ -> err "define-values: bad form after expansion")
-            | Some "define-syntaxes" -> ()
-            | Some "begin-for-syntax" ->
-                let thunks =
+  let core_forms = expand_body ~name ~scopes body in
+  (* walk the fully-expanded module and compile each form *)
+  reset_internals name;
+  let m = fresh_module name in
+  let compile_form (form : Stx.t) =
+    match Stx.view form with
+    | Stx.List (hd :: rest) when Stx.is_id hd -> (
+        match core_kind hd with
+        | Some "define-values" -> (
+            match rest with
+            | [ ids; rhs ] ->
+                let ids = Option.get (Stx.to_list ids) in
+                let globals =
                   List.map
-                    (fun e ->
-                      let ast = Compile.compile_expr e in
-                      fun () -> ignore (Interp.eval_top ast))
-                    rest
+                    (fun id ->
+                      let b = resolve_exn id in
+                      record_internal ~mod_name:name (Stx.sym_exn id) b;
+                      Namespace.global_of b)
+                    ids
                 in
-                m.ct_thunks <- m.ct_thunks @ thunks
-            | Some "#%provide" ->
-                List.iter (fun spec -> m.exports <- m.exports @ parse_provide_spec spec) rest
-            | Some "#%require" -> ()
-            | _ -> m.body <- CExpr (code (Compile.compile_expr form)) :: m.body)
-        | _ -> m.body <- CExpr (code (Compile.compile_expr form)) :: m.body
-      in
-      (Trace.span "compile" ~detail:name @@ fun () -> List.iter compile_form core_forms);
-      m.body <- List.rev m.body;
-      m.requires <- List.rev !requires;
-      register m;
-      !compiled_hook m ~lang ~scopes:(Stx.scopes ctx) ~core_forms;
-      m)
+                let ast = Compile.compile_expr rhs in
+                (match (globals, ast) with
+                | [ g ], Ast.Lambda l when l.Ast.l_name = "" -> l.Ast.l_name <- g.Ast.g_name
+                | _ -> ());
+                m.body <- CDef (globals, code ast) :: m.body
+            | _ -> err "define-values: bad form after expansion")
+        | Some "define-syntaxes" -> ()
+        | Some "begin-for-syntax" ->
+            let thunks =
+              List.map
+                (fun e ->
+                  let ast = Compile.compile_expr e in
+                  fun () -> ignore (Interp.eval_top ast))
+                rest
+            in
+            m.ct_thunks <- m.ct_thunks @ thunks
+        | Some "#%provide" ->
+            List.iter (fun spec -> m.exports <- m.exports @ parse_provide_spec spec) rest
+        | Some "#%require" -> ()
+        | _ -> m.body <- CExpr (code (Compile.compile_expr form)) :: m.body)
+    | _ -> m.body <- CExpr (code (Compile.compile_expr form)) :: m.body
+  in
+  (Trace.span "compile" ~detail:name @@ fun () -> List.iter compile_form core_forms);
+  m.body <- List.rev m.body;
+  m.requires <- List.rev !requires;
+  register m;
+  !compiled_hook m ~lang ~scopes ~core_forms;
+  m
 
 (** Declare a module from full source text beginning with [#lang <name>]. *)
 let declare ~name (source : string) : t =
-  match Reader.split_lang_line source with
-  | None -> err "module %s: source must start with #lang <language>" name
-  | Some (lang, rest) -> compile_module ~name ~lang (Reader.read_all ~file:name rest)
+  let lang, body = read_source ~name source in
+  compile_module ~name ~lang body
 
 (** Declare and run. Returns the module. *)
 let declare_and_run ~name source =
@@ -724,14 +726,19 @@ let forget name =
 (** Clear the instantiate marks of [m]'s non-builtin require closure, so
     a long-lived session can re-run a program: the next [instantiate]
     re-evaluates every module body, exactly as a fresh process would
-    (compile-time state is not replayed again; globals are redefined). *)
-let rec reset_instantiated (m : t) =
-  if (not m.builtin) && m.instantiated then begin
-    m.instantiated <- false;
-    List.iter
-      (fun r -> match find_opt r with Some d -> reset_instantiated d | None -> ())
-      m.requires
-  end
+    (compile-time state is not replayed again; globals are redefined).
+    The whole closure is walked, whether or not [m] itself has run: a
+    program whose requires ran under another program runs them again. *)
+let reset_instantiated (m : t) =
+  let seen = Hashtbl.create 16 in
+  let rec walk m =
+    if (not m.builtin) && not (Hashtbl.mem seen m.mod_name) then begin
+      Hashtbl.add seen m.mod_name ();
+      m.instantiated <- false;
+      List.iter (fun r -> Option.iter walk (find_opt r)) m.requires
+    end
+  in
+  walk m
 
 (** Testing hook: forget declared modules (builtin modules must be
     re-registered by their libraries). *)

@@ -388,21 +388,25 @@ let read_one ?file src =
 module Metrics = Liblang_observe.Metrics
 module Trace = Liblang_observe.Trace
 
-(** Run [k] with a function that reads [src]'s next datum on each call
-    ([None] at the end), as one accounted read. *)
-let with_cursor ?file src k =
+(* Run [k] with [src]'s reader state and a function that reads its next
+   datum on each call ([None] at the end), as one accounted read. *)
+let cursor ?file src k =
   Trace.span "read" ?detail:file @@ fun () ->
   Metrics.count "reader.reads";
   let st = make_state ?file src in
   let n = ref 0 in
   let r =
-    k (fun () ->
+    k st (fun () ->
         let d = read_datum st in
         if Option.is_some d then incr n;
         d)
   in
   if Metrics.installed () then Metrics.countn "reader.datums" !n;
   r
+
+(** Run [k] with a function that reads [src]'s next datum on each call
+    ([None] at the end), as one accounted read. *)
+let with_cursor ?file src k = cursor ?file src (fun _ next -> k next)
 
 (** Read all datums from [src]. *)
 let read_all ?file src =
@@ -418,47 +422,31 @@ let read_all ?file src =
     guaranteed (each recovery consumes at least one character) and the
     error list is capped at [max_errors]. *)
 let read_all_recovering ?file ?(max_errors = 25) src =
-  Trace.span "read" ?detail:file @@ fun () ->
-  Metrics.count "reader.reads";
-  let st = make_state ?file src in
-  let datums = ref [] and errors = ref [] and n_errors = ref 0 in
+  cursor ?file src @@ fun st next ->
   (* Resynchronize: consume at least one character, then skip to the next
      whitespace or open-paren boundary, where a fresh datum plausibly
      starts.  An erroneous close paren at that point errors again, but each
      round still advances, so the loop terminates. *)
-  let resync () =
-    if not (eof st) then advance st;
-    let rec go () =
-      if eof st then ()
-      else
-        match peek st with
-        | ' ' | '\t' | '\n' | '\r' | '(' | '[' -> ()
-        | _ ->
-            advance st;
-            go ()
-    in
-    go ()
+  let rec resync () =
+    if not (eof st) then begin
+      advance st;
+      match peek st with ' ' | '\t' | '\n' | '\r' | '(' | '[' -> () | _ -> resync ()
+    end
   in
-  let rec go () =
-    if !n_errors >= max_errors then ()
+  let rec go datums errors n_errors =
+    if n_errors >= max_errors then (datums, errors)
     else
-      match read_datum st with
-      | Some d ->
-          datums := d :: !datums;
-          go ()
-      | None -> ()
+      match next () with
+      | Some d -> go (d :: datums) errors n_errors
+      | None -> (datums, errors)
       | exception Error (msg, loc) ->
-          errors := (msg, loc) :: !errors;
-          incr n_errors;
           resync ();
-          go ()
+          go datums ((msg, loc) :: errors) (n_errors + 1)
   in
-  go ();
-  if Metrics.installed () then begin
-    Metrics.countn "reader.datums" (List.length !datums);
-    if !errors <> [] then Metrics.countn "reader.parse_errors" (List.length !errors)
-  end;
-  (List.rev !datums, List.rev !errors)
+  let datums, errors = go [] [] 0 in
+  if errors <> [] && Metrics.installed () then
+    Metrics.countn "reader.parse_errors" (List.length errors);
+  (List.rev datums, List.rev errors)
 
 (** If [src] starts with a [#lang <name>] line, return [Some (name, rest)]
     where [rest] is the remaining source (with line numbering preserved by

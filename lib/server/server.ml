@@ -49,8 +49,6 @@
 module Core = Liblang_core.Core
 module Pipeline = Liblang_core.Pipeline
 module Compiled = Core.Compiled
-module Modsys = Core.Modsys
-module Interp = Core.Interp
 module Prims = Core.Prims
 module Diagnostic = Core.Diagnostic
 module Json = Core.Json
@@ -186,12 +184,15 @@ let in_request_env (srv : t) (conn : conn) (f : unit -> 'a) : 'a =
   end;
   f ()
 
-(* Execute one session op ([compile]/[run]/[expand]/[analyze]).  Runs on
-   a worker domain under [Metrics.with_collector c] — every counter below
-   lands in the request's private collector, merged into the daemon's
-   once, after the response is built.  Control ops never reach here. *)
+(* Execute one session op ([compile]/[run]/[expand]/[analyze]) through
+   the pipeline's file entries, as the CLI does, in the request's
+   environment.  Runs on a worker domain under [Metrics.with_collector c]
+   — every counter below lands in the request's private collector, merged
+   into the daemon's once, after the response is built.  Control ops
+   never reach here. *)
 let handle (srv : t) (conn : conn) (c : Metrics.t) (env : P.envelope) : Json.t =
   let id = env.P.id and op = P.op_name env.P.req in
+  let observe = { Observe.metrics = Some c; trace = Trace.current () } in
   let respond_result ok_fields = function
     | Ok v -> P.response ~id ~op ~ok:true ~exit:0 ~fields:(ok_fields v) ()
     | Error ds ->
@@ -199,24 +200,15 @@ let handle (srv : t) (conn : conn) (c : Metrics.t) (env : P.envelope) : Json.t =
         let exit, fields = failure_fields ds in
         P.response ~id ~op ~ok:false ~exit ~fields ()
   in
-  (* [expand] and [analyze]: run [f] over the file's source and answer
-     its lines as [output].  Relative requires resolve against the file's
-     own directory, as under [run]. *)
-  let respond_lines path f =
-    let observe = { Observe.metrics = Some c; trace = Trace.current () } in
-    let name = Filename.remove_extension (Filename.basename path) in
-    in_request_env srv conn (fun () ->
-        match Pipeline.slurp path with
-        | exception Sys_error m ->
-            Error [ Diagnostic.error ~phase:Diagnostic.Module ("cannot read file: " ^ m) ]
-        | source -> Compiled.with_source_dir path (fun () -> f ~name ~observe source))
+  (* [expand] and [analyze] answer their lines as [output] *)
+  let respond_lines f =
+    in_request_env srv conn f
     |> respond_result (fun lines ->
            [ ("output", Json.Str (String.concat "" (List.map (fun l -> l ^ "\n") lines))) ])
   in
   match env.P.req with
   | P.Compile { path; jobs } ->
       let jobs = match jobs with Some j -> j | None -> srv.cfg.default_jobs in
-      let observe = { Observe.metrics = Some c; trace = Trace.current () } in
       let r =
         in_request_env srv conn (fun () ->
             Pipeline.compile_file ?fuel:srv.cfg.fuel ~jobs ~observe path)
@@ -224,31 +216,14 @@ let handle (srv : t) (conn : conn) (c : Metrics.t) (env : P.envelope) : Json.t =
       respond_result (fun () -> [ summary_field c ]) r
   | P.Run { path; fuel } ->
       let fuel = match fuel with Some _ as f -> f | None -> srv.cfg.fuel in
-      let observe = { Observe.metrics = Some c; trace = Trace.current () } in
-      (* Replicates the CLI's cached run: compile through the resolver
-         (store-aware), alias under the basename so in-session requires by
-         module name keep working, then instantiate.  [reset_instantiated]
-         first: a warm session has already run this cone, and running a
-         program twice must print twice. *)
       let output, r =
         Prims.with_captured_output (fun () ->
             in_request_env srv conn (fun () ->
-                Observe.with_ctx observe (fun () ->
-                    Pipeline.with_stx_counters @@ fun () ->
-                    Trace.span "run" ~detail:path (fun () ->
-                        Pipeline.contain ?fuel (fun () ->
-                            Pipeline.with_engine srv.cfg.engine @@ fun () ->
-                            let m = Compiled.compile_file path in
-                            Modsys.alias m
-                              (Filename.remove_extension (Filename.basename path));
-                            Interp.fuel ()
-                            := (match fuel with Some n -> n | None -> Interp.unlimited);
-                            Modsys.reset_instantiated m;
-                            Modsys.instantiate m)))))
+                Pipeline.run_file ?fuel ~observe ~engine:srv.cfg.engine path))
       in
       let output_field = ("output", Json.Str output) in
       (match r with
-      | Ok () ->
+      | Ok _ ->
           P.response ~id ~op ~ok:true ~exit:0
             ~fields:[ output_field; summary_field c ]
             ()
@@ -259,11 +234,9 @@ let handle (srv : t) (conn : conn) (c : Metrics.t) (env : P.envelope) : Json.t =
              the client *)
           P.response ~id ~op ~ok:false ~exit ~fields:(output_field :: fields) ())
   | P.Expand { path } ->
-      respond_lines path (fun ~name ~observe source ->
-          Pipeline.expand ?fuel:srv.cfg.fuel ~name ~observe source)
+      respond_lines (fun () -> Pipeline.expand_file ?fuel:srv.cfg.fuel ~observe path)
   | P.Analyze { path } ->
-      respond_lines path (fun ~name ~observe source ->
-          Pipeline.analyze ?fuel:srv.cfg.fuel ~name ~observe source)
+      respond_lines (fun () -> Pipeline.analyze_file ?fuel:srv.cfg.fuel ~observe path)
   | P.Status | P.Cancel _ | P.Shutdown ->
       (* control ops are answered inline by the accept loop *)
       P.response ~id ~op ~ok:false ~exit:2

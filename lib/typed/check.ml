@@ -59,9 +59,18 @@ let lookup_type (b : Binding.t) : Types.t option =
   | None -> None
   | Some v -> Some (Types.of_datum (Value.to_datum v))
 
-(* (: id T) declarations collected by the module-begin driver before
-   expansion; keyed by symbol name (module-level names are unique). *)
-let pending_decls : (string, Types.t) Hashtbl.t = Hashtbl.create 16
+(* (: id T) declarations, recorded as the module body expands and read
+   when the definition is checked; keyed by symbol name (module-level
+   names are unique).  They live in the compilation's compile-time store,
+   so a module compiled meanwhile — a require, or a module on another
+   domain — neither sees nor clears them. *)
+let decl_key name = "typed:decl " ^ name
+
+let declare_pending name (t : Types.t) =
+  Ct_store.set (decl_key name) (Value.of_datum (Types.to_datum t))
+
+let pending_decl name : Types.t option =
+  Option.map (fun v -> Types.of_datum (Value.to_datum v)) (Ct_store.get (decl_key name))
 
 (* -- annotations ----------------------------------------------------------------- *)
 
@@ -72,7 +81,7 @@ let type_of_id (id : Stx.t) : Types.t option =
   | Some ty_stx -> (
       try Some (Types.of_stx ty_stx)
       with Types.Parse_error (m, _) -> terr id "%s" m)
-  | None -> Hashtbl.find_opt pending_decls (Stx.sym_exn id)
+  | None -> pending_decl (Stx.sym_exn id)
 
 let resolve_exn (id : Stx.t) : Binding.t =
   match Binding.resolve id with

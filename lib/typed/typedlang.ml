@@ -172,13 +172,13 @@ let m_colon form =
      checker picks it up when the definition is seen *)
   match Stx.to_list form with
   | Some [ _; id; ty ] when Stx.is_id id ->
-      (try Hashtbl.replace Check.pending_decls (Stx.sym_exn id) (Types.of_stx ty)
+      (try Check.declare_pending (Stx.sym_exn id) (Types.of_stx ty)
        with Types.Parse_error (m, _) -> err m ty);
       sl [ u "begin"; sl [ u "void" ] ]
   | Some (_ :: id :: colon :: tys) when Stx.is_id id && Stx.is_sym ":" colon && tys <> [] ->
       (* (: f : T ... -> R) — TR's curried-colon shorthand *)
       let ty = sl tys in
-      (try Hashtbl.replace Check.pending_decls (Stx.sym_exn id) (Types.of_stx ty)
+      (try Check.declare_pending (Stx.sym_exn id) (Types.of_stx ty)
        with Types.Parse_error (m, _) -> err m ty);
       sl [ u "begin"; sl [ u "void" ] ]
   | _ -> err ": bad syntax (expects (: id Type))" form
@@ -222,7 +222,6 @@ let m_module_begin form =
   | Some (_ :: forms) -> (
       (* the flag is set before the module's contents expand (§6.2) *)
       Boundary.set_typed_context ();
-      Hashtbl.reset Check.pending_decls;
       let wrapped = sl ((Expander.core_id "#%plain-module-begin") :: forms) in
       let expanded = Expander.local_expand wrapped Expander.ModuleBegin in
       match Stx.view expanded with

@@ -8,6 +8,8 @@
 
 module Stx = Liblang_stx.Stx
 module Datum = Liblang_reader.Datum
+module Value = Liblang_runtime.Value
+module Ct_store = Liblang_expander.Ct_store
 
 type t =
   | Any
@@ -30,7 +32,7 @@ type t =
   | Union of t list
   | Name of string
       (** a named (possibly recursive) type introduced by [define-type];
-          resolved through {!name_env} *)
+          resolved through the compile-time store ({!resolve_name}) *)
 
 exception Parse_error of string * Liblang_reader.Srcloc.t
 
@@ -38,17 +40,6 @@ exception Parse_error of string * Liblang_reader.Srcloc.t
    object's srcloc on the way out so the diagnostics engine can point at
    the offending type expression. *)
 let perr msg = raise (Parse_error (msg, Liblang_reader.Srcloc.none))
-
-(* Named-type definitions ([define-type]); names are global to the process
-   (see DESIGN.md).  Self-reference is allowed: resolution is lazy. *)
-let name_env : (string, t) Hashtbl.t = Hashtbl.create 32
-
-let define_name name t = Hashtbl.replace name_env name t
-
-let resolve_name name =
-  match Hashtbl.find_opt name_env name with
-  | Some t -> t
-  | None -> perr ("unknown type name: " ^ name)
 
 (* -- printing ----------------------------------------------------------------- *)
 
@@ -75,6 +66,107 @@ let rec to_string = function
   | Name n -> n
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
+
+(* -- parsing from syntax / datums --------------------------------------------------- *)
+
+(* the store key of named type [name] *)
+let name_key name = "typed:type " ^ name
+
+let base_types =
+  [
+    ("Any", Any);
+    ("Integer", Integer);
+    ("Exact-Integer", Integer);
+    ("Natural", Integer);
+    ("Float", Float);
+    ("Flonum", Float);
+    ("Float-Complex", FloatComplex);
+    ("Real", Real);
+    ("Number", Number);
+    ("Complex", Number);
+    ("Boolean", Boolean);
+    ("String", String_);
+    ("Symbol", Symbol);
+    ("Char", Char_);
+    ("Void", Void_);
+    ("Null", Null);
+  ]
+
+let rec of_datum (d : Datum.t) : t =
+  match d with
+  | Datum.Atom (Datum.Sym s) -> (
+      match List.assoc_opt s base_types with
+      | Some t -> t
+      | None ->
+          if Option.is_some (Ct_store.get (name_key s)) then Name s
+          else perr ("unknown type: " ^ s))
+  | Datum.List xs -> (
+      let ds = List.map (fun a -> a.Datum.d) xs in
+      match ds with
+      | [ Datum.Atom (Datum.Sym "Listof"); e ] -> Listof (of_datum e)
+      | Datum.Atom (Datum.Sym "List") :: es -> ListT (List.map of_datum es)
+      | [ Datum.Atom (Datum.Sym "Pairof"); a; d ] -> Pairof (of_datum a, of_datum d)
+      | [ Datum.Atom (Datum.Sym "Vectorof"); e ] -> Vectorof (of_datum e)
+      | Datum.Atom (Datum.Sym "U") :: es -> (
+          match List.map of_datum es with
+          | [] -> perr "empty union type"
+          | [ t ] -> t
+          | ts -> Union ts)
+      | [ Datum.Atom (Datum.Sym "Rec"); _; _ ] ->
+          perr "use define-type for recursive types"
+      | Datum.Atom (Datum.Sym "->") :: rest -> (
+          match List.rev (List.map of_datum rest) with
+          | rng :: doms_rev -> Fun (List.rev doms_rev, rng)
+          | [] -> perr "bad function type")
+      | _ -> (
+          (* infix arrow: (T ... -> R), possibly with several arrows for
+             curried shapes — only the last arrow splits *)
+          let is_arrow = function Datum.Atom (Datum.Sym "->") -> true | _ -> false in
+          match List.rev ds with
+          | rng :: arrow :: doms_rev when is_arrow arrow ->
+              Fun (List.rev_map of_datum doms_rev, of_datum rng)
+          | _ -> perr ("bad type syntax: " ^ Datum.to_string d)))
+  | _ -> perr ("bad type syntax: " ^ Datum.to_string d)
+
+let of_stx (s : Stx.t) : t =
+  try of_datum (Stx.to_datum s)
+  with Parse_error (m, loc) when Liblang_reader.Srcloc.is_none loc ->
+    raise (Parse_error (m, Stx.loc s))
+
+(* -- serialization (§5): types as datums ---------------------------------------------- *)
+
+let atom_sym s = { Datum.d = Datum.Atom (Datum.Sym s); loc = Liblang_reader.Srcloc.none }
+let dlist xs = Datum.List xs
+let annot d = { Datum.d; loc = Liblang_reader.Srcloc.none }
+
+let rec to_datum (t : t) : Datum.t =
+  match t with
+  | Any | Integer | Float | FloatComplex | Real | Number | Boolean | String_ | Symbol | Char_
+  | Void_ | Null ->
+      Datum.Atom (Datum.Sym (to_string t))
+  | Listof e -> dlist [ atom_sym "Listof"; annot (to_datum e) ]
+  | ListT es -> dlist (atom_sym "List" :: List.map (fun e -> annot (to_datum e)) es)
+  | Pairof (a, d) -> dlist [ atom_sym "Pairof"; annot (to_datum a); annot (to_datum d) ]
+  | Vectorof e -> dlist [ atom_sym "Vectorof"; annot (to_datum e) ]
+  | Union ts -> dlist (atom_sym "U" :: List.map (fun e -> annot (to_datum e)) ts)
+  | Fun (doms, rng) ->
+      dlist (atom_sym "->" :: List.map (fun e -> annot (to_datum e)) (doms @ [ rng ]))
+  | Name n -> Datum.Atom (Datum.Sym n)
+
+(* -- named types (define-type) ------------------------------------------------------ *)
+
+(* A [define-type] name lives in the compile-time store of the compilation
+   that sees it (§5), as a datum beside the type environment
+   ([Check.types_table]): the module's own [define-type] puts it there,
+   and so does the [typed:define-type] replay of each module it requires.
+   So a name means what the module and its requires say, whatever else
+   the process compiled.  Self-reference is allowed: resolution is lazy. *)
+let define_name name t = Ct_store.set (name_key name) (Value.of_datum (to_datum t))
+
+let resolve_name name =
+  match Ct_store.get (name_key name) with
+  | Some v -> of_datum (Value.to_datum v)
+  | None -> perr ("unknown type name: " ^ name)
 
 (* -- equality & subtyping -------------------------------------------------------- *)
 
@@ -146,89 +238,6 @@ let join a b =
     | Union xs, Union ys -> Union (xs @ List.filter (fun y -> not (List.exists (equal y) xs)) ys)
     | Union xs, t | t, Union xs -> if List.exists (equal t) xs then Union xs else Union (t :: xs)
     | _ -> Union [ a; b ])
-
-(* -- parsing from syntax / datums --------------------------------------------------- *)
-
-let base_types =
-  [
-    ("Any", Any);
-    ("Integer", Integer);
-    ("Exact-Integer", Integer);
-    ("Natural", Integer);
-    ("Float", Float);
-    ("Flonum", Float);
-    ("Float-Complex", FloatComplex);
-    ("Real", Real);
-    ("Number", Number);
-    ("Complex", Number);
-    ("Boolean", Boolean);
-    ("String", String_);
-    ("Symbol", Symbol);
-    ("Char", Char_);
-    ("Void", Void_);
-    ("Null", Null);
-  ]
-
-let rec of_datum (d : Datum.t) : t =
-  match d with
-  | Datum.Atom (Datum.Sym s) -> (
-      match List.assoc_opt s base_types with
-      | Some t -> t
-      | None ->
-          if Hashtbl.mem name_env s then Name s
-          else perr ("unknown type: " ^ s))
-  | Datum.List xs -> (
-      let ds = List.map (fun a -> a.Datum.d) xs in
-      match ds with
-      | [ Datum.Atom (Datum.Sym "Listof"); e ] -> Listof (of_datum e)
-      | Datum.Atom (Datum.Sym "List") :: es -> ListT (List.map of_datum es)
-      | [ Datum.Atom (Datum.Sym "Pairof"); a; d ] -> Pairof (of_datum a, of_datum d)
-      | [ Datum.Atom (Datum.Sym "Vectorof"); e ] -> Vectorof (of_datum e)
-      | Datum.Atom (Datum.Sym "U") :: es -> (
-          match List.map of_datum es with
-          | [] -> perr "empty union type"
-          | [ t ] -> t
-          | ts -> Union ts)
-      | [ Datum.Atom (Datum.Sym "Rec"); _; _ ] ->
-          perr "use define-type for recursive types"
-      | Datum.Atom (Datum.Sym "->") :: rest -> (
-          match List.rev (List.map of_datum rest) with
-          | rng :: doms_rev -> Fun (List.rev doms_rev, rng)
-          | [] -> perr "bad function type")
-      | _ -> (
-          (* infix arrow: (T ... -> R), possibly with several arrows for
-             curried shapes — only the last arrow splits *)
-          let is_arrow = function Datum.Atom (Datum.Sym "->") -> true | _ -> false in
-          match List.rev ds with
-          | rng :: arrow :: doms_rev when is_arrow arrow ->
-              Fun (List.rev_map of_datum doms_rev, of_datum rng)
-          | _ -> perr ("bad type syntax: " ^ Datum.to_string d)))
-  | _ -> perr ("bad type syntax: " ^ Datum.to_string d)
-
-let of_stx (s : Stx.t) : t =
-  try of_datum (Stx.to_datum s)
-  with Parse_error (m, loc) when Liblang_reader.Srcloc.is_none loc ->
-    raise (Parse_error (m, Stx.loc s))
-
-(* -- serialization (§5): types as datums ---------------------------------------------- *)
-
-let atom_sym s = { Datum.d = Datum.Atom (Datum.Sym s); loc = Liblang_reader.Srcloc.none }
-let dlist xs = Datum.List xs
-let annot d = { Datum.d; loc = Liblang_reader.Srcloc.none }
-
-let rec to_datum (t : t) : Datum.t =
-  match t with
-  | Any | Integer | Float | FloatComplex | Real | Number | Boolean | String_ | Symbol | Char_
-  | Void_ | Null ->
-      Datum.Atom (Datum.Sym (to_string t))
-  | Listof e -> dlist [ atom_sym "Listof"; annot (to_datum e) ]
-  | ListT es -> dlist (atom_sym "List" :: List.map (fun e -> annot (to_datum e)) es)
-  | Pairof (a, d) -> dlist [ atom_sym "Pairof"; annot (to_datum a); annot (to_datum d) ]
-  | Vectorof e -> dlist [ atom_sym "Vectorof"; annot (to_datum e) ]
-  | Union ts -> dlist (atom_sym "U" :: List.map (fun e -> annot (to_datum e)) ts)
-  | Fun (doms, rng) ->
-      dlist (atom_sym "->" :: List.map (fun e -> annot (to_datum e)) (doms @ [ rng ]))
-  | Name n -> Datum.Atom (Datum.Sym n)
 
 (* -- convenience -------------------------------------------------------------------- *)
 

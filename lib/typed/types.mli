@@ -38,9 +38,12 @@ exception Parse_error of string * Liblang_reader.Srcloc.t
     when parsed from syntax ({!of_stx}), and is [Srcloc.none] when parsed
     from a bare datum. *)
 
-(** {1 Named types} *)
+(** {1 Named types}
 
-val name_env : (string, t) Hashtbl.t
+    A [define-type] name lives in the current compile-time store
+    ({!Liblang_expander.Ct_store}), filled by the module's own definitions
+    and by the replay of those of the modules it requires. *)
+
 val define_name : string -> t -> unit
 val resolve_name : string -> t
 

@@ -149,13 +149,7 @@ let corpus_parity () =
   let expanded =
     List.filter_map
       (fun f ->
-        let path = Filename.concat "corpus" f in
-        let source = In_channel.with_open_bin path In_channel.input_all in
-        match
-          Pipeline.contain (fun () ->
-              Compiled.with_source_dir path (fun () ->
-                  Modsys.expand_source ~name:(fresh "corpus") source))
-        with
+        match Pipeline.contain (fun () -> Compiled.expand_file (Filename.concat "corpus" f)) with
         | Ok forms -> Some (f, forms)
         | Error _ -> None)
       files

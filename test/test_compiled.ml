@@ -780,11 +780,12 @@ let quoted_symbols_round_trip () =
         in
         (out, diags, c)
       in
-      let plain, _, _ = run () in
+      let plain, plain_diags, _ = run () in
       let cold, cold_diags, _ = run ~cache_dir:cache () in
       let warm, warm_diags, c = run ~cache_dir:cache () in
       check_s (name ^ ": uncached output") want plain;
       check_s (name ^ ": cold output") plain cold;
+      check_s (name ^ ": cold diagnostics equal uncached") plain_diags cold_diags;
       check_s (name ^ ": warm output equals cold") cold warm;
       check_s (name ^ ": warm diagnostics equal cold") cold_diags warm_diags;
       check_i (name ^ ": warm run loads the artifact") 1 (hits c);
@@ -795,6 +796,193 @@ let quoted_symbols_round_trip () =
       ( "warm-hygiene.scm",
         "5\n(2 1)\n(#<procedure:helper> 2)\n(1 2 3)\n(quote)\n(5 #<procedure:loop>)\n" );
     ]
+
+(* -- one path from a file to a module ---------------------------------------------- *)
+
+(* Run [paths] in order through [Pipeline.run_file] as one process would
+   (session reset first), with or without a store; return everything
+   they printed and, per file, its rendered diagnostics ("ok" when it
+   ran). *)
+let pipeline_runs ?cache_dir ?(jobs = 1) (paths : string list) : string * string list =
+  Compiled.reset_session ();
+  Prims.with_captured_output (fun () ->
+      List.map
+        (fun path ->
+          match Liblang_core.Pipeline.run_file ?cache_dir ~jobs path with
+          | Ok _ -> "ok"
+          | Error ds -> Liblang_core.Pipeline.render_errors ~color:false ds)
+        paths)
+
+(* Every way of running a file: uncached, then cold and warm through one
+   store, then -j 2 through a second store. *)
+let modes dir =
+  [
+    ("uncached", fun paths -> pipeline_runs paths);
+    ("cold", fun paths -> pipeline_runs ~cache_dir:(Filename.concat dir "cache") paths);
+    ("warm", fun paths -> pipeline_runs ~cache_dir:(Filename.concat dir "cache") paths);
+    ("-j 2", fun paths -> pipeline_runs ~cache_dir:(Filename.concat dir "cache-j2") ~jobs:2 paths);
+  ]
+
+let file dir name text =
+  let path = Filename.concat dir name in
+  write_file path text;
+  path
+
+(* Three parse errors in one file: every mode reports all three, labelled
+   with the file's canonical path — for the file run directly and for the
+   same file required by another. *)
+let every_parse_error_reported () =
+  let dir = fresh_dir () in
+  let r = file dir "r.scm" "#lang racket\n(display 1))\n(display #<bad>)\n(display \"x)\n" in
+  let m = file dir "m.scm" "#lang racket\n(require \"r.scm\")\n" in
+  let key = Compiled.Resolver.module_key r in
+  List.iter
+    (fun (mode, runs) ->
+      List.iter
+        (fun (what, path) ->
+          match snd (runs [ path ]) with
+          | [ d ] ->
+              let labels =
+                List.filter (fun l -> contains d (key ^ ":" ^ l)) [ "2:11"; "3:10"; "5:0" ]
+              in
+              check_i (Printf.sprintf "%s, %s: all three parse errors" mode what) 3
+                (List.length labels);
+              check_b (mode ^ ", " ^ what ^ ": counted") true (contains d "3 errors generated")
+          | _ -> Alcotest.fail "one result per file")
+        [ ("run", r); ("required", m) ])
+    (modes dir)
+
+(* A located diagnostic and a missing file render byte-identically in every
+   mode, labelled with the canonical path. *)
+let diagnostics_identical_across_modes () =
+  let dir = fresh_dir () in
+  let e2 = file dir "e2.scm" "#lang racket\n(display (no-such-fn 1))\n" in
+  let nope = Filename.concat dir "nope.scm" in
+  let rendered =
+    List.map (fun (mode, runs) -> (mode, snd (runs [ e2; nope ]))) (modes dir)
+  in
+  let uncached = List.assoc "uncached" rendered in
+  (match uncached with
+  | [ d_e2; d_nope ] ->
+      check_b "label is the canonical path" true
+        (contains d_e2 (Compiled.Resolver.module_key e2 ^ ":2:10"));
+      check_b "one missing-file text" true
+        (contains d_nope ("require: cannot read module file " ^ Compiled.Resolver.module_key nope))
+  | _ -> Alcotest.fail "one result per file");
+  List.iter
+    (fun (mode, ds) ->
+      List.iter2 (fun u d -> check_s (mode ^ " renders as uncached") u d) uncached ds)
+    rendered
+
+(* Later files on one command line may require earlier ones by basename,
+   with or without a store. *)
+let earlier_files_requirable_by_basename () =
+  let dir = fresh_dir () in
+  let a = file dir "a.scm" "#lang racket\n(provide x)\n(define x 42)\n" in
+  let c = file dir "c.scm" "#lang racket\n(require a)\n(display x)\n" in
+  (* a file named like a language does not take the language's name *)
+  let lz = file dir "lazy.scm" "#lang racket\n(display 'l)\n" in
+  let user = file dir "user.scm" "#lang lazy\n(display 'u)\n" in
+  List.iter
+    (fun (mode, runs) ->
+      let out, diags = runs [ a; c ] in
+      check_s (mode ^ ": c sees a's x") "42" out;
+      check_b (mode ^ ": both ran") true (diags = [ "ok"; "ok" ]);
+      check_s (mode ^ ": #lang lazy after lazy.scm") "lu" (fst (runs [ lz; user ])))
+    (modes dir)
+
+(* Each file on the command line runs as a fresh program, its requires
+   included, even when the session already ran it or one of its requires. *)
+let second_run_prints_again () =
+  let dir = fresh_dir () in
+  let q = file dir "q.scm" "#lang racket\n(display \"q \")\n" in
+  let p = file dir "p.scm" "#lang racket\n(require \"q.scm\")\n(display \"hi \")\n" in
+  List.iter
+    (fun (mode, runs) ->
+      check_s (mode ^ ": printed twice") "q hi q hi " (fst (runs [ p; p ]));
+      check_s (mode ^ ": a require runs again") "q hi q " (fst (runs [ p; q ]));
+      check_s (mode ^ ": a require that ran runs again") "q q hi " (fst (runs [ q; p ])))
+    (modes dir)
+
+(* A [define-type] name means what the module and its requires define,
+   whatever else the process compiled before. *)
+let type_names_follow_requires () =
+  let dir = fresh_dir () in
+  let ta =
+    file dir "ta.scm"
+      "#lang typed/racket\n(define-type Num Float)\n(provide half)\n\
+       (: half (Num -> Num))\n(define (half x) (/ x 2.0))\n"
+  in
+  let tc = file dir "tc.scm" "#lang typed/racket\n(: v Num)\n(define v 2.0)\n(display v)\n" in
+  let td =
+    file dir "td.scm"
+      "#lang typed/racket\n(require \"ta.scm\")\n(: w Num)\n(define w (half 4.0))\n(display w)\n"
+  in
+  let unknown d = contains d "unknown type: Num" in
+  check_b "tc alone: Num is unknown" true (unknown (List.hd (snd (pipeline_runs [ tc ]))));
+  (match snd (pipeline_runs [ ta; tc ]) with
+  | [ "ok"; d ] -> check_b "tc after ta: Num is still unknown" true (unknown d)
+  | _ -> Alcotest.fail "ta failed");
+  List.iter
+    (fun (mode, runs) -> check_s (mode ^ ": a client of ta knows Num") "2.0" (fst (runs [ td ])))
+    (modes dir);
+  (* a [(: g T)] declaration outlives a require that compiles a typed
+     module before [g]'s definition is checked *)
+  let tg =
+    file dir "tg.scm"
+      "#lang typed/racket\n(: g (Integer -> Integer))\n(require \"ta.scm\")\n\
+       (define (g x) (+ x 1))\n(display (g 1))\n"
+  in
+  check_s "a declaration survives a nested typed compile" "2" (fst (pipeline_runs [ tg ]))
+
+(* A self-referential [define-type] crosses a require: its replay into
+   the client's compilation registers the name before parsing the body,
+   as the definition itself does.  Typed and untyped clients, in every
+   mode. *)
+let recursive_type_across_require () =
+  let dir = fresh_dir () in
+  ignore
+    (file dir "tree.scm"
+       "#lang typed/racket\n(define-type Tree (U Null (Pairof Integer Tree)))\n\
+        (provide tsum)\n(: tsum (Tree -> Integer))\n\
+        (define (tsum t) (if (null? t) 0 (+ (car t) (tsum (cdr t)))))\n");
+  let use = "(require \"tree.scm\")\n(display (tsum (cons 1 (cons 2 '()))))\n" in
+  let typed = file dir "typed.scm" ("#lang typed/racket\n" ^ use) in
+  let untyped = file dir "untyped.scm" ("#lang racket\n" ^ use) in
+  List.iter
+    (fun (mode, runs) ->
+      let out, diags = runs [ typed; untyped ] in
+      check_b (mode ^ ": both clients ran") true (diags = [ "ok"; "ok" ]);
+      check_s (mode ^ ": both clients print the sum") "33" out)
+    (modes dir)
+
+(* Two modules that define one name differently each typecheck by their
+   own definition, one after the other and on a two-domain pool. *)
+let type_names_per_module () =
+  let dir = fresh_dir () in
+  let definer name ty value =
+    let uses =
+      String.concat ""
+        (List.init 60 (fun i ->
+             Printf.sprintf "(: f%d (Num -> Num))\n(define (f%d x) x)\n(define v%d : Num (f%d v))\n"
+               i i i i))
+    in
+    file dir name
+      (Printf.sprintf "#lang typed/racket\n(define-type Num %s)\n(define v : Num %s)\n%s(display v)\n"
+         ty value uses)
+  in
+  let n1 = definer "n1.scm" "Float" "1.5" and n2 = definer "n2.scm" "String" "\"s\"" in
+  check_s "serially" "1.5s1.5" (fst (pipeline_runs [ n1; n2; n1 ]));
+  for i = 1 to 8 do
+    match
+      Liblang_core.Pipeline.build_files ~jobs:2
+        ~cache_dir:(Filename.concat dir (Printf.sprintf "cache-%d" i))
+        [ n1; n2 ]
+    with
+    | Ok _ -> ()
+    | Error ds ->
+        Alcotest.failf "-j 2 build %d: %s" i (Liblang_core.Pipeline.render_errors ds)
+  done
 
 (* -- suite --------------------------------------------------------------------- *)
 
@@ -938,4 +1126,11 @@ let suite =
     t "build: per-task deadline times out" task_deadline_times_out;
     t "build: transient retries counted" transient_retries_counted;
     t "expander: macro fuel is per module" fuel_is_per_module;
+    t "one path: every parse error, in every mode" every_parse_error_reported;
+    t "one path: diagnostics identical in every mode" diagnostics_identical_across_modes;
+    t "one path: earlier files requirable by basename" earlier_files_requirable_by_basename;
+    t "one path: a second run prints again" second_run_prints_again;
+    t "type names follow the require graph" type_names_follow_requires;
+    t "type names: each module its own definition" type_names_per_module;
+    t "type names: a recursive type across a require" recursive_type_across_require;
   ]

@@ -304,6 +304,54 @@ let errors_are_diagnostics () =
       check_b "missing file not ok" false (Client.ok_of j);
       Client.close c)
 
+(* The daemon's [run] is the pipeline's: every parse error of a file comes
+   back, not just the first. *)
+let run_reports_every_parse_error () =
+  with_server (fun socket dir ->
+      let r = Filename.concat dir "r.scm" in
+      write_file r "#lang racket\n(display 1))\n(display #<bad>)\n(display \"x)\n";
+      let c = connect socket in
+      let j = run_req c r in
+      check_i "exit 1 for program diagnostics" 1 (Client.exit_of j);
+      (match Json.member "diagnostics" j with
+      | Some (Json.Arr ds) -> check_i "all three parse errors" 3 (List.length ds)
+      | _ -> Alcotest.fail "no diagnostics array");
+      Client.close c)
+
+(* A [define-type] name means what the file and its requires define,
+   whatever another session compiled before. *)
+let type_names_per_session () =
+  with_server (fun socket dir ->
+      let file name text =
+        let path = Filename.concat dir name in
+        write_file path text;
+        path
+      in
+      let ta =
+        file "ta.scm"
+          "#lang typed/racket\n(define-type Num Float)\n(provide half)\n\
+           (: half (Num -> Num))\n(define (half x) (/ x 2.0))\n"
+      in
+      let tc = file "tc.scm" "#lang typed/racket\n(: v Num)\n(define v 2.0)\n(display v)\n" in
+      let td =
+        file "td.scm"
+          "#lang typed/racket\n(require \"ta.scm\")\n(: w Num)\n(define w (half 4.0))\n\
+           (display w)\n"
+      in
+      let unknown j =
+        (not (Client.ok_of j))
+        && match Client.rendered_of j with Some r -> contains r "unknown type: Num" | None -> false
+      in
+      let c1 = connect socket in
+      check_b "a fresh daemon: Num is unknown" true (unknown (run_req c1 tc));
+      check_b "ta runs" true (Client.ok_of (run_req c1 ta));
+      check_b "the same session, after ta: Num is still unknown" true (unknown (run_req c1 tc));
+      Client.close c1;
+      let c2 = connect socket in
+      check_b "a later session: Num is still unknown" true (unknown (run_req c2 tc));
+      check_s "a client of ta knows Num" "2.0" (Client.output_of (run_req c2 td));
+      Client.close c2)
+
 let status_and_expand () =
   with_server (fun socket dir ->
       let main = project dir in
@@ -329,11 +377,7 @@ let status_and_expand () =
         (contains (Client.output_of j) "left");
       (* analyze answers exactly what the local pipeline prints *)
       let local =
-        match
-          Core.Compiled.with_source_dir main (fun () ->
-              Liblang_core.Pipeline.analyze ~name:"main"
-                (In_channel.with_open_bin main In_channel.input_all))
-        with
+        match Liblang_core.Pipeline.analyze_file main with
         | Ok lines -> String.concat "" (List.map (fun l -> l ^ "\n") lines)
         | Error _ -> Alcotest.fail "local analyze failed"
       in
@@ -615,6 +659,8 @@ let suite =
       malformed_frame_closes_only_that_connection;
     Alcotest.test_case "errors arrive as diagnostics" `Quick errors_are_diagnostics;
     Alcotest.test_case "status and expand" `Quick status_and_expand;
+    Alcotest.test_case "run reports every parse error" `Quick run_reports_every_parse_error;
+    Alcotest.test_case "type names do not leak across sessions" `Quick type_names_per_session;
     Alcotest.test_case "pipelined responses arrive out of order" `Quick
       pipelined_out_of_order_responses;
     Alcotest.test_case "sessions on one slot take turns" `Quick

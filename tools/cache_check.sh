@@ -13,14 +13,21 @@
 #     byte-identical to the serial store's (docs/compilation.md,
 #     "Parallel builds" -- determinism is a hard invariant, not a
 #     best-effort);
-#   runs: every file that compiled on the cold pass must print
-#     byte-identical output with and without the cache, with matching
-#     exit codes (every run gets the same --fuel bound, so a corpus
-#     program that loops at runtime ends the same way in both);
-#   engine vm: the same files again under run --engine vm, cached and
-#     uncached -- both must match the interpreter's uncached output
-#     byte-for-byte (the cached leg replays the artifact's core forms
-#     and lowers each form at its first evaluation; docs/backend.md).
+#   runs (every file, the ones that fail to compile included): an
+#     uncached run, then a cold and a warm run through a fresh store,
+#     must exit with the same code and print byte-identical stdout and
+#     stderr -- the diagnostics included, labels and all, since every
+#     mode reads, names and enters a file the same way (every run gets
+#     the same --fuel bound, so a corpus program that loops at runtime
+#     ends the same way in all three);
+#   expand/analyze: every file that compiled on the cold pass must
+#     expand and analyze with exit 0 from the repo root -- its requires
+#     resolve from its own directory, not the cwd;
+#   engine vm: in the same loop, the files that compiled on the cold pass
+#     again under run --engine vm, uncached and through the pass-1 store
+#     -- both must match the interpreter's uncached exit code and stdout
+#     byte-for-byte (the cached leg replays the artifact's core forms and
+#     lowers each form at its first evaluation; docs/backend.md).
 #
 # Usage: tools/cache_check.sh [path/to/liblang.exe]   (from the repo root;
 # the script cd's there itself when invoked from elsewhere)
@@ -119,44 +126,64 @@ if [ -f "$WORK/ok" ]; then
   done
 fi
 
-# -- cached vs uncached run output -------------------------------------------
-# The cached runs warm-load what pass 1 wrote.  One fuel bound for every
-# run: enough for the examples, and it stops runtime-loop.scm.
+# -- uncached, cold and warm runs agree, diagnostics included ---------------
+# One fuel bound for every run: enough for the examples, and it stops
+# runtime-loop.scm.  The files that compiled also run under the VM,
+# uncached and replayed from the pass-1 store: the VM must agree with the
+# interpreter, and running forms replayed from the store must not change
+# a byte either.
 FUEL=1000000
+CACHE3="$WORK/cache-runs"
+runs=0
+for f in $files; do
+  vm=""
+  [ -f "$WORK/ok" ] && grep -qxF "$f" "$WORK/ok" && vm="vm vm-cached"
+  for mode in uncached cold warm $vm; do
+    case $mode in
+      uncached) set -- ;;
+      cold | warm) set -- --cache-dir "$CACHE3" ;;
+      vm) set -- --engine vm ;;
+      vm-cached) set -- --engine vm --cache-dir "$CACHE" ;;
+    esac
+    $RUN "$LIBLANG" run --fuel $FUEL "$@" "$f" </dev/null >"$WORK/$mode.out" 2>"$WORK/$mode.err"
+    echo $? >"$WORK/$mode.code"
+  done
+  runs=$((runs + 1))
+  for mode in $vm; do
+    if ! cmp -s "$WORK/uncached.code" "$WORK/$mode.code"; then
+      bad "$f: exit code diverges under --engine vm ($mode exits $(cat "$WORK/$mode.code"), interp $(cat "$WORK/uncached.code"))"
+    fi
+    if ! cmp -s "$WORK/uncached.out" "$WORK/$mode.out"; then
+      bad "$f: $mode output diverges from the interpreter"
+    fi
+  done
+  for mode in cold warm; do
+    if ! cmp -s "$WORK/uncached.code" "$WORK/$mode.code"; then
+      bad "$f: $mode run exits $(cat "$WORK/$mode.code"), uncached $(cat "$WORK/uncached.code")"
+    fi
+    if ! cmp -s "$WORK/uncached.out" "$WORK/$mode.out"; then
+      bad "$f: $mode run output diverges from uncached"
+    fi
+    if ! cmp -s "$WORK/uncached.err" "$WORK/$mode.err"; then
+      bad "$f: $mode run diagnostics diverge from uncached"
+    fi
+  done
+done
+
+# -- expand and analyze every file that compiled -----------------------------
 if [ -f "$WORK/ok" ]; then
   while IFS= read -r f; do
-    plain=$($RUN "$LIBLANG" run --fuel $FUEL "$f" </dev/null 2>/dev/null)
-    pc=$?
-    cached=$($RUN "$LIBLANG" run --fuel $FUEL --cache-dir "$CACHE" "$f" </dev/null 2>/dev/null)
-    cc=$?
-    if [ "$pc" -ne "$cc" ]; then
-      bad "$f: exit code diverges cached ($cc) vs uncached ($pc)"
-    fi
-    if [ "$plain" != "$cached" ]; then
-      bad "$f: cached run output diverges from uncached"
-    fi
-    # engine parity through the same store: the VM must agree with the
-    # interpreter uncached, and running forms replayed from the store
-    # must not change a byte either.
-    vm=$($RUN "$LIBLANG" run --fuel $FUEL --engine vm "$f" </dev/null 2>/dev/null)
-    vc=$?
-    vmc=$($RUN "$LIBLANG" run --fuel $FUEL --engine vm --cache-dir "$CACHE" "$f" </dev/null 2>/dev/null)
-    vcc=$?
-    if [ "$pc" -ne "$vc" ] || [ "$pc" -ne "$vcc" ]; then
-      bad "$f: exit code diverges under --engine vm (interp $pc, vm $vc, vm cached $vcc)"
-    fi
-    if [ "$plain" != "$vm" ]; then
-      bad "$f: --engine vm output diverges from the interpreter"
-    fi
-    if [ "$plain" != "$vmc" ]; then
-      bad "$f: cached --engine vm output diverges from the interpreter"
-    fi
+    for cmd in expand analyze; do
+      if ! $RUN "$LIBLANG" $cmd "$f" </dev/null >/dev/null 2>"$WORK/$cmd.err"; then
+        bad "$f: $cmd failed: $(head -n 1 "$WORK/$cmd.err")"
+      fi
+    done
   done <"$WORK/ok"
 fi
 
 if [ "$fail" -eq 0 ]; then
   n=0
   [ -f "$WORK/ok" ] && n=$(wc -l <"$WORK/ok")
-  echo "cache_check OK: $n modules warm-loaded (serial and -j2, byte-identical stores); cached, uncached, and --engine vm runs agree"
+  echo "cache_check OK: $n modules warm-loaded (serial and -j2, byte-identical stores); $runs files run uncached, cold and warm with identical output and diagnostics; $n expand and analyze; --engine vm runs agree"
 fi
 exit "$fail"

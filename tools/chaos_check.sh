@@ -13,6 +13,14 @@
 #   must print the generator's expected output, and no *.tmp.* orphans
 #   may remain (quarantined *.bad post-mortems are allowed by design).
 #
+#   a read fault alone never fails anything: over a copy of the warm
+#   fault-free store, three seeded plans of store.read=error~0.5 per
+#   shape, each with no other fault, must leave a -j2 build exiting 0 and
+#   a cached run exiting 0 with the generator's expected output -- an
+#   unreadable artifact degrades to a recompile (docs/robustness.md).
+#   The seeded schedules cannot see this: their other faults fail builds
+#   anyway, and the fault-free recovery build heals the store.
+#
 # Unlike the in-process fault-plan tests in test/test_compiled.ml
 # (error/torn/delay only), this gate runs each schedule in a subprocess,
 # so it exercises the crash mode and the tmp-file sweep for real.
@@ -45,6 +53,7 @@ bad() { printf 'chaos_check FAIL: %s\n' "$*" >&2; fail=1; }
 schedules=0
 crashes=0
 diag_fails=0
+read_runs=0
 
 for shape in wide diamond chain; do
   DIR="$WORK/$shape"
@@ -63,6 +72,22 @@ for shape in wide diamond chain; do
     bad "$shape: fault-free -j1 reference build failed"
     continue
   fi
+
+  # read faults alone degrade: every build and run under them succeeds
+  READ="$DIR/cache-read"
+  cp -R "$REF" "$READ"
+  for seed in 11 12 13; do
+    plan="seed=$seed;store.read=error~0.5"
+    if ! $RUN "$LIBLANG" compile -j 2 --cache-dir "$READ" --faults "$plan" "$root" >/dev/null 2>&1; then
+      bad "$shape $plan: compile -j 2 failed (a read fault must degrade to a recompile)"
+    fi
+    got=$($RUN "$LIBLANG" run --cache-dir "$READ" --faults "$plan" "$root" 2>/dev/null)
+    code=$?
+    if [ "$code" -ne 0 ] || [ "$got" != "$expected" ]; then
+      bad "$shape $plan: run --cache-dir exited $code printing '$got', expected '$expected'"
+    fi
+    read_runs=$((read_runs + 2))
+  done
 
   CACHE="$DIR/cache-chaos"
   s=0
@@ -265,6 +290,6 @@ if [ -n "$srv_pid" ]; then
 fi
 
 if [ "$fail" -eq 0 ]; then
-  echo "chaos_check OK: $schedules seeded schedules ($crashes injected crashes, $diag_fails contained failures), $server_reqs concurrent-server chaos requests; all stores recovered byte-identical"
+  echo "chaos_check OK: $schedules seeded schedules ($crashes injected crashes, $diag_fails contained failures), $read_runs builds and runs under read faults alone, $server_reqs concurrent-server chaos requests; all stores recovered byte-identical"
 fi
 exit "$fail"

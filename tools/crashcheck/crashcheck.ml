@@ -135,25 +135,23 @@ let cache_dir_cases =
    pipeline's fuel caps expansion) and must never crash — broken
    programs get contained diagnostics, working programs get a facts
    report.  A hang or an escaped exception here is an analyzer bug, not
-   a corpus property. *)
+   a corpus property; a [~working] program (an example) that gets
+   diagnostics was expanded wrong — e.g. its requires resolved from
+   somewhere other than its own directory. *)
 
-let slurp path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let check_analyze path : (string, string) result =
+let check_analyze ?(working = false) path : (string, string) result =
   Core.Modsys.reset_user_modules_for_tests ();
   match
     with_time_cap (fun () ->
         Core.Prims.with_captured_output (fun () ->
-            Pipeline.analyze ~fuel:200_000 ~name:(Filename.basename path) (slurp path)))
+            Pipeline.analyze_file ~fuel:200_000 path))
   with
   | exception Timeout -> Error "analysis timed out (widening failed to converge)"
   | exception e -> Error ("uncaught exception escaped the analyzer: " ^ Printexc.to_string e)
   | _, Ok lines -> Ok (Printf.sprintf "analyzed (%d report lines)" (List.length lines))
   | _, Error [] -> Error "failed with an empty diagnostic list"
+  | _, Error (d :: _) when working ->
+      Error ("a working example failed to analyze: " ^ Diagnostic.to_string d)
   | _, Error ds -> (
       match List.filter Diagnostic.is_internal ds with
       | [] ->
@@ -278,7 +276,7 @@ let () =
   List.iter
     (fun path ->
       let label = Filename.basename path in
-      match check_analyze path with
+      match check_analyze ~working:(List.mem path examples) path with
       | Ok detail -> Printf.printf "  ok   %-28s %s\n%!" label detail
       | Error why ->
           incr failures;

@@ -186,8 +186,10 @@ fi
 # A reference probes only the anchors of its own scope set, and an import is
 # one bulk entry, so what a compile scans on resolver-cache misses must not
 # depend on how many modules the process compiled before it.  Run the
-# shadowing program of check 1 once, then 40 times in one invocation (40
-# module compiles in one process): the 40 must scan at most 40 times what
+# shadowing program of check 1 once, then 40 copies of it in one
+# invocation (40 module compiles in one process: a file named twice on
+# one command line compiles once and runs twice): the 40 must scan at
+# most 40 times what
 # one does, plus ten compiles' worth of slack -- the first compile binds
 # some names for the first time and resolves them without the cache, so
 # each later one scans a little more.  Binder lists that every compile
@@ -196,8 +198,9 @@ one=$($RUN "$LIBLANG" run --profile=json "$WORK/shadow.scm" 2>/dev/null)
 set --
 i=0
 while [ "$i" -lt 40 ]; do
-  set -- "$@" "$WORK/shadow.scm"
   i=$((i + 1))
+  cp "$WORK/shadow.scm" "$WORK/shadow$i.scm"
+  set -- "$@" "$WORK/shadow$i.scm"
 done
 forty=$($RUN "$LIBLANG" run --profile=json "$@" 2>/dev/null)
 scan1=$(counter 'expand\.resolve_scanned' "$one")
