@@ -49,8 +49,12 @@ module Reader = Liblang_reader.Reader
     v6: body names fix their bindings ({!Writer}): links are
     (alias, owner, name in owner) triples, and a [renames] field maps
     renamed binders to their source names.  A v5 body spells every
-    binding by its bare source name, so it is version skew. *)
-let format_version = 6
+    binding by its bare source name, so it is version skew.
+    v7: transformer right-hand sides and [quote-syntax] inside
+    [begin-for-syntax] follow the same naming rule.  A v6 artifact wrote
+    them as they were, so a macro template could mean a user's binding
+    at load; it is version skew. *)
+let format_version = 7
 
 (** The magic header line; doubles as a human hint not to edit the file. *)
 let magic = ";; liblang compiled artifact (machine-generated; do not edit)"

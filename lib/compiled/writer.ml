@@ -23,12 +23,21 @@
       took it or it names a core form, and gets a [_N] suffix otherwise.
 
     Renamed binders are listed in [renames] with their source names, so a
-    procedure is still shown under the name its source gave it.  The
-    contents of [quote] and [quote-syntax] are data and are never renamed;
-    [define-syntaxes] right-hand sides and [#%require] specs are written
-    as they are, since the loader replays them through the expander —
-    except that a require binder a macro introduced is left out, since
-    the loader would bind it in the module scope.
+    procedure is still shown under the name its source gave it.
+
+    The loader replays [define-syntaxes] right-hand sides and
+    [begin-for-syntax] forms through the expander in the module context,
+    so the names in them must fix their bindings too.  In a transformer's
+    right-hand side, every identifier that a binding fixes is written
+    under that binding's name, except a [syntax-rules] pattern variable,
+    [...] and [_], which the pattern gives their meaning, and what [quote]
+    holds.  In [begin-for-syntax], so is every identifier [quote-syntax]
+    holds.  What [quasiquote] holds outside its [unquote]s is data too.
+    An identifier nothing binds is written as it is.  Elsewhere
+    the contents of [quote] and [quote-syntax] are data and are never
+    renamed.  [#%require] specs are written as they are, except that a
+    require binder a macro introduced is left out, since the loader would
+    bind it in the module scope.
     Everything depends only on the module's own forms and on what its
     module context binds, so an unchanged module writes the same bytes in
     every session and on every domain. *)
@@ -117,28 +126,87 @@ let write ~mod_name ~(requires : string list) ~(scopes : Scope.Set.t) (forms : S
     let i = note Free hd in
     (Id i, i.core)
   in
-  let rec expr (s : Stx.t) : node =
+  let core_of (hd : Stx.t) =
+    match Binding.resolve hd with
+    | Some b -> ( match Denote.get b with Some (Denote.DCore n) -> Some n | _ -> None)
+    | None | (exception Binding.Ambiguous _) -> None
+  in
+  (* Syntax the loader hands to the expander again: each identifier a
+     binding fixes, other than those [keep] names, under its binding's
+     written name; what [quote] holds as it is, and what [quasiquote]
+     holds outside its [unquote]s. *)
+  let rec replayed ~keep (s : Stx.t) : node =
+    match Stx.view s with
+    | Stx.Id n when List.mem (Stx.Symbol.name n) keep -> data s
+    | Stx.Id _ -> (
+        match Binding.resolve s with
+        | None -> data s
+        | Some _ | (exception Binding.Ambiguous _) -> Id (note Free s))
+    | Stx.List (hd :: _) when Stx.is_id hd && core_of hd = Some "quote" -> data s
+    | Stx.List [ hd; e ] when Stx.is_sym "quasiquote" hd -> List [ data hd; quasi ~keep 1 e ]
+    | Stx.List xs -> List (List.map (replayed ~keep) xs)
+    | Stx.DotList (xs, tl) -> Dot (List.map (replayed ~keep) xs, replayed ~keep tl)
+    | Stx.Atom _ | Stx.Vec _ -> data s
+  and quasi ~keep depth (s : Stx.t) : node =
+    match Stx.view s with
+    | Stx.List [ hd; e ] when Stx.is_sym "unquote" hd || Stx.is_sym "unquote-splicing" hd ->
+        List [ data hd; (if depth = 1 then replayed ~keep e else quasi ~keep (depth - 1) e) ]
+    | Stx.List [ hd; e ] when Stx.is_sym "quasiquote" hd -> List [ data hd; quasi ~keep (depth + 1) e ]
+    | Stx.List xs -> List (List.map (quasi ~keep depth) xs)
+    | Stx.DotList (xs, tl) -> Dot (List.map (quasi ~keep depth) xs, quasi ~keep depth tl)
+    | Stx.Id _ | Stx.Atom _ | Stx.Vec _ -> data s
+  in
+  (* A [syntax-rules] clause: the pattern as it is, and the template with
+     the pattern's variables kept. *)
+  let rec pattern_vars ~literals acc (p : Stx.t) =
+    match Stx.view p with
+    | Stx.Id n ->
+        let n = Stx.Symbol.name n in
+        if n = "..." || n = "_" || List.mem n literals then acc else n :: acc
+    | Stx.List xs | Stx.Vec xs -> List.fold_left (pattern_vars ~literals) acc xs
+    | Stx.DotList (xs, tl) -> pattern_vars ~literals (List.fold_left (pattern_vars ~literals) acc xs) tl
+    | Stx.Atom _ -> acc
+  in
+  let transformer (rhs : Stx.t) : node =
+    match Stx.view rhs with
+    | Stx.List (hd :: lits :: clauses) when Stx.is_id hd && core_of hd = Some "syntax-rules" ->
+        let literals = List.filter_map Stx.sym (Option.value (Stx.to_list lits) ~default:[]) in
+        let clause c =
+          match Stx.to_list c with
+          | Some [ pat; tmpl ] ->
+              let keep = "..." :: "_" :: pattern_vars ~literals [] pat in
+              List [ data pat; replayed ~keep tmpl ]
+          | _ -> data c
+        in
+        List (replayed ~keep:[] hd :: data lits :: List.map clause clauses)
+    | _ -> replayed ~keep:[] rhs
+  in
+  (* [p1]: inside [begin-for-syntax], where [quote-syntax] holds syntax
+     the loader's expander resolves again *)
+  let rec expr ~p1 (s : Stx.t) : node =
     match Stx.view s with
     | Stx.Id _ -> Id (note Free s)
-    | Stx.List (hd :: args) when Stx.is_id hd -> form (head hd) args
-    | Stx.List xs -> List (List.map expr xs)
-    | Stx.DotList (xs, tl) -> Dot (List.map expr xs, expr tl)
+    | Stx.List (hd :: args) when Stx.is_id hd -> form ~p1 (head hd) args
+    | Stx.List xs -> List (List.map (expr ~p1) xs)
+    | Stx.DotList (xs, tl) -> Dot (List.map (expr ~p1) xs, expr ~p1 tl)
     | Stx.Atom _ | Stx.Vec _ -> data s
-  and form (h, core) args =
+  and form ~p1 (h, core) args =
     match (core, args) with
+    | Some "quote-syntax", _ when p1 -> List (h :: List.map (replayed ~keep:[]) args)
     | Some ("quote" | "quote-syntax"), _ -> List (h :: List.map data args)
-    | Some "#%plain-lambda", formals :: body -> List (h :: binders Local formals :: List.map expr body)
+    | Some "#%plain-lambda", formals :: body ->
+        List (h :: binders Local formals :: List.map (expr ~p1) body)
     | Some ("let-values" | "letrec-values"), clauses :: body ->
         let clause c =
           match Stx.to_list c with
-          | Some [ ids; rhs ] -> List [ binders Local ids; expr rhs ]
+          | Some [ ids; rhs ] -> List [ binders Local ids; expr ~p1 rhs ]
           | _ -> data c
         in
         let clauses =
           match Stx.to_list clauses with Some cs -> List (List.map clause cs) | None -> data clauses
         in
-        List (h :: clauses :: List.map expr body)
-    | _ -> List (h :: List.map expr args)
+        List (h :: clauses :: List.map (expr ~p1) body)
+    | _ -> List (h :: List.map (expr ~p1) args)
   in
   let provide_spec (spec : Stx.t) =
     match Stx.view spec with
@@ -177,13 +245,13 @@ let write ~mod_name ~(requires : string list) ~(scopes : Scope.Set.t) (forms : S
             (match ids with
             | List xs -> List.iter (function Id i -> value_defs := i :: !value_defs | _ -> ()) xs
             | _ -> ());
-            List [ h; ids; expr rhs ]
-        | Some "define-syntaxes", [ ids; rhs ] -> List [ h; binders Def ids; data rhs ]
-        | Some "begin-for-syntax", es -> List (h :: List.map expr es)
+            List [ h; ids; expr ~p1:false rhs ]
+        | Some "define-syntaxes", [ ids; rhs ] -> List [ h; binders Def ids; transformer rhs ]
+        | Some "begin-for-syntax", es -> List (h :: List.map (expr ~p1:true) es)
         | Some "#%require", specs -> List (h :: List.map require_spec specs)
         | Some "#%provide", specs -> List (h :: List.map provide_spec specs)
-        | _ -> form hc args)
-    | _ -> expr s
+        | _ -> form ~p1:false hc args)
+    | _ -> expr ~p1:false s
   in
   match List.map top forms with
   | exception Uncacheable m -> Error m

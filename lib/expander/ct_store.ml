@@ -11,19 +11,13 @@
 module Value = Liblang_runtime.Value
 
 type t = {
-  id : int;
+  visited : (string, unit) Hashtbl.t;  (** the modules visited into this store *)
   vals : (string, Value.value) Hashtbl.t;
   tables : (string, (int, Value.value) Hashtbl.t) Hashtbl.t;
       (** named tables keyed by binding uid — e.g. a type environment *)
 }
 
-(* Store ids are globally unique (atomic counter): module records carry
-   [visited_stores] lists of store ids, and module records cloned into a
-   worker domain must never collide with ids minted by another domain. *)
-let counter = Atomic.make 0
-
-let create () : t =
-  { id = 1 + Atomic.fetch_and_add counter 1; vals = Hashtbl.create 32; tables = Hashtbl.create 4 }
+let create () : t = { visited = Hashtbl.create 8; vals = Hashtbl.create 32; tables = Hashtbl.create 4 }
 
 (* The ambient store is per-domain: each parallel-build worker compiles with
    its own store stack, which is exactly the "fresh store per compilation"
@@ -43,7 +37,16 @@ let with_store (store : t) f =
 
 let with_fresh_store f = with_store (create ()) f
 
-let store_id () = (current ()).id
+(** Record that module [name] is visited into the current store; [false]
+    if it already was.  The mark lives in the store, so it goes with the
+    compilation that made it. *)
+let first_visit name =
+  let cur = current () in
+  (not (Hashtbl.mem cur.visited name))
+  && begin
+       Hashtbl.replace cur.visited name ();
+       true
+     end
 let get key = Hashtbl.find_opt (current ()).vals key
 let set key v = Hashtbl.replace (current ()).vals key v
 

@@ -1,7 +1,8 @@
 (** The compile-time environment: what each binding means to the expander.
 
-    Keyed by binding uid — since bindings are globally fresh (§5), a single
-    table serves every module and phase. *)
+    A binding carries its own denotation ({!Binding.denotation}), so since
+    bindings are globally fresh (§5) every module and phase sees one
+    meaning per binding, and the meaning dies with the binding. *)
 
 module Binding = Liblang_stx.Binding
 module Stx = Liblang_stx.Stx
@@ -21,19 +22,16 @@ type denotation =
   | DCore of string  (** a core form; the string is the dispatch key *)
   | DMacro of transformer
 
-module ITbl = Hashtbl.Make (Int)
+type Binding.slot += Denotes of denotation
 
-(* Domain-local, seeded at domain spawn with a copy of the parent's table:
-   workers see every denotation established before the spawn (builtins, core
-   forms) and record their own privately; the main domain re-acquires worker
-   output by replaying artifacts. *)
-let table_key : denotation ITbl.t Domain.DLS.key =
-  Domain.DLS.new_key ~split_from_parent:ITbl.copy (fun () -> ITbl.create 1024)
+(* [DVar] is by far the most common denotation: share its slot. *)
+let var = Denotes DVar
 
-let[@inline] table () = Domain.DLS.get table_key
+let set (b : Binding.t) (d : denotation) =
+  Binding.set_denotation b (match d with DVar -> var | d -> Denotes d)
 
-let set (b : Binding.t) (d : denotation) = ITbl.replace (table ()) b.Binding.uid d
-let get (b : Binding.t) : denotation option = ITbl.find_opt (table ()) b.Binding.uid
+let get (b : Binding.t) : denotation option =
+  match Binding.denotation b with Denotes d -> Some d | _ -> None
 
 let transformer_name = function
   | Native (n, _) -> n

@@ -107,21 +107,18 @@ type t = {
   mutable ct_thunks : (unit -> unit) list;
   mutable requires : string list;
   mutable instantiated : bool;
-  mutable visited_stores : int list;
   builtin : bool;
 }
 
 (* The module registry is domain-local, seeded at domain spawn with a
    copy of the parent's table in which every module {e record} is cloned
-   (preserving alias sharing via physical identity): [visit] and
-   [instantiate_at] mutate [visited_stores] / [instantiated] on registry
-   records, and those per-compilation marks must stay private to the
-   worker.  Clones still share content — bindings, compiled bodies
-   (whose code cells only an instantiating domain fills), the globals
-   referenced from [body] — so builtin modules work unchanged in
-   workers.  Store ids are globally unique (atomic counter in
-   [Ct_store]), so a cloned record's inherited [visited_stores] list can
-   never falsely match a store created in the child domain. *)
+   (preserving alias sharing via physical identity): [instantiate_at]
+   sets [instantiated] on registry records, and that mark must stay
+   private to the worker.  Clones still share content — bindings,
+   compiled bodies (whose code cells only an instantiating domain
+   fills), the globals referenced from [body] — so builtin modules work
+   unchanged in workers.  Which modules a compilation has visited is
+   recorded in its compile-time store, not here. *)
 let clone_registry (parent : (string, t) Hashtbl.t) : (string, t) Hashtbl.t =
   let copy = Hashtbl.create (max 64 (Hashtbl.length parent)) in
   let seen : (t * t) list ref = ref [] in
@@ -235,9 +232,7 @@ let find_internal_owner ?excluding (b : Binding.t) : (string * string) option =
 (* -- visiting: replaying compile-time declarations (§5) ----------------------- *)
 
 let rec visit (m : t) =
-  let sid = Ct_store.store_id () in
-  if not (List.mem sid m.visited_stores) then begin
-    m.visited_stores <- sid :: m.visited_stores;
+  if Ct_store.first_visit m.mod_name then begin
     List.iter (fun r -> visit (find r)) m.requires;
     List.iter (fun thunk -> thunk ()) m.ct_thunks
   end
@@ -444,6 +439,7 @@ let core_kind (hd : Stx.t) : string option =
 (** A new, empty module record named [name], visited in the current
     compile-time store. *)
 let fresh_module name =
+  ignore (Ct_store.first_visit name);
   {
     mod_name = name;
     exports = [];
@@ -452,7 +448,6 @@ let fresh_module name =
     ct_thunks = [];
     requires = [];
     instantiated = false;
-    visited_stores = [ Ct_store.store_id () ];
     builtin = false;
   }
 
@@ -470,6 +465,7 @@ let in_module_context ?span ~name ~lang (k : Scope.Set.t -> string list ref -> '
   check_cycle lang;
   if not (is_declared lang) then err "#lang %s: unknown language" lang;
   Expander.with_fresh_limits @@ fun () ->
+  Binding.new_compilation ();
   let enter () =
     with_compiling name @@ fun () ->
     Ct_store.with_fresh_store @@ fun () ->
@@ -645,7 +641,6 @@ let declare_builtin ~name ?(values : (string * Value.value) list = [])
       ct_thunks;
       requires = [];
       instantiated = true;
-      visited_stores = [];
       builtin = true;
     }
   in

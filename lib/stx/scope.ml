@@ -1,184 +1,282 @@
-(** Scopes for the sets-of-scopes hygiene model (Flatt 2016).  A scope is an
-    opaque token; binders and references carry sets of them, and a reference
-    resolves to the binder whose scope set is the largest subset of the
-    reference's.
+(** Scopes for the sets-of-scopes hygiene model (Flatt 2016).  A scope is a
+    heap record; binders and references carry sets of them, and a
+    reference resolves to the binder whose scope set is the largest subset
+    of the reference's.
 
-    Scope {e sets} are hash-consed: every distinct set of scopes has exactly
-    one live representative, carrying a unique id, a cached hash, and a
-    sorted-array backing.  Consequences, all load-bearing for expansion
-    performance:
+    {1 Who owns what}
 
-    - set equality is pointer equality (one instruction);
+    Following Racket's expander, a scope owns the binders anchored on it
+    ({!Binding} keeps each binder in the table of the largest scope of its
+    set).  Syntax holds scope sets, sets hold their scopes, scopes hold
+    their binders, and a module holds the syntax its macros need.  So once
+    nothing holds a module's syntax any more — the compile server dropped
+    the module's old version — its scopes, binders and bindings are
+    garbage, and nothing here keeps them alive.
+
+    Scope {e sets} are hash-consed: a set carries a unique id, a cached
+    hash and a sorted-array backing, and interning the same elements again
+    while the set is in the cons table returns it.  Consequences:
+
+    - [equal] is one pointer comparison in the common case, and otherwise
+      a hash comparison before any element is looked at;
     - [subset] is a linear sorted-array merge with an O(1) size-based early
       exit (and an O(1) pointer-equality fast path);
-    - the unique [id] doubles as a memoization key — {!Binding}'s resolver
-      cache is keyed by (symbol id, scope-set id).
+    - siblings that share a set share one record, which is what the lazy
+      propagation memo in {!Stx} keys on.
 
-    The cons table is split into 16 shards.  A shard's hash table picks
-    its bucket from the low bits of a set's hash, so the shard index is
+    {1 The cons table holds its sets weakly}
+
+    The cons table is split into 16 shards.  Each shard is two generations
+    of open-addressing tables of weak pointers, sized by how many of
+    their sets stay alive (see [turn]), so the table keeps no set alive,
+    and its size does not grow with the sets the process ever interned.
+    A set that drops out of the table while syntax still holds it stays a
+    valid set: interning its elements again makes a second representative
+    with another id, which [equal], [subset] and {!Binding}'s caches
+    (keyed by contents) treat as the same set.  A shard's table picks its
+    home slot from the low bits of a set's hash, so the shard index is
     taken from the top bits of a multiplicative mix of that hash instead:
-    if the low bits did both jobs, each shard would use one bucket in
-    sixteen, and its chains would grow with every set the process
-    interned.  The set hash multiplies each element in (FNV-1a over
+    if the low bits did both jobs, each shard would use one home slot in
+    sixteen.  The set hash multiplies each element's id in (FNV-1a over
     ints), so sets of nearby scopes, the common case, spread over the
-    buckets rather than sharing hash values.
+    slots.
 
-    The cons table only grows; the number of distinct scope sets in an
-    expansion is bounded by the binding structure of the program, which is
-    the usual compiler trade-off.
+    {1 Domains}
 
-    Domain safety: scope tokens and set ids come from atomics, while the
-    cons table and the single-op memo are {e domain-local} ([Domain.DLS])
-    and therefore lock-free.  A worker domain starts with a copy of its
-    parent's cons table, so canonicity is per-domain: pointer-equality
-    [equal] holds within a domain (which is where all hot comparisons
-    happen), sets inherited from the parent keep their representatives,
-    and the content-based [subset]/[union] fallbacks cover the cold
-    cross-domain cases.  Set ids stay process-unique (one atomic), so the
-    (symbol id, set id) resolver-cache key never collides across
-    domains. *)
+    Scope ids and set ids come from atomics, while the cons table is
+    {e domain-local} ([Domain.DLS]) and therefore lock-free.  A worker
+    domain starts with a copy of its parent's cons table, so sets inherited
+    from the parent keep their representatives, and the content-based
+    [equal]/[subset]/[union] cover the cold cross-domain cases.  Every
+    scope records the domain that created it ({!this_domain}); only that
+    domain writes its table, so a worker reads what its parent built and
+    never writes it.  Sets are immutable. *)
 
-type t = int
+type table = ..
+type table += Unanchored
+
+type t = { id : int; owner : int; mutable table : table }
 
 let counter = Atomic.make 0
+let domains = Atomic.make 0
 
-let fresh () = 1 + Atomic.fetch_and_add counter 1
+(* No [split_from_parent]: every domain draws its own token on first use. *)
+let domain_key : int Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.fetch_and_add domains 1)
 
-let compare : t -> t -> int = Int.compare
-let equal : t -> t -> bool = Int.equal
-let to_string (s : t) = "sc" ^ string_of_int s
+let[@inline] this_domain () = Domain.DLS.get domain_key
+
+let fresh () = { id = 1 + Atomic.fetch_and_add counter 1; owner = this_domain (); table = Unanchored }
+
+let[@inline] id (s : t) = s.id
+let compare (a : t) (b : t) = Int.compare a.id b.id
+let equal (a : t) (b : t) = a == b
+let to_string (s : t) = "sc" ^ string_of_int s.id
+let owner (s : t) = s.owner
+let[@inline] table (s : t) = s.table
+let set_table (s : t) (tb : table) = s.table <- tb
 
 module Set = struct
   type elt = t
 
   type t = {
-    id : int;  (** unique per distinct set; stable for the process lifetime *)
-    elems : int array;  (** strictly increasing *)
+    id : int;  (** unique per representative, never reused *)
+    elems : elt array;  (** strictly increasing ids *)
     hash : int;  (** cached structural hash of [elems] *)
   }
 
-  (* FNV-1a over whole elements, then the high bits folded into the low
+  (* FNV-1a over whole element ids, then the high bits folded into the low
      ones, which pick the bucket. *)
-  let hash_elems (a : int array) : int =
+  let hash_elems (a : elt array) : int =
     let h = ref 5381 in
     for i = 0 to Array.length a - 1 do
-      h := (!h lxor a.(i)) * 0x100000001B3
+      h := (!h lxor a.(i).id) * 0x100000001B3
     done;
     (!h lxor (!h lsr 32)) land max_int
 
-  (* -- the cons table ------------------------------------------------------ *)
+  let same_elems (a : elt array) (b : elt array) =
+    a == b
+    ||
+    let la = Array.length a in
+    la = Array.length b
+    &&
+    let rec go i = i < 0 || (a.(i) == b.(i) && go (i - 1)) in
+    go (la - 1)
 
-  module Key = struct
-    type t = int array
+  (* -- the cons table ------------------------------------------------------
 
-    let equal a b =
-      a == b
-      ||
-      let la = Array.length a in
-      la = Array.length b
-      &&
-      let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
-      go (la - 1)
+     Each shard holds two generations, each an open-addressing table: slot
+     [i] of [slots] holds a weak pointer to a set, and [hashes.(i)] its
+     hash, or [-1] for a slot never used.  A probe walks from the hash's
+     home slot to the first unused one and calls [Weak.get] only on a
+     hash match.  A set is added to the young generation; a set found in
+     the old one is added to the young one too.  When half the young
+     generation's slots are used, the old generation is dropped and the
+     young one becomes old.  So a set the GC has not yet collected holds
+     a slot only until two turns pass without it being interned again,
+     however long the GC takes to reach it.
 
-    let hash = hash_elems
-  end
+     The new young generation is sized by how many sets of the dropped
+     one were still alive: twice the slots when more than a quarter were
+     (up to [max_slots]), half when fewer than one in sixteen were (down
+     to [min_slots]).  A short run keeps a small table; a compile server's
+     worker, whose large minor heap lets many dead sets look alive, tops
+     out at [max_slots]. *)
 
-  module Tbl = Hashtbl.Make (Key)
+  type generation = { slots : t Weak.t; hashes : int array; mutable used : int }
+  type shard = { mutable young : generation; mutable old : generation }
 
-  (* The cons table is {e domain-local} ([Domain.DLS]), seeded at spawn
-     with a copy of the parent's tables.  Interning is therefore lock-free
-     — this is the hottest operation in expansion, and a shared gated
-     table measurably serializes a domain pool.  Per-domain canonicity is
-     sound because scope sets never cross domains at runtime: a worker
-     inherits every representative the parent had already interned (so
-     sets reachable from split-copied state — core bindings, builtin
-     modules — stay pointer-canonical), and sets it interns afresh are
-     only ever compared against cross-domain sets by [subset]/[union],
-     which fall back to content merges when the pointer fast path misses.
-     Set ids still come off one process-wide atomic, so ids remain
-     globally unique and (symbol id, set id) memo keys never collide
-     across domains.  The [n_shards] split bounds per-table rehash cost. *)
   let n_shards = 16
+  let min_slots = 256
+  let max_slots = 4096
 
-  (* A shard's [Tbl] picks its bucket from the hash's low bits, so the
+  let new_generation n = { slots = Weak.create n; hashes = Array.make n (-1); used = 0 }
+  let new_shard () = { young = new_generation min_slots; old = new_generation min_slots }
+
+  (* A worker's copy: fresh weak arrays holding the same sets. *)
+  let copy_generation (g : generation) =
+    let n = Array.length g.hashes in
+    let slots = Weak.create n in
+    Weak.blit g.slots 0 slots 0 n;
+    { slots; hashes = Array.copy g.hashes; used = g.used }
+
+  (* A shard's table picks its home slot from the hash's low bits, so the
      shard index must come from other bits: taking it from the low four
-     would leave every shard using one bucket in sixteen.  The top bits of
-     a Fibonacci product depend on every bit of the hash. *)
+     would leave every shard using one slot in sixteen as a home.  The
+     top bits of a Fibonacci product depend on every bit of the hash. *)
   let shard_of (h : int) = ((h * 0x1E3779B97F4A7C15) lsr 59) land (n_shards - 1)
 
-  let shards_key : t Tbl.t array Domain.DLS.key =
+  let shards_key : shard array Domain.DLS.key =
     Domain.DLS.new_key
-      ~split_from_parent:(fun shards -> Array.map Tbl.copy shards)
-      (fun () -> Array.init n_shards (fun _ -> Tbl.create 4096))
+      ~split_from_parent:
+        (Array.map (fun sh -> { young = copy_generation sh.young; old = copy_generation sh.old }))
+      (fun () -> Array.init n_shards (fun _ -> new_shard ()))
 
   let next_id = Atomic.make 0
 
-  (** Number of distinct scope sets interned so far, process-wide
-      (diagnostics; content-equal sets interned by two domains count
-      twice, as they are distinct representatives). *)
   let interned_count () = Atomic.get next_id
+
+  let rec find (g : generation) (elems : elt array) (h : int) (i : int) =
+    let hi = g.hashes.(i) in
+    if hi < 0 then None
+    else if hi = h then
+      match Weak.get g.slots i with
+      | Some s as found when same_elems s.elems elems -> found
+      | _ -> find g elems h ((i + 1) land (Array.length g.hashes - 1))
+    else find g elems h ((i + 1) land (Array.length g.hashes - 1))
+
+  let find_in (g : generation) (elems : elt array) (h : int) =
+    find g elems h (h land (Array.length g.hashes - 1))
+
+  let put (g : generation) (s : t) =
+    let mask = Array.length g.hashes - 1 in
+    let rec free i = if g.hashes.(i) < 0 then i else free ((i + 1) land mask) in
+    let i = free (s.hash land mask) in
+    Weak.set g.slots i (Some s);
+    g.hashes.(i) <- s.hash;
+    g.used <- g.used + 1
+
+  (* Drop the old generation and make the young one old; the dropped
+     generation's arrays are cleared and reused when its size stays. *)
+  let turn (sh : shard) =
+    let g = sh.old in
+    let n = Array.length g.hashes in
+    let live = ref 0 in
+    Array.iteri (fun i h -> if h >= 0 && Weak.check g.slots i then incr live) g.hashes;
+    let n' =
+      if 4 * !live > n then min max_slots (2 * n)
+      else if 16 * !live < n then max min_slots (n / 2)
+      else n
+    in
+    let young =
+      if n' = n then begin
+        Weak.fill g.slots 0 n None;
+        Array.fill g.hashes 0 n (-1);
+        g.used <- 0;
+        g
+      end
+      else new_generation n'
+    in
+    sh.old <- sh.young;
+    sh.young <- young
+
+  let add_young (sh : shard) (s : t) =
+    if 2 * (sh.young.used + 1) > Array.length sh.young.hashes then turn sh;
+    put sh.young s
 
   (* [elems] must be strictly increasing and must never be mutated after
      this call. *)
-  let hashcons (elems : int array) : t =
+  let hashcons (elems : elt array) : t =
     let h = hash_elems elems in
-    let table = (Domain.DLS.get shards_key).(shard_of h) in
-    match Tbl.find_opt table elems with
+    let sh = (Domain.DLS.get shards_key).(shard_of h) in
+    match find_in sh.young elems h with
     | Some s -> s
-    | None ->
-        let s = { id = Atomic.fetch_and_add next_id 1; elems; hash = h } in
-        Tbl.add table elems s;
-        s
+    | None -> (
+        match find_in sh.old elems h with
+        | Some s ->
+            add_young sh s;
+            s
+        | None ->
+            let s = { id = Atomic.fetch_and_add next_id 1; elems; hash = h } in
+            add_young sh s;
+            s)
 
   let empty = hashcons [||]
 
-  (** Per-shard statistics of the calling domain's cons table. *)
-  let shard_stats () = Array.map Tbl.stats (Domain.DLS.get shards_key)
+  let iter_live (f : t -> unit) =
+    Array.iter
+      (fun sh ->
+        let seen = Hashtbl.create 64 in
+        List.iter
+          (fun g ->
+            Array.iteri
+              (fun i h ->
+                if h >= 0 then
+                  match Weak.get g.slots i with
+                  | Some s when not (Hashtbl.mem seen s.id) ->
+                      Hashtbl.add seen s.id ();
+                      f s
+                  | _ -> ())
+              g.hashes)
+          [ sh.young; sh.old ])
+      (Domain.DLS.get shards_key)
 
-  (* -- single-op memo --------------------------------------------------------
+  let live_count () =
+    let n = ref 0 in
+    iter_live (fun _ -> incr n);
+    !n
 
-     [(set id, scope, op)] → result set.  Lazy scope propagation pushes the
-     same one-scope delta onto many sibling nodes that share one interned
-     scope set, so the same (set, scope) pair recurs constantly; this memo
-     turns the repeat applications from an O(n) array copy + rehash into a
-     three-int table hit.  Both tables only grow, bounded by the number of
-     distinct (set, scope) pairs the expansion touches. *)
-
-  module OpKey = struct
-    type nonrec t = int * elt * int
-
-    let equal ((a, b, c) : t) ((x, y, z) : t) = a = x && b = y && c = z
-    let hash ((a, b, c) : t) = (((a * 0x01000193) lxor b) * 0x01000193) lxor c
-  end
-
-  module OpTbl = Hashtbl.Make (OpKey)
-
-  (* Domain-local: a pure cache over the shared cons table (values are
-     canonical representatives), so per-domain memoization is sound and
-     needs no locking.  Workers start with an empty memo and warm it as
-     they expand. *)
-  let op_table_key : t OpTbl.t Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> OpTbl.create 4096)
-
-  (* Below this cardinality the array copy + rehash is cheaper than the
-     memo probe + insert, so small sets go straight to the cons table. *)
-  let memo_threshold = 8
-
-  let memo_op (sid : int) (x : elt) (tag : int) (compute : unit -> t) : t =
-    let op_table = Domain.DLS.get op_table_key in
-    let key = (sid, x, tag) in
-    match OpTbl.find_opt op_table key with
-    | Some r -> r
-    | None ->
-        let r = compute () in
-        OpTbl.add op_table key r;
-        r
+  (* A home slot's "bucket" is the run of live sets whose hash picks it,
+     so the statistics read like a chained table's. *)
+  let shard_stats () =
+    Array.map
+      (fun sh ->
+        let n = max (Array.length sh.young.hashes) (Array.length sh.old.hashes) in
+        let lengths = Array.make n 0 in
+        List.iter
+          (fun g ->
+            Array.iteri
+              (fun i h ->
+                if h >= 0 && Weak.check g.slots i then
+                  lengths.(h land (n - 1)) <- lengths.(h land (n - 1)) + 1)
+              g.hashes)
+          [ sh.young; sh.old ];
+        let longest = Array.fold_left max 0 lengths in
+        let histogram = Array.make (longest + 1) 0 in
+        Array.iter (fun k -> histogram.(k) <- histogram.(k) + 1) lengths;
+        {
+          Hashtbl.num_bindings = Array.fold_left ( + ) 0 lengths;
+          num_buckets = n;
+          max_bucket_length = longest;
+          bucket_histogram = histogram;
+        })
+      (Domain.DLS.get shards_key)
 
   (* -- O(1) observers ------------------------------------------------------ *)
 
   let id (s : t) = s.id
   let hash (s : t) = s.hash
-  let equal (a : t) (b : t) = a == b
+  let equal (a : t) (b : t) = a == b || (a.hash = b.hash && same_elems a.elems b.elems)
   let compare (a : t) (b : t) = Int.compare a.id b.id
   let cardinal (s : t) = Array.length s.elems
   let is_empty (s : t) = Array.length s.elems = 0
@@ -190,11 +288,12 @@ module Set = struct
   (* -- membership / modification ------------------------------------------- *)
 
   (* Position of [x] in [a], or the insertion point encoded as [-(i+1)]. *)
-  let search (a : int array) (x : int) : int =
+  let search (a : elt array) (x : elt) : int =
+    let x = x.id in
     let lo = ref 0 and hi = ref (Array.length a - 1) and found = ref (-1) in
     while !found < 0 && !lo <= !hi do
       let mid = (!lo + !hi) / 2 in
-      let v = a.(mid) in
+      let v = a.(mid).id in
       if v = x then found := mid else if v < x then lo := mid + 1 else hi := mid - 1
     done;
     if !found >= 0 then !found else - !lo - 1
@@ -211,22 +310,17 @@ module Set = struct
 
   let add (x : elt) (s : t) : t =
     let i = search s.elems x in
-    if i >= 0 then s
-    else if Array.length s.elems < memo_threshold then add_build s i x
-    else memo_op s.id x 0 (fun () -> add_build s i x)
+    if i >= 0 then s else add_build s i x
 
   let remove_build (s : t) (i : int) : t =
     let n = Array.length s.elems in
-    let out = Array.make (n - 1) 0 in
-    Array.blit s.elems 0 out 0 i;
+    let out = Array.sub s.elems 0 (n - 1) in
     Array.blit s.elems (i + 1) out i (n - 1 - i);
     hashcons out
 
   let remove (x : elt) (s : t) : t =
     let i = search s.elems x in
-    if i < 0 then s
-    else if Array.length s.elems < memo_threshold then remove_build s i
-    else memo_op s.id x 1 (fun () -> remove_build s i)
+    if i < 0 then s else remove_build s i
 
   (** Symmetric difference on a single scope: used when applying a macro's
       introduction scope to its result (scopes present are removed, absent
@@ -246,8 +340,9 @@ module Set = struct
          &&
          let i = ref 0 and j = ref 0 and ok = ref true in
          while !ok && !i < la do
-           if !j >= lb || a.elems.(!i) < b.elems.(!j) then ok := false
-           else if a.elems.(!i) = b.elems.(!j) then begin
+           let x = a.elems.(!i).id in
+           if !j >= lb || x < b.elems.(!j).id then ok := false
+           else if x = b.elems.(!j).id then begin
              incr i;
              incr j
            end
@@ -263,7 +358,7 @@ module Set = struct
     else if is_empty a then b
     else begin
       let la = Array.length a.elems and lb = Array.length b.elems in
-      let tmp = Array.make (la + lb) 0 in
+      let tmp = Array.make (la + lb) a.elems.(0) in
       let i = ref 0 and j = ref 0 and k = ref 0 in
       while !i < la || !j < lb do
         let v =
@@ -277,10 +372,10 @@ module Set = struct
             v)
           else
             let x = a.elems.(!i) and y = b.elems.(!j) in
-            if x < y then (
+            if x.id < y.id then (
               incr i;
               x)
-            else if y < x then (
+            else if y.id < x.id then (
               incr j;
               y)
             else (
@@ -299,7 +394,7 @@ module Set = struct
   let fold f (s : t) acc = Array.fold_left (fun acc x -> f x acc) acc s.elems
 
   let of_list (l : elt list) : t =
-    let a = Array.of_list (List.sort_uniq Int.compare l) in
+    let a = Array.of_list (List.sort_uniq (fun (x : elt) y -> Int.compare x.id y.id) l) in
     hashcons a
 
   let to_string s = "{" ^ String.concat "," (List.map to_string (elements s)) ^ "}"

@@ -81,19 +81,19 @@ let apply_op op sc set =
 let rec apply_delta (d : delta) (set : Scope.Set.t) : Scope.Set.t =
   match d with [] -> set | (sc, op) :: rest -> apply_delta rest (apply_op op sc set)
 
-(* [assq]/[remove_assq] specialized to int scope keys: deltas are tiny
-   (almost always one entry), and the polymorphic-compare versions showed
-   up in profiles of the expansion inner loop. *)
+(* [assq]/[remove_assq] on scope identity: deltas are tiny (almost always
+   one entry), and the polymorphic-compare versions showed up in profiles
+   of the expansion inner loop. *)
 let rec delta_find (d : delta) (sc : Scope.t) : op option =
   match d with
   | [] -> None
-  | (sc', op) :: rest -> if Int.equal sc sc' then Some op else delta_find rest sc
+  | (sc', op) :: rest -> if Scope.equal sc sc' then Some op else delta_find rest sc
 
 let rec delta_remove (d : delta) (sc : Scope.t) : delta =
   match d with
   | [] -> []
   | ((sc', _) as hd) :: rest ->
-      if Int.equal sc sc' then rest else hd :: delta_remove rest sc
+      if Scope.equal sc sc' then rest else hd :: delta_remove rest sc
 
 (* Compose [first] (applied earlier) with one later op on scope [sc]. *)
 let compose1 (first : delta) (sc : Scope.t) (op : op) : delta =

@@ -129,9 +129,11 @@ let typed_context_prim =
 let define_type_prim =
   Value.prim "typed:define-type" (function
     | [ Value.Sym name; body ] ->
-        (* as [define-type] itself: the name first, so a recursive body parses *)
-        Types.define_name name Types.Any;
-        Types.define_name name (Types.of_datum (Value.to_datum body));
+        (* as [define-type] itself: the name first, so a recursive body
+           parses; ranked as an import, so the requiring module's own
+           definition of the name stands *)
+        Types.define_name ~import:true name Types.Any;
+        Types.define_name ~import:true name (Types.of_datum (Value.to_datum body));
         Value.Void
     | _ -> Value.error "typed:define-type: expects a name and a type datum")
 

@@ -160,8 +160,16 @@ let rec to_datum (t : t) : Datum.t =
    ([Check.types_table]): the module's own [define-type] puts it there,
    and so does the [typed:define-type] replay of each module it requires.
    So a name means what the module and its requires say, whatever else
-   the process compiled.  Self-reference is allowed: resolution is lazy. *)
-let define_name name t = Ct_store.set (name_key name) (Value.of_datum (to_datum t))
+   the process compiled.  As for bindings, the module's own definition
+   outranks every import of the name, in either order, and among imports
+   the later one wins.  Self-reference is allowed: resolution is lazy. *)
+let own_key name = "typed:own-type " ^ name
+
+let define_name ?(import = false) name t =
+  if not (import && Option.is_some (Ct_store.get (own_key name))) then begin
+    if not import then Ct_store.set (own_key name) (Value.Bool true);
+    Ct_store.set (name_key name) (Value.of_datum (to_datum t))
+  end
 
 let resolve_name name =
   match Ct_store.get (name_key name) with

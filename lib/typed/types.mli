@@ -44,7 +44,11 @@ exception Parse_error of string * Liblang_reader.Srcloc.t
     ({!Liblang_expander.Ct_store}), filled by the module's own definitions
     and by the replay of those of the modules it requires. *)
 
-val define_name : string -> t -> unit
+(** Define a type name in the current store.  With [~import:true] (the
+    replay of a required module's definition) it ranks as an import: it
+    replaces an earlier import of the name but never the module's own
+    definition, which replaces any import. *)
+val define_name : ?import:bool -> string -> t -> unit
 val resolve_name : string -> t
 
 (** Resolve through named types to a structural head (bounded). *)

@@ -20,17 +20,7 @@ module Observe = Core.Observe
 
 (* -- temp project dirs -------------------------------------------------------- *)
 
-let tmp_counter = ref 0
-
-let fresh_dir () =
-  incr tmp_counter;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "liblang-test-compiled-%d-%d" (Unix.getpid ()) !tmp_counter)
-  in
-  (try Unix.mkdir d 0o755 with Unix.Unix_error _ -> ());
-  d
+let fresh_dir () = fresh_dir "compiled"
 
 let write_file path s =
   let oc = open_out_bin path in
@@ -984,6 +974,129 @@ let type_names_per_module () =
         Alcotest.failf "-j 2 build %d: %s" i (Liblang_core.Pipeline.render_errors ds)
   done
 
+(* A module's own [define-type] outranks a required module's definition
+   of the name, whichever comes first, as a module-level definition
+   outranks every import of its name. *)
+let own_type_outranks_import () =
+  let dir = fresh_dir () in
+  ignore (file dir "n1.scm" "#lang typed/racket\n(define-type Num Float)\n(define x : Num 1.5)\n");
+  let before =
+    file dir "before.scm"
+      "#lang typed/racket\n(define-type Num String)\n(require \"n1.scm\")\n\
+       (define s : Num \"x\")\n(display s)\n"
+  and after =
+    file dir "after.scm"
+      "#lang typed/racket\n(require \"n1.scm\")\n(define-type Num String)\n\
+       (define s : Num \"y\")\n(display s)\n"
+  in
+  List.iter
+    (fun (mode, runs) ->
+      let out, diags = runs [ before; after ] in
+      check_b (mode ^ ": both orders typecheck") true (diags = [ "ok"; "ok" ]);
+      check_s (mode ^ ": both print") "xy" out)
+    (modes dir)
+
+(* A macro template in an artifact keeps the meaning it had where the
+   macro was made: [get-secret]'s [secret] is the definition its
+   macro-defining macro introduced, not the provider's own [secret] —
+   uncached, cold, warm, and with the client compiled from source against
+   the provider's artifact (test/corpus/macro-secret.scm).  A quoted
+   [secret] stays the symbol the source spelled, quasiquoted or not. *)
+let macro_template_keeps_meaning () =
+  let dir = fresh_dir () in
+  let cache = Filename.concat dir "cache" in
+  ignore
+    (file dir "lib.scm"
+       "#lang racket\n\
+        (define-syntax-rule (make-secret-macro get getq getqq) (begin (define secret 'macro-secret) \
+        (define-syntax-rule (get) secret) (define-syntax-rule (getq) 'secret) \
+        (define-syntax-rule (getqq) `(secret ,secret))))\n\
+        (make-secret-macro get-secret get-quoted get-qq)\n(define secret 'user-secret)\n\
+        (provide get-secret get-quoted get-qq)\n");
+  let client_text =
+    "#lang racket\n(require \"lib.scm\")\n(display (list (get-secret) (get-quoted) (get-qq)))\n"
+  in
+  let client = file dir "client.scm" client_text in
+  let want = "(macro-secret secret (secret macro-secret))" in
+  check_s "uncached" want (run_file client);
+  check_s "cold" want (run_file ~cache client);
+  let warm, c = run_measured ~cache client in
+  check_s "warm" want warm;
+  check_i "warm compiles nothing" 0 (compiles c);
+  ignore (file dir "client.scm" (client_text ^ "\n"));
+  let edited, c = run_measured ~cache client in
+  check_s "client edited" want edited;
+  check_i "only the client compiles" 1 (compiles c);
+  check_i "the provider loads from its artifact" 1 (hits c)
+
+(* -- memory: what a recompile leaves behind ----------------------------------
+
+   A module's scopes own its binders, the cons table holds scope sets
+   weakly and a binding carries its own denotation and cell, so nothing
+   keeps a module's expansion state once the module is gone.  Counts and
+   words, never times, are gated; each is read after a full major
+   collection. *)
+
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+(* Compiling one module 50 times, forgetting it in between, leaves as many
+   live scope sets and binder entries as compiling it once. *)
+let recompiles_leave_nothing () =
+  let dir = fresh_dir () in
+  let path =
+    file dir "m.scm"
+      "#lang racket\n(define-syntax-rule (twice e) (begin e e))\n\
+       (define-syntax-rule (swap! a b) (let ([tmp a]) (set! a b) (set! b tmp)))\n\
+       (define (f x) (let ([y (* 2 x)]) (let ([z (+ y 1)]) (list x y z))))\n\
+       (define p 1)\n(define q 2)\n(twice (swap! p q))\n(provide f)\n"
+  in
+  let cycle () =
+    Compiled.reset_session ();
+    ignore (Compiled.compile_file path);
+    Compiled.reset_session ();
+    ignore (live_words ());
+    (Core.Scope.Set.live_count (), Core.Binding.live_entries ())
+  in
+  let sets0, entries0 = cycle () in
+  for i = 2 to 50 do
+    let sets, entries = cycle () in
+    if sets > sets0 + 64 || entries > entries0 + 64 then
+      Alcotest.failf "cycle %d: %d live scope sets, %d binder entries (first cycle: %d, %d)" i
+        sets entries sets0 entries0
+  done
+
+(* The daemon workload's edits, in process: a 12-module diamond, depth 6,
+   one middle module edited and the program rerun 100 times.  The live
+   heap after edit 100 stays within 1.5x of the live heap after edit 10. *)
+let edits_do_not_grow_the_heap () =
+  let dir = fresh_dir () in
+  let n = 12 in
+  let root, sum = Genproj.generate ~dir ~shape:Genproj.Diamond ~n ~depth:6 () in
+  let files = Array.init n (fun i -> Filename.concat dir (Genproj.file_of i)) in
+  let texts = Array.map read_file files in
+  let cache = Filename.concat dir "cache" in
+  let run () =
+    match Prims.with_captured_output (fun () -> Liblang_core.Pipeline.run_file ~cache_dir:cache root) with
+    | out, Ok _ -> check_s "output" (string_of_int sum) out
+    | _, Error ds -> Alcotest.fail (Liblang_core.Pipeline.render_errors ds)
+  in
+  Compiled.reset_session ();
+  run ();
+  let rng = Random.State.make [| 24 |] in
+  let at10 = ref 0 in
+  for k = 1 to 100 do
+    let i = 1 + Random.State.int rng (n - 2) in
+    write_file files.(i) (texts.(i) ^ Printf.sprintf "(define edit-rev %d)\n" k);
+    ignore (Compiled.Resolver.invalidate_changed ());
+    run ();
+    if k = 10 then at10 := live_words ()
+  done;
+  let at100 = live_words () in
+  if float_of_int at100 > 1.5 *. float_of_int !at10 then
+    Alcotest.failf "live heap: %d words at edit 10, %d at edit 100" !at10 at100
+
 (* -- suite --------------------------------------------------------------------- *)
 
 let t name f = Alcotest.test_case name `Quick f
@@ -1091,6 +1204,7 @@ let import_shadowing () =
     cases
 
 let suite =
+  cleaning
   [
     t "file require: basic" file_require_basic;
     t "file require: relative to requiring file" file_require_relative_nesting;
@@ -1133,4 +1247,8 @@ let suite =
     t "type names follow the require graph" type_names_follow_requires;
     t "type names: each module its own definition" type_names_per_module;
     t "type names: a recursive type across a require" recursive_type_across_require;
+    t "type names: a module's own definition outranks an import's" own_type_outranks_import;
+    t "a macro template keeps its meaning in an artifact" macro_template_keeps_meaning;
+    t "memory: 50 recompiles leave no scope sets or binders behind" recompiles_leave_nothing;
+    t "memory: 100 edits do not grow the live heap" edits_do_not_grow_the_heap;
   ]

@@ -267,12 +267,7 @@ let expansion_views =
 let resolution_work =
   [
     Alcotest.test_case "resolution work per compile stays flat" `Quick (fun () ->
-        let dir = Filename.temp_dir "liblang-test-scan" "" in
-        let files = [ "lib.scm"; "main.scm" ] in
-        Fun.protect ~finally:(fun () ->
-            List.iter (fun f -> Sys.remove (Filename.concat dir f)) files;
-            Sys.rmdir dir)
-        @@ fun () ->
+        let dir = fresh_dir "scan" in
         let write name text =
           Out_channel.with_open_bin (Filename.concat dir name) (fun oc -> output_string oc text)
         in
@@ -302,4 +297,4 @@ let resolution_work =
 
 let suite =
   basics @ static_exports @ instantiation @ compiled_code @ fresh_stores @ expansion_views
-  @ resolution_work
+  @ cleaning resolution_work

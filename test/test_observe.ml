@@ -219,11 +219,7 @@ let check_self_sum ~root (c : Metrics.t) =
       Alcotest.failf "expected the one root %s, got [%s]" root
         (String.concat "; " (List.map (fun (s : Metrics.span) -> s.Metrics.name) spans))
 
-let temp_dir () =
-  let d = Filename.temp_file "liblang-observe" "" in
-  Sys.remove d;
-  Unix.mkdir d 0o755;
-  d
+let temp_dir () = fresh_dir "observe"
 
 (* A cached build of a small generated diamond, [jobs] workers, into a
    fresh store; returns the collector. *)
@@ -370,6 +366,7 @@ let off_leaves_no_residue () =
 (* -- suite -------------------------------------------------------------------- *)
 
 let suite =
+  cleaning
   [
     Alcotest.test_case "macro counters are exact" `Quick macro_counts_exact;
     Alcotest.test_case "recursive macro counters" `Quick recursive_macro_counts;

@@ -17,17 +17,7 @@ module P = Liblang_server.Protocol
 module Server = Liblang_server.Server
 module Client = Liblang_server.Client
 
-let tmp_counter = ref 0
-
-let fresh_dir () =
-  incr tmp_counter;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "liblang-test-server-%d-%d" (Unix.getpid ()) !tmp_counter)
-  in
-  (try Unix.mkdir d 0o755 with Unix.Unix_error _ -> ());
-  d
+let fresh_dir () = fresh_dir "server"
 
 let write_file path s =
   let oc = open_out_bin path in
@@ -646,6 +636,7 @@ let head_of_line_isolation () =
       Client.close cold)
 
 let suite =
+  cleaning
   [
     Alcotest.test_case "codec round-trips" `Quick codec_roundtrip;
     Alcotest.test_case "codec rejects malformed frames" `Quick codec_malformed;

@@ -6,6 +6,40 @@ let () = init ()
 
 let counter = ref 0
 
+(* -- temp project directories ---------------------------------------------------- *)
+
+let temp_dirs : string list ref = ref []
+
+let rec rm_rf (path : string) =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error _ -> ()
+
+(** A fresh directory under the system temp dir, removed with everything
+    in it when the test that made it ends (see {!cleaning}). *)
+let fresh_dir (tag : string) : string =
+  let d = Filename.temp_dir ("liblang-test-" ^ tag ^ "-") "" in
+  temp_dirs := d :: !temp_dirs;
+  d
+
+(** [tests], each removing the directories {!fresh_dir} made for it when
+    it ends, whether it passes or fails. *)
+let cleaning (tests : 'a Alcotest.test_case list) : 'a Alcotest.test_case list =
+  List.map
+    (fun (name, speed, f) ->
+      ( name,
+        speed,
+        fun x ->
+          Fun.protect
+            ~finally:(fun () ->
+              List.iter rm_rf !temp_dirs;
+              temp_dirs := [])
+            (fun () -> f x) ))
+    tests
+
 let fresh name =
   incr counter;
   Printf.sprintf "%s-t%d" name !counter

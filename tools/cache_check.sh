@@ -27,7 +27,14 @@
 #     again under run --engine vm, uncached and through the pass-1 store
 #     -- both must match the interpreter's uncached exit code and stdout
 #     byte-for-byte (the cached leg replays the artifact's core forms and
-#     lowers each form at its first evaluation; docs/backend.md).
+#     lowers each form at its first evaluation; docs/backend.md);
+#   edited clients: every file that requires another, in a copy of its
+#     directory, runs once through a fresh store, then gets a newline
+#     appended and runs again through that store -- so it compiles from
+#     source while what it requires loads from the store, the
+#     configuration of a compile server after an edit.  That run must
+#     exit with the same code and print byte-identical stdout and stderr
+#     as an uncached run of the edited file.
 #
 # Usage: tools/cache_check.sh [path/to/liblang.exe]   (from the repo root;
 # the script cd's there itself when invoked from elsewhere)
@@ -170,6 +177,39 @@ for f in $files; do
   done
 done
 
+# -- a client compiled from source against requires loaded from the store ----
+edited=0
+for f in $files; do
+  grep -q '(require "' "$f" || continue
+  rm -rf "$WORK/edit" "$WORK/cache-edit"
+  mkdir -p "$WORK/edit"
+  cp -R "$(dirname "$f")"/. "$WORK/edit"/
+  e="$WORK/edit/$(basename "$f")"
+  $RUN "$LIBLANG" run --fuel $FUEL --cache-dir "$WORK/cache-edit" "$e" </dev/null >/dev/null 2>&1
+  printf '\n' >>"$e"
+  for mode in uncached edited; do
+    case $mode in
+      uncached) set -- ;;
+      edited) set -- --cache-dir "$WORK/cache-edit" ;;
+    esac
+    $RUN "$LIBLANG" run --fuel $FUEL "$@" "$e" </dev/null >"$WORK/$mode.out" 2>"$WORK/$mode.err"
+    echo $? >"$WORK/$mode.code"
+  done
+  edited=$((edited + 1))
+  if ! cmp -s "$WORK/uncached.code" "$WORK/edited.code"; then
+    bad "$f: edited client exits $(cat "$WORK/edited.code") against the store, uncached $(cat "$WORK/uncached.code")"
+  fi
+  if ! cmp -s "$WORK/uncached.out" "$WORK/edited.out"; then
+    bad "$f: edited client output against the store diverges from uncached"
+  fi
+  if ! cmp -s "$WORK/uncached.err" "$WORK/edited.err"; then
+    bad "$f: edited client diagnostics against the store diverge from uncached"
+  fi
+done
+if [ "$edited" -eq 0 ]; then
+  bad "no file requires another: the edited-client leg ran nothing"
+fi
+
 # -- expand and analyze every file that compiled -----------------------------
 if [ -f "$WORK/ok" ]; then
   while IFS= read -r f; do
@@ -184,6 +224,6 @@ fi
 if [ "$fail" -eq 0 ]; then
   n=0
   [ -f "$WORK/ok" ] && n=$(wc -l <"$WORK/ok")
-  echo "cache_check OK: $n modules warm-loaded (serial and -j2, byte-identical stores); $runs files run uncached, cold and warm with identical output and diagnostics; $n expand and analyze; --engine vm runs agree"
+  echo "cache_check OK: $n modules warm-loaded (serial and -j2, byte-identical stores); $runs files run uncached, cold and warm with identical output and diagnostics; $edited edited clients run against the store as uncached; $n expand and analyze; --engine vm runs agree"
 fi
 exit "$fail"
