@@ -24,9 +24,10 @@
     The serialization is reader-parseable text — a header datum, then a
     body datum — so a corrupt or truncated artifact surfaces as an
     ordinary parse failure and degrades to a recompile (see {!Store}).
-    The header is read first: a version skew or a changed source is
-    decided before the body is parsed.  Artifacts carry no bytecode; the
-    VM lowers each form at its first evaluation. *)
+    The header is read first: a version skew, a changed source or a
+    changed require is decided before the body is parsed.  Artifacts
+    carry no bytecode; the VM lowers each form at its first
+    evaluation. *)
 
 module Datum = Liblang_reader.Datum
 module Reader = Liblang_reader.Reader
@@ -191,8 +192,8 @@ let last_index_of ~(sub : string) (s : string) : int option =
 (** Verify the {!integrity_marker} trailer: [Ok ()] iff the final
     trailer's digest matches the text preceding it.  A missing trailer is
     [Corrupt] too — callers that must not mistake {e old-format} artifacts
-    for damage should fall back to {!of_string}'s version check (the store
-    does; see [Store.read]). *)
+    for damage should fall back to {!read_header}'s version check (the
+    store does; see [Store.read_header]). *)
 let verify_integrity (text : string) : (unit, invalid) result =
   match last_index_of ~sub:("\n" ^ integrity_marker) text with
   | None -> Error (Corrupt "missing integrity trailer")
@@ -219,87 +220,103 @@ let parse_require (a : Datum.annot) : require_ref =
       File (expect_str "require" n, expect_str "require digest" d)
   | _ -> bad "bad require entry"
 
-(** Parse artifact text.  [Error] carries the reason the artifact cannot
-    be used.  The header datum is read first, and the body only if the
-    header admits it: an artifact of another format version is
-    [Version_skew], and one whose source digest is not [?source_digest]
-    (when given) is [Stale_source] — whatever follows the header.  So a
-    stale artifact costs one datum to reject, and a future format change
-    never surfaces as "corrupt". *)
-let of_string ?source_digest (text : string) : (t, invalid) result =
-  let parse next =
-    let fields =
-      match next () with
-      | Some { Datum.d = Datum.List (h :: fields); _ } when Datum.is_sym "liblang-artifact" h ->
-          fields
-      | _ -> bad "not a liblang-artifact"
-    in
-    let field_exn name =
-      match
-        List.find_opt
-          (fun (f : Datum.annot) ->
-            match f.Datum.d with Datum.List (k :: _) -> Datum.is_sym name k | _ -> false)
-          fields
-      with
-      | Some f -> f
-      | None -> bad "missing field %s" name
-    in
-    let str_field name =
-      match (field_exn name).Datum.d with
-      | Datum.List [ _; v ] -> expect_str name v
-      | _ -> bad "bad field %s" name
-    in
-    let list_field name parse =
-      match (field_exn name).Datum.d with
-      | Datum.List (_ :: xs) -> List.map parse xs
-      | _ -> bad "bad %s field" name
-    in
-    let version =
-      match (field_exn "version").Datum.d with
-      | Datum.List [ _; { d = Datum.Atom (Datum.Int v); _ } ] -> v
-      | _ -> bad "bad version field"
-    in
-    if version <> format_version then Error (Version_skew version)
-    else
-      let digest = str_field "source-digest" in
-      match source_digest with
-      | Some d when not (String.equal d digest) -> Error Stale_source
-      | _ ->
-          let requires = list_field "requires" parse_require in
-          let exports = list_field "exports" (expect_str "export") in
-          let links =
-            list_field "links" (fun (l : Datum.annot) ->
-                match l.Datum.d with
-                | Datum.List [ n; k; o ] ->
-                    (expect_str "link alias" n, expect_str "link module" k, expect_str "link name" o)
-                | _ -> bad "bad link entry")
-          in
-          let renames =
-            list_field "renames" (fun (r : Datum.annot) ->
-                match r.Datum.d with
-                | Datum.List [ w; n ] -> (expect_str "renamed binder" w, expect_str "source name" n)
-                | _ -> bad "bad renames entry")
-          in
-          let core_forms =
-            match next () with
-            | Some { Datum.d = Datum.List (h :: forms); _ } when Datum.is_sym "body" h -> forms
-            | _ -> bad "missing body section (truncated?)"
-          in
-          if Option.is_some (next ()) then bad "unexpected datum after the body";
-          Ok
-            {
-              version;
-              mod_name = str_field "module";
-              lang = str_field "lang";
-              source_digest = digest;
-              requires;
-              exports;
-              links;
-              renames;
-              core_forms;
-            }
-  in
-  match Reader.with_cursor ~file:"<artifact>" text parse with
+(** An artifact read as far as its header: every field but the body,
+    which {!read_body} reads from the same text. *)
+type header = {
+  art : t;  (** [core_forms] is empty until {!read_body} *)
+  text : string;
+  head : Datum.annot;  (** the header datum; the body follows it *)
+}
+
+(* Run [f] as one read of [text]; a reader or shape error is [Corrupt]. *)
+let reading ?after text f =
+  match Reader.with_cursor ~file:"<artifact>" ?after text f with
   | r -> r
   | exception Reader.Error (m, _) -> Error (Corrupt m)
   | exception Bad m -> Error (Corrupt m)
+
+(** Read the header datum of artifact text.  [Error] carries the reason
+    the artifact cannot be used: one of another format version is
+    [Version_skew], and one whose source digest is not [?source_digest]
+    (when given) is [Stale_source] — whatever follows the header.  So a
+    stale artifact costs one datum to reject, its requires can be checked
+    before its body is read, and a future format change never surfaces
+    as "corrupt". *)
+let read_header ?source_digest (text : string) : (header, invalid) result =
+  reading text @@ fun next ->
+  let head, fields =
+    match next () with
+    | Some ({ Datum.d = Datum.List (h :: fields); _ } as head) when Datum.is_sym "liblang-artifact" h
+      ->
+        (head, fields)
+    | _ -> bad "not a liblang-artifact"
+  in
+  let field_exn name =
+    match
+      List.find_opt
+        (fun (f : Datum.annot) ->
+          match f.Datum.d with Datum.List (k :: _) -> Datum.is_sym name k | _ -> false)
+        fields
+    with
+    | Some f -> f
+    | None -> bad "missing field %s" name
+  in
+  let str_field name =
+    match (field_exn name).Datum.d with
+    | Datum.List [ _; v ] -> expect_str name v
+    | _ -> bad "bad field %s" name
+  in
+  let list_field name parse =
+    match (field_exn name).Datum.d with
+    | Datum.List (_ :: xs) -> List.map parse xs
+    | _ -> bad "bad %s field" name
+  in
+  let version =
+    match (field_exn "version").Datum.d with
+    | Datum.List [ _; { d = Datum.Atom (Datum.Int v); _ } ] -> v
+    | _ -> bad "bad version field"
+  in
+  if version <> format_version then Error (Version_skew version)
+  else
+    let digest = str_field "source-digest" in
+    match source_digest with
+    | Some d when not (String.equal d digest) -> Error Stale_source
+    | _ ->
+        let art =
+          {
+            version;
+            mod_name = str_field "module";
+            lang = str_field "lang";
+            source_digest = digest;
+            requires = list_field "requires" parse_require;
+            exports = list_field "exports" (expect_str "export");
+            links =
+              list_field "links" (fun (l : Datum.annot) ->
+                  match l.Datum.d with
+                  | Datum.List [ n; k; o ] ->
+                      (expect_str "link alias" n, expect_str "link module" k, expect_str "link name" o)
+                  | _ -> bad "bad link entry");
+            renames =
+              list_field "renames" (fun (r : Datum.annot) ->
+                  match r.Datum.d with
+                  | Datum.List [ w; n ] -> (expect_str "renamed binder" w, expect_str "source name" n)
+                  | _ -> bad "bad renames entry");
+            core_forms = [];
+          }
+        in
+        Ok { art; text; head }
+
+(** Read the body that follows [h]'s header: the whole artifact. *)
+let read_body (h : header) : (t, invalid) result =
+  reading ~after:h.head h.text @@ fun next ->
+  let core_forms =
+    match next () with
+    | Some { Datum.d = Datum.List (b :: forms); _ } when Datum.is_sym "body" b -> forms
+    | _ -> bad "missing body section (truncated?)"
+  in
+  if Option.is_some (next ()) then bad "unexpected datum after the body";
+  Ok { h.art with core_forms }
+
+(** Parse artifact text: {!read_header}, then {!read_body}. *)
+let of_string ?source_digest (text : string) : (t, invalid) result =
+  Result.bind (read_header ?source_digest text) read_body

@@ -179,13 +179,14 @@ let rec try_artifact (store : Store.t) ~key ~source_digest : Modsys.t option =
     Store.count_stale key reason;
     None
   in
-  (* a changed source is rejected from the header, before the body parses *)
-  match Store.read store ~key ~source_digest with
+  (* a changed source or require is rejected from the header, before
+     the body parses *)
+  match Store.read_header store ~key ~source_digest with
   | Error Artifact.Missing ->
       Store.count_miss ();
       None
   | Error reason -> stale reason
-  | Ok (a, _digest) -> (
+  | Ok header -> (
       (* transitive invalidation: every required file module must
          re-resolve to an artifact whose digest matches the recorded
          one; required builtins must (still) exist *)
@@ -206,19 +207,21 @@ let rec try_artifact (store : Store.t) ~key ~source_digest : Modsys.t option =
                    the real diagnostic (or succeed, if the artifact lied) *)
                 Some (Artifact.Stale_require rkey))
       in
-      match List.find_map check_require a.Artifact.requires with
+      match List.find_map check_require header.Artifact.art.Artifact.requires with
       | Some reason -> stale reason
       | None -> (
-          (* the artifact is valid; if rebuilding a live module from it
-             still fails (e.g. a link target vanished because its module
-             was recompiled by a cache-less session), degrade to a
-             recompile — an unusable artifact is never an error *)
-          match Loader.load a with
-          | m ->
-              Store.count_hit ();
-              Some m
-          | exception e ->
-              stale (Artifact.Load_failed (Printexc.to_string e))))
+          match Store.read_body store ~key header with
+          | Error reason -> stale reason
+          | Ok (a, _digest) -> (
+              (* the artifact is valid; if rebuilding a live module from
+                 it still fails (e.g. a link target vanished because its
+                 module was recompiled by a cache-less session), degrade
+                 to a recompile — an unusable artifact is never an error *)
+              match Loader.load a with
+              | m ->
+                  Store.count_hit ();
+                  Some m
+              | exception e -> stale (Artifact.Load_failed (Printexc.to_string e)))))
 
 (** Acquire the file module for [key] (an absolute, normalized path):
     reuse it if already acquired and unchanged, else load it from a valid

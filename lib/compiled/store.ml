@@ -194,16 +194,16 @@ let note_corrupt (s : t) ~(key : string) ~(path : string)
   end;
   reason
 
-(** Read and parse [key]'s artifact, verifying its integrity trailer
-    first (a torn or bit-flipped artifact is caught before — or instead
-    of — parsing).  On success also memoizes its identity digest.  An
-    artifact recorded for other source text than [source_digest] is
-    [Stale_source] before its body is parsed ({!Artifact.of_string}); its
-    requires are the resolver's to check (it owns recursive require
-    resolution).  Repeatedly corrupt artifacts are quarantined (see
+(** Read [key]'s artifact as far as its header, verifying its integrity
+    trailer over the whole text first (a torn or bit-flipped artifact is
+    caught before — or instead of — parsing).  An artifact recorded for
+    other source text than [source_digest] is [Stale_source]
+    ({!Artifact.read_header}); its requires are the resolver's to check
+    (it owns recursive require resolution) before it reads the body with
+    {!read_body}.  Repeatedly corrupt artifacts are quarantined (see
     {!note_corrupt}). *)
-let read (s : t) ~(key : string) ~(source_digest : string) :
-    (Artifact.t * string, Artifact.invalid) result =
+let read_header (s : t) ~(key : string) ~(source_digest : string) :
+    (Artifact.header, Artifact.invalid) result =
   Fault.check_deadline ();
   let path = artifact_path s key in
   if not (Sys.file_exists path) then Error Artifact.Missing
@@ -215,26 +215,33 @@ let read (s : t) ~(key : string) ~(source_digest : string) :
         match slurp path with
         | exception Sys_error m -> Error (Artifact.Unreadable m)
         | text -> (
-            let parse () =
-              match Artifact.of_string ~source_digest text with
-              | Error (Artifact.Corrupt _ as r) -> Error (note_corrupt s ~key ~path r)
-              | Error reason -> Error reason
-              | Ok a ->
-                  let digest = Digest_util.of_string text in
-                  locked s (fun () ->
-                      Hashtbl.replace s.digests key digest;
-                      Hashtbl.remove s.corrupt_reads key);
-                  Ok (a, digest)
-            in
             match Artifact.verify_integrity text with
-            | Ok () -> parse ()
+            | Ok () -> (
+                match Artifact.read_header ~source_digest text with
+                | Error (Artifact.Corrupt _ as r) -> Error (note_corrupt s ~key ~path r)
+                | r -> r)
             | Error integrity_reason -> (
                 (* distinguish old-format artifacts (which predate the
                    trailer) from damage: version skew must never surface
                    as corrupt, and must not feed quarantine *)
-                match Artifact.of_string text with
+                match Artifact.read_header text with
                 | Error (Artifact.Version_skew _ as r) -> Error r
                 | _ -> Error (note_corrupt s ~key ~path integrity_reason))))
+
+(** Read the body of [h], [key]'s artifact as {!read_header} left it.  On
+    success also memoizes the artifact's identity digest. *)
+let read_body (s : t) ~(key : string) (h : Artifact.header) :
+    (Artifact.t * string, Artifact.invalid) result =
+  Trace.span "artifact-read" ~detail:key @@ fun () ->
+  match Artifact.read_body h with
+  | Error (Artifact.Corrupt _ as r) -> Error (note_corrupt s ~key ~path:(artifact_path s key) r)
+  | Error reason -> Error reason
+  | Ok a ->
+      let digest = Digest_util.of_string h.Artifact.text in
+      locked s (fun () ->
+          Hashtbl.replace s.digests key digest;
+          Hashtbl.remove s.corrupt_reads key);
+      Ok (a, digest)
 
 (* -- writing ----------------------------------------------------------------- *)
 

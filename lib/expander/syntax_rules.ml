@@ -15,7 +15,10 @@ module Symbol = Liblang_symbol.Symbol
 
 exception Bad_syntax of string * Stx.t
 
-type rule = { pattern : Stx.t; template : Stx.t }
+type rule = {
+  pattern : Stx.t;  (** its head identifier already replaced by [_] ({!parse}) *)
+  template : Stx.t;
+}
 
 type t = { literals : Stx.t list; rules : rule list; name : string }
 
@@ -34,19 +37,23 @@ let is_literal literals id =
 
 (* -- matching -------------------------------------------------------------- *)
 
-let rec match_pattern literals (pat : Stx.t) (s : Stx.t) : menv option =
+(* [match_pattern literals pat s env]: the bindings [s] gives [pat]'s
+   variables, in pattern order, ahead of [env]; [None] if [s] does not
+   match.  A sequence is matched from its last element to its first, so
+   each element's bindings go on the front of what the later ones bound. *)
+let rec match_pattern literals (pat : Stx.t) (s : Stx.t) (env : menv) : menv option =
   match Stx.view pat with
-  | Stx.Id name when Symbol.equal name sym_underscore -> Some []
+  | Stx.Id name when Symbol.equal name sym_underscore -> Some env
   | Stx.Id _ when is_literal literals pat ->
-      if Stx.is_id s && Binding.free_identifier_eq pat s then Some [] else None
-  | Stx.Id name -> Some [ (name, One s) ]
+      if Stx.is_id s && Binding.free_identifier_eq pat s then Some env else None
+  | Stx.Id name -> Some ((name, One s) :: env)
   | Stx.Atom a -> (
       match Stx.view s with
-      | Stx.Atom b when Liblang_reader.Datum.atom_equal a b -> Some []
+      | Stx.Atom b when Liblang_reader.Datum.atom_equal a b -> Some env
       | _ -> None)
   | Stx.List pats -> (
       match Stx.view s with
-      | Stx.List elems -> match_list literals pats elems
+      | Stx.List elems -> match_list literals pats elems env
       | _ -> None)
   | Stx.DotList (pats, tailpat) -> (
       (* (p1 p2 . tail) can match both dotted and proper input *)
@@ -57,9 +64,9 @@ let rec match_pattern literals (pat : Stx.t) (s : Stx.t) : menv option =
           else
             let front = List.filteri (fun i _ -> i < n) elems in
             let back = List.filteri (fun i _ -> i >= n) elems in
-            combine_envs
+            Option.bind
+              (match_pattern literals tailpat (Stx.list ~loc:(Stx.loc s) back) env)
               (match_list literals pats front)
-              (match_pattern literals tailpat (Stx.list ~loc:(Stx.loc s) back))
       | Stx.DotList (elems, tl) ->
           let n = List.length pats in
           if List.length elems < n then None
@@ -69,18 +76,16 @@ let rec match_pattern literals (pat : Stx.t) (s : Stx.t) : menv option =
             let tail_stx =
               if back = [] then tl else Stx.mk ~loc:(Stx.loc s) (Stx.DotList (back, tl))
             in
-            combine_envs (match_list literals pats front) (match_pattern literals tailpat tail_stx)
+            Option.bind (match_pattern literals tailpat tail_stx env) (match_list literals pats front)
       | _ -> None)
   | Stx.Vec pats -> (
       match Stx.view s with
-      | Stx.Vec elems -> match_list literals pats elems
+      | Stx.Vec elems -> match_list literals pats elems env
       | _ -> None)
 
-and combine_envs a b = match (a, b) with Some x, Some y -> Some (x @ y) | _ -> None
-
-and match_list literals (pats : Stx.t list) (elems : Stx.t list) : menv option =
+and match_list literals (pats : Stx.t list) (elems : Stx.t list) (env : menv) : menv option =
   match pats with
-  | [] -> if elems = [] then Some [] else None
+  | [] -> if elems = [] then Some env else None
   | p :: rest when rest <> [] && is_ellipsis (List.hd rest) ->
       (* p ... tail-pats *)
       let tail_pats = List.tl rest in
@@ -90,32 +95,26 @@ and match_list literals (pats : Stx.t list) (elems : Stx.t list) : menv option =
       else
         let rep = List.filteri (fun i _ -> i < n_rep) elems in
         let tail = List.filteri (fun i _ -> i >= n_rep) elems in
-        let sub_envs = List.map (fun e -> match_pattern literals p e) rep in
+        Option.bind (match_list literals tail_pats tail env) @@ fun env ->
+        let sub_envs = List.map (fun e -> match_pattern literals p e []) rep in
         if List.exists Option.is_none sub_envs then None
         else
           let sub_envs = List.map Option.get sub_envs in
-          let vars = pattern_vars literals p in
-          let seq_env =
-            List.map
-              (fun v ->
-                ( v,
-                  Seq
-                    (List.map
-                       (fun env ->
-                         match List.assoc_opt v env with
-                         | Some m -> m
-                         | None ->
-                             raise
-                               (Bad_syntax
-                                  ("syntax-rules: internal var " ^ Symbol.name v, p)))
-                       sub_envs) ))
-              vars
+          let seq v =
+            Seq
+              (List.map
+                 (fun sub ->
+                   match List.assoc_opt v sub with
+                   | Some m -> m
+                   | None ->
+                       raise (Bad_syntax ("syntax-rules: internal var " ^ Symbol.name v, p)))
+                 sub_envs)
           in
-          combine_envs (Some seq_env) (match_list literals tail_pats tail)
+          Some (List.fold_right (fun v env -> (v, seq v) :: env) (pattern_vars literals p) env)
   | p :: rest -> (
       match elems with
       | [] -> None
-      | e :: more -> combine_envs (match_pattern literals p e) (match_list literals rest more))
+      | e :: more -> Option.bind (match_list literals rest more env) (match_pattern literals p e))
 
 and pattern_vars literals (pat : Stx.t) : Symbol.t list =
   match Stx.view pat with
@@ -200,7 +199,16 @@ and expand_ellipsis env (t : Stx.t) (depth : int) : Stx.t list =
 
 (* -- the transformer --------------------------------------------------------- *)
 
-(** Parse [(syntax-rules (lit ...) [pattern template] ...)]. *)
+(* [pattern] with its head identifier replaced by [_], so a use matches
+   whatever keyword it is written with (the macro's own name included). *)
+let ignore_head (pattern : Stx.t) : Stx.t =
+  match Stx.view pattern with
+  | Stx.List (hd :: rest) when Stx.is_id hd ->
+      Stx.rewrap pattern (Stx.List (Stx.rewrap hd (Stx.Id sym_underscore) :: rest))
+  | _ -> pattern
+
+(** Parse [(syntax-rules (lit ...) [pattern template] ...)].  The leading
+    identifier of each pattern is ignored (standard behavior). *)
 let parse ~name (form : Stx.t) : t =
   match Stx.to_list form with
   | Some (_kw :: lits :: rules) ->
@@ -211,30 +219,20 @@ let parse ~name (form : Stx.t) : t =
       in
       let parse_rule r =
         match Stx.to_list r with
-        | Some [ pattern; template ] -> { pattern; template }
+        | Some [ pattern; template ] -> { pattern = ignore_head pattern; template }
         | _ -> raise (Bad_syntax ("syntax-rules: expected [pattern template]", r))
       in
       { literals; rules = List.map parse_rule rules; name }
   | _ -> raise (Bad_syntax ("syntax-rules: bad form", form))
 
-(** Apply a [syntax-rules] transformer to a use-site form.  The leading
-    identifier of each pattern is ignored (standard behavior). *)
+(** Apply a [syntax-rules] transformer to a use-site form: the first rule
+    whose pattern matches it gives the expansion. *)
 let apply (sr : t) (form : Stx.t) : Stx.t =
-  let try_rule { pattern; template } =
-    let pattern' =
-      (* replace the head of the pattern with _ so the macro name matches itself *)
-      match Stx.view pattern with
-      | Stx.List (hd :: rest) when Stx.is_id hd ->
-          Stx.rewrap pattern
-            (Stx.List (Stx.rewrap hd (Stx.Id sym_underscore) :: rest))
-      | _ -> pattern
-    in
-    match match_pattern sr.literals pattern' form with
-    | Some env -> Some (instantiate env template)
-    | None -> None
-  in
   let rec go = function
     | [] -> raise (Bad_syntax (sr.name ^ ": no matching syntax-rules pattern", form))
-    | r :: rest -> ( match try_rule r with Some out -> out | None -> go rest)
+    | { pattern; template } :: rest -> (
+        match match_pattern sr.literals pattern form [] with
+        | Some env -> instantiate env template
+        | None -> go rest)
   in
   go sr.rules

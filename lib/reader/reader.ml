@@ -388,12 +388,23 @@ let read_one ?file src =
 module Metrics = Liblang_observe.Metrics
 module Trace = Liblang_observe.Trace
 
+(* Move [st] just past [d], a datum read from [st]'s source: to where
+   reading [d] left the position, line and column. *)
+let skip_past st (d : Datum.annot) =
+  st.pos <- d.loc.pos;
+  st.line <- d.loc.line;
+  st.col <- d.loc.col;
+  for _ = 1 to d.loc.span do
+    advance st
+  done
+
 (* Run [k] with [src]'s reader state and a function that reads its next
    datum on each call ([None] at the end), as one accounted read. *)
-let cursor ?file src k =
+let cursor ?file ?after src k =
   Trace.span "read" ?detail:file @@ fun () ->
   Metrics.count "reader.reads";
   let st = make_state ?file src in
+  Option.iter (skip_past st) after;
   let n = ref 0 in
   let r =
     k st (fun () ->
@@ -406,7 +417,7 @@ let cursor ?file src k =
 
 (** Run [k] with a function that reads [src]'s next datum on each call
     ([None] at the end), as one accounted read. *)
-let with_cursor ?file src k = cursor ?file src (fun _ next -> k next)
+let with_cursor ?file ?after src k = cursor ?file ?after src (fun _ next -> k next)
 
 (** Read all datums from [src]. *)
 let read_all ?file src =

@@ -19,8 +19,13 @@ val read_all : ?file:string -> string -> Datum.annot list
 (** [with_cursor src k] runs [k] with a function that reads [src]'s next
     datum on each call ([None] at the end of input), accounted like one
     {!read_all}.  A caller can stop early: an artifact reads its header
-    and skips the body when the header already rules it out. *)
-val with_cursor : ?file:string -> string -> ((unit -> Datum.annot option) -> 'a) -> 'a
+    and skips the body when the header already rules it out.  With
+    [~after:d], where [d] is a datum an earlier cursor read from [src],
+    reading starts just past [d], with the lines and columns of a cursor
+    that had read it: an artifact reads its body that way once its
+    header has been checked. *)
+val with_cursor :
+  ?file:string -> ?after:Datum.annot -> string -> ((unit -> Datum.annot option) -> 'a) -> 'a
 
 (** Read all datums with datum-level error recovery: parse errors are
     collected (in source order, capped at [max_errors], default 25) and

@@ -78,6 +78,19 @@ type config = {
 let default_workers () : int =
   max 1 (min 4 (Domain.recommended_domain_count () - 1))
 
+(** Each request worker's minor heap, in words: 4M words, 32 MB.  An edit
+    of the [daemon] benchmark's project allocates about 0.57M words, and
+    the warm runs between edits fill the same nursery, so a smaller one
+    collects in the middle of more edits: at 1M and 2M words, which hold
+    one edit, the median edit was 3–5% slower (docs/server.md, "Memory").
+    [test_compiled.ml] checks that an edit still fits. *)
+let worker_minor_heap_words = 1 lsl 22
+
+(* Run first on every worker domain, replacements included: [Gc.set] is
+   per-domain and [Domain.spawn] does not pass it on. *)
+let size_worker_heap () =
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = worker_minor_heap_words }
+
 type job_state = Queued | Running
 
 type conn = {
@@ -342,8 +355,8 @@ let run_job (job : job) : unit =
    containment: an injected [server.worker] fault, stack overflow, OOM).
    Answer the request with exit 2 and retire it; the pool then replaces
    the worker from the dying domain, so the slot's sessions keep their
-   live modules (namespace cells, denotations) and stay warm.  Workers
-   run no start-up code that could kill them before their first job. *)
+   live modules (namespace cells, denotations) and stay warm.  A
+   worker's only start-up code sizes its minor heap. *)
 let worker_died (e : exn) : job option -> unit = function
   | None -> ()
   | Some job ->
@@ -707,7 +720,8 @@ let serve ?(on_ready = fun (_ : t) -> ()) (cfg : config) : unit =
       mmu = Mutex.create ();
       started = Unix.gettimeofday ();
       pool =
-        Parallel.Pool.create ~workers:(max 1 cfg.workers) ~on_death:worker_died ~run:run_job ();
+        Parallel.Pool.create ~workers:(max 1 cfg.workers) ~on_start:size_worker_heap
+          ~on_death:worker_died ~run:run_job ();
       mu = Mutex.create ();
       conns = [];
       sessions_total = 0;

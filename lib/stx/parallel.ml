@@ -20,6 +20,10 @@
     zero workers spawns nothing, opens no gate and takes no lock: its jobs
     run on the calling domain.
 
+    The pool sets no GC policy: every worker runs on the default minor
+    heap.  A caller that wants another sets it in [on_start] — the
+    compile server's worker does (docs/server.md, "Memory").
+
     The module also hosts the pool-level counters ({!tasks}, {!lock_waits})
     that builds report as the [par.tasks] / [par.lock_waits] metrics. *)
 
@@ -29,18 +33,6 @@ let activations = Atomic.make 0
 let[@inline] active () = Atomic.get activations > 0
 let enter () = Atomic.incr activations
 let leave () = Atomic.decr activations
-
-(* Per-worker-domain GC tuning, run first by every pool worker.  OCaml 5
-   minor collections are stop-the-world across every running domain, so N
-   allocation-heavy expanders on default-size nurseries spend most of
-   their time in global sync pauses (measured ~4x per-module CPU
-   inflation at -j4).  A larger per-worker minor heap amortizes the sync
-   points.  [Gc.set] is per-domain and does not propagate through
-   [Domain.spawn], so each worker calls this itself, first thing. *)
-let tune_worker_gc () : unit =
-  let g = Gc.get () in
-  if g.Gc.minor_heap_size < 4 * 1024 * 1024 then
-    Gc.set { g with Gc.minor_heap_size = 4 * 1024 * 1024 }
 
 (* -- pool counters ----------------------------------------------------------
 
@@ -137,7 +129,6 @@ module Pool = struct
         Condition.broadcast p.changed)
 
   and worker p slot () =
-    tune_worker_gc ();
     match p.on_start () with
     | exception e ->
         (try p.on_death e None with _ -> ());

@@ -142,14 +142,14 @@ let kernel_parity name =
    the pipeline's fuel so the divergent ones stop. *)
 let corpus_parity () =
   let files =
-    Sys.readdir "corpus" |> Array.to_list
+    Sys.readdir corpus |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".scm")
     |> List.sort compare
   in
   let expanded =
     List.filter_map
       (fun f ->
-        match Pipeline.contain (fun () -> Compiled.expand_file (Filename.concat "corpus" f)) with
+        match Pipeline.contain (fun () -> Compiled.expand_file (Filename.concat corpus f)) with
         | Ok forms -> Some (f, forms)
         | Error _ -> None)
       files

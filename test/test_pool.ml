@@ -128,6 +128,25 @@ let all_workers_die_at_start () =
   check_b "every worker died, holding no job" true (!deaths = [ None; None; None ]);
   check_b "stop returns the stranded jobs" true (List.sort compare stranded = [ 1; 2; 3; 4 ])
 
+(** The pool sets no GC policy: a job runs on the minor heap a plain
+    [Domain.spawn]ed domain gets. *)
+let workers_keep_the_default_minor_heap () =
+  let spawned = Domain.join (Domain.spawn (fun () -> (Gc.get ()).Gc.minor_heap_size)) in
+  let m = Mutex.create () and seen = ref [] in
+  let p =
+    Pool.create ~workers:2 ~on_death:no_death
+      ~run:(fun () -> record m seen (Gc.get ()).Gc.minor_heap_size)
+      ()
+  in
+  with_test_alarm 30 (fun () ->
+      for slot = 0 to 1 do
+        Pool.submit p ~slot ()
+      done;
+      check_b "quiesced" true (Pool.quiesce p);
+      check_b "nothing stranded" true (Pool.stop p = []));
+  check_i "both jobs ran" 2 (List.length !seen);
+  List.iter (check_i "a worker's minor heap is a spawned domain's" spawned) !seen
+
 let suite =
   [
     Alcotest.test_case "pool: per-slot FIFO" `Quick per_slot_fifo;
@@ -135,4 +154,6 @@ let suite =
     Alcotest.test_case "pool: jobs submitted from jobs" `Quick jobs_submit_jobs;
     Alcotest.test_case "pool: replacement keeps DLS" `Quick replacement_keeps_dls;
     Alcotest.test_case "pool: all workers die at start" `Quick all_workers_die_at_start;
+    Alcotest.test_case "pool: workers keep the default minor heap" `Quick
+      workers_keep_the_default_minor_heap;
   ]

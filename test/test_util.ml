@@ -6,6 +6,10 @@ let () = init ()
 
 let counter = ref 0
 
+(** [test/corpus], beside the test executable (dune copies it there), so
+    the suite finds it from any working directory. *)
+let corpus = Filename.concat (Filename.dirname Sys.executable_name) "corpus"
+
 (* -- temp project directories ---------------------------------------------------- *)
 
 let temp_dirs : string list ref = ref []
