@@ -10,11 +10,12 @@
 
 let of_string (s : string) : string = Digest.to_hex (Digest.string s)
 
-(** Digest of a file's bytes; [None] when the file cannot be read. *)
-let of_file (path : string) : string option =
-  match Digest.file path with
-  | d -> Some (Digest.to_hex d)
-  | exception Sys_error _ -> None
+(** Digest of [len] bytes of [s] from [pos], hashed in place. *)
+let of_substring (s : string) (pos : int) (len : int) : string =
+  Digest.to_hex (Digest.substring s pos len)
+
+let of_subbytes (b : bytes) (pos : int) (len : int) : string =
+  Digest.to_hex (Digest.subbytes b pos len)
 
 (** A short prefix for trace/log lines (full digests are noisy). *)
 let short (d : string) : string =

@@ -12,17 +12,20 @@
     - [#%require] re-binds the required module's exports (the required
       module itself was already resolved by {!Resolver} while validating
       the artifact's transitive digests);
-    - [define-values] binds each id's written name now, to a binding
-      carrying the source name (the artifact's [renames]), and
-      {e defers} compiling its right-hand side to first instantiation
-      ({!Modsys.CLazy}).  Forcing compiles the datum with
+    - [define-values] binds each id's written name now, from the
+      artifact's index, to a binding carrying the source name (the
+      artifact's [renames]), and {e defers} its right-hand side to first
+      instantiation ({!Modsys.CLazy}), as it does each top-level
+      expression.  Forcing reads the form's byte range of the artifact
+      text ({!Artifact.read_deferred}) and compiles the datum with
       {!Compile.compile_datum}: a name bound by an enclosing binder in the
       datum is that local, and any other name resolves once per load in
       the module context plus the artifact's [links].  Compile-only
       consumers — importers, parallel-build workers replaying a
-      dependency — never compile a body.  The artifact carries no
-      bytecode: under [--engine vm] the VM lowers each form at its first
-      evaluation, as it does for a freshly compiled module;
+      dependency — never read a body, let alone compile one.  The
+      artifact carries no bytecode: under [--engine vm] the VM lowers
+      each form at its first evaluation, as it does for a freshly
+      compiled module;
     - [define-syntaxes] re-evaluates the transformer expression and
       installs the macro — this is how a typed module's export
       indirections (§6.2) come back to life;
@@ -33,8 +36,11 @@
       Closures are never read from disk — only core syntax is.
 
     These last two, and [#%require] and [#%provide], are the forms
-    importers expand against, so they alone become syntax objects (with
-    the module scope) and take the expander's path.
+    importers expand against, so they alone are read at load, become
+    syntax objects (with the module scope) and take the expander's path.
+    The class the writer recorded for a form must agree with what its
+    head means here; if it does not, the load fails and the resolver
+    recompiles the module.
 
     Loading bumps [module.cache_hits] (the cache-aware sibling of
     [module.compiles]: their sum is the number of modules this session
@@ -55,7 +61,7 @@ module Metrics = Liblang_observe.Metrics
 
 let err = Modsys.err
 
-(** Rebuild a {!Modsys.t} from [a]'s core forms and register it.  Every
+(** Rebuild a {!Modsys.t} from [a]'s body and register it.  Every
     module [a] requires must already be declared (the resolver loads
     requires first, as part of validating transitive digests). *)
 let load (a : Artifact.t) : Modsys.t =
@@ -91,11 +97,15 @@ let load (a : Artifact.t) : Modsys.t =
   let ids_of what (d : Datum.annot) =
     match d.Datum.d with Datum.List ids -> List.map (sym_of what) ids | _ -> bad what
   in
+  let head_kind n = match Denote.get (resolve n) with Some (Denote.DCore k) -> Some k | _ -> None in
   let core_kind (f : Datum.annot) =
     match f.Datum.d with
-    | Datum.List ({ Datum.d = Datum.Atom (Datum.Sym n); _ } :: _) -> (
-        match Denote.get (resolve n) with Some (Denote.DCore k) -> Some k | _ -> None)
+    | Datum.List ({ Datum.d = Datum.Atom (Datum.Sym n); _ } :: _) -> head_kind n
     | _ -> None
+  in
+  let disagree recorded k =
+    err "artifact: the index records %s in %s, whose head means %s" recorded name
+      (Option.value k ~default:"no core form")
   in
   let args (f : Datum.annot) = match f.Datum.d with Datum.List (_ :: rest) -> rest | _ -> [] in
   (* bind each alias to the binding it links: another module's
@@ -134,49 +144,39 @@ let load (a : Artifact.t) : Modsys.t =
     b
   in
   List.iter
-    (fun f ->
-      match (core_kind f, args f) with
-      | Some "#%require", specs ->
-          List.iter (fun spec -> Modsys.handle_require (syntax spec)) specs;
-          Hashtbl.reset meanings
-      | Some "define-values", [ ids; _ ] ->
+    (function
+      | Artifact.Load f -> (
+          match (core_kind f, args f) with
+          | Some "#%require", specs ->
+              List.iter (fun spec -> Modsys.handle_require (syntax spec)) specs;
+              Hashtbl.reset meanings
+          | _ -> ())
+      | Artifact.Define { ids; _ } ->
           List.iter
             (fun w ->
               let b = define w in
               Denote.set b Denote.DVar;
               Modsys.record_internal ~mod_name:name w b)
-            (ids_of "define-values" ids)
-      | Some "define-values", _ -> bad "define-values"
-      | _ -> ())
-    a.Artifact.core_forms;
+            ids
+      | Artifact.Expr _ -> ())
+    a.Artifact.forms;
   List.iter link file_links;
   let m = Modsys.fresh_module name in
-  (* pass B: process each core form.  Transformers and compile-time
+  (* pass B: process each form.  Transformers and compile-time
      declarations are re-evaluated eagerly — importers compile against
      them — but [define-values] right-hand sides and top-level
-     expressions only matter at instantiation, so their compilation
-     is deferred behind a [Modsys.CLazy].  A compile-only consumer — an
-     importer, or a parallel-build worker replaying a dependency's
+     expressions only matter at instantiation, so reading and compiling
+     them is deferred behind a [Modsys.CLazy].  A compile-only consumer
+     — an importer, or a parallel-build worker replaying a dependency's
      artifact — therefore never pays for the body at all.  Forcing
      yields a fresh [Modsys.code] cell, whose interpreter closure the
      first instantiation compiles. *)
-  let compile d = Compile.compile_datum ~resolve ~display ~syntax d in
+  let read = Artifact.read_deferred a in
+  let compile r = Compile.compile_datum ~resolve ~display ~syntax (read r) in
   let defer (k : unit -> Modsys.compiled_form) = Modsys.CLazy (lazy (k ())) in
   let provides = ref [] in
-  let load_form f =
+  let read_at_load f =
     match (core_kind f, args f) with
-    | Some "define-values", [ ids; rhs ] ->
-        let globals =
-          List.map (fun w -> Namespace.global_of (resolve w)) (ids_of "define-values" ids)
-        in
-        m.Modsys.body <-
-          defer (fun () ->
-              let ast = compile rhs in
-              (match (globals, ast) with
-              | [ g ], Ast.Lambda l when l.Ast.l_name = "" -> l.Ast.l_name <- g.Ast.g_name
-              | _ -> ());
-              Modsys.CDef (globals, Modsys.code ast))
-          :: m.Modsys.body
     | Some "define-syntaxes", [ ids; rhs ] -> (
         match ids_of "define-syntaxes" ids with
         | [ w ] ->
@@ -199,9 +199,30 @@ let load (a : Artifact.t) : Modsys.t =
         m.Modsys.ct_thunks <- m.Modsys.ct_thunks @ thunks
     | Some "#%provide", specs -> provides := !provides @ specs
     | Some "#%require", _ -> ()
-    | _ -> m.Modsys.body <- defer (fun () -> Modsys.CExpr (Modsys.code (compile f))) :: m.Modsys.body
+    | k, _ -> disagree "a form read at load" k
   in
-  List.iter load_form a.Artifact.core_forms;
+  let load_form = function
+    | Artifact.Load f -> read_at_load f
+    | Artifact.Define { head; ids; rhs } ->
+        (match head_kind head with Some "define-values" -> () | k -> disagree "a define-values" k);
+        let globals = List.map (fun w -> Namespace.global_of (resolve w)) ids in
+        m.Modsys.body <-
+          defer (fun () ->
+              let ast = compile rhs in
+              (match (globals, ast) with
+              | [ g ], Ast.Lambda l when l.Ast.l_name = "" -> l.Ast.l_name <- g.Ast.g_name
+              | _ -> ());
+              Modsys.CDef (globals, Modsys.code ast))
+          :: m.Modsys.body
+    | Artifact.Expr { head; range } ->
+        (match Option.bind head head_kind with
+        | Some ("define-values" | "define-syntaxes" | "begin-for-syntax" | "#%require" | "#%provide") as k
+          ->
+            disagree "an expression" k
+        | _ -> ());
+        m.Modsys.body <- defer (fun () -> Modsys.CExpr (Modsys.code (compile range))) :: m.Modsys.body
+  in
+  List.iter load_form a.Artifact.forms;
   (* a provide may name a macro defined after it: parse the specs once
      every form is loaded, as compilation does once expansion is done *)
   List.iter

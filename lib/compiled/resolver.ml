@@ -212,7 +212,7 @@ let rec try_artifact (store : Store.t) ~key ~source_digest : Modsys.t option =
       | None -> (
           match Store.read_body store ~key header with
           | Error reason -> stale reason
-          | Ok (a, _digest) -> (
+          | Ok a -> (
               (* the artifact is valid; if rebuilding a live module from
                  it still fails (e.g. a link target vanished because its
                  module was recompiled by a cache-less session), degrade

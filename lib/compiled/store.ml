@@ -3,11 +3,13 @@
 
     Layout: one file per module key, [<dir>/<md5hex(key)>.lart], where the
     key is the module's canonical absolute path.  The {e identity} of an
-    artifact is the digest of its serialized bytes; dependents record
-    that digest, so any change to a module's compiled form — directly via
-    its source, or transitively via one of its requires — changes the
-    digests up the whole require chain and invalidates exactly the
-    dependents (docs/compilation.md has the invalidation table).
+    artifact is the digest its integrity trailer records, of everything
+    before the trailer; dependents record that digest, so any change to a
+    module's compiled form — directly via its source, or transitively via
+    one of its requires — changes the digests up the whole require chain
+    and invalidates exactly the dependents (docs/compilation.md has the
+    invalidation table).  An artifact is hashed once when it is written
+    and once when it is read, to verify its trailer.
 
     Observability: every consultation bumps one of [cache.hits],
     [cache.misses] (no artifact) or [cache.stale] (artifact unusable, with
@@ -117,16 +119,36 @@ let with_key_lock (s : t) (key : string) (f : unit -> 'a) : 'a =
 let artifact_path (s : t) (key : string) : string =
   Filename.concat s.dir (Digest_util.key_file key ^ ".lart")
 
-(** The digest of [key]'s artifact: memoized from a read or a write this
-    session, else computed from the bytes on disk (a dependent may consult
-    a store instance that never itself read [key]'s artifact — the module
-    having been satisfied from the resolver's session memo).  [None] if
-    the module has no artifact at all. *)
+(* The digest the trailer of the file at [path] records, read from the
+   file's last bytes; [None] when it cannot be read or has no trailer. *)
+let trailer_of_file (path : string) : string option =
+  match open_in_bin path with
+  | exception Sys_error _ -> None
+  | ic -> (
+      Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+      let k = Artifact.trailer_length + 1 in
+      match
+        let n = in_channel_length ic in
+        if n < k then ""
+        else begin
+          seek_in ic (n - k);
+          really_input_string ic k
+        end
+      with
+      | tail -> Artifact.trailer_digest tail
+      | exception (Sys_error _ | End_of_file) -> None)
+
+(** The identity of [key]'s artifact: memoized from a read or a write
+    this session, else the digest its trailer records on disk (a
+    dependent may consult a store instance that never itself read
+    [key]'s artifact — the module having been satisfied from the
+    resolver's session memo).  [None] if the module has no artifact, or
+    one with no trailer. *)
 let current_digest (s : t) (key : string) : string option =
   match locked s (fun () -> Hashtbl.find_opt s.digests key) with
   | Some d -> Some d
   | None -> (
-      match Digest_util.of_file (artifact_path s key) with
+      match trailer_of_file (artifact_path s key) with
       | Some d ->
           locked s (fun () -> Hashtbl.replace s.digests key d);
           Some d
@@ -228,25 +250,24 @@ let read_header (s : t) ~(key : string) ~(source_digest : string) :
                 | Error (Artifact.Version_skew _ as r) -> Error r
                 | _ -> Error (note_corrupt s ~key ~path integrity_reason))))
 
-(** Read the body of [h], [key]'s artifact as {!read_header} left it.  On
-    success also memoizes the artifact's identity digest. *)
-let read_body (s : t) ~(key : string) (h : Artifact.header) :
-    (Artifact.t * string, Artifact.invalid) result =
+(** Read the body of [h], [key]'s artifact as {!read_header} left it: the
+    forms read at load ({!Artifact.read_body}).  On success also memoizes
+    the artifact's identity, its trailer's digest. *)
+let read_body (s : t) ~(key : string) (h : Artifact.header) : (Artifact.t, Artifact.invalid) result =
   Trace.span "artifact-read" ~detail:key @@ fun () ->
   match Artifact.read_body h with
   | Error (Artifact.Corrupt _ as r) -> Error (note_corrupt s ~key ~path:(artifact_path s key) r)
   | Error reason -> Error reason
   | Ok a ->
-      let digest = Digest_util.of_string h.Artifact.text in
       locked s (fun () ->
-          Hashtbl.replace s.digests key digest;
+          Hashtbl.replace s.digests key a.Artifact.digest;
           Hashtbl.remove s.corrupt_reads key);
-      Ok (a, digest)
+      Ok a
 
 (* -- writing ----------------------------------------------------------------- *)
 
-(** Serialize and persist [a] under its module key (atomically: write to a
-    temp file in the cache dir, then rename).  Memoizes the new identity
+(** Persist [a]'s text under its module key (atomically: write to a
+    temp file in the cache dir, then rename).  Memoizes its identity
     digest so dependents compiled later in this session record it.  A
     failed write is reported as a [-v] trace note and otherwise ignored —
     a read-only cache dir must never break compilation.
@@ -278,14 +299,14 @@ let write (s : t) (a : Artifact.t) : unit =
     Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc text);
     Fault.check "store.rename";
     Sys.rename tmp path;
-    (cut, full)
+    cut
   with
-  | None, full ->
+  | None ->
       locked s (fun () ->
-          Hashtbl.replace s.digests a.Artifact.mod_name (Digest_util.of_string full);
+          Hashtbl.replace s.digests a.Artifact.mod_name a.Artifact.digest;
           Hashtbl.remove s.corrupt_reads a.Artifact.mod_name);
       Metrics.count "cache.writes"
-  | Some _, _ ->
+  | Some _ ->
       (* a torn artifact landed at the final path: nobody may trust a
          memoized digest for it, and it must not count as a clean write *)
       forget_digest s a.Artifact.mod_name;

@@ -14,11 +14,14 @@
     - any other module-level definition (one a macro introduced) gets a
       fresh name: its source name, or that name with a [_N] suffix, that
       nothing is bound to in the module scope;
-    - any other free reference gets such a fresh name as an {e alias},
-      recorded in [links] as (alias, owner module, name in owner): the
-      owner is the module that defines the binding (its internals are
-      keyed by written name) or a builtin module that exports it.  A
-      reference with no owner makes the module uncacheable;
+    - any other free reference gets an {e alias}, recorded in [links] as
+      (alias, owner module, name in owner): the owner is the module that
+      defines the binding (its internals are keyed by written name) or a
+      builtin module that exports it.  The alias is made the same way
+      from the name in the owner, not from the reference's own symbol,
+      which is the owner's written name when the owner was loaded from
+      its artifact and its source name when it was compiled in the same
+      session.  A reference with no owner makes the module uncacheable;
     - a local binder keeps its source name unless another binding already
       took it or it names a core form, and gets a [_N] suffix otherwise.
 
@@ -38,6 +41,8 @@
     renamed.  [#%require] specs are written as they are, except that a
     require binder a macro introduced is left out, since the loader would
     bind it in the module scope.
+    Each form goes out with its load class ({!Artifact.form_class}), for
+    the artifact's index.
     Everything depends only on the module's own forms and on what its
     module context binds, so an unchanged module writes the same bytes in
     every session and on every domain. *)
@@ -73,7 +78,7 @@ type node =
   | Dot of node list * node
 
 type t = {
-  forms : Datum.annot list;
+  forms : (Artifact.form_class * Datum.annot) list;  (** each form with its load class *)
   links : (string * string * string) list;  (** (alias, owner module, name in owner) *)
   renames : (string * string) list;  (** (written name, source name) of renamed binders *)
   defs : (string * Binding.t) list;
@@ -235,7 +240,7 @@ let write ~mod_name ~(requires : string list) ~(scopes : Scope.Set.t) (forms : S
     | _ when in_module_scope spec -> data spec
     | _ -> List [ Data (Datum.Atom (Datum.Sym "only-in")); data spec ]
   in
-  let top (s : Stx.t) : node =
+  let top (s : Stx.t) : Artifact.form_class * node =
     match Stx.view s with
     | Stx.List (hd :: args) when Stx.is_id hd -> (
         let ((h, core) as hc) = head hd in
@@ -245,13 +250,14 @@ let write ~mod_name ~(requires : string list) ~(scopes : Scope.Set.t) (forms : S
             (match ids with
             | List xs -> List.iter (function Id i -> value_defs := i :: !value_defs | _ -> ()) xs
             | _ -> ());
-            List [ h; ids; expr ~p1:false rhs ]
-        | Some "define-syntaxes", [ ids; rhs ] -> List [ h; binders Def ids; transformer rhs ]
-        | Some "begin-for-syntax", es -> List (h :: List.map (expr ~p1:true) es)
-        | Some "#%require", specs -> List (h :: List.map require_spec specs)
-        | Some "#%provide", specs -> List (h :: List.map provide_spec specs)
-        | _ -> form ~p1:false hc args)
-    | _ -> expr ~p1:false s
+            (Artifact.Define_values, List [ h; ids; expr ~p1:false rhs ])
+        | Some "define-syntaxes", [ ids; rhs ] ->
+            (Artifact.Read_at_load, List [ h; binders Def ids; transformer rhs ])
+        | Some "begin-for-syntax", es -> (Artifact.Read_at_load, List (h :: List.map (expr ~p1:true) es))
+        | Some "#%require", specs -> (Artifact.Read_at_load, List (h :: List.map require_spec specs))
+        | Some "#%provide", specs -> (Artifact.Read_at_load, List (h :: List.map provide_spec specs))
+        | _ -> (Artifact.Expression, form ~p1:false hc args))
+    | _ -> (Artifact.Expression, expr ~p1:false s)
   in
   match List.map top forms with
   | exception Uncacheable m -> Error m
@@ -303,7 +309,7 @@ let write ~mod_name ~(requires : string list) ~(scopes : Scope.Set.t) (forms : S
                     | Some o -> o
                     | None -> uncacheable "%s: reference with no owner module" i.src)
               in
-              claim i (fresh ~module_level:true i.src);
+              claim i (fresh ~module_level:true name);
               Some (i.written, owner, name)
             end
             else None)
@@ -329,7 +335,7 @@ let write ~mod_name ~(requires : string list) ~(scopes : Scope.Set.t) (forms : S
           in
           Ok
             {
-              forms = List.map emit nodes;
+              forms = List.map (fun (cls, n) -> (cls, emit n)) nodes;
               links;
               renames =
                 List.filter_map

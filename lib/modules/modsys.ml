@@ -85,14 +85,15 @@ type compiled_form =
   | CExpr of code
   | CLazy of compiled_form Lazy.t
       (** a deferred body compilation, forced on first instantiation.  The
-          artifact loader defers compiling [define-values] right-hand
-          sides and top-level expressions: importers only need a loaded
-          module's exports, macros and compile-time declarations to
-          compile against it, so a load on the compile-only path (e.g. a
-          parallel-build worker replaying a dependency) never compiles a
-          body at all.  Forcing compiles the form's artifact datum
-          straight to an AST ({!Compile.compile_datum}): no syntax
-          object, scope or expander pass is involved.  A [CLazy] is only
+          artifact loader defers reading and compiling [define-values]
+          right-hand sides and top-level expressions: importers only need
+          a loaded module's exports, macros and compile-time declarations
+          to compile against it, so a load on the compile-only path (e.g.
+          a parallel-build worker replaying a dependency) never reads a
+          body at all.  Forcing reads the form's byte range of the
+          artifact text and compiles the datum straight to an AST
+          ({!Compile.compile_datum}): no syntax object, scope or expander
+          pass is involved.  A [CLazy] is only
           ever forced by the domain that owns the module record
           (instantiation happens on the acquiring domain), so
           [Lazy.force] is single-domain here. *)

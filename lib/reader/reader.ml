@@ -25,21 +25,25 @@ exception Error of string * Srcloc.t
 type state = {
   src : string;
   file : string;
+  limit : int;  (** reading stops here: the end of [src], or of a range *)
+  located : bool;  (** whether datums carry their locations, or all share {!Srcloc.none} *)
   mutable pos : int;
   mutable line : int;
   mutable col : int;
 }
 
-let make_state ?(file = "<string>") src = { src; file; pos = 0; line = 1; col = 0 }
+let make_state ?(file = "<string>") ?(located = true) ?(pos = 0) ?limit ?(line = 1) ?(col = 0) src =
+  let limit = match limit with Some l -> min l (String.length src) | None -> String.length src in
+  { src; file; limit; located; pos; line; col }
 
 let loc_here st ~span =
   Srcloc.make ~file:st.file ~line:st.line ~col:st.col ~pos:st.pos ~span
 
 let err st msg = raise (Error (msg, loc_here st ~span:1))
 
-let eof st = st.pos >= String.length st.src
+let eof st = st.pos >= st.limit
 let peek st = if eof st then '\000' else st.src.[st.pos]
-let peek2 st = if st.pos + 1 >= String.length st.src then '\000' else st.src.[st.pos + 1]
+let peek2 st = if st.pos + 1 >= st.limit then '\000' else st.src.[st.pos + 1]
 
 let advance st =
   if not (eof st) then begin
@@ -103,7 +107,7 @@ and skip_block_comment st depth =
 (* End of the token starting at [st.pos]: the first delimiter, or with
    [~bars] also the first [|]. *)
 and token_end ~bars st =
-  let n = String.length st.src in
+  let n = st.limit in
   let rec go i =
     if i < n then
       let c = String.unsafe_get st.src i in
@@ -161,7 +165,7 @@ and read_symbol_text st =
   let stop = token_end ~bars:true st in
   if bar_at st stop then read_barred_symbol st else take_token st stop
 
-and bar_at st i = i < String.length st.src && st.src.[i] = '|'
+and bar_at st i = i < st.limit && st.src.[i] = '|'
 
 and read_string_lit st =
   let start_line = st.line and start_col = st.col and start_pos = st.pos in
@@ -191,11 +195,7 @@ and read_string_lit st =
           go ()
   in
   go ();
-  let loc =
-    Srcloc.make ~file:st.file ~line:start_line ~col:start_col ~pos:start_pos
-      ~span:(st.pos - start_pos)
-  in
-  { Datum.d = Datum.Atom (Datum.Str (Buffer.contents buf)); loc }
+  { Datum.d = Datum.Atom (Datum.Str (Buffer.contents buf)); loc = mkloc st start_line start_col start_pos }
 
 and read_char_lit st loc0 =
   (* called after consuming "#\\" *)
@@ -247,7 +247,7 @@ and read_list_items st close items =
   else if peek st = ')' || peek st = ']' then err st "mismatched close paren"
   else if
     peek st = '.'
-    && (st.pos + 1 >= String.length st.src || Datum.is_delimiter st.src.[st.pos + 1])
+    && (st.pos + 1 >= st.limit || Datum.is_delimiter st.src.[st.pos + 1])
   then begin
     advance st;
     skip_atmosphere st;
@@ -282,8 +282,10 @@ and read_datum st : Datum.annot option =
   skip_atmosphere st;
   if eof st then None else Some (read_datum_here st)
 
-(* From the datum's start [line], [col], [pos] up to the current position. *)
-and mkloc st line col pos = Srcloc.make ~file:st.file ~line ~col ~pos ~span:(st.pos - pos)
+(* From the datum's start [line], [col], [pos] up to the current position;
+   the one shared {!Srcloc.none} when reading without locations. *)
+and mkloc st line col pos =
+  if st.located then Srcloc.make ~file:st.file ~line ~col ~pos ~span:(st.pos - pos) else Srcloc.none
 
 (* The datum starting at the current (non-atmosphere) character. *)
 and read_datum_here st : Datum.annot =
@@ -359,9 +361,12 @@ and read_datum_here st : Datum.annot =
           end
           else wrap_quote st "unsyntax"
       | '%' ->
-          (* #%app, #%plain-lambda, ... are ordinary symbols *)
+          (* #%app, #%plain-lambda, ... are ordinary symbols: read the
+             token again from its [#] *)
+          st.pos <- pos;
+          st.col <- col;
           let text = read_symbol_text st in
-          { Datum.d = Datum.Atom (Datum.Sym (Symbol.canon ("#" ^ text))); loc = mkloc st line col pos }
+          { Datum.d = Datum.Atom (Datum.Sym (Symbol.canon text)); loc = mkloc st line col pos }
       | c -> err st (Printf.sprintf "unknown reader syntax #%c" c))
   | _ -> (
       let stop = token_end ~bars:true st in
@@ -388,23 +393,23 @@ let read_one ?file src =
 module Metrics = Liblang_observe.Metrics
 module Trace = Liblang_observe.Trace
 
-(* Move [st] just past [d], a datum read from [st]'s source: to where
-   reading [d] left the position, line and column. *)
-let skip_past st (d : Datum.annot) =
-  st.pos <- d.loc.pos;
-  st.line <- d.loc.line;
-  st.col <- d.loc.col;
-  for _ = 1 to d.loc.span do
-    advance st
-  done
+(* Run [k] on [st] as one accounted read: a [read] span, and the datums
+   [k] returns the count of and the bytes [st] moved over counted. *)
+let accounted ?file st k =
+  Trace.span "read" ?detail:file @@ fun () ->
+  Metrics.count "reader.reads";
+  let start = st.pos in
+  let r, n = k st in
+  if Metrics.installed () then begin
+    Metrics.countn "reader.datums" n;
+    Metrics.countn "reader.bytes" (st.pos - start)
+  end;
+  r
 
 (* Run [k] with [src]'s reader state and a function that reads its next
    datum on each call ([None] at the end), as one accounted read. *)
-let cursor ?file ?after src k =
-  Trace.span "read" ?detail:file @@ fun () ->
-  Metrics.count "reader.reads";
-  let st = make_state ?file src in
-  Option.iter (skip_past st) after;
+let cursor ?file src k =
+  accounted ?file (make_state ?file src) @@ fun st ->
   let n = ref 0 in
   let r =
     k st (fun () ->
@@ -412,18 +417,29 @@ let cursor ?file ?after src k =
         if Option.is_some d then incr n;
         d)
   in
-  if Metrics.installed () then Metrics.countn "reader.datums" !n;
-  r
-
-(** Run [k] with a function that reads [src]'s next datum on each call
-    ([None] at the end), as one accounted read. *)
-let with_cursor ?file ?after src k = cursor ?file ?after src (fun _ next -> k next)
+  (r, !n)
 
 (** Read all datums from [src]. *)
 let read_all ?file src =
-  with_cursor ?file src @@ fun next ->
+  cursor ?file src @@ fun _ next ->
   let rec go acc = match next () with None -> List.rev acc | Some d -> go (d :: acc) in
   go []
+
+(** Read one datum from byte [pos] of [src], with or without locations,
+    up to [stop] if given; see the interface. *)
+let read_range ?file ?at ?stop src ~pos =
+  let st =
+    match at with
+    | Some (line, col) -> make_state ?file ~pos ?limit:stop ~line ~col src
+    | None -> make_state ?file ~located:false ~pos ?limit:stop src
+  in
+  accounted ?file st @@ fun st ->
+  let d = read_datum_exn st in
+  if Option.is_some stop then begin
+    skip_atmosphere st;
+    if not (eof st) then err st "more than one datum in the range"
+  end;
+  ((d, st.pos), 1)
 
 (** Read all datums from [src] with {e datum-level resynchronization}: on a
     parse error, record it (message × location), skip forward to the next

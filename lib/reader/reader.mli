@@ -16,16 +16,18 @@ val read_one : ?file:string -> string -> Datum.annot option
 (** Read all datums. *)
 val read_all : ?file:string -> string -> Datum.annot list
 
-(** [with_cursor src k] runs [k] with a function that reads [src]'s next
-    datum on each call ([None] at the end of input), accounted like one
-    {!read_all}.  A caller can stop early: an artifact reads its header
-    and skips the body when the header already rules it out.  With
-    [~after:d], where [d] is a datum an earlier cursor read from [src],
-    reading starts just past [d], with the lines and columns of a cursor
-    that had read it: an artifact reads its body that way once its
-    header has been checked. *)
-val with_cursor :
-  ?file:string -> ?after:Datum.annot -> string -> ((unit -> Datum.annot option) -> 'a) -> 'a
+(** [read_range src ~pos] reads one datum from byte [pos] of [src], after
+    any atmosphere, and returns it with the offset just past it.  With
+    [~stop], the datum and atmosphere around it must be all that bytes
+    [pos, stop) hold: reading never looks past [stop], and anything else
+    raises {!Error}.  The range is read in place, never copied.  With
+    [~at:(line, col)], the line and column of [pos], datums carry their
+    locations as {!read_all} gives them; without, every datum carries
+    the one shared {!Srcloc.none}, which is how an artifact reads the
+    forms whose locations point into the artifact rather than a source.
+    Accounted as one read. *)
+val read_range :
+  ?file:string -> ?at:int * int -> ?stop:int -> string -> pos:int -> Datum.annot * int
 
 (** Read all datums with datum-level error recovery: parse errors are
     collected (in source order, capped at [max_errors], default 25) and

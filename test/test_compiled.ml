@@ -1264,6 +1264,83 @@ let import_shadowing () =
       check_i (what ^ ": warm compiles nothing") 0 (compiles c1))
     cases
 
+(* A client's link alias is made from the name its owner knows the
+   binding by, so the client's artifact is byte-identical whether its
+   provider was compiled in the same session or loaded from the store.
+   Here [get-secret]'s template names the [secret] its macro introduced,
+   which the provider writes as [secret_1]. *)
+let link_aliases_deterministic () =
+  let dir = fresh_dir () in
+  let cache = Filename.concat dir "cache" in
+  ignore
+    (file dir "lib.scm"
+       "#lang racket\n\
+        (define-syntax-rule (make-get get) (begin (define secret 'macro-secret) \
+        (define-syntax-rule (get) secret)))\n\
+        (make-get get-secret)\n(define secret 'user-secret)\n(provide get-secret)\n");
+  let client = file dir "client.scm" "#lang racket\n(require \"lib.scm\")\n(display (get-secret))\n" in
+  let art = artifact_file ~cache (Compiled.Resolver.module_key client) in
+  let together, c = run_measured ~cache client in
+  check_s "compiled together" "macro-secret" together;
+  check_i "both compile" 2 (compiles c);
+  let first = read_file art in
+  check_b "the client links the macro's secret" true (contains first "secret_1");
+  Sys.remove art;
+  let apart, c = run_measured ~cache client in
+  check_s "provider from the store" "macro-secret" apart;
+  check_i "the provider loads from its artifact" 1 (hits c);
+  check_s "client artifact byte-identical" first (read_file art)
+
+(* A deferred range is read only when it runs, after the integrity
+   trailer covered it and the index framed it, so one that does not read
+   as one datum was written wrong: it is reported as a writer bug naming
+   the module and the range, never as a corrupt artifact.  The damage
+   here keeps every byte in its place, under a recomputed trailer: [sq]'s
+   right-hand side loses a closing paren to a space. *)
+let deferred_range_writer_bug () =
+  let dir = fresh_dir () in
+  let cache = Filename.concat dir "cache" in
+  let main = file dir "main.scm" "#lang racket\n(define (sq x) (* x x))\n(display (sq 9))\n" in
+  check_s "cold" "81" (run_file ~cache main);
+  let key = Compiled.Resolver.module_key main in
+  let art = artifact_file ~cache key in
+  let text = strip_trailer (read_file art) in
+  let damaged = replace_first text "* x x)))" "* x x ))" in
+  check_b "right-hand side damaged" true (damaged <> text);
+  write_file art (with_trailer damaged);
+  let store = Compiled.Store.create ~dir:cache () in
+  Compiled.reset_session ();
+  (match
+     Prims.with_captured_output (fun () ->
+         Compiled.Store.with_store (Some store) (fun () ->
+             Modsys.instantiate (Compiled.compile_file main)))
+   with
+  | _ -> Alcotest.fail "a damaged right-hand side ran"
+  | exception Compiled.Artifact.Writer_bug m ->
+      check_b "names the module" true (contains m key);
+      check_b "names the range" true (contains m "bytes"));
+  check_i "never read as corrupt" 0 (Hashtbl.length store.Compiled.Store.corrupt_reads);
+  check_b "the artifact stays" true (Sys.file_exists art)
+
+(* The class the index records for a form must agree with what the
+   form's head means at load.  A define-values recorded as an expression,
+   under a recomputed trailer so that the text itself is intact, fails
+   the load: the module recompiles and prints the same output. *)
+let index_class_must_agree () =
+  let dir = fresh_dir () in
+  let cache = Filename.concat dir "cache" in
+  let main = file dir "main.scm" "#lang racket\n(define (sq x) (* x x))\n(display (sq 9))\n" in
+  check_s "cold" "81" (run_file ~cache main);
+  let art = artifact_file ~cache (Compiled.Resolver.module_key main) in
+  let text = strip_trailer (read_file art) in
+  let entry = "(define define-values (sq) 7 27 68)" in
+  check_b "the index records sq's define-values" true (contains text entry);
+  write_file art (with_trailer (replace_first text entry "(expr define-values 7 68)"));
+  let warm, c = run_measured ~cache main in
+  check_s "same output" "81" warm;
+  check_i "the module recompiles" 1 (compiles c);
+  check_i "its artifact is stale" 1 (stale c)
+
 let suite =
   cleaning
   [
@@ -1314,4 +1391,7 @@ let suite =
     t "memory: 100 edits do not grow the live heap" edits_do_not_grow_the_heap;
     t "memory: an edit fits the daemon worker's minor heap" an_edit_fits_the_daemon_nursery;
     t "stale require rejected before the body parses" stale_require_before_body;
+    t "link aliases do not depend on how the owner was acquired" link_aliases_deterministic;
+    t "a deferred range that does not read is a writer bug" deferred_range_writer_bug;
+    t "an index class that disagrees with the form fails the load" index_class_must_agree;
   ]

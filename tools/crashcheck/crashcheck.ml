@@ -69,15 +69,15 @@ let check_file path : (string, string) result =
    its answer.  (Unwritable-permission cases are deliberately absent: CI
    and containers often run as root, where chmod 0 is not a barrier.) *)
 
-let check_cache_dir_case ~(label : string) (prepare : string -> string) :
-    (string, string) result =
-  Core.Modsys.reset_user_modules_for_tests ();
-  Core.Compiled.reset_session ();
-  let work =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "crashcheck-cache-%d-%s" (Unix.getpid ()) label)
-  in
-  (try Unix.mkdir work 0o755 with Unix.Unix_error _ -> ());
+let rec rm_rf (path : string) =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error _ -> ()
+
+let run_cache_dir_case ~work (prepare : string -> string) : (string, string) result =
   let src = Filename.concat work "prog.scm" in
   let oc = open_out_bin src in
   output_string oc "#lang racket\n(define (tri n) (if (= n 0) 0 (+ n (tri (- n 1)))))\n(display (tri 7))\n";
@@ -97,6 +97,19 @@ let check_cache_dir_case ~(label : string) (prepare : string -> string) :
       Error
         ("cache trouble broke the run: "
         ^ (match ds with d :: _ -> Diagnostic.to_string d | [] -> "(no diagnostics)"))
+
+(* Each case works in its own directory under the temp dir, removed when
+   the case ends, pass or fail. *)
+let check_cache_dir_case ~(label : string) (prepare : string -> string) :
+    (string, string) result =
+  Core.Modsys.reset_user_modules_for_tests ();
+  Core.Compiled.reset_session ();
+  let work =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "crashcheck-cache-%d-%s" (Unix.getpid ()) label)
+  in
+  (try Unix.mkdir work 0o755 with Unix.Unix_error _ -> ());
+  Fun.protect ~finally:(fun () -> rm_rf work) (fun () -> run_cache_dir_case ~work prepare)
 
 let cache_dir_cases =
   [

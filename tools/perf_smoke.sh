@@ -1,6 +1,6 @@
 #!/bin/sh
 # Hygiene-engine perf smoke gate (CI): the fast path must stay *wired*,
-# not just fast.  Six checks (docs/architecture.md "Hygiene internals",
+# not just fast.  Seven checks (docs/architecture.md "Hygiene internals",
 # docs/observability.md metric catalogue):
 #
 #   1. a shadowing-heavy program reports expand.resolve_hits > 0 under
@@ -34,7 +34,13 @@
 #      stx.scope_pushes = 0 and at most 100 resolutions
 #      (expand.resolve_hits + expand.resolve_misses) per loaded module
 #      (module.cache_hits) -- artifact bodies compile from their datums,
-#      whose names alone fix their bindings (docs/compilation.md).
+#      whose names alone fix their bindings (docs/compilation.md);
+#   7. a warm compile parses no deferred body: a warm compile --cache-dir
+#      --profile=json of the same project loads every module from its
+#      artifact and reports reader.bytes at most the artifacts' header
+#      bytes (their first two lines) plus the byte ranges their indexes
+#      record as read at load -- define-values right-hand sides and
+#      expressions are read only when they run (docs/compilation.md).
 #
 # The expansion stress family's closed-form checksums are checked by the
 # repository benchmark's --smoke run under `dune runtest` (its frontend
@@ -253,6 +259,36 @@ else
     fail=1
   else
     echo "perf_smoke: warm loads skip the expander (stx.scope_pushes = 0; $resolutions resolutions for $loaded modules)"
+  fi
+fi
+
+# -- 7. a warm compile parses no deferred body --------------------------------
+# Importers need only what a header and the forms read at load hold:
+# requires, provides, transformers and compile-time declarations.  Each
+# artifact's index records those forms' byte ranges as (load START END
+# LINE); everything else is a deferred range.  Reading any of it on a
+# compile-only path takes reader.bytes over the bound.
+if [ -d "$WIDE/cache" ]; then
+  warm=$($RUN "$LIBLANG" compile --cache-dir "$WIDE/cache" --profile=json "$WIDE/main.scm" 2>/dev/null)
+  parsed=$(counter 'reader\.bytes' "$warm")
+  loaded=$(counter 'module\.cache_hits' "$warm")
+  bound=0
+  for a in "$WIDE/cache"/*.lart; do
+    head_bytes=$(( $(head -n 2 "$a" | wc -c) - 1 ))
+    load_bytes=$(sed -n 2p "$a" | grep -o '(load [0-9]* [0-9]*' | awk '{s += $3 - $2} END {print s + 0}')
+    bound=$((bound + head_bytes + load_bytes))
+  done
+  if [ -z "${loaded:-}" ] || [ "$loaded" -le 0 ]; then
+    echo "perf_smoke: FAIL: warm compile loaded nothing from the store (module.cache_hits = ${loaded:-missing})" >&2
+    fail=1
+  elif [ -z "${parsed:-}" ]; then
+    echo "perf_smoke: FAIL: reader.bytes missing from --profile=json output" >&2
+    fail=1
+  elif [ "$parsed" -gt "$bound" ]; then
+    echo "perf_smoke: FAIL: warm compile parsed $parsed bytes, over the $bound bytes of headers and forms read at load: it read deferred bodies" >&2
+    fail=1
+  else
+    echo "perf_smoke: warm compile parses no deferred body (reader.bytes = $parsed of $bound header and load-time bytes; $loaded modules loaded)"
   fi
 fi
 
