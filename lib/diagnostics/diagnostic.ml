@@ -16,7 +16,7 @@ type severity = Error | Warning | Note
 
 (** Which stage of the pipeline produced the diagnostic.  [Internal] marks
     a violated invariant of the platform itself (a panic): the CLI maps it
-    to exit code 2, and the crashcheck harness treats it as a failure. *)
+    to exit code 2, and the configuration matrix treats it as a failure. *)
 type phase =
   | Reader      (** text → datums *)
   | Expander    (** macro expansion, hygiene, fuel/depth containment *)

@@ -162,6 +162,16 @@ let unboxing_enabled = ref true
 
 (* -- compilation ----------------------------------------------------------- *)
 
+(* How an application compiles.  A call to an immutable global whose
+   name has a fused unsafe-float closure ([Fused], built on demand) or a
+   fast entry point for its arity ([Fast1], [Fast2]) is made directly and
+   spends no fuel; any other goes through [apply], which ticks. *)
+type call =
+  | Apply
+  | Fused of (unit -> env -> value)
+  | Fast1 of (value -> value)
+  | Fast2 of (value -> value -> value)
+
 let local_ref depth idx : env -> value =
   match depth with
   | 0 -> fun env -> env.frame.(idx)
@@ -353,6 +363,22 @@ and compile_app f args : env -> value =
           let vs = Array.to_list (Array.map (fun c -> c env) cargs) in
           apply vf vs
   in
+  match call_of f args with
+  | Fused build -> build ()
+  | Fast2 op ->
+      let a0 = compile args.(0) and a1 = compile args.(1) in
+      fun env ->
+        let x = a0 env in
+        op x (a1 env)
+  | Fast1 op ->
+      let a0 = compile args.(0) in
+      fun env -> op (a0 env)
+  | Apply -> generic ()
+
+(* How an application of [f] to [args] compiles: see {!call}.  {!Naive}
+   asks the same question, so both evaluators spend fuel on exactly the
+   same applications. *)
+and call_of f args : call =
   match f with
   | Ast.GlobalRef g when not g.Ast.g_mutable -> (
       let name = g.Ast.g_name in
@@ -362,41 +388,32 @@ and compile_app f args : env -> value =
         if !unboxing_enabled && String.starts_with ~prefix:"unsafe-" name then fused name args
         else None
       with
-      | Some k -> k
+      | Some build -> Fused build
       | None -> (
-          let n = Array.length args in
-          match if n = 2 then Hashtbl.find_opt fast2 name else None with
-          | Some op ->
-              let a0 = compile args.(0) and a1 = compile args.(1) in
-              fun env ->
-                let x = a0 env in
-                op x (a1 env)
-          | None -> (
-              match if n = 1 then Hashtbl.find_opt fast1 name else None with
-              | Some op ->
-                  let a0 = compile args.(0) in
-                  fun env -> op (a0 env)
-              | None -> generic ())))
-  | _ -> generic ()
+          match Array.length args with
+          | 2 -> ( match Hashtbl.find fast2 name with op -> Fast2 op | exception Not_found -> Apply)
+          | 1 -> ( match Hashtbl.find fast1 name with op -> Fast1 op | exception Not_found -> Apply)
+          | _ -> Apply))
+  | _ -> Apply
 
 (* the fused unsafe-float closure for an application of [name], if the
    generated tables have one for its arity *)
-and fused name args : (env -> value) option =
+and fused name args : (unit -> env -> value) option =
   let fbin = List.assoc_opt name Flfuse.bin_table in
   let fcmp = List.assoc_opt name Flfuse.cmp_table in
   let fun1 = List.assoc_opt name Flfuse.un_table in
   match (fbin, fcmp, fun1, Array.length args) with
-  | Some build, _, _, 2 -> Some (build (fleaf args.(0)) (fleaf args.(1)))
-  | _, Some build, _, 2 -> Some (build (fleaf args.(0)) (fleaf args.(1)))
-  | _, _, Some build, 1 -> Some (build (fleaf args.(0)))
+  | Some build, _, _, 2 -> Some (fun () -> build (fleaf args.(0)) (fleaf args.(1)))
+  | _, Some build, _, 2 -> Some (fun () -> build (fleaf args.(0)) (fleaf args.(1)))
+  | _, _, Some build, 1 -> Some (fun () -> build (fleaf args.(0)))
   | _ -> (
       let cbin = List.assoc_opt name Flfuse.cbin_table in
       let cun = List.assoc_opt name Flfuse.cun_table in
       match (cbin, cun, Array.length args) with
-      | Some build, _, 2 -> Some (build (cleaf args.(0)) (cleaf args.(1)))
-      | _, Some build, 1 -> Some (build (cleaf args.(0)))
+      | Some build, _, 2 -> Some (fun () -> build (cleaf args.(0)) (cleaf args.(1)))
+      | _, Some build, 1 -> Some (fun () -> build (cleaf args.(0)))
       | _ when name = "unsafe-make-rectangular" && Array.length args = 2 ->
-          Some (Flfuse.c_rect (fleaf args.(0)) (fleaf args.(1)))
+          Some (fun () -> Flfuse.c_rect (fleaf args.(0)) (fleaf args.(1)))
       | _ -> None)
 
 (* operand shape classification for the fused unsafe-float closures *)

@@ -4,7 +4,9 @@
     (standing in for the other Scheme systems the paper measures — see the
     substitution table in DESIGN.md).  It re-inspects the AST at every step,
     always conses argument lists, and never specializes primitives or
-    unboxes floats. *)
+    unboxes floats.  It spends fuel on the same applications as the
+    interpreter ({!Interp.call_of}), so a fuel budget stops a program
+    at the same point under either. *)
 
 open Value
 
@@ -49,6 +51,8 @@ let rec eval (a : Ast.t) (env : env) : value =
   | Ast.App (f, args) | Ast.DirectApp (f, args) ->
       let vf = eval f env in
       let vs = Array.to_list (Array.map (fun a -> eval a env) args) in
+      (* spend fuel exactly where the interpreter does *)
+      (match Interp.call_of f args with Interp.Apply -> Interp.step () | _ -> ());
       apply vf vs
   | Ast.LetVals (clauses, body) ->
       let total = Array.fold_left (fun acc c -> acc + c.Ast.n_vals) 0 clauses in

@@ -239,8 +239,6 @@ let m_module_begin form =
           if Reporter.has_errors reporter then
             raise (Diagnostic.Failed (Reporter.diagnostics reporter));
           let optimized = Optimize.optimize_module core_forms in
-          (if Sys.getenv_opt "LIBLANG_DEBUG_OPT" <> None then
-             List.iter (fun f -> print_endline (Stx.to_string f)) optimized);
           let rewritten = Boundary.rewrite_provides optimized in
           Stx.rewrap expanded (Stx.List (mb :: rewritten))
       | _ -> err "internal error: bad module-begin expansion" form)

@@ -5,21 +5,16 @@
     Parity is the backend's prime directive (docs/backend.md): the
     cases here pin the quirks the lowerer reproduces on purpose —
     evaluation order, fuel accounting, binding errors — on top of the
-    whole-corpus differential gate in tools/crashcheck. *)
+    whole-corpus differential of the configuration matrix
+    (test/test_matrix.ml). *)
 
 open Liblang_core.Core
 open Test_util
 module Pipeline = Liblang_core.Pipeline
 
-let run_vm (src : string) : string =
-  Pipeline.with_engine Pipeline.Vm (fun () -> run src)
-
 (** Run [src] under both engines and assert byte-identical output. *)
 let t_par name src =
-  Alcotest.test_case name `Quick (fun () ->
-      let interp = run src in
-      let vm = run_vm src in
-      check_s name interp vm)
+  Alcotest.test_case name `Quick (fun () -> ignore (engines_agree Matrix.vm src))
 
 let parity =
   [
@@ -67,25 +62,9 @@ let parity =
 (* Fuel parity: both engines must exhaust the same budget at the same
    observable point — the diagnostics must render identically. *)
 let fuel_exhaustion_point () =
-  let src = "#lang racket\n(define (f) (f))\n(f)\n" in
-  let under engine =
-    Modsys.reset_user_modules_for_tests ();
-    let out, r =
-      Prims.with_captured_output (fun () ->
-          Pipeline.run ~fuel:5_000 ~engine ~name:"fuelpar" src)
-    in
-    let ds =
-      match r with
-      | Ok _ -> []
-      | Error ds -> List.map Pipeline.Diagnostic.to_string ds
-    in
-    (out, String.concat "\n" ds)
-  in
-  let oi, di = under Pipeline.Interp in
-  let ov, dv = under Pipeline.Vm in
-  check_s "fuel: output identical" oi ov;
-  check_s "fuel: diagnostics identical" di dv;
-  check_b "fuel: the budget actually ran out" true (contains di "fuel")
+  match engines_agree ~fuel:5_000 Matrix.vm "#lang racket\n(define (f) (f))\n(f)\n" with
+  | [ o ] -> check_b "fuel: the budget actually ran out" true (contains o.err "fuel")
+  | _ -> Alcotest.fail "one outcome per program"
 
 (* The vm.* and lower.* counters: a float loop under the VM must
    actually retire bytecode (the perf_smoke canary's in-process twin). *)
@@ -178,7 +157,7 @@ let vm_kernel (name, budget) =
 let t name f = Alcotest.test_case name `Quick f
 
 let suite =
-  parity
+  cleaning @@ parity
   @ [
       t "fuel: same exhaustion point under both engines" fuel_exhaustion_point;
       t "metrics: vm.* and lower.* counters" vm_counters;

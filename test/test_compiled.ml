@@ -22,21 +22,6 @@ module Observe = Core.Observe
 
 let fresh_dir () = fresh_dir "compiled"
 
-let write_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(** Where the store keeps [key]'s artifact under [cache]. *)
-let artifact_file ~cache key =
-  Filename.concat cache (Compiled.Digest_util.key_file key ^ ".lart")
-
 (* -- running through the resolver --------------------------------------------- *)
 
 (** Compile+instantiate [path] as a fresh process would (session state
@@ -73,6 +58,16 @@ let run_file_err ?cache path : string =
 let compiles c = Metrics.get c "module.compiles"
 let hits c = Metrics.get c "module.cache_hits"
 let stale c = Metrics.get c "cache.stale"
+
+(* Every way of running a file: uncached; then cold, warm and with each
+   program's own artifacts dropped, through one store; then -j 2 through a
+   second store. *)
+let serial_modes dir =
+  let store = Filename.concat dir "cache" in
+  Matrix.[ in_process Uncached; in_process (Cold store); in_process (Warm store); in_process (Edited store) ]
+
+let parallel_mode dir = Matrix.in_process ~jobs:2 (Matrix.Cold (Filename.concat dir "cache-j2"))
+let modes dir = serial_modes dir @ [ parallel_mode dir ]
 
 (* -- the file resolver (no cache) --------------------------------------------- *)
 
@@ -168,7 +163,7 @@ let robustness name mutate =
       write_file src source;
       let cold, c0 = run_measured ~cache src in
       check_i (name ^ ": cold compiles") 1 (compiles c0);
-      let art = artifact_file ~cache (Compiled.Resolver.module_key src) in
+      let art = Matrix.artifact ~store:cache src in
       check_b (name ^ ": artifact written") true (Sys.file_exists art);
       let cold_art = read_file art in
       mutate ~src ~art;
@@ -286,7 +281,7 @@ let stale_require_before_body () =
   write_file main "#lang racket\n(require \"dep.scm\")\n(display (+ base 2))\n";
   let cold, _ = run_measured ~cache main in
   write_file dep "#lang racket\n(provide base)\n(define base 40)\n;; touched\n";
-  let art = artifact_file ~cache (Compiled.Resolver.module_key main) in
+  let art = Matrix.artifact ~store:cache main in
   let text = strip_trailer (read_file art) in
   let cut = replace_first text "(body" "(body (((" in
   check_b "body damaged" true (cut <> text);
@@ -356,25 +351,14 @@ let replay_types_from_artifact () =
     artifact. *)
 let replay_boundary_contracts () =
   let dir = fresh_dir () in
-  let cache = Filename.concat dir "cache" in
-  write_file (Filename.concat dir "lib.scm") typed_lib_source;
-  let good = Filename.concat dir "good.scm" in
-  write_file good "#lang racket\n(require \"lib.scm\")\n(display (scale 4))\n";
-  let bad = Filename.concat dir "bad.scm" in
-  write_file bad "#lang racket\n(require \"lib.scm\")\n(display (scale \"nope\"))\n";
-  (* uncached reference behaviour *)
-  let good_ref = run_file good in
-  let bad_ref = run_file_err bad in
-  check_b "reference: contract blames the untyped client" true (contains bad_ref "contract:");
-  (* cold (writes artifacts), then warm from artifacts only *)
-  ignore (run_measured ~cache good);
-  let good_warm, c = run_measured ~cache good in
-  check_i "boundary client replays fully warm" 2 (hits c);
-  check_i "boundary client: no compiles warm" 0 (compiles c);
-  check_s "good path identical cached/uncached" good_ref good_warm;
-  ignore (run_file_err ~cache bad);
-  let bad_warm = run_file_err ~cache bad in
-  check_s "blame identical cached/uncached" bad_ref bad_warm
+  ignore (file dir "lib.scm" typed_lib_source);
+  let good = file dir "good.scm" "#lang racket\n(require \"lib.scm\")\n(display (scale 4))\n" in
+  let bad = file dir "bad.scm" "#lang racket\n(require \"lib.scm\")\n(display (scale \"nope\"))\n" in
+  match agree (modes dir) Matrix.[ Files [ good ]; Files [ bad ] ] with
+  | [ (g : Matrix.outcome); b ] ->
+      check_s "the good client runs" "" g.err;
+      check_b "the contract blames the untyped client" true (contains b.err "contract violation")
+  | _ -> Alcotest.fail "one outcome per program"
 
 (* -- domain-parallel builds ----------------------------------------------------- *)
 
@@ -585,7 +569,7 @@ let quarantine_after_repeated_corruption () =
   write_file src "#lang racket\n(define (sq x) (* x x))\n(display (sq 9))\n";
   let cold, _ = run_measured ~cache src in
   let key = Compiled.Resolver.module_key src in
-  let art = artifact_file ~cache key in
+  let art = Matrix.artifact ~store:cache key in
   write_file art "(liblang-artifact garbage that parses as nothing";
   Compiled.reset_session ();
   let store = Compiled.Store.create ~dir:cache () in
@@ -777,107 +761,28 @@ let canonicalization_one_key_per_file () =
 
 (* -- symbols that do not read back bare ------------------------------------------ *)
 
-(** The corpus programs whose macro quotes a symbol spelled like a number
-    ([42]) or with a space ([a b]) into the module body, and the one whose
-    macro binders share names with user binders.  The artifact must write
-    such a symbol so it reads back as itself, and each name so it means
-    the binding it meant: the warm run prints what the uncached and cold
-    runs print, with the same diagnostics (each program ends in a runtime
-    error on purpose). *)
-let quoted_symbols_round_trip () =
-  List.iter
-    (fun (name, want) ->
-      let dir = fresh_dir () in
-      let cache = Filename.concat dir "cache" in
-      let src = Filename.concat dir name in
-      write_file src (read_file (Filename.concat corpus name));
-      let run ?cache_dir () =
-        let c = Metrics.create () in
-        Compiled.reset_session ();
-        let out, res =
-          Prims.with_captured_output (fun () ->
-              Liblang_core.Pipeline.run_file ?cache_dir
-                ~observe:{ Observe.metrics = Some c; trace = None }
-                src)
-        in
-        let diags =
-          match res with
-          | Ok _ -> "ok"
-          | Error ds -> String.concat "\n" (List.map Core.Diagnostic.to_string ds)
-        in
-        (out, diags, c)
-      in
-      let plain, plain_diags, _ = run () in
-      let cold, cold_diags, _ = run ~cache_dir:cache () in
-      let warm, warm_diags, c = run ~cache_dir:cache () in
-      check_s (name ^ ": uncached output") want plain;
-      check_s (name ^ ": cold output") plain cold;
-      check_s (name ^ ": cold diagnostics equal uncached") plain_diags cold_diags;
-      check_s (name ^ ": warm output equals cold") cold warm;
-      check_s (name ^ ": warm diagnostics equal cold") cold_diags warm_diags;
-      check_i (name ^ ": warm run loads the artifact") 1 (hits c);
-      check_i (name ^ ": warm run compiles nothing") 0 (compiles c))
-    [
-      ("quoted-symbol-number.scm", "#t");
-      ("quoted-symbol-space.scm", "#t");
-      ( "warm-hygiene.scm",
-        "5\n(2 1)\n(#<procedure:helper> 2)\n(1 2 3)\n(quote)\n(5 #<procedure:loop>)\n" );
-    ]
-
 (* -- one path from a file to a module ---------------------------------------------- *)
 
-(* Run [paths] in order through [Pipeline.run_file] as one process would
-   (session reset first), with or without a store; return everything
-   they printed and, per file, its rendered diagnostics ("ok" when it
-   ran). *)
-let pipeline_runs ?cache_dir ?(jobs = 1) (paths : string list) : string * string list =
-  Compiled.reset_session ();
-  Prims.with_captured_output (fun () ->
-      List.map
-        (fun path ->
-          match Liblang_core.Pipeline.run_file ?cache_dir ~jobs path with
-          | Ok _ -> "ok"
-          | Error ds -> Liblang_core.Pipeline.render_errors ~color:false ds)
-        paths)
-
-(* Every way of running a file: uncached, then cold and warm through one
-   store, then -j 2 through a second store. *)
-let modes dir =
-  [
-    ("uncached", fun paths -> pipeline_runs paths);
-    ("cold", fun paths -> pipeline_runs ~cache_dir:(Filename.concat dir "cache") paths);
-    ("warm", fun paths -> pipeline_runs ~cache_dir:(Filename.concat dir "cache") paths);
-    ("-j 2", fun paths -> pipeline_runs ~cache_dir:(Filename.concat dir "cache-j2") ~jobs:2 paths);
-  ]
-
-let file dir name text =
-  let path = Filename.concat dir name in
-  write_file path text;
-  path
-
 (* Three parse errors in one file: every mode reports all three, labelled
-   with the file's canonical path — for the file run directly and for the
-   same file required by another. *)
+   with the file's canonical path, for the file run directly and for the
+   same file required by another — byte for byte alike, but for -j 2,
+   which also notes the module it did not build. *)
 let every_parse_error_reported () =
   let dir = fresh_dir () in
   let r = file dir "r.scm" "#lang racket\n(display 1))\n(display #<bad>)\n(display \"x)\n" in
   let m = file dir "m.scm" "#lang racket\n(require \"r.scm\")\n" in
   let key = Compiled.Resolver.module_key r in
   List.iter
-    (fun (mode, runs) ->
-      List.iter
-        (fun (what, path) ->
-          match snd (runs [ path ]) with
-          | [ d ] ->
-              let labels =
-                List.filter (fun l -> contains d (key ^ ":" ^ l)) [ "2:11"; "3:10"; "5:0" ]
-              in
-              check_i (Printf.sprintf "%s, %s: all three parse errors" mode what) 3
-                (List.length labels);
-              check_b (mode ^ ", " ^ what ^ ": counted") true (contains d "3 errors generated")
-          | _ -> Alcotest.fail "one result per file")
-        [ ("run", r); ("required", m) ])
-    (modes dir)
+    (fun modes ->
+      List.iter2
+        (fun what (o : Matrix.outcome) ->
+          List.iter
+            (fun l -> check_b (what ^ ": the error at " ^ l) true (contains o.err (key ^ ":" ^ l)))
+            [ "2:11"; "3:10"; "5:0" ];
+          check_b (what ^ ": counted") true (contains o.err "3 errors generated"))
+        [ "run"; "required" ]
+        (agree modes [ Matrix.Files [ r ]; Matrix.Files [ m ] ]))
+    [ serial_modes dir; [ parallel_mode dir ] ]
 
 (* A located diagnostic and a missing file render byte-identically in every
    mode, labelled with the canonical path. *)
@@ -885,21 +790,13 @@ let diagnostics_identical_across_modes () =
   let dir = fresh_dir () in
   let e2 = file dir "e2.scm" "#lang racket\n(display (no-such-fn 1))\n" in
   let nope = Filename.concat dir "nope.scm" in
-  let rendered =
-    List.map (fun (mode, runs) -> (mode, snd (runs [ e2; nope ]))) (modes dir)
-  in
-  let uncached = List.assoc "uncached" rendered in
-  (match uncached with
-  | [ d_e2; d_nope ] ->
+  match agree (modes dir) [ Matrix.Files [ e2 ]; Matrix.Files [ nope ] ] with
+  | [ (e : Matrix.outcome); n ] ->
       check_b "label is the canonical path" true
-        (contains d_e2 (Compiled.Resolver.module_key e2 ^ ":2:10"));
+        (contains e.err (Compiled.Resolver.module_key e2 ^ ":2:10"));
       check_b "one missing-file text" true
-        (contains d_nope ("require: cannot read module file " ^ Compiled.Resolver.module_key nope))
-  | _ -> Alcotest.fail "one result per file");
-  List.iter
-    (fun (mode, ds) ->
-      List.iter2 (fun u d -> check_s (mode ^ " renders as uncached") u d) uncached ds)
-    rendered
+        (contains n.err ("require: cannot read module file " ^ Compiled.Resolver.module_key nope))
+  | _ -> Alcotest.fail "one outcome per program"
 
 (* Later files on one command line may require earlier ones by basename,
    with or without a store. *)
@@ -910,13 +807,10 @@ let earlier_files_requirable_by_basename () =
   (* a file named like a language does not take the language's name *)
   let lz = file dir "lazy.scm" "#lang racket\n(display 'l)\n" in
   let user = file dir "user.scm" "#lang lazy\n(display 'u)\n" in
-  List.iter
-    (fun (mode, runs) ->
-      let out, diags = runs [ a; c ] in
-      check_s (mode ^ ": c sees a's x") "42" out;
-      check_b (mode ^ ": both ran") true (diags = [ "ok"; "ok" ]);
-      check_s (mode ^ ": #lang lazy after lazy.scm") "lu" (fst (runs [ lz; user ])))
-    (modes dir)
+  List.iter2
+    (fun (what, want) (o : Matrix.outcome) -> check_s what want (o.out ^ o.err))
+    [ ("c sees a's x", "42"); ("#lang lazy after lazy.scm", "lu") ]
+    (agree (modes dir) Matrix.[ Files [ a; c ]; Files [ lz; user ] ])
 
 (* Each file on the command line runs as a fresh program, its requires
    included, even when the session already ran it or one of its requires. *)
@@ -924,15 +818,19 @@ let second_run_prints_again () =
   let dir = fresh_dir () in
   let q = file dir "q.scm" "#lang racket\n(display \"q \")\n" in
   let p = file dir "p.scm" "#lang racket\n(require \"q.scm\")\n(display \"hi \")\n" in
-  List.iter
-    (fun (mode, runs) ->
-      check_s (mode ^ ": printed twice") "q hi q hi " (fst (runs [ p; p ]));
-      check_s (mode ^ ": a require runs again") "q hi q " (fst (runs [ p; q ]));
-      check_s (mode ^ ": a require that ran runs again") "q q hi " (fst (runs [ q; p ])))
-    (modes dir)
+  List.iter2
+    (fun (what, want) (o : Matrix.outcome) -> check_s what want o.out)
+    [
+      ("printed twice", "q hi q hi ");
+      ("a require runs again", "q hi q ");
+      ("a require that ran runs again", "q q hi ");
+    ]
+    (agree (modes dir) Matrix.[ Files [ p; p ]; Files [ p; q ]; Files [ q; p ] ])
 
 (* A [define-type] name means what the module and its requires define,
-   whatever else the process compiled before. *)
+   whatever else the process compiled before.  A [(: g T)] declaration
+   outlives a require that compiles a typed module before [g]'s
+   definition is checked. *)
 let type_names_follow_requires () =
   let dir = fresh_dir () in
   let ta =
@@ -945,22 +843,18 @@ let type_names_follow_requires () =
     file dir "td.scm"
       "#lang typed/racket\n(require \"ta.scm\")\n(: w Num)\n(define w (half 4.0))\n(display w)\n"
   in
-  let unknown d = contains d "unknown type: Num" in
-  check_b "tc alone: Num is unknown" true (unknown (List.hd (snd (pipeline_runs [ tc ]))));
-  (match snd (pipeline_runs [ ta; tc ]) with
-  | [ "ok"; d ] -> check_b "tc after ta: Num is still unknown" true (unknown d)
-  | _ -> Alcotest.fail "ta failed");
-  List.iter
-    (fun (mode, runs) -> check_s (mode ^ ": a client of ta knows Num") "2.0" (fst (runs [ td ])))
-    (modes dir);
-  (* a [(: g T)] declaration outlives a require that compiles a typed
-     module before [g]'s definition is checked *)
   let tg =
     file dir "tg.scm"
       "#lang typed/racket\n(: g (Integer -> Integer))\n(require \"ta.scm\")\n\
        (define (g x) (+ x 1))\n(display (g 1))\n"
   in
-  check_s "a declaration survives a nested typed compile" "2" (fst (pipeline_runs [ tg ]))
+  match agree (modes dir) Matrix.[ Files [ tc ]; Files [ ta; tc ]; Files [ td ]; Files [ tg ] ] with
+  | [ (alone : Matrix.outcome); after; client; declared ] ->
+      check_b "tc alone: Num is unknown" true (contains alone.err "unknown type: Num");
+      check_b "tc after ta: Num is still unknown" true (contains after.err "unknown type: Num");
+      check_s "a client of ta knows Num" "2.0" client.out;
+      check_s "a declaration survives a nested typed compile" "2" declared.out
+  | _ -> Alcotest.fail "one outcome per program"
 
 (* A self-referential [define-type] crosses a require: its replay into
    the client's compilation registers the name before parsing the body,
@@ -976,12 +870,9 @@ let recursive_type_across_require () =
   let use = "(require \"tree.scm\")\n(display (tsum (cons 1 (cons 2 '()))))\n" in
   let typed = file dir "typed.scm" ("#lang typed/racket\n" ^ use) in
   let untyped = file dir "untyped.scm" ("#lang racket\n" ^ use) in
-  List.iter
-    (fun (mode, runs) ->
-      let out, diags = runs [ typed; untyped ] in
-      check_b (mode ^ ": both clients ran") true (diags = [ "ok"; "ok" ]);
-      check_s (mode ^ ": both clients print the sum") "33" out)
-    (modes dir)
+  match agree (modes dir) [ Matrix.Files [ typed; untyped ] ] with
+  | [ o ] -> check_s "both clients print the sum" "33" (o.out ^ o.err)
+  | _ -> Alcotest.fail "one outcome per program"
 
 (* Two modules that define one name differently each typecheck by their
    own definition, one after the other and on a two-domain pool. *)
@@ -999,7 +890,9 @@ let type_names_per_module () =
          ty value uses)
   in
   let n1 = definer "n1.scm" "Float" "1.5" and n2 = definer "n2.scm" "String" "\"s\"" in
-  check_s "serially" "1.5s1.5" (fst (pipeline_runs [ n1; n2; n1 ]));
+  (match agree (modes dir) [ Matrix.Files [ n1; n2; n1 ] ] with
+  | [ o ] -> check_s "serially" "1.5s1.5" (o.out ^ o.err)
+  | _ -> Alcotest.fail "one outcome per program");
   for i = 1 to 8 do
     match
       Liblang_core.Pipeline.build_files ~jobs:2
@@ -1026,12 +919,9 @@ let own_type_outranks_import () =
       "#lang typed/racket\n(require \"n1.scm\")\n(define-type Num String)\n\
        (define s : Num \"y\")\n(display s)\n"
   in
-  List.iter
-    (fun (mode, runs) ->
-      let out, diags = runs [ before; after ] in
-      check_b (mode ^ ": both orders typecheck") true (diags = [ "ok"; "ok" ]);
-      check_s (mode ^ ": both print") "xy" out)
-    (modes dir)
+  match agree (modes dir) [ Matrix.Files [ before; after ] ] with
+  | [ o ] -> check_s "both orders typecheck and print" "xy" (o.out ^ o.err)
+  | _ -> Alcotest.fail "one outcome per program"
 
 (* A macro template in an artifact keeps the meaning it had where the
    macro was made: [get-secret]'s [secret] is the definition its
@@ -1041,7 +931,6 @@ let own_type_outranks_import () =
    [secret] stays the symbol the source spelled, quasiquoted or not. *)
 let macro_template_keeps_meaning () =
   let dir = fresh_dir () in
-  let cache = Filename.concat dir "cache" in
   ignore
     (file dir "lib.scm"
        "#lang racket\n\
@@ -1050,21 +939,13 @@ let macro_template_keeps_meaning () =
         (define-syntax-rule (getqq) `(secret ,secret))))\n\
         (make-secret-macro get-secret get-quoted get-qq)\n(define secret 'user-secret)\n\
         (provide get-secret get-quoted get-qq)\n");
-  let client_text =
-    "#lang racket\n(require \"lib.scm\")\n(display (list (get-secret) (get-quoted) (get-qq)))\n"
+  let client =
+    file dir "client.scm"
+      "#lang racket\n(require \"lib.scm\")\n(display (list (get-secret) (get-quoted) (get-qq)))\n"
   in
-  let client = file dir "client.scm" client_text in
-  let want = "(macro-secret secret (secret macro-secret))" in
-  check_s "uncached" want (run_file client);
-  check_s "cold" want (run_file ~cache client);
-  let warm, c = run_measured ~cache client in
-  check_s "warm" want warm;
-  check_i "warm compiles nothing" 0 (compiles c);
-  ignore (file dir "client.scm" (client_text ^ "\n"));
-  let edited, c = run_measured ~cache client in
-  check_s "client edited" want edited;
-  check_i "only the client compiles" 1 (compiles c);
-  check_i "the provider loads from its artifact" 1 (hits c)
+  match agree (modes dir) [ Matrix.Files [ client ] ] with
+  | [ o ] -> check_s "every mode" "(macro-secret secret (secret macro-secret))" o.out
+  | _ -> Alcotest.fail "one outcome per program"
 
 (* -- memory: what a recompile leaves behind ----------------------------------
 
@@ -1169,27 +1050,22 @@ let t name f = Alcotest.test_case name `Quick f
    takes over the provider's binding, so the provider's own callers keep
    calling its definition.  A required macro's names keep meaning what
    they meant where the macro was defined, whatever the client defines.
-   Each answer must hold cold and warm from the store. *)
+   Each answer must hold in every mode. *)
 let import_shadowing () =
   let dir = fresh_dir () in
-  let cache = Filename.concat dir "cache" in
-  let file name text =
-    write_file (Filename.concat dir name) text;
-    Filename.concat dir name
-  in
   ignore
-    (file "a.scm"
+    (file dir "a.scm"
        "#lang racket\n(provide car cdr use-car car2 use-car2)\n\
         (define (car p) 'a-car)\n(define (cdr p) 'a-cdr)\n(define (use-car) (car 0))\n\
         (define (car2 p) 'a-car2)\n(define (use-car2) (car2 0))\n");
   ignore
-    (file "lib.scm"
+    (file dir "lib.scm"
        "#lang racket\n(provide double quad)\n\
         (define (double x) (* 2 x))\n(define (quad x) (double (double x)))\n");
-  ignore (file "b.scm" "#lang racket\n(provide car)\n(define (car p) 'b-car)\n");
-  ignore (file "l.scm" "#lang racket\n(provide list)\n(define (list . xs) 'l-list)\n");
+  ignore (file dir "b.scm" "#lang racket\n(provide car)\n(define (car p) 'b-car)\n");
+  ignore (file dir "l.scm" "#lang racket\n(provide list)\n(define (list . xs) 'l-list)\n");
   ignore
-    (file "mac.scm"
+    (file dir "mac.scm"
        "#lang racket\n(provide first-of call-helper)\n\
         (define-syntax-rule (first-of p) (car p))\n\
         (define (helper) 40)\n\
@@ -1253,16 +1129,12 @@ let import_shadowing () =
         "(pos my-if)" );
     ]
   in
-  List.iteri
-    (fun i (what, text, want) ->
-      let main = file (Printf.sprintf "main%d.scm" i) text in
-      let cold, c0 = run_measured ~cache main in
-      check_s (what ^ ", cold") want cold;
-      check_b (what ^ ": cold compiled") true (compiles c0 > 0);
-      let warm, c1 = run_measured ~cache main in
-      check_s (what ^ ", warm") want warm;
-      check_i (what ^ ": warm compiles nothing") 0 (compiles c1))
-    cases
+  let programs =
+    List.mapi (fun i (_, text, _) -> Matrix.Files [ file dir (Printf.sprintf "main%d.scm" i) text ]) cases
+  in
+  List.iter2
+    (fun (what, _, want) (o : Matrix.outcome) -> check_s what want o.out)
+    cases (agree (modes dir) programs)
 
 (* A client's link alias is made from the name its owner knows the
    binding by, so the client's artifact is byte-identical whether its
@@ -1279,7 +1151,7 @@ let link_aliases_deterministic () =
         (define-syntax-rule (get) secret)))\n\
         (make-get get-secret)\n(define secret 'user-secret)\n(provide get-secret)\n");
   let client = file dir "client.scm" "#lang racket\n(require \"lib.scm\")\n(display (get-secret))\n" in
-  let art = artifact_file ~cache (Compiled.Resolver.module_key client) in
+  let art = Matrix.artifact ~store:cache client in
   let together, c = run_measured ~cache client in
   check_s "compiled together" "macro-secret" together;
   check_i "both compile" 2 (compiles c);
@@ -1303,7 +1175,7 @@ let deferred_range_writer_bug () =
   let main = file dir "main.scm" "#lang racket\n(define (sq x) (* x x))\n(display (sq 9))\n" in
   check_s "cold" "81" (run_file ~cache main);
   let key = Compiled.Resolver.module_key main in
-  let art = artifact_file ~cache key in
+  let art = Matrix.artifact ~store:cache key in
   let text = strip_trailer (read_file art) in
   let damaged = replace_first text "* x x)))" "* x x ))" in
   check_b "right-hand side damaged" true (damaged <> text);
@@ -1331,7 +1203,7 @@ let index_class_must_agree () =
   let cache = Filename.concat dir "cache" in
   let main = file dir "main.scm" "#lang racket\n(define (sq x) (* x x))\n(display (sq 9))\n" in
   check_s "cold" "81" (run_file ~cache main);
-  let art = artifact_file ~cache (Compiled.Resolver.module_key main) in
+  let art = Matrix.artifact ~store:cache main in
   let text = strip_trailer (read_file art) in
   let entry = "(define define-values (sq) 7 27 68)" in
   check_b "the index records sq's define-values" true (contains text entry);
@@ -1340,6 +1212,38 @@ let index_class_must_agree () =
   check_s "same output" "81" warm;
   check_i "the module recompiles" 1 (compiles c);
   check_i "its artifact is stale" 1 (stale c)
+
+(* A hostile cache location degrades to compiling, never to an error:
+   any unusable store, like any unusable artifact, costs a recompile
+   (docs/compilation.md).  There is no unwritable-permission case: a test
+   may run as root, where chmod 0 is no barrier. *)
+let hostile_cache_dirs () =
+  List.iter
+    (fun (what, prepare) ->
+      let dir = fresh_dir () in
+      let src =
+        file dir "prog.scm"
+          "#lang racket\n(define (tri n) (if (= n 0) 0 (+ n (tri (- n 1)))))\n(display (tri 7))\n"
+      in
+      let out, r =
+        Prims.with_captured_output (fun () ->
+            Liblang_core.Pipeline.run_file ~cache_dir:(prepare dir src) src)
+      in
+      check_b (what ^ ": runs") true (Result.is_ok r);
+      check_s (what ^ ": prints its answer") "28" out)
+    [
+      (* mkdir fails, every write fails, reads find nothing *)
+      ("a regular file", fun dir _ -> file dir "cache" "not a directory\n");
+      (* reads find no artifact, and the write's rename fails *)
+      ( "a directory at the artifact's path",
+        fun dir src ->
+          let cache = Filename.concat dir "cache" in
+          Unix.mkdir cache 0o755;
+          Unix.mkdir (Matrix.artifact ~store:cache src) 0o755;
+          cache );
+      (* the store's single mkdir cannot create a/b/c: every access misses *)
+      ("a missing nested directory", fun dir _ -> Filename.concat dir "a/b/c");
+    ]
 
 let suite =
   cleaning
@@ -1350,7 +1254,6 @@ let suite =
     t "file require: cross-file cycle" file_require_cycle;
     t "canonicalization: one key per file" canonicalization_one_key_per_file;
     t "warm run: zero compiles, all hits" warm_run_zero_compiles;
-    t "warm run: quoted symbols read back as themselves" quoted_symbols_round_trip;
     t "import shadowing holds cold and warm" import_shadowing;
     t "invalidation: exactly the dependents" dependent_invalidation_exact;
     t_corrupt;
@@ -1359,6 +1262,7 @@ let suite =
     t_v4_bytecode;
     t "stale source rejected before the body parses" stale_before_body;
     t_stale_source;
+    t "store: a hostile cache dir degrades to compiling" hostile_cache_dirs;
     t "stale transitive require" stale_transitive_require;
     t "§5 replay: types from artifact" replay_types_from_artifact;
     t "§6.2 replay: boundary contracts" replay_boundary_contracts;

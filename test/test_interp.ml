@@ -93,16 +93,21 @@ let backends_agree =
   List.map
     (fun (name, body) ->
       Alcotest.test_case ("naive agrees: " ^ name) `Quick (fun () ->
-          let src = "#lang racket\n" ^ body in
-          let fast = run src in
-          let saved = !Modsys.evaluator in
-          Modsys.evaluator := Naive.eval_top;
-          Fun.protect
-            ~finally:(fun () -> Modsys.evaluator := saved)
-            (fun () ->
-              let slow = run src in
-              check_s name fast slow)))
+          ignore (engines_agree Matrix.naive ("#lang racket\n" ^ body))))
     progs
+
+(* Both evaluators spend fuel on the same applications, so a loop that
+   prints a line per iteration and outruns its budget prints the same
+   lines and ends in the same diagnostic under either. *)
+let same_fuel =
+  Alcotest.test_case "naive spends fuel where the interpreter does" `Quick (fun () ->
+      let loop = "(let loop ([i 0]) (when (< i 100) (display i) (newline) (loop (+ i 1))))" in
+      match engines_agree ~fuel:300 Matrix.naive ("#lang racket\n" ^ loop ^ "\n") with
+      | [ o ] ->
+          let lines = List.length (String.split_on_char '\n' o.out) - 1 in
+          check_b "some lines, not all 100" true (lines > 0 && lines < 100);
+          check_b "then runs out of fuel" true (contains o.err "exhausted its fuel budget")
+      | _ -> Alcotest.fail "one outcome per program")
 
 (* The fused unsafe-float closures must agree with the generic operations
    on every operand shape (constants, locals at several depths, computed
@@ -147,4 +152,5 @@ let unboxing_off =
           (fun () -> check_s "same" on (ev src)));
   ]
 
-let suite = core_semantics @ errors @ tail_calls @ backends_agree @ fused_shapes @ unboxing_off
+let suite =
+  cleaning (core_semantics @ errors @ tail_calls @ backends_agree @ (same_fuel :: fused_shapes) @ unboxing_off)

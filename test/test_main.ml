@@ -26,6 +26,7 @@ let () =
       (* last: these tests reset the module registry between runs to
          simulate fresh processes *)
       ("compiled", Test_compiled.suite);
+      ("matrix", Test_matrix.suite);
       ("server", Test_server.suite);
       ("backend", Test_backend.suite);
     ]

@@ -14,15 +14,9 @@ module Core = Liblang_core.Core
 module Json = Core.Json
 module Fault = Core.Fault
 module P = Liblang_server.Protocol
-module Server = Liblang_server.Server
 module Client = Liblang_server.Client
 
 let fresh_dir () = fresh_dir "server"
-
-let write_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
 
 (* -- the frame codec ----------------------------------------------------------- *)
 
@@ -108,35 +102,13 @@ let request_parsing () =
 
 (* -- a live daemon -------------------------------------------------------------- *)
 
-(* Start a daemon in a spawned domain; run [f socket dir], then shut the
-   daemon down and join it (even when [f] raises).  Two worker domains by
-   default, so every test exercises the concurrent dispatch path. *)
-let with_server ?(workers = 2) ?session_ttl ?max_sessions
-    (f : string -> string -> unit) : unit =
+(* Start a daemon in a spawned domain, its socket and store in a fresh
+   temp dir; run [f socket dir], then shut the daemon down and join it
+   (even when [f] raises).  Two worker domains by default, so every test
+   exercises the concurrent dispatch path. *)
+let with_server ?workers ?session_ttl ?max_sessions (f : string -> string -> unit) : unit =
   let dir = fresh_dir () in
-  let socket = Filename.concat dir "server.sock" in
-  let cfg =
-    {
-      Server.socket_path = socket;
-      cache_dir = Filename.concat dir "cache";
-      workers;
-      default_jobs = 1;
-      fuel = None;
-      engine = Liblang_core.Pipeline.Interp;
-      session_ttl;
-      max_sessions;
-    }
-  in
-  let d = Domain.spawn (fun () -> Server.serve cfg) in
-  Fun.protect
-    ~finally:(fun () ->
-      (match Client.connect ~retries:20 socket with
-      | Ok c ->
-          ignore (Client.request c P.Shutdown);
-          Client.close c
-      | Error _ -> ());
-      Domain.join d)
-    (fun () -> f socket dir)
+  Matrix.with_daemon ?workers ?session_ttl ?max_sessions ~dir (fun socket -> f socket dir)
 
 let connect socket =
   match Client.connect ~retries:100 socket with
@@ -312,11 +284,7 @@ let run_reports_every_parse_error () =
    whatever another session compiled before. *)
 let type_names_per_session () =
   with_server (fun socket dir ->
-      let file name text =
-        let path = Filename.concat dir name in
-        write_file path text;
-        path
-      in
+      let file = file dir in
       let ta =
         file "ta.scm"
           "#lang typed/racket\n(define-type Num Float)\n(provide half)\n\

@@ -6,21 +6,23 @@ let () = init ()
 
 let counter = ref 0
 
-(** [test/corpus], beside the test executable (dune copies it there), so
-    the suite finds it from any working directory. *)
+(** [test/corpus] and [examples/scm], beside the test executable (dune
+    copies them there), so the suite finds them from any working
+    directory; and the [liblang] executable built beside the test
+    directory. *)
 let corpus = Filename.concat (Filename.dirname Sys.executable_name) "corpus"
+
+let examples = Filename.concat (Filename.dirname Sys.executable_name) "examples"
+
+let liblang =
+  Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "bin/liblang.exe"
 
 (* -- temp project directories ---------------------------------------------------- *)
 
 let temp_dirs : string list ref = ref []
 
-let rec rm_rf (path : string) =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error _ -> ()
+let read_file = Matrix.read_file
+let write_file = Matrix.write_file
 
 (** A fresh directory under the system temp dir, removed with everything
     in it when the test that made it ends (see {!cleaning}). *)
@@ -39,7 +41,7 @@ let cleaning (tests : 'a Alcotest.test_case list) : 'a Alcotest.test_case list =
         fun x ->
           Fun.protect
             ~finally:(fun () ->
-              List.iter rm_rf !temp_dirs;
+              List.iter Matrix.rm_rf !temp_dirs;
               temp_dirs := [])
             (fun () -> f x) ))
     tests
@@ -91,13 +93,51 @@ exception Hung
     that a damaged pool terminates, so a hang must fail the test rather
     than freeze the suite. *)
 let with_test_alarm seconds f =
-  let previous = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Hung)) in
-  ignore (Unix.alarm seconds);
-  Fun.protect
-    ~finally:(fun () ->
-      ignore (Unix.alarm 0);
-      Sys.set_signal Sys.sigalrm previous)
-    f
+  match Matrix.capped seconds f with Some v -> v | None -> raise Hung
+
+(* -- the configuration matrix ------------------------------------------------ *)
+
+(** Fail the test unless [configs] agree on [programs] (see {!Matrix.check});
+    return the reference configuration's outcomes. *)
+let agree configs programs =
+  match Matrix.check configs programs with
+  | Ok outcomes -> outcomes
+  | Error f -> Alcotest.fail (Matrix.describe f)
+
+(** [text] written to a file [name] in [dir]; its path. *)
+let file dir name text =
+  let path = Filename.concat dir name in
+  write_file path text;
+  path
+
+(** [text] written to a file [name] in a fresh directory; its path. *)
+let source_file ?(name = "prog.scm") text = file (fresh_dir "prog") name text
+
+(** [src], as a file, under the interpreter and under [engine], with
+    [fuel] steps each: its outcome, which must be byte-identical. *)
+let engines_agree ?fuel engine src =
+  agree
+    [ Matrix.in_process ?fuel Matrix.Uncached; Matrix.in_process ?fuel ~engine Matrix.Uncached ]
+    [ Matrix.Files [ source_file src ] ]
+
+(** A typed/untyped twin from the bodies of its two modules, each in a
+    file [name]. *)
+let twin ?name ~untyped ~typed () =
+  Matrix.Twin
+    {
+      untyped = source_file ?name ("#lang racket\n" ^ untyped);
+      typed = source_file ?name ("#lang typed/racket\n" ^ typed);
+    }
+
+(** Runs of a twin: untyped, the reference, then each of [variants], which
+    must print what it prints (the optimizer preserves behaviour, §7).
+    Runtime fuel is unlimited, as under {!run}. *)
+let twin_runs variants =
+  List.map
+    (fun variant -> Matrix.in_process ~fuel:max_int ~variant Matrix.Uncached)
+    (Matrix.Untyped :: variants)
+
+let typed_variants = Matrix.[ Typed; Typed_O0; Typed_nocfa ]
 
 (* -- alcotest shorthands ------------------------------------------------------ *)
 
@@ -128,13 +168,13 @@ let t_ev_err name src fragment =
       if not (contains msg fragment) then
         Alcotest.failf "%s: expected error containing %S, got %S" name fragment msg)
 
-(** Assert a typed program and its untyped twin print the same thing (the
-    optimizer preserves behaviour), under the interpreter and under the
-    VM, which runs the same rewritten code through its own float lane. *)
+(** Assert a typed program and its untyped twin print the same thing in
+    every typed variant, and under the VM too, which runs the same
+    rewritten code through its own float lane. *)
 let t_agree name ~untyped ~typed =
   Alcotest.test_case name `Quick (fun () ->
-      let u = run ("#lang racket\n" ^ untyped) in
-      let typed () = run ("#lang typed/racket\n" ^ typed) in
-      check_s name u (typed ());
-      check_s (name ^ " (vm)") u
-        (Liblang_core.Pipeline.with_engine Liblang_core.Pipeline.Vm typed))
+      ignore
+        (agree
+           (twin_runs typed_variants
+           @ [ Matrix.(in_process ~fuel:max_int ~engine:vm ~variant:Typed Uncached) ])
+           [ twin ~untyped ~typed () ]))
