@@ -96,8 +96,9 @@ let frame_of_args name arity rest args =
     frame
   end
 
-let rec apply (f : value) (args : value list) : value =
-  step ();
+(* [apply] less its tick.  [apply1]..[apply5] tick and then fall back on
+   it, so an application ticks once whatever the callee. *)
+let[@inline] apply_no_tick (f : value) (args : value list) : value =
   match f with
   | Prim p -> p.p_fn args
   | Closure c ->
@@ -105,45 +106,49 @@ let rec apply (f : value) (args : value list) : value =
       c.code { frame; up = c.cl_env }
   | v -> error "application: not a procedure: %s" (write_string v)
 
-and apply1 f a0 =
+let apply (f : value) (args : value list) : value =
+  step ();
+  apply_no_tick f args
+
+let apply1 f a0 =
   step ();
   match f with
   | Closure c when c.arity = 1 && not c.rest ->
       c.code { frame = [| a0 |]; up = c.cl_env }
   | Prim p -> p.p_fn [ a0 ]
-  | _ -> apply f [ a0 ]
+  | _ -> apply_no_tick f [ a0 ]
 
-and apply2 f a0 a1 =
+let apply2 f a0 a1 =
   step ();
   match f with
   | Closure c when c.arity = 2 && not c.rest ->
       c.code { frame = [| a0; a1 |]; up = c.cl_env }
   | Prim p -> p.p_fn [ a0; a1 ]
-  | _ -> apply f [ a0; a1 ]
+  | _ -> apply_no_tick f [ a0; a1 ]
 
-and apply3 f a0 a1 a2 =
+let apply3 f a0 a1 a2 =
   step ();
   match f with
   | Closure c when c.arity = 3 && not c.rest ->
       c.code { frame = [| a0; a1; a2 |]; up = c.cl_env }
   | Prim p -> p.p_fn [ a0; a1; a2 ]
-  | _ -> apply f [ a0; a1; a2 ]
+  | _ -> apply_no_tick f [ a0; a1; a2 ]
 
-and apply4 f a0 a1 a2 a3 =
+let apply4 f a0 a1 a2 a3 =
   step ();
   match f with
   | Closure c when c.arity = 4 && not c.rest ->
       c.code { frame = [| a0; a1; a2; a3 |]; up = c.cl_env }
   | Prim p -> p.p_fn [ a0; a1; a2; a3 ]
-  | _ -> apply f [ a0; a1; a2; a3 ]
+  | _ -> apply_no_tick f [ a0; a1; a2; a3 ]
 
-and apply5 f a0 a1 a2 a3 a4 =
+let apply5 f a0 a1 a2 a3 a4 =
   step ();
   match f with
   | Closure c when c.arity = 5 && not c.rest ->
       c.code { frame = [| a0; a1; a2; a3; a4 |]; up = c.cl_env }
   | Prim p -> p.p_fn [ a0; a1; a2; a3; a4 ]
-  | _ -> apply f [ a0; a1; a2; a3; a4 ]
+  | _ -> apply_no_tick f [ a0; a1; a2; a3; a4 ]
 
 (* -- fast-path registries -------------------------------------------------
    Primitives register specialized entry points here (by name) so that

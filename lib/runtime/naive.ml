@@ -52,8 +52,9 @@ let rec eval (a : Ast.t) (env : env) : value =
       let vf = eval f env in
       let vs = Array.to_list (Array.map (fun a -> eval a env) args) in
       (* spend fuel exactly where the interpreter does *)
-      (match Interp.call_of f args with Interp.Apply -> Interp.step () | _ -> ());
-      apply vf vs
+      (match Interp.call_of f args with
+      | Interp.Apply -> Interp.apply vf vs
+      | _ -> Interp.apply_no_tick vf vs)
   | Ast.LetVals (clauses, body) ->
       let total = Array.fold_left (fun acc c -> acc + c.Ast.n_vals) 0 clauses in
       let frame = Array.make (max total 1) Undefined in
@@ -71,13 +72,5 @@ let rec eval (a : Ast.t) (env : env) : value =
         (fun c -> Interp.bind_results frame slot c.Ast.n_vals (eval c.Ast.rhs env'))
         clauses;
       eval body env'
-
-and apply (f : value) (args : value list) : value =
-  match f with
-  | Prim p -> p.p_fn args
-  | Closure c ->
-      let frame = Interp.frame_of_args c.cl_name c.arity c.rest args in
-      c.code { frame; up = c.cl_env }
-  | v -> error "application: not a procedure: %s" (write_string v)
 
 let eval_top (a : Ast.t) : value = eval a top_env

@@ -8,11 +8,12 @@
 
     A configuration runs in this process ({!in_process}: an engine, a
     typed variant, a cache state and a history) or as a [liblang run]
-    subprocess ({!cli}, directly or through a daemon).  In-process
-    outcomes follow the CLI's rules, so the two compare byte for byte:
-    exit 0 on success, 1 on diagnostics, 2 if any of them is internal,
-    and stderr is the uncoloured rendering of the diagnostics.  Every run
-    has a time cap, and a hang fails, naming its configuration. *)
+    subprocess ({!cli}: uncached, through a store, or through a daemon).
+    In-process outcomes follow the CLI's rules, so the two compare byte
+    for byte: exit 0 on success, 1 on diagnostics, 2 if any of them is
+    internal, and stderr is the uncoloured rendering of the diagnostics.
+    Every run has a time cap, and a hang fails, naming its
+    configuration. *)
 
 module Core = Liblang_core.Core
 module Pipeline = Liblang_core.Pipeline
@@ -35,6 +36,9 @@ let naive = { name = "naive"; eval = Core.Naive.eval_top }
 let vm = { name = "vm"; eval = Core.Vm.eval_top }
 let engines = [ interp; naive; vm ]
 
+(** Which file of a twin runs, and with the optimizer ([Typed_O0]) or
+    the flow analysis ([Typed_nocfa]) off; a program of files runs its
+    files under any variant. *)
 type variant = Untyped | Typed | Typed_O0 | Typed_nocfa
 
 (** The store a run goes through.  [Cold store] empties [store] when its
@@ -84,6 +88,14 @@ let rec rm_rf path =
 (** Where the store rooted at [store] keeps [file]'s artifact. *)
 let artifact ~store file =
   Filename.concat store (Compiled.Digest_util.key_file (Compiled.Resolver.module_key file) ^ ".lart")
+
+(** Whether every one of [files] has an artifact in [store]: a warm or
+    edited run of a program that has not would only repeat the cold
+    run. *)
+let stored ~store files = List.for_all (fun f -> Sys.file_exists (artifact ~store f)) files
+
+let warm_broken ~compiled ~loaded =
+  broken "the warm run compiled %d modules and loaded %d from the store" compiled loaded
 
 (* -- in process ------------------------------------------------------------------- *)
 
@@ -146,8 +158,7 @@ let hits c = Metrics.get c "module.cache_hits"
     loads from the store); an edited run compiles only the files it
     edited; a run in a session finds the modules of the runs before it
     still registered.  A warm or edited run of a program whose files are
-    not all in the store would only repeat the cold run, so it is not
-    run. *)
+    not all {!stored} is not run. *)
 let in_process ?(fuel = fuel) ?(engine = interp) ?(variant = Untyped) ?(history = Fresh)
     ?(jobs = 1) cache : config =
   let label =
@@ -182,16 +193,14 @@ let in_process ?(fuel = fuel) ?(engine = interp) ?(variant = Untyped) ?(history 
         Compiled.reset_session ();
         registered := []
       end;
-      let stored store = List.for_all (fun f -> Sys.file_exists (artifact ~store f)) files in
       match cache with
       | Uncached -> Some (fst (run files))
       | Cold store -> Some (fst (run ~cache_dir:store files))
-      | (Warm store | Edited store) when not (stored store) -> None
+      | (Warm store | Edited store) when not (stored ~store files) -> None
       | Warm store ->
           let o, c = run ~cache_dir:store files in
           if compiles c > 0 || (history = Fresh && hits c = 0) then
-            broken "the warm run compiled %d modules and loaded %d from the store" (compiles c)
-              (hits c);
+            warm_broken ~compiled:(compiles c) ~loaded:(hits c);
           Some o
       | Edited store ->
           let own = List.sort_uniq compare (List.map (artifact ~store) files) in
@@ -205,10 +214,9 @@ let in_process ?(fuel = fuel) ?(engine = interp) ?(variant = Untyped) ?(history 
     fun program ->
       let files =
         match (program, variant) with
-        | Files fs, Untyped -> fs
+        | Files fs, _ -> fs
         | Twin t, Untyped -> [ t.untyped ]
         | Twin t, _ -> [ t.typed ]
-        | Files _, _ -> invalid_arg "Matrix.in_process: a typed variant runs a twin"
       in
       match capped time_cap (fun () -> run_program files) with
       | Some o -> o
@@ -218,9 +226,15 @@ let in_process ?(fuel = fuel) ?(engine = interp) ?(variant = Untyped) ?(history 
 
 (* -- subprocesses ------------------------------------------------------------------ *)
 
-(** Run [exe] with [args] from [cwd], with an empty stdin, and return its
+(** Run [exe] with [args] from [cwd] (through [sh], so this process keeps
+    its own working directory), with an empty stdin, and return its
     outcome; [Broken] if it is still running after {!time_cap} seconds. *)
 let spawn ?cwd exe args =
+  let exe, args =
+    match cwd with
+    | None -> (exe, args)
+    | Some dir -> ("/bin/sh", "-c" :: {|cd "$0" && exec "$@"|} :: dir :: exe :: args)
+  in
   let out_file = Filename.temp_file "liblang-matrix" ".out" in
   let err_file = Filename.temp_file "liblang-matrix" ".err" in
   Fun.protect
@@ -229,15 +243,10 @@ let spawn ?cwd exe args =
       let input = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
       let output = Unix.openfile out_file [ Unix.O_WRONLY ] 0 in
       let errors = Unix.openfile err_file [ Unix.O_WRONLY ] 0 in
-      let here = Sys.getcwd () in
       let pid =
         Fun.protect
-          ~finally:(fun () ->
-            Sys.chdir here;
-            List.iter Unix.close [ input; output; errors ])
-          (fun () ->
-            Option.iter Sys.chdir cwd;
-            Unix.create_process exe (Array.of_list (exe :: args)) input output errors)
+          ~finally:(fun () -> List.iter Unix.close [ input; output; errors ])
+          (fun () -> Unix.create_process exe (Array.of_list (exe :: args)) input output errors)
       in
       let deadline = Unix.gettimeofday () +. float_of_int time_cap in
       let rec wait () =
@@ -255,16 +264,51 @@ let spawn ?cwd exe args =
       let code = wait () in
       { code; out = read_file out_file; err = read_file err_file })
 
-(** [liblang run] of each program's files as a subprocess of [exe], or
-    through the daemon listening on [via_server]. *)
-let cli ?(fuel = fuel) ?via_server exe : config =
-  let server = match via_server with Some s -> [ "--via-server"; s ] | None -> [] in
+(* How many spans named [span] the run that wrote the NDJSON [trace]
+   entered. *)
+let entered trace span =
+  let enter = Printf.sprintf {|{"ev":"enter","span":"%s"|} span in
+  List.length (List.filter (String.starts_with ~prefix:enter) (String.split_on_char '\n' (read_file trace)))
+
+(** [liblang run] of each program's files as a subprocess of [exe],
+    through the daemon listening on [via_server] or the store that
+    [cache] names.  A warm run proves it took effect by its trace: in a
+    fresh process, it compiled no module and loaded one from the store.
+    An edited client runs in process. *)
+let cli ?via_server ?(cache = Uncached) exe : config =
+  let flags =
+    (match via_server with Some s -> [ "--via-server"; s ] | None -> [])
+    @
+    match cache with
+    | Uncached -> []
+    | Cold store | Warm store -> [ "--cache-dir"; store ]
+    | Edited _ -> invalid_arg "Matrix.cli: an edited client runs in process"
+  in
+  let run files = spawn exe ([ "run"; "--fuel"; string_of_int fuel ] @ flags @ files) in
+  let warm files =
+    let trace = Filename.temp_file "liblang-matrix" ".ndjson" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove trace)
+      (fun () ->
+        let o = run ("--trace" :: trace :: files) in
+        let compiled = entered trace "compile-module" and loaded = entered trace "load-module" in
+        if compiled > 0 || loaded = 0 then warm_broken ~compiled ~loaded;
+        o)
+  in
   {
-    label = (if via_server = None then "liblang run" else "liblang run --via-server");
+    label =
+      "liblang run" ^ (if via_server = None then "" else " --via-server")
+      ^ (match cache with Cold _ -> " cold" | Warm _ -> " warm" | _ -> "");
     pass =
-      (fun () -> function
-        | Files fs -> Some (spawn exe ([ "run"; "--fuel"; string_of_int fuel ] @ server @ fs))
-        | Twin _ -> invalid_arg "Matrix.cli: a twin runs in process");
+      (fun () ->
+        (match cache with Cold dir -> rm_rf dir | _ -> ());
+        function
+        | Twin _ -> invalid_arg "Matrix.cli: a twin runs in process"
+        | Files fs -> (
+            match cache with
+            | Warm store when not (stored ~store fs) -> None
+            | Warm _ -> Some (warm fs)
+            | _ -> Some (run fs)));
   }
 
 (** Start a compile-server daemon in a spawned domain of this process,

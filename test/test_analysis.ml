@@ -19,18 +19,6 @@ let analyze_src (src : string) : Facts.t =
   let forms = Modsys.expand_source ~name:(fresh "analysis-prop") src in
   Zcfa.analyze_module forms
 
-(* Run [src] with the flow analysis toggled off (the optimizer still
-   runs, so this isolates exactly the fact-driven rewrites). *)
-let run_nocfa (src : string) : string =
-  let saved = !Zcfa.enabled in
-  Zcfa.enabled := false;
-  Fun.protect ~finally:(fun () -> Zcfa.enabled := saved) (fun () -> run src)
-
-let run_vm (src : string) : string = Pipeline.with_engine Pipeline.Vm (fun () -> run src)
-
-let run_vm_nocfa (src : string) : string =
-  Pipeline.with_engine Pipeline.Vm (fun () -> run_nocfa src)
-
 (* -- soundness: monomorphic call facts ----------------------------------------
 
    Generated chain programs where the generator knows the ground truth:
@@ -40,6 +28,13 @@ let run_vm_nocfa (src : string) : string =
    on the strength of those facts, must print the same closed-form
    answer as the untyped original under both engines, analyzed or
    not. *)
+
+(* The untyped twin, then the typed one analyzed and not, under the
+   interpreter and the VM; fuel is unlimited, as under {!run}.  A program
+   of files runs its files in each. *)
+let parity =
+  let under engine variant = Matrix.in_process ~fuel:max_int ~engine ~variant Matrix.Uncached in
+  Matrix.[ under interp Untyped; under interp Typed; under interp Typed_nocfa; under vm Typed; under vm Typed_nocfa ]
 
 let gen_chain = Q.Gen.(pair (int_range 1 4) (list_size (return 4) (int_range (-9) 9)))
 
@@ -70,14 +65,11 @@ let chain_soundness =
       in
       let expected = string_of_int (List.fold_left ( + ) 100 cs) in
       let facts = analyze_src untyped in
+      let twin = Matrix.Twin { untyped = source_file untyped; typed = source_file typed } in
       (* abstract = concrete here: every site has exactly one callee *)
       facts.Facts.call_sites = k
       && Facts.NodeTbl.length facts.Facts.direct = k
-      && run untyped = expected
-      && run typed = expected
-      && run_nocfa typed = expected
-      && run_vm typed = expected
-      && run_vm_nocfa typed = expected)
+      && match Matrix.check parity [ twin ] with Ok [ o ] -> o.code = 0 && o.out = expected | _ -> false)
 
 (* -- fixpoint parity: the worklist solver against the sweep oracle -------------
 
@@ -251,10 +243,7 @@ let counted_loop =
 
 let t_parity name src =
   Alcotest.test_case name `Quick (fun () ->
-      let reference = run_nocfa src in
-      Alcotest.(check string) "analyzed interp" reference (run src);
-      Alcotest.(check string) "analyzed vm" reference (run_vm src);
-      Alcotest.(check string) "unanalyzed vm" reference (run_vm_nocfa src))
+      ignore (succeeds (agree parity [ Matrix.Files [ source_file src ] ])))
 
 (* The rewrite rules fed by the 0CFA facts, as opposed to type-driven
    ones like [fl:+]: they must fire on the typed vector kernels, so an
@@ -289,6 +278,7 @@ let cfa_rewrites_fire () =
     [ ("spectralnorm", cfa_rules); ("nbody", [ "opt:direct-call" ]) ]
 
 let suite =
+  cleaning
   [
     to_alcotest chain_soundness;
     to_alcotest inbounds_soundness;

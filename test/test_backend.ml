@@ -12,19 +12,21 @@ open Liblang_core.Core
 open Test_util
 module Pipeline = Liblang_core.Pipeline
 
-(** Run [src] under both engines and assert byte-identical output. *)
+(** Run [src] under both engines: it must succeed, byte-identically. *)
 let t_par name src =
-  Alcotest.test_case name `Quick (fun () -> ignore (engines_agree Matrix.vm src))
+  Alcotest.test_case name `Quick (fun () -> ignore (succeeds (engines_agree Matrix.vm src)))
+
+let float_loop =
+  "#lang typed/racket\n\
+   (: run (Float -> Float))\n\
+   (define (run n)\n\
+  \  (let loop : Float ([i : Float 0.0] [s : Float 0.0])\n\
+  \    (if (< i n) (loop (+ i 1.0) (+ s i)) s)))\n\
+   (display (run 1000.0))\n"
 
 let parity =
   [
-    t_par "float loop (register lane)"
-      "#lang typed/racket\n\
-       (: run (Float -> Float))\n\
-       (define (run n)\n\
-      \  (let loop : Float ([i : Float 0.0] [s : Float 0.0])\n\
-      \    (if (< i n) (loop (+ i 1.0) (+ s i)) s)))\n\
-       (display (run 1000.0))\n";
+    t_par "float loop (register lane)" float_loop;
     t_par "int loop counter keeps exactness"
       "#lang typed/racket\n\
        (: count (Integer -> Integer))\n\
@@ -66,47 +68,36 @@ let fuel_exhaustion_point () =
   | [ o ] -> check_b "fuel: the budget actually ran out" true (contains o.err "fuel")
   | _ -> Alcotest.fail "one outcome per program"
 
-(* The vm.* and lower.* counters: a float loop under the VM must
-   actually retire bytecode (the perf_smoke canary's in-process twin). *)
+(* The vm.* and lower.* counters: the float loop under the VM must
+   actually retire bytecode (the perf_smoke canary's in-process twin);
+   its parity case above pins what it prints. *)
 let vm_counters () =
+  let ok what = function
+    | Ok v -> v
+    | Error ds ->
+        Alcotest.failf "%s failed: %s" what
+          (String.concat "; " (List.map Pipeline.Diagnostic.to_string ds))
+  in
+  let counting f =
+    let c = Metrics.create () in
+    let r = f { Observe.metrics = Some c; trace = None } in
+    (r, fun key -> check_b (key ^ " > 0") true (Metrics.get c key > 0))
+  in
   Modsys.reset_user_modules_for_tests ();
-  let c = Metrics.create () in
-  let src =
-    "#lang typed/racket\n\
-     (: run (Float -> Float))\n\
-     (define (run n)\n\
-    \  (let loop : Float ([i : Float 0.0] [s : Float 0.0])\n\
-    \    (if (< i n) (loop (+ i 1.0) (+ s i)) s)))\n\
-     (display (run 1000.0))\n"
+  let (_, r), counted =
+    counting (fun observe ->
+        Prims.with_captured_output (fun () ->
+            Pipeline.run ~engine:Pipeline.Vm ~observe ~name:"vmcounters" float_loop))
   in
-  let expected = run src in
-  let out, r =
-    Prims.with_captured_output (fun () ->
-        Pipeline.run ~engine:Pipeline.Vm
-          ~observe:{ Observe.metrics = Some c; trace = None }
-          ~name:"vmcounters" src)
-  in
-  (match r with
-  | Ok _ -> ()
-  | Error ds ->
-      Alcotest.failf "vm run failed: %s"
-        (String.concat "; " (List.map Pipeline.Diagnostic.to_string ds)));
-  check_s "vm: same answer as the interpreter" expected out;
-  check_b "vm.instructions > 0" true (Metrics.get c "vm.instructions" > 0);
-  check_b "lower.protos > 0" true (Metrics.get c "lower.protos" > 0);
-  check_b "lower.instructions > 0" true (Metrics.get c "lower.instructions" > 0);
+  ignore (ok "vm run" r);
+  List.iter counted [ "vm.instructions"; "lower.protos"; "lower.instructions" ];
   (* [eval] reads the same engine switch as instantiation *)
-  let c = Metrics.create () in
-  (match
-     Pipeline.eval ~engine:Pipeline.Vm
-       ~observe:{ Observe.metrics = Some c; trace = None }
-       "(let loop ([i 0]) (if (< i 10) (loop (+ i 1)) i))"
-   with
-  | Ok v -> check_s "vm eval: same answer" "10" (Value.write_string v)
-  | Error ds ->
-      Alcotest.failf "vm eval failed: %s"
-        (String.concat "; " (List.map Pipeline.Diagnostic.to_string ds)));
-  check_b "vm eval: vm.instructions > 0" true (Metrics.get c "vm.instructions" > 0)
+  let r, counted =
+    counting (fun observe ->
+        Pipeline.eval ~engine:Pipeline.Vm ~observe "(let loop ([i 0]) (if (< i 10) (loop (+ i 1)) i))")
+  in
+  check_s "vm eval: same answer" "10" (Value.write_string (ok "vm eval" r));
+  counted "vm.instructions"
 
 (* Per-run minor-word budgets for the typed float kernels under the VM,
    whose unboxed register lanes carry their inner loops; losing the lanes

@@ -45,15 +45,8 @@ let run_measured ?cache path : string * Metrics.t =
 
 let run_file ?cache path : string = fst (run_measured ?cache path)
 
-(** Same, expecting an error; returns a label describing it. *)
-let run_file_err ?cache path : string =
-  match run_file ?cache path with
-  | out -> "no error; output: " ^ out
-  | exception Modsys.Module_error (m, _) -> "module: " ^ m
-  | exception Core.Contracts.Contract_violation { blame; contract; _ } ->
-      Printf.sprintf "contract: %s blaming %s" contract blame
-  | exception Core.Diagnostic.Failed ds ->
-      "typecheck: " ^ String.concat "; " (List.map Core.Diagnostic.to_string ds)
+(** Same, expecting an error: {!Test_util.error_of}. *)
+let run_file_err ?cache path = error_of "output" (fun () -> run_file ?cache path)
 
 let compiles c = Metrics.get c "module.compiles"
 let hits c = Metrics.get c "module.cache_hits"
@@ -758,8 +751,6 @@ let canonicalization_one_key_per_file () =
   check_s "two spellings, one module" "7" out;
   check_i "compiled once" 2 (Metrics.get c "module.compiles")
 (* main + lib *)
-
-(* -- symbols that do not read back bare ------------------------------------------ *)
 
 (* -- one path from a file to a module ---------------------------------------------- *)
 

@@ -1,12 +1,12 @@
 (** The configuration matrix ({!Matrix}) over the corpus: every program
     in [test/corpus] and [examples/scm] runs in this process under every
     engine, cache state and history, and as [liblang] subprocesses,
-    directly and through a daemon, and every configuration must exit the
-    same way and print the same bytes on stdout and stderr.  Every corpus
-    program is broken on purpose: it exits 1 with at least one
-    diagnostic, none internal.  Every example exits 0.  The typed/untyped
-    twins of the benchmark programs go through the same runner in the
-    optimizer suite. *)
+    uncached, through a store and through a daemon, and every
+    configuration must exit the same way and print the same bytes on
+    stdout and stderr.  Every corpus program is broken on purpose: it
+    exits 1 with at least one diagnostic, none internal.  Every example
+    exits 0.  The typed/untyped twins of the benchmark programs go
+    through the same runner in the optimizer suite. *)
 
 open Test_util
 module Core = Liblang_core.Core
@@ -23,8 +23,23 @@ let example_files = scm_files examples
 let files = corpus_files @ example_files
 let programs = List.map (fun f -> Matrix.Files [ f ]) files
 
+(* What the corpus programs that print before they fail print.  The
+   quoted symbols must read back as themselves, and warm-hygiene.scm's
+   macro binders keep apart from the user's (one line each, see the
+   file). *)
+let prints =
+  [
+    ("quoted-symbol-number.scm", "#t");
+    ("quoted-symbol-space.scm", "#t");
+    ("warm-hygiene.scm", "5\n(2 1)\n(#<procedure:helper> 2)\n(1 2 3)\n(quote)\n(5 #<procedure:loop>)\n");
+  ]
+
 (* The reference run of each file meets the corpus's expectation. *)
 let expected (outcomes : Matrix.outcome list) =
+  List.iter
+    (fun (name, _) ->
+      check_b (name ^ " is in the corpus") true (List.exists (fun f -> Filename.basename f = name) files))
+    prints;
   List.iter2
     (fun f (o : Matrix.outcome) ->
       let name = Filename.basename f in
@@ -32,7 +47,8 @@ let expected (outcomes : Matrix.outcome list) =
       else begin
         check_i (name ^ " exits 1: diagnostics, none internal") 1 o.code;
         check_b (name ^ " has a diagnostic") true (String.trim o.err <> "")
-      end)
+      end;
+      Option.iter (fun want -> check_s (name ^ " prints") want o.out) (List.assoc_opt name prints))
     files outcomes
 
 let reference = Matrix.in_process Matrix.Uncached
@@ -67,15 +83,23 @@ let in_process () =
         ignore (agree (reference :: configs dir e) (List.map (fun f -> Matrix.Files [ f ]) compiled)))
     Matrix.engines
 
-(* Each file as a fresh [liblang run] and through a daemon's session, and
-   the examples as one [liblang run A B C], where each file runs after the
-   ones before it in one process. *)
+(* Each file as a fresh [liblang run]: uncached, then cold and warm
+   through a store, so a fresh process reads what another wrote; and
+   through a daemon's session.  The examples also run as one
+   [liblang run A B C], where each file runs after the ones before it in
+   one process. *)
 let subprocesses () =
+  let store = Filename.concat (fresh_dir "store") "cache" in
   Matrix.with_daemon ~dir:(fresh_dir "daemon") (fun socket ->
       ignore
         (agree
-           [ reference; Matrix.cli liblang; Matrix.cli ~via_server:socket liblang ]
-           (programs @ [ Matrix.Files example_files ])))
+           Matrix.(
+             reference
+             :: List.map (fun cache -> cli ~cache liblang) [ Uncached; Cold store; Warm store ]
+             @ [ cli ~via_server:socket liblang ])
+           (programs @ [ Matrix.Files example_files ])));
+  (* else every warm run would have been skipped *)
+  check_b "the cold runs stored the examples" true (Matrix.stored ~store example_files)
 
 (* [liblang expand] and [analyze], run from the repository root on each
    file by its relative path, print and exit as they do in process: a
@@ -145,7 +169,7 @@ let suite =
   cleaning
     [
       Alcotest.test_case "every engine, cache state and history" `Quick in_process;
-      Alcotest.test_case "liblang run, directly and --via-server" `Quick subprocesses;
+      Alcotest.test_case "liblang run: uncached, cold, warm, --via-server" `Quick subprocesses;
       Alcotest.test_case "expand and analyze from the repository root" `Quick expand_and_analyze;
       Alcotest.test_case "runner: a wrong primitive is named" `Quick wrong_primitive;
       Alcotest.test_case "runner: a warm run that compiles fails" `Quick warm_that_compiles;

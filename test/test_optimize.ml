@@ -154,7 +154,8 @@ let benchmarks_agree =
     (fun { Programs.name; untyped; typed; _ } ->
       Alcotest.test_case ("benchmark agrees: " ^ name) `Slow (fun () ->
           let variants = if typed = untyped then [ Matrix.Typed ] else typed_variants in
-          ignore (agree (twin_runs variants) [ twin ~name:(name ^ ".scm") ~untyped ~typed () ])))
+          ignore
+            (succeeds (agree (twin_runs variants) [ twin ~name:(name ^ ".scm") ~untyped ~typed () ]))))
     Programs.all
 
 let suite = cleaning (firing @ not_firing @ preservation @ benchmarks_agree)

@@ -60,11 +60,11 @@ let run (src : string) : string = run_string ~name:(fresh "test-program") src
 (** Declare a module under [name] (so other test programs can require it). *)
 let declare ~name src = ignore (Modsys.declare ~name src)
 
-(** Run, expecting an error; return a label describing which error and its
-    message. *)
-let run_err (src : string) : string =
-  match run src with
-  | out -> "no error; output: " ^ out
+(** What [f] raised, as a label naming the error and its message; or
+    what it returned, as [what]. *)
+let error_of what f : string =
+  match f () with
+  | v -> "no error; " ^ what ^ ": " ^ v
   | exception Value.Scheme_error m -> "runtime: " ^ m
   | exception Expander.Expand_error (m, _) -> "syntax: " ^ m
   | exception Compile.Compile_error (m, _) -> "compile: " ^ m
@@ -75,12 +75,10 @@ let run_err (src : string) : string =
   | exception Diagnostic.Failed ds ->
       "typecheck: " ^ String.concat "; " (List.map Diagnostic.to_string ds)
 
-let ev_err (src : string) : string =
-  match ev src with
-  | out -> "no error; value: " ^ out
-  | exception Value.Scheme_error m -> "runtime: " ^ m
-  | exception Expander.Expand_error (m, _) -> "syntax: " ^ m
-  | exception Compile.Compile_error (m, _) -> "compile: " ^ m
+(** Run or evaluate, expecting an error: {!error_of}. *)
+let run_err src = error_of "output" (fun () -> run src)
+
+let ev_err src = error_of "value" (fun () -> ev src)
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -103,6 +101,16 @@ let agree configs programs =
   match Matrix.check configs programs with
   | Ok outcomes -> outcomes
   | Error f -> Alcotest.fail (Matrix.describe f)
+
+(** [outcomes], failing the test unless each is a success: exit 0 and
+    nothing on stderr.  Configurations that fail alike agree too, so a
+    program meant to run must be seen to run. *)
+let succeeds (outcomes : Matrix.outcome list) =
+  List.iter
+    (fun (o : Matrix.outcome) ->
+      if o.code <> 0 || o.err <> "" then Alcotest.failf "exit %d, stderr %S" o.code o.err)
+    outcomes;
+  outcomes
 
 (** [text] written to a file [name] in [dir]; its path. *)
 let file dir name text =
@@ -174,7 +182,8 @@ let t_ev_err name src fragment =
 let t_agree name ~untyped ~typed =
   Alcotest.test_case name `Quick (fun () ->
       ignore
-        (agree
-           (twin_runs typed_variants
-           @ [ Matrix.(in_process ~fuel:max_int ~engine:vm ~variant:Typed Uncached) ])
-           [ twin ~untyped ~typed () ]))
+        (succeeds
+           (agree
+              (twin_runs typed_variants
+              @ [ Matrix.(in_process ~fuel:max_int ~engine:vm ~variant:Typed Uncached) ])
+              [ twin ~untyped ~typed () ])))
