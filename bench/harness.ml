@@ -57,7 +57,7 @@ type result = {
           this variant — 0.0 for untyped variants and for
           [Typed_no_cfa], whose whole point is to skip the pass *)
   vm : vm_result option;
-      (** the bytecode-VM series ([--engine vm]): the same module body
+      (** the bytecode-VM series: the same module body
           re-instantiated under {!Liblang_backend.Vm} instead of the
           closure-compiling interpreter.  [None] for the naive backend
           row (the AST walker stands in for other systems; it has no VM
@@ -124,7 +124,7 @@ let declare_variant (b : Programs.t) (v : variant) : Modsys.t * (string * int) l
 
 (* Run the module body once, under the variant's evaluation regime, and
    return (checksum, elapsed seconds).  [~vm:true] swaps in the bytecode
-   backend (the CLI's [--engine vm]) for the same variant: lowering
+   backend for the same variant: lowering
    still honours the variant's unboxing toggle, so e.g. typed-noubx/vm
    measures the VM without its float lane. *)
 let run_once ?(vm = false) (m : Modsys.t) (v : variant) : string * float =
@@ -340,7 +340,7 @@ let json_of_figure ~figure ~rounds ~smoke (rows : row list) : Json.t =
       @ (match r.vm with
         | None -> []
         | Some vm ->
-            (* the bytecode-VM series for the same variant ([--engine vm]) *)
+            (* the bytecode-VM series for the same variant *)
             [
               ("vm_run_ms", Json.Num vm.vm_ms);
               ("vm_checksum", Json.Str vm.vm_checksum);

@@ -2,7 +2,7 @@
 
     {v
     liblang run [--fuel N] [--profile[=json]] [--trace FILE] [-v|-vv]
-                [--cache | --cache-dir DIR] [--engine interp|vm] FILE ...
+                [--cache | --cache-dir DIR] FILE ...
                                       run #lang programs (later files may
                                       require earlier ones by basename,
                                       with or without --cache); --fuel
@@ -97,9 +97,6 @@ let usage_text =
   \      --via-server PATH   route the command through the compile server\n\
   \                          listening on socket PATH instead of compiling\n\
   \                          locally (also accepted by compile)\n\
-  \      --engine interp|vm  evaluation backend: the closure-tree interpreter\n\
-  \                          (default) or the bytecode VM (docs/backend.md);\n\
-  \                          the two are observably identical\n\
   \  compile [--cache-dir DIR] [--fuel N] [-j N] [--profile[=json]]\n\
   \          [--trace FILE] [-v|-vv] FILE...\n\
   \                          compile each file (and its requires) through the\n\
@@ -120,12 +117,11 @@ let usage_text =
   \                          status, in-bounds accesses — docs/analysis.md);\n\
   \                          --profile adds analysis.* metrics and the\n\
   \                          analyze span\n\
-  \  eval [-l LANG] [--engine interp|vm] EXPR\n\
+  \  eval [-l LANG] EXPR\n\
   \                          evaluate one expression (default language: racket)\n\
   \  repl [-l LANG]          interactive read-eval-print loop\n\
   \  serve [--socket PATH] [--cache-dir DIR] [--fuel N] [-j N] [--workers N]\n\
   \        [--session-ttl SECS] [--max-sessions N] [--faults PLAN]\n\
-  \        [--engine interp|vm]\n\
   \                          start the compile server: a persistent daemon on\n\
   \                          a unix socket (default .liblang-server.sock) that\n\
   \                          keeps compiled state warm across requests and\n\
@@ -170,7 +166,6 @@ type run_opts = {
   mutable faults : string option;  (** [--faults PLAN]: chaos testing *)
   mutable via_server : string option;
       (** [--via-server PATH]: route through the compile server on PATH *)
-  mutable engine : Pipeline.engine;  (** [--engine interp|vm] *)
   mutable paths : string list;  (** reversed *)
 }
 
@@ -185,7 +180,6 @@ let parse_run_opts args =
       jobs = None;
       faults = None;
       via_server = None;
-      engine = Pipeline.Interp;
       paths = [];
     }
   in
@@ -233,13 +227,6 @@ let parse_run_opts args =
         o.via_server <- Some sock;
         go rest
     | "--via-server" :: [] -> usage ()
-    | "--engine" :: e :: rest -> (
-        match Pipeline.engine_of_string e with
-        | Some eng ->
-            o.engine <- eng;
-            go rest
-        | None -> usage ())
-    | "--engine" :: [] -> usage ()
     | "-v" :: rest ->
         o.verbosity <- max o.verbosity 1;
         go rest
@@ -371,8 +358,7 @@ let cmd_run args =
       List.iter
         (fun path ->
           match
-            Pipeline.run_file ?fuel:o.fuel ?cache_dir:o.cache_dir ?jobs:o.jobs ~observe
-              ~engine:o.engine path
+            Pipeline.run_file ?fuel:o.fuel ?cache_dir:o.cache_dir ?jobs:o.jobs ~observe path
           with
           | Ok _ -> ()
           | Error ds -> fail ds)
@@ -468,8 +454,7 @@ let cmd_serve args =
   and jobs = ref 1
   and workers = ref (Server.default_workers ())
   and session_ttl = ref None
-  and max_sessions = ref None
-  and engine = ref Pipeline.Interp in
+  and max_sessions = ref None in
   let rec go = function
     | [] -> ()
     | "--socket" :: s :: rest ->
@@ -516,12 +501,6 @@ let cmd_serve args =
         | Error m ->
             Printf.eprintf "liblang: bad --faults plan: %s\n" m;
             exit 64)
-    | "--engine" :: e :: rest -> (
-        match Pipeline.engine_of_string e with
-        | Some eng ->
-            engine := eng;
-            go rest
-        | None -> usage ())
     | _ -> usage ()
   in
   go args;
@@ -532,7 +511,6 @@ let cmd_serve args =
       workers = !workers;
       default_jobs = !jobs;
       fuel = !fuel;
-      engine = !engine;
       session_ttl = !session_ttl;
       max_sessions = !max_sessions;
     }
@@ -638,20 +616,13 @@ let cmd_analyze args =
       | Error ds -> fail ds)
 
 let cmd_eval args =
-  let lang = ref "racket" and engine = ref Pipeline.Interp and expr = ref None in
+  let lang = ref "racket" and expr = ref None in
   let rec go = function
     | [] -> ()
     | "-l" :: l :: rest ->
         lang := l;
         go rest
     | "-l" :: [] -> usage ()
-    | "--engine" :: e :: rest -> (
-        match Pipeline.engine_of_string e with
-        | Some eng ->
-            engine := eng;
-            go rest
-        | None -> usage ())
-    | "--engine" :: [] -> usage ()
     | e :: rest when !expr = None ->
         expr := Some e;
         go rest
@@ -661,7 +632,7 @@ let cmd_eval args =
   match !expr with
   | None -> usage ()
   | Some expr -> (
-      match Pipeline.eval ~lang:!lang ~engine:!engine expr with
+      match Pipeline.eval ~lang:!lang expr with
       | Ok v -> print_endline (Value.write_string v)
       | Error ds -> fail ds)
 

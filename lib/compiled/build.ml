@@ -49,12 +49,6 @@ type node = {
   deps : string list;  (** scanned require edges (canonical keys) *)
 }
 
-let slurp path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* The string-path require specs of one top-level datum, if it is a
    (require ...) form: (require "a.scm" (only-in "b.scm" f) c) contributes
    ["a.scm"; "b.scm"] — identifier requires are registry modules, not
@@ -81,7 +75,7 @@ let scan_skipped key err =
   []
 
 let scan_file (key : string) : string list =
-  match slurp key with
+  match Store.slurp key with
   | exception Sys_error m -> scan_skipped key m
   | source -> (
       let body =

@@ -23,7 +23,7 @@
       the module context plus the artifact's [links].  Compile-only
       consumers — importers, parallel-build workers replaying a
       dependency — never read a body, let alone compile one.  The
-      artifact carries no bytecode: under [--engine vm] the VM lowers
+      artifact carries no bytecode: the VM lowers
       each form at its first evaluation, as it does for a freshly
       compiled module;
     - [define-syntaxes] re-evaluates the transformer expression and

@@ -147,16 +147,10 @@ let reset_session () =
 
 (* -- compiling and loading ----------------------------------------------------- *)
 
-let slurp path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (** The source text of the file module [key]; a file that cannot be read
     is a module error at [loc] (the require that named it). *)
 let read_key ?(loc = Srcloc.none) (key : string) : string =
-  match slurp key with
+  match Store.slurp key with
   | s -> s
   | exception Sys_error m ->
       Metrics.count "module.file_require_errors";
@@ -309,7 +303,7 @@ let invalidate_changed () : int =
               when Float.equal st.Unix.st_mtime mt && st.Unix.st_size = sz ->
                 Some d'
             | _ -> (
-                match slurp key with
+                match Store.slurp key with
                 | s ->
                     let d' = Digest_util.of_string s in
                     Hashtbl.replace stat_memo key (st.Unix.st_mtime, st.Unix.st_size, d');

@@ -177,6 +177,7 @@ let with_store (s : t option) (f : unit -> 'a) : 'a =
 
 (* -- reading ----------------------------------------------------------------- *)
 
+(** The bytes of the file at [path]. *)
 let slurp path =
   let ic = open_in_bin path in
   Fun.protect

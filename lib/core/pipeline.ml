@@ -41,22 +41,14 @@ let default_compile_fuel = 10_000_000
 (** Which evaluation backend instantiates modules: the closure-tree
     interpreter (the default) or the bytecode VM ({!Core.Vm}, with
     per-form fallback to the interpreter — see docs/backend.md).  The
-    two are observably identical; [Vm] exists for speed and for the
-    differential gate that proves the equivalence. *)
+    two are observably identical.  No command selects the VM: it runs
+    only in process, for the benchmarks and the tests that prove the
+    equivalence. *)
 type engine = Interp | Vm
-
-let engine_of_string = function
-  | "interp" -> Some Interp
-  | "vm" -> Some Vm
-  | _ -> None
-
-let engine_to_string = function Interp -> "interp" | Vm -> "vm"
 
 (** Run [f] with the chosen engine installed as the module system's
     evaluator, {!Modsys.evaluator} — the one engine switch, which
-    instantiation and {!Core.eval_expr} both read.  Restored after: the
-    setting is per-entry-point, not global, so a server can honor a
-    per-request engine. *)
+    instantiation and {!Core.eval_expr} both read.  Restored after. *)
 let with_engine (engine : engine) (f : unit -> 'a) : 'a =
   match engine with
   | Interp -> f ()
@@ -163,7 +155,7 @@ let instantiate ?fuel (m : Modsys.t) : Value.value =
     fuel, optimizer rewrite-rule firings, and module-system activity into
     it.  The default context observes nothing and costs nothing (see
     docs/observability.md). *)
-let run ?fuel ?name ?(observe = Observe.nothing) ?(engine = Interp) (source : string) :
+let run ?fuel ?name ?(observe = Observe.nothing) (source : string) :
     (Value.value, Diagnostic.t list) result =
   Core.init ();
   let name = match name with Some n -> n | None -> Core.fresh_module_name "program" in
@@ -171,8 +163,7 @@ let run ?fuel ?name ?(observe = Observe.nothing) ?(engine = Interp) (source : st
   Observe.with_ctx observe (fun () ->
       with_stx_counters @@ fun () ->
       Trace.span "run" ~detail:name (fun () ->
-          contain ?fuel (fun () ->
-              with_engine engine (fun () -> instantiate ?fuel (Modsys.declare ~name source)))))
+          contain ?fuel (fun () -> instantiate ?fuel (Modsys.declare ~name source))))
 
 (* Run [f] with an artifact store rooted at [cache_dir] when one is
    requested; otherwise plain. *)
@@ -246,28 +237,29 @@ let compile_file ?fuel ?cache_dir ?(jobs = 1) ?(observe = Observe.nothing) (path
     as well, the module graph is first built in parallel (artifacts
     written by the pool), then the main domain acquires the program from
     the warm store and instantiates it serially — instantiation order is
-    the language's observable semantics and is never parallelized.
+    the language's observable semantics and is never parallelized.  The
+    parallel build only warms the store: its outcome is ignored, and the
+    serial acquisition reports what a serial run reports, so a failed
+    require prints the same diagnostics with and without [jobs].
     Without a store [jobs] is ignored.
 
     The module is also registered under its file's basename, so a later
     program in the same session may [(require NAME)] it, and each call
     runs the program afresh, its requires included, even when the session
     already ran it. *)
-let run_file ?fuel ?cache_dir ?(jobs = 1) ?(observe = Observe.nothing) ?(engine = Interp)
-    (path : string) : (Value.value, Diagnostic.t list) result =
+let run_file ?fuel ?cache_dir ?(jobs = 1) ?(observe = Observe.nothing) (path : string) :
+    (Value.value, Diagnostic.t list) result =
   Core.init ();
   Observe.with_ctx observe (fun () ->
       with_stx_counters @@ fun () ->
       Trace.span "run" ~detail:path (fun () ->
           contain ?fuel (fun () ->
-              with_engine engine (fun () ->
-                  with_optional_cache cache_dir (fun () ->
-                      if jobs > 1 && cache_dir <> None then
-                        raise_build_failures
-                          (Core.Compiled.Build.build ~diagnostic_of_exn ~jobs [ path ]);
-                      let m = Core.Compiled.compile_file path in
-                      Modsys.alias m (Filename.remove_extension (Filename.basename path));
-                      instantiate ?fuel m)))))
+              with_optional_cache cache_dir (fun () ->
+                  if jobs > 1 && cache_dir <> None then
+                    ignore (Core.Compiled.Build.build ~diagnostic_of_exn ~jobs [ path ]);
+                  let m = Core.Compiled.compile_file path in
+                  Modsys.alias m (Filename.remove_extension (Filename.basename path));
+                  instantiate ?fuel m))))
 
 (* Expand the module in [path] and render [k] of its core forms. *)
 let with_expansion ?fuel ~observe (path : string) (k : Stx.t list -> string list) :
@@ -296,16 +288,14 @@ let analyze_file ?fuel ?(observe = Observe.nothing) (path : string) :
 
 (** Evaluate one expression in [lang]'s environment; [?fuel] bounds its
     evaluation steps (default: unbounded, as befits a REPL). *)
-let eval ?fuel ?(lang = "racket") ?(observe = Observe.nothing) ?(engine = Interp)
-    (src : string) : (Value.value, Diagnostic.t list) result =
+let eval ?fuel ?(lang = "racket") ?(observe = Observe.nothing) (src : string) :
+    (Value.value, Diagnostic.t list) result =
   Core.init ();
   Observe.with_ctx observe (fun () ->
       with_stx_counters @@ fun () ->
       contain ?fuel (fun () ->
-          with_engine engine (fun () ->
-              Interp.fuel ()
-              := (match fuel with Some n -> n | None -> Interp.unlimited);
-              Core.eval_expr ~lang src)))
+          Interp.fuel () := (match fuel with Some n -> n | None -> Interp.unlimited);
+          Core.eval_expr ~lang src))
 
 (** Render a diagnostic batch for the terminal. *)
 let render_errors ?color (ds : Diagnostic.t list) : string = Render.render_all ?color ds

@@ -65,20 +65,8 @@ let make ?(severity = Error) ~phase ?(loc = Srcloc.none) ?(notes = []) message =
 let error ~phase ?loc ?notes message = make ~severity:Error ~phase ?loc ?notes message
 let warning ~phase ?loc ?notes message = make ~severity:Warning ~phase ?loc ?notes message
 
-let errorf ~phase ?loc ?notes fmt =
-  Printf.ksprintf (fun m -> error ~phase ?loc ?notes m) fmt
-
 let is_error d = d.severity = Error
 let is_internal d = d.phase = Internal
-
-(** Order by source position (file, offset), then message — gives reports a
-    stable, reader-friendly order independent of traversal details. *)
-let compare_loc a b =
-  let c = compare a.loc.Srcloc.file b.loc.Srcloc.file in
-  if c <> 0 then c
-  else
-    let c = compare a.loc.Srcloc.pos b.loc.Srcloc.pos in
-    if c <> 0 then c else compare a.message b.message
 
 (** One-line rendering (no source excerpt): [FILE:LINE:COL: phase
     severity: message; note: ...].  The full renderer with source-line

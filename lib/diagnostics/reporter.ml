@@ -34,10 +34,6 @@ let report r (d : Diagnostic.t) =
 let error_count r = r.error_count + r.dropped
 let has_errors r = error_count r > 0
 
-(** True once the error cap has been reached — lets a long-running phase
-    stop early instead of computing diagnostics that would be dropped. *)
-let at_limit r = r.error_count >= r.max_errors
-
 (** All diagnostics in emission order, with a trailing summary note when
     the error cap truncated the report. *)
 let diagnostics r =

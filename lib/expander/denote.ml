@@ -32,8 +32,3 @@ let set (b : Binding.t) (d : denotation) =
 
 let get (b : Binding.t) : denotation option =
   match Binding.denotation b with Denotes d -> Some d | _ -> None
-
-let transformer_name = function
-  | Native (n, _) -> n
-  | Rules sr -> sr.Syntax_rules.name
-  | ObjProc _ -> "#<phase-1 procedure>"

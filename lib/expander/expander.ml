@@ -68,8 +68,6 @@ let core_bindings : (string * Binding.t) list =
       (name, b))
     core_form_names
 
-let core_binding name = List.assoc name core_bindings
-
 (* -- helpers ---------------------------------------------------------------- *)
 
 let resolve_id (s : Stx.t) : (Binding.t * Denote.denotation) option =

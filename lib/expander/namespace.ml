@@ -25,8 +25,3 @@ let define_immutable (b : Binding.t) (v : Value.value) =
   let g = Ast.global ~mutable_:false b.Binding.name in
   g.Ast.g_val <- v;
   Binding.set_cell b (Global g)
-
-let lookup_value (b : Binding.t) : Value.value option =
-  match Binding.cell b with
-  | Global g when g.Ast.g_val != Value.Undefined -> Some g.Ast.g_val
-  | _ -> None

@@ -136,7 +136,6 @@ let current : plan option Atomic.t = Atomic.make None
 
 let install (p : plan option) : unit = Atomic.set current p
 let active () : bool = Atomic.get current <> None
-let installed_spec () = Option.map (fun p -> p.spec) (Atomic.get current)
 
 (** The plan's [deadline=S] field, if a plan with one is installed. *)
 let deadline_override () : float option =

@@ -232,7 +232,6 @@ let escape_string s = with_buffer add_escaped_string s
 let char_to_string c = with_buffer add_char_literal c
 let cpx_to_string re im = with_buffer (fun buf () -> add_cpx buf re im) ()
 let pp fmt d = Format.pp_print_string fmt (to_string d)
-let pp_annot fmt a = pp fmt a.d
 
 let rec equal a b =
   match (a, b) with

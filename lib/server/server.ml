@@ -67,7 +67,6 @@ type config = {
   workers : int;  (** request-dispatch worker domains (clamped to >= 1) *)
   default_jobs : int;  (** build jobs for [compile] requests that don't say *)
   fuel : int option;  (** default evaluation-step budget for [run] requests *)
-  engine : Pipeline.engine;  (** evaluation backend for [run] requests *)
   session_ttl : float option;
       (** evict a session's warm state after this many idle seconds *)
   max_sessions : int option;  (** cap on warm session registries (LRU-evicted) *)
@@ -232,7 +231,7 @@ let handle (srv : t) (conn : conn) (c : Metrics.t) (env : P.envelope) : Json.t =
       let output, r =
         Prims.with_captured_output (fun () ->
             in_request_env srv conn (fun () ->
-                Pipeline.run_file ?fuel ~observe ~engine:srv.cfg.engine path))
+                Pipeline.run_file ?fuel ~observe path))
       in
       let output_field = ("output", Json.Str output) in
       (match r with
@@ -475,7 +474,6 @@ let status_response (srv : t) (env : P.envelope) : Json.t =
               ("uptime_ms", Json.Num (1000.0 *. (now -. srv.started)));
               ("socket", Json.Str srv.cfg.socket_path);
               ("cache_dir", Json.Str srv.cfg.cache_dir);
-              ("engine", Json.Str (Pipeline.engine_to_string srv.cfg.engine));
               ("workers", num workers);
               ("queue_depth", num depth);
               ("active_sessions", num (List.length srv.conns));

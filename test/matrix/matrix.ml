@@ -89,6 +89,12 @@ let rec rm_rf path =
 let artifact ~store file =
   Filename.concat store (Compiled.Digest_util.key_file (Compiled.Resolver.module_key file) ^ ".lart")
 
+(** The names of the artifacts in [store], sorted. *)
+let artifacts store =
+  Sys.readdir store |> Array.to_list
+  |> List.filter (fun a -> Filename.check_suffix a ".lart")
+  |> List.sort compare
+
 (** Whether every one of [files] has an artifact in [store]: a warm or
     edited run of a program that has not would only repeat the cold
     run. *)
@@ -319,9 +325,9 @@ let with_daemon ?(workers = 2) ?session_ttl ?max_sessions ~dir f =
   let module Server = Liblang_server.Server in
   let module Client = Liblang_server.Client in
   let socket = Filename.concat dir "server.sock" in
-  let cache_dir = Filename.concat dir "cache" and engine = Pipeline.Interp in
+  let cache_dir = Filename.concat dir "cache" in
   let cfg =
-    { Server.socket_path = socket; cache_dir; workers; default_jobs = 1; fuel = None; engine; session_ttl; max_sessions }
+    { Server.socket_path = socket; cache_dir; workers; default_jobs = 1; fuel = None; session_ttl; max_sessions }
   in
   let d = Domain.spawn (fun () -> Server.serve cfg) in
   let request req =

@@ -277,6 +277,23 @@ let cfa_rewrites_fire () =
         cfa_rules)
     [ ("spectralnorm", cfa_rules); ("nbody", [ "opt:direct-call" ]) ]
 
+(* A default run analyzes a program whose calls are all monomorphic,
+   finds its call sites, and turns one into a direct call: an analysis
+   that is off, or whose facts nothing reads, prints the same. *)
+let default_run_uses_the_facts () =
+  let src =
+    source_file
+      "#lang typed/racket\n(define (add2 [x : Integer]) : Integer (+ x 2))\n\
+       (define (go [v : (Vectorof Integer)]) : Integer\n  (let ([n (vector-length v)])\n\
+      \    (let loop : Integer ([j : Integer 0] [acc : Integer 0])\n\
+      \      (if (< j n) (loop (+ j 1) (+ acc (vector-ref v j))) acc))))\n\
+       (display (add2 (go (make-vector 16 3))))\n"
+  in
+  let c = counted "the monomorphic program" (fun observe -> Pipeline.run_file ~observe src) in
+  List.iter
+    (fun k -> check_b (k ^ " > 0") true (Metrics.get c k > 0))
+    [ "analysis.call_sites"; "opt.direct_calls" ]
+
 let suite =
   cleaning
   [
@@ -294,4 +311,6 @@ let suite =
     t_parity "parity: counted loop with elided bound checks" counted_loop;
     Alcotest.test_case "0cfa: rewrites fire on typed kernels, never with the analysis off" `Quick
       cfa_rewrites_fire;
+    Alcotest.test_case "0cfa: a default run finds call sites and makes direct calls" `Quick
+      default_run_uses_the_facts;
   ]

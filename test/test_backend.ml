@@ -69,35 +69,23 @@ let fuel_exhaustion_point () =
   | _ -> Alcotest.fail "one outcome per program"
 
 (* The vm.* and lower.* counters: the float loop under the VM must
-   actually retire bytecode (the perf_smoke canary's in-process twin);
-   its parity case above pins what it prints. *)
+   actually retire bytecode, not fall back to the interpreter, which the
+   parity cases cannot see; its parity case above pins what it prints. *)
 let vm_counters () =
-  let ok what = function
-    | Ok v -> v
-    | Error ds ->
-        Alcotest.failf "%s failed: %s" what
-          (String.concat "; " (List.map Pipeline.Diagnostic.to_string ds))
-  in
-  let counting f =
-    let c = Metrics.create () in
-    let r = f { Observe.metrics = Some c; trace = None } in
-    (r, fun key -> check_b (key ^ " > 0") true (Metrics.get c key > 0))
+  let positive c key = check_b (key ^ " > 0") true (Metrics.get c key > 0) in
+  let under_vm what f =
+    counted what (fun observe -> Pipeline.with_engine Pipeline.Vm (fun () -> f observe))
   in
   Modsys.reset_user_modules_for_tests ();
-  let (_, r), counted =
-    counting (fun observe ->
-        Prims.with_captured_output (fun () ->
-            Pipeline.run ~engine:Pipeline.Vm ~observe ~name:"vmcounters" float_loop))
-  in
-  ignore (ok "vm run" r);
-  List.iter counted [ "vm.instructions"; "lower.protos"; "lower.instructions" ];
+  let c = under_vm "vm run" (fun observe -> Pipeline.run ~observe ~name:"vmcounters" float_loop) in
+  List.iter (positive c) [ "vm.instructions"; "lower.protos"; "lower.instructions" ];
   (* [eval] reads the same engine switch as instantiation *)
-  let r, counted =
-    counting (fun observe ->
-        Pipeline.eval ~engine:Pipeline.Vm ~observe "(let loop ([i 0]) (if (< i 10) (loop (+ i 1)) i))")
+  let c =
+    under_vm "vm eval" (fun observe ->
+        Pipeline.eval ~observe "(let loop ([i 0]) (if (< i 10) (loop (+ i 1)) i))"
+        |> Result.map (fun v -> check_s "vm eval: same answer" "10" (Value.write_string v)))
   in
-  check_s "vm eval: same answer" "10" (Value.write_string (ok "vm eval" r));
-  counted "vm.instructions"
+  positive c "vm.instructions"
 
 (* Per-run minor-word budgets for the typed float kernels under the VM,
    whose unboxed register lanes carry their inner loops; losing the lanes

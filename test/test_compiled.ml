@@ -55,12 +55,16 @@ let stale c = Metrics.get c "cache.stale"
 (* Every way of running a file: uncached; then cold, warm and with each
    program's own artifacts dropped, through one store; then -j 2 through a
    second store. *)
-let serial_modes dir =
+let modes dir =
   let store = Filename.concat dir "cache" in
-  Matrix.[ in_process Uncached; in_process (Cold store); in_process (Warm store); in_process (Edited store) ]
-
-let parallel_mode dir = Matrix.in_process ~jobs:2 (Matrix.Cold (Filename.concat dir "cache-j2"))
-let modes dir = serial_modes dir @ [ parallel_mode dir ]
+  Matrix.
+    [
+      in_process Uncached;
+      in_process (Cold store);
+      in_process (Warm store);
+      in_process (Edited store);
+      in_process ~jobs:2 (Cold (Filename.concat dir "cache-j2"));
+    ]
 
 (* -- the file resolver (no cache) --------------------------------------------- *)
 
@@ -754,26 +758,23 @@ let canonicalization_one_key_per_file () =
 
 (* -- one path from a file to a module ---------------------------------------------- *)
 
-(* Three parse errors in one file: every mode reports all three, labelled
-   with the file's canonical path, for the file run directly and for the
-   same file required by another — byte for byte alike, but for -j 2,
-   which also notes the module it did not build. *)
+(* Three parse errors in one file: every mode, -j 2 included, reports all
+   three, labelled with the file's canonical path, for the file run
+   directly and for the same file required by another — byte for byte
+   alike. *)
 let every_parse_error_reported () =
   let dir = fresh_dir () in
   let r = file dir "r.scm" "#lang racket\n(display 1))\n(display #<bad>)\n(display \"x)\n" in
   let m = file dir "m.scm" "#lang racket\n(require \"r.scm\")\n" in
   let key = Compiled.Resolver.module_key r in
-  List.iter
-    (fun modes ->
-      List.iter2
-        (fun what (o : Matrix.outcome) ->
-          List.iter
-            (fun l -> check_b (what ^ ": the error at " ^ l) true (contains o.err (key ^ ":" ^ l)))
-            [ "2:11"; "3:10"; "5:0" ];
-          check_b (what ^ ": counted") true (contains o.err "3 errors generated"))
-        [ "run"; "required" ]
-        (agree modes [ Matrix.Files [ r ]; Matrix.Files [ m ] ]))
-    [ serial_modes dir; [ parallel_mode dir ] ]
+  List.iter2
+    (fun what (o : Matrix.outcome) ->
+      List.iter
+        (fun l -> check_b (what ^ ": the error at " ^ l) true (contains o.err (key ^ ":" ^ l)))
+        [ "2:11"; "3:10"; "5:0" ];
+      check_b (what ^ ": counted") true (contains o.err "3 errors generated"))
+    [ "run"; "required" ]
+    (agree (modes dir) [ Matrix.Files [ r ]; Matrix.Files [ m ] ])
 
 (* A located diagnostic and a missing file render byte-identically in every
    mode, labelled with the canonical path. *)
@@ -1236,6 +1237,89 @@ let hostile_cache_dirs () =
       ("a missing nested directory", fun dir _ -> Filename.concat dir "a/b/c");
     ]
 
+(* -- the default path stays lean ------------------------------------------------ *)
+
+let artifacts store = List.map (Filename.concat store) (Matrix.artifacts store)
+
+let rec has_span name (s : Metrics.span) =
+  s.Metrics.name = name || List.exists (has_span name) (Metrics.kids s)
+
+let lowered c = List.exists (has_span "lower") (Metrics.spans c)
+
+(* [path] compiled, or run, through the store [cache] as [liblang compile]
+   or [run] in a fresh process would: the collector. *)
+let fresh_compile cache path =
+  Compiled.reset_session ();
+  counted "compile" (fun observe -> Liblang_core.Pipeline.compile_file ~cache_dir:cache ~observe path)
+
+let fresh_run cache path =
+  Compiled.reset_session ();
+  counted "run" (fun observe -> Liblang_core.Pipeline.run_file ~cache_dir:cache ~observe path)
+
+(* Only the VM lowers to bytecode, at a form's first evaluation: a cold
+   compile and a warm run of the examples, the typed float loop of
+   floats.scm included, lower nothing, and no artifact carries a
+   (bytecode ...) section (docs/backend.md). *)
+let no_bytecode_on_the_default_path () =
+  let cache = Filename.concat (fresh_dir ()) "cache" in
+  let main = Filename.concat examples "main.scm" in
+  let cold = fresh_compile cache main in
+  let warm = fresh_run cache main in
+  check_b "the cold compile lowers nothing" false (lowered cold);
+  check_b "the warm run lowers nothing" false (lowered warm);
+  check_i "the warm run loads every module" (List.length (artifacts cache)) (hits warm);
+  List.iter
+    (fun a ->
+      if List.exists (String.starts_with ~prefix:"(bytecode") (String.split_on_char '\n' (read_file a)) then
+        Alcotest.failf "%s carries a (bytecode ...) section" a)
+    (artifacts cache)
+
+(* An 8-module wide project compiled cold into a fresh store: its root
+   and the store. *)
+let wide_store () =
+  let dir = fresh_dir () in
+  let cache = Filename.concat dir "cache" in
+  let root, _ = Genproj.generate ~dir ~shape:Genproj.Wide ~n:8 () in
+  ignore (fresh_compile cache root);
+  (root, cache)
+
+(* An artifact's names alone fix their bindings, so a warm run compiles
+   each body form from its datum: no body goes through the expander, no
+   scope is pushed, and a name resolves once per load, not once per
+   occurrence (docs/compilation.md). *)
+let warm_loads_skip_the_expander () =
+  let root, cache = wide_store () in
+  let c = fresh_run cache root in
+  let resolutions = Metrics.get c "expand.resolve_hits" + Metrics.get c "expand.resolve_misses" in
+  check_i "modules loaded" 8 (hits c);
+  check_i "stx.scope_pushes" 0 (Metrics.get c "stx.scope_pushes");
+  if resolutions > 100 * hits c then
+    Alcotest.failf "%d resolutions for %d loaded modules, over 100 each" resolutions (hits c)
+
+(* What a load reads of [artifact]: its header, the first two lines, and
+   the ranges its index records as read at load, [(load START END LINE)]. *)
+let load_time_bytes artifact =
+  let text = read_file artifact in
+  let nl = String.index text '\n' in
+  let header = String.index_from text (nl + 1) '\n' in
+  let index = String.sub text (nl + 1) (header - nl - 1) in
+  List.fold_left
+    (fun n entry -> n + Option.value ~default:0 (Scanf.sscanf_opt entry "load %d %d" (fun s e -> e - s)))
+    header (String.split_on_char '(' index)
+
+(* A warm compile parses no deferred body: define-values right-hand sides
+   and expressions are read only when they run (docs/compilation.md). *)
+let warm_compile_reads_no_deferred_body () =
+  let root, cache = wide_store () in
+  let c = fresh_compile cache root in
+  let bound = List.fold_left (fun n a -> n + load_time_bytes a) 0 (artifacts cache) in
+  check_i "compiles" 0 (compiles c);
+  check_i "modules loaded" 8 (hits c);
+  let read = Metrics.get c "reader.bytes" in
+  if read > bound then
+    Alcotest.failf "the warm compile parsed %d bytes, over the %d of headers and forms read at load" read
+      bound
+
 let suite =
   cleaning
   [
@@ -1289,4 +1373,7 @@ let suite =
     t "link aliases do not depend on how the owner was acquired" link_aliases_deterministic;
     t "a deferred range that does not read is a writer bug" deferred_range_writer_bug;
     t "an index class that disagrees with the form fails the load" index_class_must_agree;
+    t "default path: no bytecode, cold or warm" no_bytecode_on_the_default_path;
+    t "warm run: bodies skip the expander" warm_loads_skip_the_expander;
+    t "warm compile: no deferred body is parsed" warm_compile_reads_no_deferred_body;
   ]

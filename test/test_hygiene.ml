@@ -409,4 +409,18 @@ let cons_table =
         check_i "all held" 100_000 (List.length !held));
   ]
 
-let suite = properties @ lazy_props @ regressions @ cons_table
+(* The resolver memoizes only names with several binders, so a program
+   that shadows one name must hit the memo: a memo that every lookup
+   misses resolves the same bindings, so no output shows it. *)
+let shadowing_hits_the_memo () =
+  let src =
+    source_file
+      "#lang racket\n(define x 1)\n(define (f x)\n  (let ([x (+ x 10)])\n    (let ([x (+ x 100)])\n\
+      \      (+ x x))))\n(define (g x) (+ x (f x)))\n(display (g x))\n"
+  in
+  let c = counted "the shadowing program" (fun observe -> Liblang_core.Pipeline.run_file ~observe src) in
+  check_b "expand.resolve_hits > 0" true (Metrics.get c "expand.resolve_hits" > 0)
+
+let suite =
+  properties @ lazy_props @ regressions @ cons_table
+  @ cleaning [ Alcotest.test_case "resolver memo: shadowing hits it" `Quick shadowing_hits_the_memo ]

@@ -1,9 +1,10 @@
 (** The configuration matrix ({!Matrix}) over the corpus: every program
     in [test/corpus] and [examples/scm] runs in this process under every
-    engine, cache state and history, and as [liblang] subprocesses,
-    uncached, through a store and through a daemon, and every
-    configuration must exit the same way and print the same bytes on
-    stdout and stderr.  Every corpus program is broken on purpose: it
+    engine, cache state and history, and with [-j 2], and as [liblang]
+    subprocesses, uncached, through a store and through a daemon, and
+    every configuration must exit the same way and print the same bytes
+    on stdout and stderr.  A [-j 2] store must be the serial store, byte
+    for byte.  Every corpus program is broken on purpose: it
     exits 1 with at least one diagnostic, none internal.  Every example
     exits 0.  The typed/untyped twins of the benchmark programs go
     through the same runner in the optimizer suite. *)
@@ -82,6 +83,26 @@ let in_process () =
       if e != Matrix.interp then
         ignore (agree (reference :: configs dir e) (List.map (fun f -> Matrix.Files [ f ]) compiled)))
     Matrix.engines
+
+(* A -j 2 run writes, artifact for artifact and byte for byte, the store
+   a serial run writes, and then reads it warm (docs/compilation.md,
+   "Parallel builds"). *)
+let parallel_store () =
+  let dir = fresh_dir "stores" in
+  let serial = Filename.concat dir "serial" and parallel = Filename.concat dir "j2" in
+  ignore
+    (agree
+       Matrix.
+         [ in_process (Cold serial); in_process ~jobs:2 (Cold parallel); in_process ~jobs:2 (Warm parallel) ]
+       programs);
+  check_b "the examples are stored" true (Matrix.stored ~store:serial example_files);
+  Alcotest.(check (list string))
+    "one set of artifacts" (Matrix.artifacts serial) (Matrix.artifacts parallel);
+  List.iter
+    (fun a ->
+      if read_file (Filename.concat serial a) <> read_file (Filename.concat parallel a) then
+        Alcotest.failf "%s differs between the serial and the -j 2 store" a)
+    (Matrix.artifacts serial)
 
 (* Each file as a fresh [liblang run]: uncached, then cold and warm
    through a store, so a fresh process reads what another wrote; and
@@ -169,6 +190,7 @@ let suite =
   cleaning
     [
       Alcotest.test_case "every engine, cache state and history" `Quick in_process;
+      Alcotest.test_case "-j 2 writes the serial store byte for byte" `Quick parallel_store;
       Alcotest.test_case "liblang run: uncached, cold, warm, --via-server" `Quick subprocesses;
       Alcotest.test_case "expand and analyze from the repository root" `Quick expand_and_analyze;
       Alcotest.test_case "runner: a wrong primitive is named" `Quick wrong_primitive;

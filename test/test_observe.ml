@@ -13,16 +13,8 @@ module Json = Liblang_observe.Json
 (** Run [src] as a #lang program under a fresh metrics collector; return
     the collector.  Fails the test if the program itself fails. *)
 let metrics_of ?name src : Metrics.t =
-  let c = Metrics.create () in
   let name = match name with Some n -> n | None -> fresh "observe" in
-  (match
-     Pipeline.run ~name ~observe:{ Observe.metrics = Some c; trace = None } src
-   with
-  | Ok _ -> ()
-  | Error ds ->
-      Alcotest.failf "program failed: %s"
-        (String.concat "; " (List.map Liblang_core.Core.Diagnostic.to_string ds)));
-  c
+  counted "the program" (fun observe -> Pipeline.run ~name ~observe src)
 
 (* total JSON accessors (Json.member/to_num/to_str are optional) *)
 let mem key j =
@@ -230,14 +222,8 @@ let build_metrics ~jobs : Metrics.t =
     Compiled.Genproj.generate ~dir ~shape:Compiled.Genproj.Diamond ~n:6 ~depth:4 ~nvars:4 ~copies:1 ()
   in
   Compiled.reset_session ();
-  let c = Metrics.create () in
-  (match
-     Pipeline.build_files ~cache_dir:(Filename.concat dir "cache") ~jobs
-       ~observe:{ Observe.metrics = Some c; trace = None } [ root ]
-   with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.failf "-j %d build failed" jobs);
-  c
+  counted (Printf.sprintf "-j %d build" jobs) (fun observe ->
+      Pipeline.build_files ~cache_dir:(Filename.concat dir "cache") ~jobs ~observe [ root ])
 
 let self_times_sum_to_root () =
   check_self_sum ~root:"run" (metrics_of typed_src);

@@ -85,6 +85,15 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
+(** The collector of [f observe], run with a fresh metrics collector as
+    [observe] and its output captured; the test fails unless [f] returns
+    [Ok]. *)
+let counted what f =
+  let c = Metrics.create () in
+  match Prims.with_captured_output (fun () -> f { Observe.metrics = Some c; trace = None }) with
+  | _, Ok _ -> c
+  | _, Error ds -> Alcotest.failf "%s: %s" what (String.concat "; " (List.map Diagnostic.to_string ds))
+
 exception Hung
 
 (** Wall-clock backstop for the supervision tests: their whole point is

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Chaos gate (CI): drive seeded fault schedules through the CLI and
+# Chaos gate: drive seeded fault schedules through the CLI and
 # assert the closed-loop robustness property of the separate-compilation
 # layer (docs/robustness.md):
 #
@@ -25,24 +25,21 @@
 # (error/torn/delay only), this gate runs each schedule in a subprocess,
 # so it exercises the crash mode and the tmp-file sweep for real.
 #
-# Usage: tools/chaos_check.sh [path/to/liblang.exe]   (from the repo root;
-# the script cd's there itself when invoked from elsewhere).
-# CHAOS_SEEDS=N overrides the seeds-per-shape count (default 18: 18
-# seeds x 3 shapes = 54 schedules).
+# Usage: sh tools/chaos_check.sh path/to/liblang.exe.  `dune runtest`
+# runs it (tools/dune): 18 seeds x 3 shapes = 54 schedules.
 
 set -u
-cd "$(dirname "$0")/.." || exit 2
 
-LIBLANG=${1:-_build/default/bin/liblang.exe}
+LIBLANG=${1:-}
 if [ ! -x "$LIBLANG" ]; then
-  echo "chaos_check: $LIBLANG not built (dune build bin/liblang.exe first)" >&2
+  echo "usage: chaos_check.sh path/to/liblang.exe" >&2
   exit 2
 fi
 LIBLANG=$(cd "$(dirname "$LIBLANG")" && pwd)/$(basename "$LIBLANG")
 
 if command -v timeout >/dev/null 2>&1; then RUN="timeout 60"; else RUN=""; fi
 
-SEEDS=${CHAOS_SEEDS:-18}
+SEEDS=18
 
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT INT TERM
@@ -154,7 +151,7 @@ for shape in wide diamond chain; do
 done
 
 if [ "$schedules" -lt 50 ]; then
-  bad "only $schedules schedules ran (need >= 50; is CHAOS_SEEDS too low?)"
+  bad "only $schedules schedules ran (need >= 50)"
 fi
 
 # -- concurrent-server chaos (docs/server.md) --------------------------------

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Documentation coherence gate (CI): the docs suite must not drift from
+# Documentation coherence gate: the docs suite must not drift from
 # itself or from the code.
 #
 #   links: every relative markdown link in README.md and docs/*.md must
@@ -19,7 +19,10 @@
 #     span (not a <...> family) must appear as a string literal under lib/
 #     or bin/, so a row whose name the code no longer emits fails the gate.
 #
-# Usage: tools/doc_check.sh   (from anywhere; the script cd's to the repo root)
+# Usage: sh tools/doc_check.sh, from anywhere: the script cd's to the
+# directory above its own.  `dune runtest` runs it inside _build
+# (tools/dune), where that directory holds the files the script reads;
+# the greps read .ml files only, so build products there do not count.
 
 set -u
 cd "$(dirname "$0")/.." || exit 2
@@ -58,7 +61,7 @@ CATALOGUE=docs/observability.md
 if [ ! -f "$CATALOGUE" ]; then
   bad "$CATALOGUE is missing"
 else
-  grep -rhoE 'Metrics\.(countn|count)[[:space:]]*\(?[[:space:]]*"[^"]+"' \
+  grep -rhoE --include='*.ml' 'Metrics\.(countn|count)[[:space:]]*\(?[[:space:]]*"[^"]+"' \
     lib bin bench 2>/dev/null \
     | sed 's/.*"\(.*\)"$/\1/' | sort -u >"$WORK/metrics"
   if [ ! -s "$WORK/metrics" ]; then
@@ -71,7 +74,7 @@ else
   done <"$WORK/metrics"
   # a span literal is the first string after Trace.span/elapsed and its
   # labelled arguments (~level:2, ~detail:name, ?detail:file)
-  grep -rhoE 'Trace\.(span|elapsed)([[:space:]]+[~?][a-z]+(:[^[:space:]]+)?)*[[:space:]]+\(?"[^"]+"' \
+  grep -rhoE --include='*.ml' 'Trace\.(span|elapsed)([[:space:]]+[~?][a-z]+(:[^[:space:]]+)?)*[[:space:]]+\(?"[^"]+"' \
     lib bin 2>/dev/null \
     | sed 's/.*"\(.*\)"$/\1/' | sort -u >"$WORK/spans"
   if [ ! -s "$WORK/spans" ]; then
@@ -92,7 +95,7 @@ if [ -f "$CATALOGUE" ]; then
     bad "no catalogue rows found in $CATALOGUE (extraction is broken?)"
   fi
   while IFS= read -r name; do
-    if ! grep -rqF "\"$name\"" lib bin; then
+    if ! grep -rqF --include='*.ml' "\"$name\"" lib bin; then
       bad "$CATALOGUE row \"$name\" names a metric no string literal under lib/ or bin/ emits"
     fi
   done <"$WORK/rows"

@@ -12,7 +12,11 @@ returns a freshly allocated Float, so an operand that is itself a fused
 operation arrives boxed.  Operands evaluate left to right, as in Racket:
 the left one is let-bound before the right one is read.
 
-Usage (from the repository root): python3 tools/gen_flfuse.py"""
+The generator prints the file.  `dune runtest` compares its output with the
+committed lib/runtime/flfuse.ml; after editing this script, `dune runtest`
+shows the difference and `dune promote` updates the file."""
+
+import sys
 
 binops = [("unsafe-fl+", "{} +. {}"), ("unsafe-fl-", "{} -. {}"),
           ("unsafe-fl*", "{} *. {}"), ("unsafe-fl/", "{} /. {}"),
@@ -265,6 +269,4 @@ let cun_table =
   ]
 ''')
 
-with open("lib/runtime/flfuse.ml", "w") as f:
-    f.write("\n".join(out))
-print("generated", sum(ch.count("\n") for ch in out), "lines")
+sys.stdout.write("\n".join(out))
