@@ -59,6 +59,21 @@ let is_symbol_char c = not (Datum.is_delimiter c)
 
 (* -- whitespace and comments ------------------------------------------- *)
 
+(* The heads the quotation shorthands read as, interned once as the module
+   initializes: a compiled body repeats ['] thousands of times, and while a
+   domain pool runs every intern takes a lock.  Not [Lazy]: two domains
+   forcing one lazy value at once can raise [CamlinternalLazy.Undefined]. *)
+module Head = struct
+  let quote = Symbol.canon "quote"
+  let quasiquote = Symbol.canon "quasiquote"
+  let unquote = Symbol.canon "unquote"
+  let unquote_splicing = Symbol.canon "unquote-splicing"
+  let syntax = Symbol.canon "syntax"
+  let quasisyntax = Symbol.canon "quasisyntax"
+  let unsyntax = Symbol.canon "unsyntax"
+  let unsyntax_splicing = Symbol.canon "unsyntax-splicing"
+end
+
 let rec skip_atmosphere st =
   if eof st then ()
   else
@@ -268,11 +283,12 @@ and read_list_items st close items =
   end
   else read_list_items st close (read_datum_exn st :: items)
 
-and wrap_quote st name =
+(* [head] is one of {!Head}'s canonical names. *)
+and wrap_quote st head =
   skip_atmosphere st;
   let x = read_datum_exn st in
   let loc = x.Datum.loc in
-  { Datum.d = Datum.List [ { Datum.d = Datum.Atom (Datum.Sym (Symbol.canon name)); loc }; x ]; loc }
+  { Datum.d = Datum.List [ { Datum.d = Datum.Atom (Datum.Sym head); loc }; x ]; loc }
 
 and read_datum_exn st =
   skip_atmosphere st;
@@ -300,17 +316,17 @@ and read_datum_here st : Datum.annot =
   | '"' -> read_string_lit st
   | '\'' ->
       advance st;
-      wrap_quote st "quote"
+      wrap_quote st Head.quote
   | '`' ->
       advance st;
-      wrap_quote st "quasiquote"
+      wrap_quote st Head.quasiquote
   | ',' ->
       advance st;
       if peek st = '@' then begin
         advance st;
-        wrap_quote st "unquote-splicing"
+        wrap_quote st Head.unquote_splicing
       end
-      else wrap_quote st "unquote"
+      else wrap_quote st Head.unquote
   | '#' -> (
       advance st;
       match peek st with
@@ -349,17 +365,17 @@ and read_datum_here st : Datum.annot =
           read_radix_int st (mkloc st line col pos) 10
       | '\'' ->
           advance st;
-          wrap_quote st "syntax"
+          wrap_quote st Head.syntax
       | '`' ->
           advance st;
-          wrap_quote st "quasisyntax"
+          wrap_quote st Head.quasisyntax
       | ',' ->
           advance st;
           if peek st = '@' then begin
             advance st;
-            wrap_quote st "unsyntax-splicing"
+            wrap_quote st Head.unsyntax_splicing
           end
-          else wrap_quote st "unsyntax"
+          else wrap_quote st Head.unsyntax
       | '%' ->
           (* #%app, #%plain-lambda, ... are ordinary symbols: read the
              token again from its [#] *)

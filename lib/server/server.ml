@@ -77,18 +77,41 @@ type config = {
 let default_workers () : int =
   max 1 (min 4 (Domain.recommended_domain_count () - 1))
 
-(** Each request worker's minor heap, in words: 4M words, 32 MB.  An edit
-    of the [daemon] benchmark's project allocates about 0.57M words, and
-    the warm runs between edits fill the same nursery, so a smaller one
-    collects in the middle of more edits: at 1M and 2M words, which hold
-    one edit, the median edit was 3–5% slower (docs/server.md, "Memory").
-    [test_compiled.ml] checks that an edit still fits. *)
-let worker_minor_heap_words = 1 lsl 22
+(** Each request worker's minor heap, in words: 1M words, 8 MB.  An edit
+    of the [daemon] benchmark's project allocates about 0.58M words, a
+    warm run about 12k, and an idle worker empties a nursery more than
+    half full ({!empty_nursery_if_half_full}): it collects after each
+    edit, and the nine or so warm runs between two edits leave the next
+    one about 0.94M words free.  Without that rule the warm runs fill the
+    nursery in the middle of edits, and a 1M-word nursery made the
+    median edit 3.2% slower than 4M words did (docs/server.md,
+    "Memory").  [test_compiled.ml] checks that an edit fits and that
+    replayed edits do not fill the nursery. *)
+let worker_minor_heap_words = 1 lsl 20
 
 (* Run first on every worker domain, replacements included: [Gc.set] is
    per-domain and [Domain.spawn] does not pass it on. *)
 let size_worker_heap () =
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = worker_minor_heap_words }
+
+(* [Gc.minor_words] of this domain when it last emptied its nursery. *)
+let emptied_at = Domain.DLS.new_key (fun () -> 0.0)
+
+(** Empty this domain's nursery if it is more than half full, and say
+    whether it did.  Fullness is the words this domain allocated since
+    this last emptied it; a collection another domain starts empties the
+    nursery too, so the count can only run high, which costs one
+    collection more at most.  The pool runs it on an idle worker
+    ([on_idle]): after the reply is sent, with no job queued for it. *)
+let empty_nursery_if_half_full () : bool =
+  let half_full =
+    Gc.minor_words () -. Domain.DLS.get emptied_at > float_of_int (worker_minor_heap_words / 2)
+  in
+  if half_full then begin
+    Gc.minor ();
+    Domain.DLS.set emptied_at (Gc.minor_words ())
+  end;
+  half_full
 
 type job_state = Queued | Running
 
@@ -133,8 +156,11 @@ and t = {
    worker merges, accept-loop counts and status snapshots serialize. *)
 let gated (srv : t) (f : unit -> 'a) : 'a = Parallel.with_gate srv.mmu f
 
-let daemon_count (srv : t) (name : string) : unit =
-  gated srv (fun () -> Metrics.with_collector srv.metrics (fun () -> Metrics.count name))
+(* Count [name] in the daemon-lifetime collector [metrics], gated by [mmu]. *)
+let count_in (metrics : Metrics.t) (mmu : Mutex.t) (name : string) : unit =
+  Parallel.with_gate mmu (fun () -> Metrics.with_collector metrics (fun () -> Metrics.count name))
+
+let daemon_count (srv : t) (name : string) : unit = count_in srv.metrics srv.mmu name
 
 (* -- request handlers --------------------------------------------------------- *)
 
@@ -486,6 +512,7 @@ let status_response (srv : t) (env : P.envelope) : Json.t =
               ("cancelled", num (g "server.cancelled"));
               ("evictions", num (g "server.evictions"));
               ("worker_deaths", num (g "server.worker_deaths"));
+              ("idle_collections", num (g "server.idle_collections"));
               ("compiles", num (g "module.compiles"));
               ("cache_hits", num (g "module.cache_hits"));
               ("stat_hits", num (g "module.stat_hits"));
@@ -709,16 +736,20 @@ let serve ?(on_ready = fun (_ : t) -> ()) (cfg : config) : unit =
   (* the pool holds the gate open for the daemon's whole life: request
      workers can race each other (and the accept loop) at any moment, so
      the shared intern tables and store locks stay mutexed throughout *)
+  let metrics = Metrics.create () and mmu = Mutex.create () in
+  let on_idle () =
+    if empty_nursery_if_half_full () then count_in metrics mmu "server.idle_collections"
+  in
   let srv =
     {
       cfg;
       listener;
       store = Compiled.Store.create ~dir:cfg.cache_dir ();
-      metrics = Metrics.create ();
-      mmu = Mutex.create ();
+      metrics;
+      mmu;
       started = Unix.gettimeofday ();
       pool =
-        Parallel.Pool.create ~workers:(max 1 cfg.workers) ~on_start:size_worker_heap
+        Parallel.Pool.create ~workers:(max 1 cfg.workers) ~on_start:size_worker_heap ~on_idle
           ~on_death:worker_died ~run:run_job ();
       mu = Mutex.create ();
       conns = [];

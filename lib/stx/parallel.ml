@@ -21,8 +21,12 @@
     run on the calling domain.
 
     The pool sets no GC policy: every worker runs on the default minor
-    heap.  A caller that wants another sets it in [on_start] — the
-    compile server's worker does (docs/server.md, "Memory").
+    heap and the pool never calls the GC.  A caller that wants a policy
+    sets it in the two hooks it runs on each worker: [on_start], before
+    the worker's first job, and [on_idle], when the worker has finished
+    its jobs and none is queued for it.  The compile server uses both: a
+    larger nursery, emptied while its worker idles (docs/server.md,
+    "Memory").  The parallel build passes neither.
 
     The module also hosts the pool-level counters ({!tasks}, {!lock_waits})
     that builds report as the [par.tasks] / [par.lock_waits] metrics. *)
@@ -57,13 +61,23 @@ let retries = Atomic.make 0
 let timeouts = Atomic.make 0
 
 (** Acquire [m] for the extent of [f], counting contention in
-    {!lock_waits}. *)
+    {!lock_waits}.  Unlocks on return and on exception, as
+    [Mutex.protect] does, without allocating a [finally] closure: the
+    compile server holds the gate open for its whole life, so every
+    symbol interned in the daemon comes through here. *)
 let with_lock (m : Mutex.t) (f : unit -> 'a) : 'a =
   if not (Mutex.try_lock m) then begin
     Atomic.incr lock_waits;
     Mutex.lock m
   end;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+  match f () with
+  | x ->
+      Mutex.unlock m;
+      x
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Mutex.unlock m;
+      Printexc.raise_with_backtrace e bt
 
 (** [with_gate m f]: run [f] under [m] while a pool is {!active}, plain
     otherwise.  Safe because activation brackets spawn…join (see above). *)
@@ -85,6 +99,11 @@ let[@inline] with_gate (m : Mutex.t) (f : unit -> 'a) : 'a =
       warm state survives — and exits.  A worker that dies before its
       first job ([on_start] raised) has no warm state to keep and is not
       replaced; [on_death] sees it with no job.
+    - {e Idling}: a worker that has run a job and then finds neither its
+      slot's queue nor the shared one holding a job runs [on_idle] once,
+      outside the pool lock, before it waits; the next idle period comes
+      after its next job.  A job submitted meanwhile waits for the hook
+      to return.  What the hook raises is ignored.
     - {e Zero workers}: nothing is spawned; queued jobs run on the calling
       domain inside {!quiesce} and {!stop}, in submission order. *)
 module Pool = struct
@@ -95,6 +114,7 @@ module Pool = struct
     shared : 'a Queue.t;
     run : 'a -> unit;
     on_start : unit -> unit;
+    on_idle : unit -> unit;
     on_death : exn -> 'a option -> unit;
     mutable running : int;
     mutable alive : int;  (** spawned and not yet exited, replacements included *)
@@ -133,17 +153,20 @@ module Pool = struct
     | exception e ->
         (try p.on_death e None with _ -> ());
         exited p
-    | () -> serve p slot
+    | () -> serve p slot ~idled:true
 
-  and serve p slot =
+  (* [idled]: the worker has run [on_idle] since its last job (or has run
+     no job yet), so finding nothing to do it waits. *)
+  and serve p slot ~idled =
     let next =
       locked p (fun () ->
           let rec wait () =
             match take p slot with
             | Some j ->
                 p.running <- p.running + 1;
-                Some j
-            | None when p.stopping -> None
+                `Job j
+            | None when p.stopping -> `Stop
+            | None when not idled -> `Idle
             | None ->
                 Condition.wait p.changed p.mu;
                 wait ()
@@ -151,8 +174,11 @@ module Pool = struct
           wait ())
     in
     match next with
-    | None -> exited p
-    | Some j -> (
+    | `Stop -> exited p
+    | `Idle ->
+        (try p.on_idle () with _ -> ());
+        serve p slot ~idled:true
+    | `Job j -> (
         let finished () =
           locked p (fun () ->
               p.running <- p.running - 1;
@@ -161,7 +187,7 @@ module Pool = struct
         match p.run j with
         | () ->
             finished ();
-            serve p slot
+            serve p slot ~idled:false
         | exception e ->
             (try p.on_death e (Some j) with _ -> ());
             (try spawn p slot with _ -> ());
@@ -169,10 +195,12 @@ module Pool = struct
             exited p)
 
   (** Start [workers] domains (none for [workers <= 0]).  [run] executes
-      one job; [on_start] runs first on every worker domain; [on_death]
-      hears about every worker death, with the job it held. *)
-  let create ~(workers : int) ?(on_start = fun () -> ()) ~(on_death : exn -> 'a option -> unit)
-      ~(run : 'a -> unit) () : 'a t =
+      one job; [on_start] runs first on every worker domain; [on_idle]
+      runs on a worker once per idle period (see above; never with zero
+      workers); [on_death] hears about every worker death, with the job
+      it held. *)
+  let create ~(workers : int) ?(on_start = fun () -> ()) ?(on_idle = fun () -> ())
+      ~(on_death : exn -> 'a option -> unit) ~(run : 'a -> unit) () : 'a t =
     let workers = max 0 workers in
     let p =
       {
@@ -182,6 +210,7 @@ module Pool = struct
         shared = Queue.create ();
         run;
         on_start;
+        on_idle;
         on_death;
         running = 0;
         alive = 0;

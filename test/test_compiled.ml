@@ -362,6 +362,7 @@ let replay_boundary_contracts () =
 module Build = Compiled.Build
 module Genproj = Compiled.Genproj
 module Parallel = Liblang_parallel.Parallel
+module Server = Liblang_server.Server
 
 (** Sorted [(file, md5)] pairs for every artifact under [dir] — the
     byte-identity witness for determinism across job counts. *)
@@ -977,11 +978,10 @@ let recompiles_leave_nothing () =
         sets entries sets0 entries0
   done
 
-(* The daemon workload's edits, in process: a 12-module diamond, depth 6,
-   compiled once, then one middle module edited and the program rerun,
-   [edits] times.  [after k words] runs after edit [k], given the minor
-   words that invalidating and rerunning allocated. *)
-let replay_daemon_edits ~edits (after : int -> float -> unit) =
+(* The daemon workload's project: a 12-module diamond, depth 6.  [run ()]
+   runs it and checks its output; [write_edit k] rewrites one middle
+   module as its original text plus edit [k]. *)
+let daemon_project () =
   let dir = fresh_dir () in
   let n = 12 in
   let root, sum = Genproj.generate ~dir ~shape:Genproj.Diamond ~n ~depth:6 () in
@@ -993,15 +993,30 @@ let replay_daemon_edits ~edits (after : int -> float -> unit) =
     | out, Ok _ -> check_s "output" (string_of_int sum) out
     | _, Error ds -> Alcotest.fail (Liblang_core.Pipeline.render_errors ds)
   in
+  let rng = Random.State.make [| 24 |] in
+  let write_edit k =
+    let i = 1 + Random.State.int rng (n - 2) in
+    write_file files.(i) (texts.(i) ^ Printf.sprintf "(define edit-rev %d)\n" k)
+  in
+  (run, write_edit)
+
+(* An edit as the daemon sees one: drop what changed on disk, rerun. *)
+let rerun_edited run =
+  ignore (Compiled.Resolver.invalidate_changed ());
+  run ()
+
+(* The daemon workload's edits, in process: the project compiled once,
+   then one middle module edited and the program rerun, [edits] times.
+   [after k words] runs after edit [k], given the minor words that
+   invalidating and rerunning allocated. *)
+let replay_daemon_edits ~edits (after : int -> float -> unit) =
+  let run, write_edit = daemon_project () in
   Compiled.reset_session ();
   run ();
-  let rng = Random.State.make [| 24 |] in
   for k = 1 to edits do
-    let i = 1 + Random.State.int rng (n - 2) in
-    write_file files.(i) (texts.(i) ^ Printf.sprintf "(define edit-rev %d)\n" k);
+    write_edit k;
     let w0 = Gc.minor_words () in
-    ignore (Compiled.Resolver.invalidate_changed ());
-    run ();
+    rerun_edited run;
     after k (Gc.minor_words () -. w0)
   done
 
@@ -1018,8 +1033,11 @@ let edits_do_not_grow_the_heap () =
    minor words plus 2%: an edit allocated 605,961 before a stale
    dependent was rejected from its artifact's header and syntax-rules
    patterns were built once, and 564,951 after.  The second is the
-   compile server's worker nursery, which must hold an edit
-   (docs/server.md, "Memory"). *)
+   compile server's worker nursery, which must hold an edit.  1M words
+   is enough because the idle worker empties a nursery more than half
+   full: it collects after each edit, so the warm runs before the next
+   one (about 12k words each) leave it most of the nursery
+   ([idle_worker_edits_do_not_collect]; docs/server.md, "Memory"). *)
 let an_edit_fits_the_daemon_nursery () =
   let words = ref [] in
   replay_daemon_edits ~edits:21 (fun _ w -> words := w :: !words);
@@ -1030,6 +1048,66 @@ let an_edit_fits_the_daemon_nursery () =
   if median >= nursery then
     Alcotest.failf "an edit allocates %.0f minor words, more than the daemon worker's %.0f-word minor heap"
       median nursery
+
+(* The daemon's traffic replayed on a pool worker that runs the server's
+   [on_start] and idle hook, one job per request, as [liblang serve]'s
+   worker does: the cold compile, then 20 edits with 9 warm runs before
+   each, the worker going idle after every request.  The idle worker
+   empties its nursery once it is more than half full, that is after
+   each edit, so each edit starts with room for itself, and at most one
+   minor collection in all may start inside an edit because the nursery
+   filled.  The other kind
+   ends a major cycle: OCaml 5 empties every nursery when a cycle
+   completes, so an edit that completes one (every 3 to 5 edits here)
+   counts a minor collection that no nursery size or hook avoids.
+   Without the hook the warm runs and earlier edits leave the nursery
+   anywhere from empty to full, and 7 to 9 of the 20 edits fill it.  Both counts are read around each edit, on the worker, while this
+   domain sleeps without allocating. *)
+let idle_worker_edits_do_not_collect () =
+  let run, write_edit = daemon_project () in
+  let failure = Atomic.make None and idles = Atomic.make 0 and filled = ref [] in
+  let p =
+    Parallel.Pool.create ~workers:1 ~on_start:Server.size_worker_heap
+      ~on_idle:(fun () ->
+        ignore (Server.empty_nursery_if_half_full ());
+        Atomic.incr idles)
+      ~on_death:(fun e _ -> Atomic.set failure (Some e))
+      ~run:(fun f -> try f () with e -> Atomic.set failure (Some e))
+      ()
+  in
+  (* one request: run [f] on the worker and wait until it has idled *)
+  let request f =
+    let idled = Atomic.get idles in
+    Parallel.Pool.submit p f;
+    while Atomic.get idles = idled && Atomic.get failure = None do
+      Unix.sleepf 0.0005
+    done
+  in
+  let collections () =
+    let st = Gc.quick_stat () in
+    (st.Gc.minor_collections, st.Gc.major_collections)
+  in
+  with_test_alarm 120 (fun () ->
+      request (fun () ->
+          Compiled.reset_session ();
+          run ());
+      for k = 1 to 20 do
+        for _ = 1 to 9 do
+          request run
+        done;
+        write_edit k;
+        request (fun () ->
+            let minor0, major0 = collections () in
+            rerun_edited run;
+            let minor1, major1 = collections () in
+            filled := max 0 (minor1 - minor0 - (major1 - major0)) :: !filled)
+      done;
+      ignore (Parallel.Pool.stop p));
+  Option.iter raise (Atomic.get failure);
+  let inside = List.fold_left ( + ) 0 !filled in
+  if inside > 1 then
+    Alcotest.failf "the nursery filled inside %d of 20 edits (per edit, last first: %s)" inside
+      (String.concat " " (List.map string_of_int !filled))
 
 (* -- suite --------------------------------------------------------------------- *)
 
@@ -1376,4 +1454,6 @@ let suite =
     t "default path: no bytecode, cold or warm" no_bytecode_on_the_default_path;
     t "warm run: bodies skip the expander" warm_loads_skip_the_expander;
     t "warm compile: no deferred body is parsed" warm_compile_reads_no_deferred_body;
+    t "memory: an idle daemon worker keeps its edits free of minor collections"
+      idle_worker_edits_do_not_collect;
   ]

@@ -1,7 +1,7 @@
 (** The supervised domain pool ([Parallel.Pool]) that the parallel build
     and the compile server both run on: slot affinity, shared-queue
-    dispatch, jobs that submit jobs, supervision by replacement, and
-    termination when every worker is gone. *)
+    dispatch, jobs that submit jobs, supervision by replacement,
+    termination when every worker is gone, and the idle hook. *)
 
 open Test_util
 module Pool = Liblang_parallel.Parallel.Pool
@@ -12,12 +12,6 @@ let no_death _ _ = ()
 
 (* Record [x] in [log] under [m]. *)
 let record m log x = Mutex.protect m (fun () -> log := x :: !log)
-
-(* Spin (with short sleeps) until [cond] holds; [false] after 10 s. *)
-let eventually cond =
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  let rec go () = cond () || (Unix.gettimeofday () < deadline && (Unix.sleepf 0.001; go ())) in
-  go ()
 
 (** Jobs of one slot run on one domain, in submission order. *)
 let per_slot_fifo () =
@@ -147,6 +141,124 @@ let workers_keep_the_default_minor_heap () =
   check_i "both jobs ran" 2 (List.length !seen);
   List.iter (check_i "a worker's minor heap is a spawned domain's" spawned) !seen
 
+(* -- the idle hook ----------------------------------------------------------- *)
+
+(** The hook runs once the worker has nothing queued, once per idle
+    period, and outside the pool lock: a worker held by its first job
+    while five more queue runs all six back to back, then the hook once,
+    which sees nothing queued. *)
+let idle_hook_waits_for_an_empty_queue () =
+  let idles = Atomic.make 0 and queued_seen = Atomic.make (-1) in
+  let release = Atomic.make false and ran = Atomic.make 0 in
+  let pool = ref None in
+  let p =
+    Pool.create ~workers:1 ~on_death:no_death
+      ~on_idle:(fun () ->
+        Atomic.set queued_seen (Pool.queued (Option.get !pool));
+        Atomic.incr idles)
+      ~run:(fun first ->
+        if first then ignore (eventually (fun () -> Atomic.get release));
+        Atomic.incr ran)
+      ()
+  in
+  pool := Some p;
+  with_test_alarm 30 (fun () ->
+      Pool.submit p true;
+      for _ = 1 to 5 do
+        Pool.submit p false
+      done;
+      Atomic.set release true;
+      check_b "quiesced" true (Pool.quiesce p);
+      check_b "the hook ran" true (eventually (fun () -> Atomic.get idles = 1));
+      check_b "nothing stranded" true (Pool.stop p = []));
+  check_i "every job ran" 6 (Atomic.get ran);
+  check_i "one idle period, one hook" 1 (Atomic.get idles);
+  check_i "the hook saw nothing queued" 0 (Atomic.get queued_seen)
+
+(** A job submitted while the hook runs waits for it, then runs, and a
+    second idle period follows it. *)
+let job_submitted_during_the_hook_runs () =
+  let in_hook = Atomic.make false and release = Atomic.make false in
+  let idles = Atomic.make 0 and ran = Atomic.make 0 in
+  let p =
+    Pool.create ~workers:1 ~on_death:no_death
+      ~on_idle:(fun () ->
+        if Atomic.fetch_and_add idles 1 = 0 then begin
+          Atomic.set in_hook true;
+          ignore (eventually (fun () -> Atomic.get release))
+        end)
+      ~run:(fun () -> Atomic.incr ran)
+      ()
+  in
+  with_test_alarm 30 (fun () ->
+      Pool.submit p ();
+      check_b "the hook started" true (eventually (fun () -> Atomic.get in_hook));
+      Pool.submit p ();
+      Atomic.set release true;
+      check_b "quiesced" true (Pool.quiesce p);
+      check_b "the second idle period ran the hook" true (eventually (fun () -> Atomic.get idles = 2));
+      check_b "nothing stranded" true (Pool.stop p = []));
+  check_i "both jobs ran" 2 (Atomic.get ran)
+
+(** A replacement worker runs the hook too, on its own domain. *)
+let replacement_runs_the_hook () =
+  let m = Mutex.create () and hooks = ref [] and died = Atomic.make 0 in
+  let p =
+    Pool.create ~workers:1
+      ~on_death:(fun _ _ -> Atomic.incr died)
+      ~on_idle:(fun () -> record m hooks (Domain.self () :> int))
+      ~run:(function `Die -> failwith "boom" | `Ok -> ())
+      ()
+  in
+  let hooks_seen n = eventually (fun () -> Mutex.protect m (fun () -> List.length !hooks = n)) in
+  with_test_alarm 30 (fun () ->
+      Pool.submit p `Ok;
+      check_b "the first worker idled" true (hooks_seen 1);
+      Pool.submit p `Die;
+      Pool.submit p `Ok;
+      check_b "quiesced" true (Pool.quiesce p);
+      check_b "the replacement idled" true (hooks_seen 2);
+      check_b "nothing stranded" true (Pool.stop p = []));
+  check_i "one death" 1 (Atomic.get died);
+  match !hooks with
+  | [ replacement; first ] -> check_b "on two domains" true (replacement <> first)
+  | _ -> Alcotest.fail "two idle periods expected"
+
+(** Without the hook an idle worker does nothing: it allocates no more
+    between two jobs than waiting takes.  With zero workers nothing
+    idles, so a hook never runs. *)
+let no_hook_no_idle_work () =
+  let m = Mutex.create () and marks = ref [] in
+  let p =
+    Pool.create ~workers:1 ~on_death:no_death
+      ~run:(fun () -> record m marks (Gc.minor_words ()))
+      ()
+  in
+  with_test_alarm 30 (fun () ->
+      Pool.submit p ();
+      check_b "quiesced" true (Pool.quiesce p);
+      Unix.sleepf 0.02;
+      Pool.submit p ();
+      check_b "nothing stranded" true (Pool.stop p = []));
+  (match !marks with
+  | [ second; first ] ->
+      if second -. first > 1000. then
+        Alcotest.failf "the idle worker allocated %.0f words between two jobs" (second -. first)
+  | _ -> Alcotest.fail "two jobs expected");
+  let idles = Atomic.make 0 and ran = Atomic.make 0 in
+  let inline =
+    Pool.create ~workers:0 ~on_death:no_death
+      ~on_idle:(fun () -> Atomic.incr idles)
+      ~run:(fun () -> Atomic.incr ran)
+      ()
+  in
+  Pool.submit inline ();
+  check_b "quiesced" true (Pool.quiesce inline);
+  Pool.submit inline ();
+  check_b "nothing stranded" true (Pool.stop inline = []);
+  check_i "inline jobs ran" 2 (Atomic.get ran);
+  check_i "no hook with zero workers" 0 (Atomic.get idles)
+
 let suite =
   [
     Alcotest.test_case "pool: per-slot FIFO" `Quick per_slot_fifo;
@@ -156,4 +268,11 @@ let suite =
     Alcotest.test_case "pool: all workers die at start" `Quick all_workers_die_at_start;
     Alcotest.test_case "pool: workers keep the default minor heap" `Quick
       workers_keep_the_default_minor_heap;
+    Alcotest.test_case "pool: the idle hook waits for an empty queue" `Quick
+      idle_hook_waits_for_an_empty_queue;
+    Alcotest.test_case "pool: a job submitted during the idle hook runs" `Quick
+      job_submitted_during_the_hook_runs;
+    Alcotest.test_case "pool: a replacement worker runs the idle hook" `Quick
+      replacement_runs_the_hook;
+    Alcotest.test_case "pool: no hook, no idle work" `Quick no_hook_no_idle_work;
   ]

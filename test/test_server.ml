@@ -603,6 +603,27 @@ let head_of_line_isolation () =
       Client.close warm;
       Client.close cold)
 
+(* An idle worker empties a nursery more than half full and [status]
+   counts it: an edit of the [daemon] benchmark's project allocates about
+   0.58M words, over half the worker's 1M-word nursery, so after one the
+   count reaches 1 (polled for at most 10 s). *)
+let idle_collections_in_status () =
+  with_server (fun socket dir ->
+      let module Genproj = Core.Compiled.Genproj in
+      let root, sum = Genproj.generate ~dir ~shape:Genproj.Diamond ~n:12 ~depth:6 () in
+      let c = connect socket in
+      check_s "cold output" (string_of_int sum) (Client.output_of (run_req c root));
+      let edited = Filename.concat dir (Genproj.file_of 5) in
+      write_file edited (read_file edited ^ "(define edit-rev 1)\n");
+      check_s "edited output" (string_of_int sum) (Client.output_of (run_req c root));
+      let idle_collections () =
+        match Option.bind (Json.member "status" (request c P.Status)) (Json.member "idle_collections") with
+        | Some n -> Option.value ~default:(-1.) (Json.to_num n)
+        | None -> Alcotest.fail "status carries no idle_collections"
+      in
+      check_b "status counts an idle collection" true (eventually (fun () -> idle_collections () >= 1.));
+      Client.close c)
+
 let suite =
   cleaning
   [
@@ -633,4 +654,5 @@ let suite =
       worker_death_spares_daemon;
     Alcotest.test_case "a delayed cold compile leaves other sessions' warm runs fast" `Quick
       head_of_line_isolation;
+    Alcotest.test_case "status counts idle collections" `Quick idle_collections_in_status;
   ]

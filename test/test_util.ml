@@ -102,6 +102,12 @@ exception Hung
 let with_test_alarm seconds f =
   match Matrix.capped seconds f with Some v -> v | None -> raise Hung
 
+(** Spin (with short sleeps) until [cond] holds; [false] after 10 s. *)
+let eventually cond =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec go () = cond () || (Unix.gettimeofday () < deadline && (Unix.sleepf 0.001; go ())) in
+  go ()
+
 (* -- the configuration matrix ------------------------------------------------ *)
 
 (** Fail the test unless [configs] agree on [programs] (see {!Matrix.check});

@@ -17,7 +17,11 @@
 #     (optimize.<rule>, expand.fuel.<m>) cover;
 #   stale rows: the converse -- every catalogue row naming one metric or
 #     span (not a <...> family) must appear as a string literal under lib/
-#     or bin/, so a row whose name the code no longer emits fails the gate.
+#     or bin/, so a row whose name the code no longer emits fails the gate;
+#   nursery size: every size docs/server.md states for the compile
+#     server's worker nursery, written on one line as
+#     "`worker_minor_heap_words` (1M words, 8 MB", must be the `1 lsl N`
+#     words lib/server/server.ml sets, and it must state one.
 #
 # Usage: sh tools/doc_check.sh, from anywhere: the script cd's to the
 # directory above its own.  `dune runtest` runs it inside _build
@@ -101,10 +105,29 @@ if [ -f "$CATALOGUE" ]; then
   done <"$WORK/rows"
 fi
 
+# -- pass 4: docs/server.md states the daemon nursery's size -------------------
+lsl=$(sed -n 's/^let worker_minor_heap_words = 1 lsl \([0-9][0-9]*\)$/\1/p' lib/server/server.ml)
+if [ -z "$lsl" ]; then
+  bad "lib/server/server.ml sets no 'let worker_minor_heap_words = 1 lsl N'"
+else
+  words=$((1 << lsl))
+  if [ "$words" -ge 1048576 ]; then size="$((words / 1048576))M words"; else size="$((words / 1024))k words"; fi
+  size="$size, $((words * 8 / 1048576)) MB"
+  grep -o '`worker_minor_heap_words` ([^;)]*' docs/server.md | sed 's/^[^(]*(//' >"$WORK/nursery"
+  if [ ! -s "$WORK/nursery" ]; then
+    bad "docs/server.md states no size as \`worker_minor_heap_words\` (N words, M MB, on one line"
+  fi
+  while IFS= read -r stated; do
+    if [ "$stated" != "$size" ]; then
+      bad "docs/server.md states the worker nursery as \"$stated\"; lib/server/server.ml sets $size"
+    fi
+  done <"$WORK/nursery"
+fi
+
 if [ "$fail" -eq 0 ]; then
   nmetrics=$(wc -l <"$WORK/metrics" | tr -d ' ')
   nspans=$(wc -l <"$WORK/spans" | tr -d ' ')
   nrows=$(wc -l <"$WORK/rows" | tr -d ' ')
-  echo "doc_check OK: $nlinks relative links resolve; $nmetrics metric and $nspans span literals documented in $CATALOGUE; its $nrows rows all emitted"
+  echo "doc_check OK: $nlinks relative links resolve; $nmetrics metric and $nspans span literals documented in $CATALOGUE; its $nrows rows all emitted; docs/server.md states the worker nursery as $size"
 fi
 exit "$fail"
